@@ -2,32 +2,53 @@
  * @file
  * Extension beyond the paper: multi-node scaling. The paper confined
  * itself to one machine (and dropped DeepBench's MPI all-reduce);
- * this bench carries the Section IV-D scaling question across a
- * cluster of DSS 8440 nodes and across NIC fabrics — showing which
- * workloads keep scaling past a chassis and how much the network
- * tier matters.
+ * this bench carries the Section IV-D scaling question across pods
+ * of DSS 8440 hosts, one host per rack, and across spine health —
+ * showing which workloads keep scaling past a chassis and how much
+ * the network tier matters.
  */
 
 #include <cstdio>
 
 #include "models/zoo.h"
-#include "sys/cluster.h"
-#include "train/multinode.h"
+#include "sys/machines.h"
+#include "train/trainer.h"
+
+namespace {
+
+using namespace mlps;
+
+/** A workload at the system's full width. */
+train::TrainResult
+runFullWidth(const sys::SystemConfig &system, const wl::WorkloadSpec &spec)
+{
+    train::RunOptions opts;
+    opts.num_gpus = system.num_gpus;
+    return train::Trainer(system).run(spec, opts);
+}
+
+/** DSS 8440 hosts for an n-node run: the box itself at n == 1, else
+ *  an n x 1 pod, whose spine uplinks are each host's only path off
+ *  the box. */
+sys::SystemConfig
+dssNodes(int nodes)
+{
+    return nodes == 1 ? sys::dss8440()
+                      : sys::withPod(sys::dss8440(), nodes, 1);
+}
+
+} // namespace
 
 int
 main()
 {
-    using namespace mlps;
-
     const std::vector<std::string> workloads = {
         "MLPf_Res50_TF", "MLPf_XFMR_Py", "MLPf_NCF_Py",
     };
     const int node_counts[] = {1, 2, 4, 8};
 
-    sys::ClusterConfig cluster =
-        sys::dss8440Cluster(8, sys::infinibandEdr());
-    std::printf("Multi-node scaling on %s (8 GPUs/node)\n\n",
-                cluster.name.c_str());
+    std::printf("Multi-node scaling on pod(DSS 8440,Nx1) "
+                "(8 GPUs/node, 100 GbE)\n\n");
     std::printf("%-15s %10s", "workload", "1 node");
     for (int n : {2, 4, 8})
         std::printf(" %9d-node", n);
@@ -39,7 +60,7 @@ main()
         double base = 0.0;
         std::string speedups;
         for (int n : node_counts) {
-            auto r = train::runMultiNode(cluster, spec, n);
+            auto r = runFullWidth(dssNodes(n), spec);
             if (n == 1)
                 base = r.total_seconds;
             std::printf(" %8.1f min", r.totalMinutes());
@@ -53,20 +74,22 @@ main()
         std::printf("  %s\n", speedups.c_str());
     }
 
-    std::printf("\nNIC fabric sensitivity (4 nodes, Transformer):\n");
+    std::printf("\nFabric sensitivity (4 nodes, Transformer):\n");
     auto spec = *models::findWorkload("MLPf_XFMR_Py");
-    for (const auto &nic : {sys::ethernet25(), sys::ethernet100(),
-                            sys::infinibandEdr()}) {
-        sys::ClusterConfig c = sys::dss8440Cluster(4, nic);
-        auto r = train::runMultiNode(c, spec, 4);
-        std::printf("  %-8s %8.1f min  (inter-node collective "
-                    "%5.1f ms/iter)\n", nic.name.c_str(),
-                    r.totalMinutes(), r.inter_comm_s * 1e3);
+    sys::SystemConfig healthy = dssNodes(4);
+    for (double scale : {0.25, 1.0}) {
+        sys::SystemConfig pod =
+            scale < 1.0 ? sys::withSpineDegraded(healthy, scale)
+                        : healthy;
+        auto r = runFullWidth(pod, spec);
+        std::printf("  spine x%-4.2f %8.1f min  (all-reduce "
+                    "%6.1f ms/iter)\n", scale, r.totalMinutes(),
+                    r.iter.comm_s * 1e3);
     }
 
     std::printf("\nTakeaway: the scaling diversity of Table IV "
-                "amplifies across nodes — NCF gains nothing past one "
-                "chassis while ResNet-50 keeps scaling on a fast "
+                "amplifies across nodes — NCF loses ground past one "
+                "chassis while ResNet-50 keeps scaling on a healthy "
                 "fabric.\n");
     return 0;
 }

@@ -3,7 +3,7 @@
  * Fleet planner: a capacity-planning exercise combining the library's
  * extensions. Given a monthly training demand (a job mix with
  * submission rates), compare fleet designs — few big NVLink boxes vs
- * many PCIe boxes vs a multi-node cluster — on three axes: queue
+ * many PCIe boxes vs a multi-node pod — on three axes: queue
  * latency (online scheduling), energy, and total GPU-hours.
  */
 
@@ -11,12 +11,9 @@
 #include <vector>
 
 #include "core/suite.h"
-#include "models/zoo.h"
 #include "sched/online.h"
-#include "sys/cluster.h"
 #include "sys/machines.h"
 #include "train/energy.h"
-#include "train/multinode.h"
 
 namespace {
 
@@ -86,14 +83,16 @@ main()
     evaluateMachine(sys::c4140B(), mix);
     evaluateMachine(sys::t640(), mix);
 
-    std::printf("\n-- scale-out design: 4x DSS 8440 on InfiniBand, "
+    std::printf("\n-- scale-out design: 4x DSS 8440 on a 100 GbE pod, "
                 "big jobs spanning nodes --\n");
-    sys::ClusterConfig cluster =
-        sys::dss8440Cluster(4, sys::infinibandEdr());
+    sys::SystemConfig pod = sys::withPod(sys::dss8440(), 4, 1);
+    core::Suite spanning(pod);
     for (const auto &name : mix) {
-        auto spec = *models::findWorkload(name);
-        auto one = train::runMultiNode(cluster, spec, 1);
-        auto four = train::runMultiNode(cluster, spec, 4);
+        train::RunOptions opts;
+        opts.num_gpus = 8;
+        auto one = spanning.run(name, opts);
+        opts.num_gpus = pod.num_gpus;
+        auto four = spanning.run(name, opts);
         std::printf("  %-15s 1 node %8.1f min -> 4 nodes %8.1f min "
                     "(%.2fx)\n", name.c_str(), one.totalMinutes(),
                     four.totalMinutes(),

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "exec/engine.h"
 #include "prof/kernel_profiler.h"
@@ -17,8 +18,8 @@ characterize(const sys::SystemConfig &system, int num_gpus,
     Registry registry;
     for (const wl::WorkloadSpec &spec : extra)
         registry.add(spec);
-    exec::Engine local(exec::ExecOptions{1});
-    exec::Engine &eng = engine ? *engine : local;
+    std::optional<exec::Engine> local;
+    exec::Engine &eng = engine ? *engine : local.emplace(exec::ExecOptions{1});
 
     std::vector<exec::RunRequest> batch;
     for (const Benchmark &b : registry.all()) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
 
 #include "sim/logger.h"
 #include "sys/machines.h"
@@ -67,8 +68,8 @@ std::vector<train::TrainResult>
 Suite::runSuite(wl::SuiteTag tag, const train::RunOptions &opts,
                 exec::Engine *engine) const
 {
-    exec::Engine local(exec::ExecOptions{1});
-    exec::Engine &eng = engine ? *engine : local;
+    std::optional<exec::Engine> local;
+    exec::Engine &eng = engine ? *engine : local.emplace(exec::ExecOptions{1});
 
     std::vector<exec::RunRequest> batch;
     for (const Benchmark *b : registry_.bySuite(tag)) {
@@ -89,8 +90,8 @@ Suite::scalingStudy(const std::vector<std::string> &abbrevs,
                     const std::vector<int> &gpu_counts,
                     exec::Engine *engine) const
 {
-    exec::Engine local(exec::ExecOptions{1});
-    exec::Engine &eng = engine ? *engine : local;
+    std::optional<exec::Engine> local;
+    exec::Engine &eng = engine ? *engine : local.emplace(exec::ExecOptions{1});
 
     // Declare the full grid first so the engine can dedupe and
     // parallelize across it; the walk below consumes results in the
@@ -167,8 +168,8 @@ Suite::mixedPrecisionStudy(const std::vector<std::string> &abbrevs,
                            std::map<std::string, std::string> *errors)
     const
 {
-    exec::Engine local(exec::ExecOptions{1});
-    exec::Engine &eng = engine ? *engine : local;
+    std::optional<exec::Engine> local;
+    exec::Engine &eng = engine ? *engine : local.emplace(exec::ExecOptions{1});
 
     std::vector<exec::RunRequest> batch;
     for (const auto &abbrev : abbrevs) {
@@ -206,8 +207,8 @@ Suite::jobSpecs(const std::vector<std::string> &abbrevs, int max_width,
                 exec::Engine *engine,
                 std::map<std::string, std::string> *errors) const
 {
-    exec::Engine local(exec::ExecOptions{1});
-    exec::Engine &eng = engine ? *engine : local;
+    std::optional<exec::Engine> local;
+    exec::Engine &eng = engine ? *engine : local.emplace(exec::ExecOptions{1});
 
     std::vector<exec::RunRequest> batch;
     for (const auto &abbrev : abbrevs) {

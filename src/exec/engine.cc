@@ -245,9 +245,12 @@ Engine::run(std::vector<RunRequest> requests,
     std::exception_ptr first_error;
     for (std::size_t j = 0; j < job_out.size(); ++j) {
         JobOutcome &o = job_out[j];
-        if (o.error) {
-            retries_.add(static_cast<double>(o.error->attempts - 1));
+        // Count only real retries: cold and warm runs must tally alike.
+        if (o.result.attempts > 1) {
+            retries_.add(static_cast<double>(o.result.attempts - 1));
             backoff_.add(o.backoff_s);
+        }
+        if (o.error) {
             if (o.result.deadline_flagged)
                 deadline_flags_.add(1.0);
             if (opts_.on_error == ErrorPolicy::Throw) {
@@ -258,8 +261,6 @@ Engine::run(std::vector<RunRequest> requests,
             }
             continue; // failures are never cached or persisted
         }
-        retries_.add(static_cast<double>(o.result.attempts - 1));
-        backoff_.add(o.backoff_s);
         if (o.result.deadline_flagged) {
             deadline_flags_.add(1.0);
             sim::warn("engine: run %s on %s (%d GPUs) took %.3f s, "

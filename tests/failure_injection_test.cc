@@ -11,9 +11,7 @@
 
 #include "models/zoo.h"
 #include "net/link.h"
-#include "sys/cluster.h"
 #include "sys/machines.h"
-#include "train/multinode.h"
 #include "train/trainer.h"
 
 namespace {
@@ -130,18 +128,17 @@ TEST(FailureInjection, SlowHbmHurtsMemoryBoundWorkloads)
 
 TEST(FailureInjection, DegradedNicCripplesMultiNodeScaling)
 {
-    auto spec = *models::findWorkload("MLPf_XFMR_Py");
-    sys::NicSpec broken = sys::ethernet25();
-    broken.gbps /= 4.0; // link negotiated down
-    sys::ClusterConfig bad = sys::dss8440Cluster(4, broken);
-    sys::ClusterConfig good =
-        sys::dss8440Cluster(4, sys::infinibandEdr());
-    double t_bad = train::runMultiNode(bad, spec, 4).total_seconds;
-    double t_good = train::runMultiNode(good, spec, 4).total_seconds;
+    // Four DSS 8440 hosts, one per rack: the spine uplinks are each
+    // host's only way off the box. 1/16 of 100 GbE is a 25 GbE link
+    // negotiated down to a quarter.
+    sys::SystemConfig good = sys::withPod(sys::dss8440(), 4, 1);
+    sys::SystemConfig bad = sys::withSpineDegraded(good, 0.0625);
+    double t_bad = trainMinutes(bad, "MLPf_XFMR_Py", 32);
+    double t_good = trainMinutes(good, "MLPf_XFMR_Py", 32);
     EXPECT_GT(t_bad, 2.0 * t_good);
     // A 4-node run on the broken fabric can be slower than a single
     // node: scaling out becomes counterproductive.
-    double t_single = train::runMultiNode(bad, spec, 1).total_seconds;
+    double t_single = trainMinutes(sys::dss8440(), "MLPf_XFMR_Py", 8);
     EXPECT_GT(t_bad, 0.5 * t_single);
 }
 

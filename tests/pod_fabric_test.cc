@@ -4,7 +4,8 @@
  * validation, hierarchical collectives (per-tier byte conservation,
  * exact degenerate delegation, emergent degradation ordering), the
  * pod-scale fault classes, the pod spec grammar shared by the CLI
- * and serve, request-fingerprint coverage of the hierarchy, and a
+ * and serve, request-fingerprint coverage of the hierarchy,
+ * multi-node training on N x 1 pods of DSS 8440 hosts, and a
  * 128-GPU link-state mutation stress with seeded-replay determinism.
  */
 
@@ -17,6 +18,7 @@
 
 #include "exec/fingerprint.h"
 #include "fault/link_fault.h"
+#include "models/zoo.h"
 #include "net/allreduce.h"
 #include "net/fabric.h"
 #include "net/topology.h"
@@ -25,6 +27,7 @@
 #include "sim/logger.h"
 #include "sim/rng.h"
 #include "sys/machines.h"
+#include "train/trainer.h"
 
 namespace {
 
@@ -437,6 +440,99 @@ TEST(RouteCache, HitCounterFeedsTheObsRegistry)
               misses_before + 1.0);
     pod.topo.resetLinkState();
 }
+
+// ------------------------------------------- scale-out on pods
+
+/** DSS 8440 hosts for an n-node run: the box itself at n == 1, else
+ *  an n x 1 pod — one host per rack, so each host's only path off
+ *  the box is its ToR's spine uplinks. */
+sys::SystemConfig
+dssNodes(int nodes)
+{
+    return nodes == 1 ? sys::dss8440()
+                      : sys::withPod(sys::dss8440(), nodes, 1);
+}
+
+/** A workload at the system's full width. */
+train::TrainResult
+runFullWidth(const sys::SystemConfig &system, const std::string &workload)
+{
+    train::RunOptions opts;
+    opts.num_gpus = system.num_gpus;
+    return train::Trainer(system).run(*models::findWorkload(workload),
+                                      opts);
+}
+
+TEST(MultiNode, SingleNodeMatchesTrainerPlusNoInterComm)
+{
+    sys::SystemConfig pod = dssNodes(2);
+    auto spec = *models::findWorkload("MLPf_SSD_Py");
+    // Eight GPUs of a pod fill one host: no byte leaves the box.
+    net::AllReduceResult ar =
+        train::gradientAllReduce(pod, spec, hw::Precision::Mixed, 8);
+    EXPECT_DOUBLE_EQ(
+        ar.tier_bytes[static_cast<int>(net::FabricTier::IntraRack)] +
+            ar.tier_bytes[static_cast<int>(net::FabricTier::CrossRack)],
+        0.0);
+    train::RunOptions opts;
+    opts.num_gpus = 8;
+    auto r = train::Trainer(pod).run(spec, opts);
+    auto single = runFullWidth(sys::dss8440(), "MLPf_SSD_Py");
+    EXPECT_NEAR(r.total_seconds, single.total_seconds,
+                single.total_seconds * 0.01);
+}
+
+TEST(MultiNode, ScalableWorkloadKeepsScaling)
+{
+    double t1 = runFullWidth(dssNodes(1), "MLPf_Res50_TF").total_seconds;
+    double t4 = runFullWidth(dssNodes(4), "MLPf_Res50_TF").total_seconds;
+    EXPECT_GT(t1 / t4, 2.0);
+}
+
+TEST(MultiNode, NcfSaturatesAcrossNodes)
+{
+    double t1 = runFullWidth(dssNodes(1), "MLPf_NCF_Py").total_seconds;
+    double t8 = runFullWidth(dssNodes(8), "MLPf_NCF_Py").total_seconds;
+    // The batch cap + inter-node overhead leave no speedup.
+    EXPECT_GT(t8, 0.75 * t1);
+}
+
+TEST(MultiNode, SlowNicHurtsCommHeavyWorkloads)
+{
+    // A quarter-speed spine is a quarter-speed path off every host.
+    sys::SystemConfig fast = dssNodes(4);
+    sys::SystemConfig slow = sys::withSpineDegraded(fast, 0.25);
+    double t_slow = runFullWidth(slow, "MLPf_XFMR_Py").total_seconds;
+    double t_fast = runFullWidth(fast, "MLPf_XFMR_Py").total_seconds;
+    EXPECT_GT(t_slow, 1.3 * t_fast);
+}
+
+TEST(MultiNode, GlobalBatchCapDividesAcrossCluster)
+{
+    auto spec = *models::findWorkload("MLPf_NCF_Py");
+    auto r = runFullWidth(dssNodes(4), "MLPf_NCF_Py");
+    EXPECT_NEAR(r.global_batch, spec.convergence.global_batch_cap,
+                spec.convergence.global_batch_cap * 0.01);
+    EXPECT_NEAR(r.per_gpu_batch,
+                spec.convergence.global_batch_cap / 32.0, 1.0);
+}
+
+/** Node-count sweep: every pod width yields a finite, positive run
+ *  over all of its hosts. */
+class MultiNodeSweepTest : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(MultiNodeSweepTest, IterationFiniteAndPositive)
+{
+    auto r = runFullWidth(dssNodes(GetParam()), "MLPf_GNMT_Py");
+    EXPECT_GT(r.iter.iteration_s, 0.0);
+    EXPECT_TRUE(std::isfinite(r.total_seconds));
+    EXPECT_EQ(r.num_gpus, 8 * GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Nodes, MultiNodeSweepTest,
+                         ::testing::Values(1, 2, 4, 8));
 
 // ------------------------------------------- mutation stress
 

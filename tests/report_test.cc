@@ -10,6 +10,8 @@
 #include <fstream>
 
 #include "core/report.h"
+#include "exec/engine.h"
+#include "obs/registry.h"
 #include "sim/rng.h"
 #include "stats/matrix.h"
 
@@ -135,6 +137,27 @@ TEST(Report, DegradedFabricBytesIndependentOfCacheWarmth)
     std::string warm = core::generateStudyReport(opts);
     EXPECT_EQ(cold, warm);
     std::filesystem::remove_all(dir);
+}
+
+TEST(Report, MetricsSnapshotCountsTheCallersEngine)
+{
+    // The section helpers must run on the caller's engine without
+    // building (and registering) engines of their own: a throwaway
+    // engine would replace the live exec.* rows with its zeros.
+    core::ReportOptions opts;
+    opts.include_topology = false;
+    opts.include_faults = false;
+    opts.include_degraded_fabric = false;
+    opts.include_attribution = false;
+    opts.include_pod_scale = false;
+    exec::Engine engine(exec::ExecOptions{1});
+    core::generateStudyReport(opts, engine);
+    bool found = false;
+    double requests = obs::MetricRegistry::global().value(
+        "exec.engine.requests", &found);
+    EXPECT_TRUE(found);
+    EXPECT_GT(engine.stats().requests, 0u);
+    EXPECT_EQ(requests, static_cast<double>(engine.stats().requests));
 }
 
 TEST(Report, WritesFile)

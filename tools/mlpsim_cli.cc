@@ -50,8 +50,11 @@
  */
 
 #include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -169,19 +172,43 @@ struct Args {
         return it == flags.end() ? fallback : it->second;
     }
 
+    /** Numbers parse strictly: the whole value, in range, or a usage
+     *  error naming the flag ("--gpus 4x" must not run on 4 GPUs). */
     int
     getInt(const std::string &key, int fallback) const
     {
         auto it = flags.find(key);
-        return it == flags.end() ? fallback : std::atoi(it->second.c_str());
+        if (it == flags.end())
+            return fallback;
+        char *end = nullptr;
+        errno = 0;
+        long v = std::strtol(it->second.c_str(), &end, 10);
+        requireWhole(key, it->second, end,
+                     errno != ERANGE && v >= INT_MIN && v <= INT_MAX,
+                     "an integer");
+        return static_cast<int>(v);
     }
 
     double
     getDouble(const std::string &key, double fallback) const
     {
         auto it = flags.find(key);
-        return it == flags.end() ? fallback
-                                 : std::atof(it->second.c_str());
+        if (it == flags.end())
+            return fallback;
+        char *end = nullptr;
+        errno = 0;
+        double v = std::strtod(it->second.c_str(), &end);
+        requireWhole(key, it->second, end, errno != ERANGE, "a number");
+        return v;
+    }
+
+    static void
+    requireWhole(const std::string &key, const std::string &value,
+                 const char *end, bool in_range, const char *kind)
+    {
+        if (value.empty() || *end != '\0' || !in_range)
+            throw UsageError("--" + key + " " + value + ": expected " +
+                             kind);
     }
 
     bool
