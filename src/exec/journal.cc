@@ -327,6 +327,8 @@ encodeJournalPayload(const Fingerprint &key, const RunResult &result)
     putU32(b, static_cast<std::uint32_t>(t.iter.kernel_launches));
     putU32(b, static_cast<std::uint32_t>(t.iter.micro_batches));
     putU32(b, static_cast<std::uint32_t>(t.iter.reroutes));
+    for (double bytes : t.iter.comm_tier_bytes)
+        putF64(b, bytes);
 
     putF64(b, t.usage.cpu_util_pct);
     putF64(b, t.usage.gpu_util_pct_sum);
@@ -387,6 +389,8 @@ decodeJournalPayload(const std::string &payload, Fingerprint *key,
     t.iter.kernel_launches = static_cast<int>(r.u32());
     t.iter.micro_batches = static_cast<int>(r.u32());
     t.iter.reroutes = static_cast<int>(r.u32());
+    for (double &bytes : t.iter.comm_tier_bytes)
+        bytes = r.f64();
 
     t.usage.cpu_util_pct = r.f64();
     t.usage.gpu_util_pct_sum = r.f64();

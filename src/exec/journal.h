@@ -93,8 +93,10 @@ class Journal
      * v3: system fingerprints mix the link fabric tier, so journals
      * written before hierarchical fabrics existed cannot alias runs
      * on pods that differ only in tier layout.
+     * v4: payloads carry IterationBreakdown::comm_tier_bytes after
+     * reroutes (output only: fingerprints are unchanged).
      */
-    static constexpr std::uint32_t kVersion = 3;
+    static constexpr std::uint32_t kVersion = 4;
 
     /**
      * Open (creating the directory and an empty journal if needed)

@@ -4,10 +4,8 @@
 #include <utility>
 
 #include "exec/run_request.h"
-#include "net/topology.h"
 #include "sim/json.h"
 #include "sim/logger.h"
-#include "train/trainer.h"
 
 namespace mlps::obs::attrib {
 
@@ -51,12 +49,14 @@ addSpan(Attribution &a, std::string name, std::string lane,
 
 /**
  * Split the exposed collective time across fabric tiers in proportion
- * to the bytes the all-reduce schedule moved on each tier, and append
- * one chained span per active tier. Returns the id of the last span
- * appended (or `parent` when exposed_s == 0).
+ * to the bytes the trainer's all-reduce moved on each tier
+ * (IterationBreakdown::comm_tier_bytes), and append one chained span
+ * per active tier. Returns the id of the last span appended (or
+ * `parent` when exposed_s == 0).
  */
 int
-addTierCommSpans(Attribution &a, const net::AllReduceResult &ar,
+addTierCommSpans(Attribution &a,
+                 const double (&tier_bytes)[net::kNumFabricTiers],
                  double exposed_s, double start_s, int parent,
                  const char *name_prefix, const std::string &lane,
                  int replicas, double *cursor)
@@ -66,7 +66,7 @@ addTierCommSpans(Attribution &a, const net::AllReduceResult &ar,
         return parent;
     double total_bytes = 0.0;
     for (int t = 0; t < net::kNumFabricTiers; ++t)
-        total_bytes += ar.tier_bytes[t];
+        total_bytes += tier_bytes[t];
     int prev = parent;
     auto chain = [](int p) {
         return p >= 0 ? std::vector<int>{p} : std::vector<int>{};
@@ -84,9 +84,9 @@ addTierCommSpans(Attribution &a, const net::AllReduceResult &ar,
         return prev;
     }
     for (int t = 0; t < net::kNumFabricTiers; ++t) {
-        if (ar.tier_bytes[t] <= 0.0)
+        if (tier_bytes[t] <= 0.0)
             continue;
-        double dur = exposed_s * (ar.tier_bytes[t] / total_bytes);
+        double dur = exposed_s * (tier_bytes[t] / total_bytes);
         prev = addSpan(a,
                        std::string(name_prefix) + " (" +
                            net::toString(
@@ -187,9 +187,7 @@ Attribution::bucketTotal() const
 }
 
 Attribution
-attributeRun(const sys::SystemConfig &system,
-             const wl::WorkloadSpec &spec,
-             const train::RunOptions &opts,
+attributeRun(const wl::WorkloadSpec &spec,
              const train::TrainResult &result)
 {
     const train::IterationBreakdown &it = result.iter;
@@ -238,10 +236,8 @@ attributeRun(const sys::SystemConfig &system,
         cursor += it.bwd_s * sync;
         if (spec.mode == wl::RunMode::Training) {
             if (n > 1 && it.exposed_comm_s > 0.0) {
-                net::AllReduceResult ar = train::gradientAllReduce(
-                    system, spec, opts.precision, n);
-                prev = addTierCommSpans(a, ar, it.exposed_comm_s,
-                                        cursor, prev,
+                prev = addTierCommSpans(a, it.comm_tier_bytes,
+                                        it.exposed_comm_s, cursor, prev,
                                         "allreduce exposed", gpu_lane,
                                         n, &cursor);
             }
@@ -252,11 +248,9 @@ attributeRun(const sys::SystemConfig &system,
         }
     } else { // CollectiveLoop
         if (n > 1) {
-            net::AllReduceResult ar =
-                train::collectiveLoopAllReduce(system, spec, n);
-            prev = addTierCommSpans(a, ar, it.exposed_comm_s, cursor,
-                                    prev, "allreduce", gpu_lane, n,
-                                    &cursor);
+            prev = addTierCommSpans(a, it.comm_tier_bytes,
+                                    it.exposed_comm_s, cursor, prev,
+                                    "allreduce", gpu_lane, n, &cursor);
         } else {
             prev = addSpan(a, "local reduction kernel", gpu_lane,
                            cursor, it.comm_s, Bucket::ExposedCompute,
@@ -310,8 +304,7 @@ Attribution
 attributeRun(const exec::RunRequest &request,
              const train::TrainResult &result)
 {
-    return attributeRun(request.system, request.workload,
-                        request.options, result);
+    return attributeRun(request.workload, result);
 }
 
 std::vector<const Span *>

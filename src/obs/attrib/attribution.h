@@ -6,20 +6,20 @@
  * per-GPU forward/backward/optimizer compute (data-parallel replicas
  * aggregated into one representative lane so pod-scale graphs stay
  * O(tiers), not O(gpus)), per-fabric-tier exposed collective phases
- * (reusing the net/allreduce tier_bytes accounting via the shared
- * train::gradientAllReduce helper), the software-pipelined host and
- * H2D input stages, the pipeline bubble the GPU spends waiting on
- * them, and framework / staged-fabric overhead. Parent edges make the
- * graph causal; a longest-path pass extracts the critical path and
- * classifies every nanosecond of iteration time into four buckets —
- * exposed compute, exposed comm per tier, bubble, overhead — whose
- * sum equals the iteration time (within floating-point re-association
- * of the trainer's own arithmetic; the property tests pin 1e-9
- * relative).
+ * (split by the per-tier bytes the trainer's all-reduce moved, which
+ * IterationBreakdown::comm_tier_bytes carries), the software-pipelined
+ * host and H2D input stages, the pipeline bubble the GPU spends
+ * waiting on them, and framework / staged-fabric overhead. Parent
+ * edges make the graph causal; a longest-path pass extracts the
+ * critical path and classifies every nanosecond of iteration time
+ * into four buckets — exposed compute, exposed comm per tier, bubble,
+ * overhead — whose sum equals the iteration time (within
+ * floating-point re-association of the trainer's own arithmetic; the
+ * property tests pin 1e-9 relative).
  *
- * Attribution is a pure function of the run request and its result:
- * no clocks, no allocation-order dependence, no global state. The
- * same (system, workload, options, TrainResult) tuple always yields
+ * Attribution is plain arithmetic over the workload and its result:
+ * no clocks, no allocation-order dependence, no global state, and no
+ * network pricing. The same (workload, TrainResult) pair always yields
  * byte-identical toJson() output, which is what lets `mlpsim explain`
  * promise byte-equality across --jobs, journal warmth and reruns.
  * Nothing here runs unless explicitly invoked, so the training hot
@@ -34,7 +34,6 @@
 #include <vector>
 
 #include "net/link.h"
-#include "sys/system_config.h"
 #include "train/training_job.h"
 #include "wl/workload.h"
 
@@ -116,14 +115,12 @@ struct Attribution {
 
 /**
  * Attribute one modeled run. Pure and deterministic: derives the span
- * graph from the request inputs plus the trainer's result, re-running
- * only the (deterministic) all-reduce schedule to recover per-tier
- * byte counts. Fatals if the result does not look like the output of
- * Trainer::run on the same inputs (negative durations).
+ * graph from the workload's run mode and sync penalty plus the
+ * trainer's result, whose comm_tier_bytes give the per-tier split.
+ * Fatals if the result does not look like the output of Trainer::run
+ * on the same workload (negative durations).
  */
-Attribution attributeRun(const sys::SystemConfig &system,
-                         const wl::WorkloadSpec &spec,
-                         const train::RunOptions &opts,
+Attribution attributeRun(const wl::WorkloadSpec &spec,
                          const train::TrainResult &result);
 
 /** Convenience overload over an exec request/result pair. */

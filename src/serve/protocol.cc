@@ -7,6 +7,7 @@
 #include <cstring>
 
 #include "hw/precision.h"
+#include "net/link.h"
 #include "sys/machines.h"
 #include "wl/import/diagnostics.h"
 #include "wl/import/importer.h"
@@ -36,6 +37,13 @@ memberBool(const Json &obj, const char *key, bool fallback)
 {
     const Json *m = obj.find(key);
     return m && m->isBool() ? m->boolean : fallback;
+}
+
+/** Result key of one tier's all-reduce bytes: "<tier>_bytes". */
+std::string
+tierBytesKey(int tier)
+{
+    return net::toString(static_cast<net::FabricTier>(tier)) + "_bytes";
 }
 
 void
@@ -124,6 +132,9 @@ encodeTrainResult(const train::TrainResult &t)
     appendRaw(b, "micro_batches",
               std::to_string(t.iter.micro_batches), &first);
     appendRaw(b, "reroutes", std::to_string(t.iter.reroutes), &first);
+    for (int k = 0; k < net::kNumFabricTiers; ++k)
+        appendRaw(b, tierBytesKey(k).c_str(),
+                  jsonDouble(t.iter.comm_tier_bytes[k]), &first);
     appendRaw(b, "cpu_util_pct", jsonDouble(t.usage.cpu_util_pct),
               &first);
     appendRaw(b, "gpu_util_pct_sum",
@@ -175,6 +186,9 @@ decodeTrainResult(const Json &r, train::TrainResult *t)
         static_cast<int>(memberNumber(r, "micro_batches", 0));
     t->iter.reroutes =
         static_cast<int>(memberNumber(r, "reroutes", 0));
+    for (int k = 0; k < net::kNumFabricTiers; ++k)
+        t->iter.comm_tier_bytes[k] =
+            memberNumber(r, tierBytesKey(k).c_str(), 0);
     t->usage.cpu_util_pct = memberNumber(r, "cpu_util_pct", 0);
     t->usage.gpu_util_pct_sum =
         memberNumber(r, "gpu_util_pct_sum", 0);
@@ -504,6 +518,8 @@ canonicalResultLine(const train::TrainResult &t)
     b += " launches=" + std::to_string(t.iter.kernel_launches);
     b += " micro=" + std::to_string(t.iter.micro_batches);
     b += " reroutes=" + std::to_string(t.iter.reroutes);
+    for (int k = 0; k < net::kNumFabricTiers; ++k)
+        cell(tierBytesKey(k).c_str(), t.iter.comm_tier_bytes[k]);
     cell("per_gpu_batch", t.per_gpu_batch);
     cell("global_batch", t.global_batch);
     cell("steps_per_epoch", t.steps_per_epoch);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "hw/kernel_timing.h"
 #include "net/allreduce.h"
@@ -71,15 +72,6 @@ gradientAllReduce(const sys::SystemConfig &system,
     return net::autoHierarchicalAllReduce(
         system.topo, system.gpuSubset(num_gpus),
         gradientBytes(spec, precision), ar_params);
-}
-
-net::AllReduceResult
-collectiveLoopAllReduce(const sys::SystemConfig &system,
-                        const wl::WorkloadSpec &spec, int num_gpus)
-{
-    return net::autoHierarchicalAllReduce(system.topo,
-                                          system.gpuSubset(num_gpus),
-                                          spec.collective_bytes);
 }
 
 Trainer::Trainer(const sys::SystemConfig &system) : system_(system)
@@ -309,6 +301,8 @@ Trainer::runTraining(const wl::WorkloadSpec &spec, const RunOptions &opts,
         ar = gradientAllReduce(system_, spec, opts.precision, n);
         it.comm_s = ar.seconds;
         it.reroutes = ar.reroutes;
+        std::copy(std::begin(ar.tier_bytes), std::end(ar.tier_bytes),
+                  it.comm_tier_bytes);
         double overlap =
             spec.comm_overlap * overlapFabricFactor(res.fabric, spec);
         it.exposed_comm_s = ar.seconds * (1.0 - overlap);
@@ -470,10 +464,13 @@ Trainer::runCollectiveLoop(const wl::WorkloadSpec &spec,
     IterationBreakdown &it = res.iter;
     net::AllReduceResult ar;
     if (n > 1) {
-        ar = collectiveLoopAllReduce(system_, spec, n);
+        ar = net::autoHierarchicalAllReduce(
+            system_.topo, system_.gpuSubset(n), spec.collective_bytes);
         it.comm_s = ar.seconds;
         it.exposed_comm_s = ar.seconds;
         it.reroutes = ar.reroutes;
+        std::copy(std::begin(ar.tier_bytes), std::end(ar.tier_bytes),
+                  it.comm_tier_bytes);
     } else {
         // Single GPU: a local reduction kernel only.
         hw::KernelProfile k;

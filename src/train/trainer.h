@@ -110,23 +110,14 @@ double gradientBytes(const wl::WorkloadSpec &spec,
 /**
  * The exact gradient all-reduce runTraining models at num_gpus
  * replicas: same payload, same bucket count, same shape-aware
- * hierarchical schedule. Shared with the attribution layer
- * (obs/attrib) so its per-tier byte split cannot drift from the
- * trainer's. Requires num_gpus > 1.
+ * hierarchical schedule. Its per-tier byte split reaches callers as
+ * IterationBreakdown::comm_tier_bytes, so nothing downstream has to
+ * price it again. Requires num_gpus > 1.
  */
 net::AllReduceResult gradientAllReduce(const sys::SystemConfig &system,
                                        const wl::WorkloadSpec &spec,
                                        hw::Precision precision,
                                        int num_gpus);
-
-/**
- * The collective-loop all-reduce (RunMode::CollectiveLoop) at
- * num_gpus > 1 participants: default schedule over the workload's
- * collective payload.
- */
-net::AllReduceResult
-collectiveLoopAllReduce(const sys::SystemConfig &system,
-                        const wl::WorkloadSpec &spec, int num_gpus);
 
 } // namespace mlps::train
 

@@ -50,6 +50,8 @@ struct IterationBreakdown {
     int kernel_launches = 0;      ///< kernels per iteration per GPU
     int micro_batches = 1;        ///< gradient-accumulation passes
     int reroutes = 0;             ///< ring hops routed around down links
+    /** Bytes the all-reduce moved per net::FabricTier (0 on 1 GPU). */
+    double comm_tier_bytes[net::kNumFabricTiers] = {0.0, 0.0, 0.0};
 };
 
 /** Steady-state system resource usage (Table V quantities). */

@@ -14,6 +14,9 @@
  */
 
 #include <cmath>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,10 +26,13 @@
 #include "core/registry.h"
 #include "core/suite.h"
 #include "exec/engine.h"
+#include "net/allreduce.h"
 #include "obs/attrib/attribution.h"
+#include "obs/registry.h"
 #include "obs/trace_json.h"
 #include "sim/logger.h"
 #include "sys/machines.h"
+#include "train/trainer.h"
 #include "train/training_job.h"
 
 namespace {
@@ -57,7 +63,7 @@ attributeOn(const sys::SystemConfig &system, const std::string &name,
     opts.precision = precision;
     train::TrainResult r = suite.run(name, opts);
     const core::Benchmark *b = suite.registry().find(name);
-    return obs::attrib::attributeRun(system, b->spec(), opts, r);
+    return obs::attrib::attributeRun(b->spec(), r);
 }
 
 // The tentpole invariant: buckets provably sum to the iteration
@@ -277,8 +283,145 @@ TEST(Attribution, RejectsResultsThatDontMatchTheRequest)
     const core::Benchmark *b = suite.registry().find("MLPf_Res50_MX");
     r.iter.fwd_s = -1.0; // corrupt: not a trainer output
     EXPECT_THROW(
-        obs::attrib::attributeRun(dss, b->spec(), opts, r),
+        obs::attrib::attributeRun(b->spec(), r),
         sim::FatalError);
+}
+
+// ---- The result carries the split; attribution never re-prices ----
+
+/** The pod the pod-scale differential cases run on. */
+sys::SystemConfig
+pod16x8()
+{
+    return sys::withPod(sys::c4140M(), 16, 8);
+}
+
+/**
+ * The trainer's comm_tier_bytes must be bit-identical to pricing the
+ * same all-reduce directly — the schedule attribution used to re-run
+ * per point. Training runs price the gradient all-reduce, collective
+ * loops the workload's payload, kernel loops nothing.
+ */
+void
+expectTierBytesMatchDirectPricing(const sys::SystemConfig &system,
+                                  const std::string &name, int gpus)
+{
+    core::Suite suite(system);
+    train::RunOptions opts;
+    opts.num_gpus = gpus;
+    train::TrainResult r = suite.run(name, opts);
+    const wl::WorkloadSpec &spec = suite.registry().find(name)->spec();
+
+    net::AllReduceResult direct;
+    if (gpus > 1 && spec.mode == wl::RunMode::Training) {
+        direct = train::gradientAllReduce(system, spec, opts.precision,
+                                          gpus);
+    } else if (gpus > 1 && spec.mode == wl::RunMode::CollectiveLoop) {
+        direct = net::autoHierarchicalAllReduce(
+            system.topo, system.gpuSubset(gpus), spec.collective_bytes);
+    }
+    EXPECT_EQ(std::memcmp(r.iter.comm_tier_bytes, direct.tier_bytes,
+                          sizeof(direct.tier_bytes)),
+              0)
+        << name << " on " << system.name << " x" << gpus << ": "
+        << r.iter.comm_tier_bytes[0] << "/"
+        << r.iter.comm_tier_bytes[1] << "/"
+        << r.iter.comm_tier_bytes[2] << " vs " << direct.tier_bytes[0]
+        << "/" << direct.tier_bytes[1] << "/" << direct.tier_bytes[2];
+}
+
+TEST(Attribution, TierBytesEqualDirectPricingOnABox)
+{
+    core::Registry reg;
+    for (const auto &b : reg.all())
+        expectTierBytesMatchDirectPricing(sys::dss8440(), b.abbrev(), 8);
+}
+
+TEST(Attribution, TierBytesEqualDirectPricingOnHealthyAndDegradedPods)
+{
+    sys::SystemConfig pod = pod16x8();
+    for (const sys::SystemConfig &system :
+         {pod, sys::withSpineDegraded(pod, 0.25),
+          sys::withTorDegraded(pod, 3, 0.25)}) {
+        for (const char *name : {"MLPf_Res50_MX", "MLPf_XFMR_Py"})
+            expectTierBytesMatchDirectPricing(system, name, 512);
+    }
+}
+
+TEST(Attribution, TierBytesEqualDirectPricingOnCollectiveLoops)
+{
+    expectTierBytesMatchDirectPricing(sys::dss8440(), "Deep_Red_Cu", 8);
+    expectTierBytesMatchDirectPricing(pod16x8(), "Deep_Red_Cu", 8);
+    expectTierBytesMatchDirectPricing(pod16x8(), "Deep_Red_Cu", 64);
+}
+
+// Attribution is arithmetic over the result: explaining a pod-512
+// point must not touch the network model at all.
+TEST(Attribution, DoesNoRouteLookups)
+{
+    obs::MetricRegistry &reg = obs::MetricRegistry::global();
+    auto lookups = [&reg] {
+        return reg.value("net.topology.route_cache.hits") +
+               reg.value("net.topology.route_cache.misses");
+    };
+    core::Suite suite(pod16x8());
+    train::RunOptions opts;
+    opts.num_gpus = 512;
+    for (const char *name : {"MLPf_Res50_MX", "Deep_Red_Cu"}) {
+        train::TrainResult r = suite.run(name, opts);
+        const wl::WorkloadSpec &spec =
+            suite.registry().find(name)->spec();
+        double before = lookups();
+        Attribution a = obs::attrib::attributeRun(spec, r);
+        EXPECT_EQ(lookups(), before) << name;
+        EXPECT_GT(a.exposedCommTotal(), 0.0) << name;
+    }
+}
+
+std::string
+slurp(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in),
+                       std::istreambuf_iterator<char>());
+}
+
+// `mlpsim explain --json` documents written by the build before
+// attribution stopped re-pricing collectives. The engine-evaluated
+// attribution must reproduce them byte for byte.
+TEST(Attribution, MatchesExplainGoldens)
+{
+    sys::SystemConfig pod = pod16x8();
+    struct Case {
+        const char *golden;
+        sys::SystemConfig system;
+        const char *workload;
+        int gpus;
+    };
+    const Case cases[] = {
+        {"explain_res50_pod512.json", pod, "MLPf_Res50_MX", 512},
+        {"explain_res50_pod512_spine.json",
+         sys::withSpineDegraded(pod, 0.25), "MLPf_Res50_MX", 512},
+        {"explain_gnmt_dss8440_8.json", sys::dss8440(), "MLPf_GNMT_Py",
+         8},
+        {"explain_red_pod64.json", pod, "Deep_Red_Cu", 64},
+    };
+    exec::Engine engine{exec::ExecOptions(2)};
+    for (const Case &c : cases) {
+        std::string golden =
+            slurp(std::string(MLPSIM_GOLDEN_DIR) + "/" + c.golden);
+        ASSERT_FALSE(golden.empty()) << c.golden;
+        core::Suite suite(c.system);
+        train::RunOptions opts;
+        opts.num_gpus = c.gpus;
+        exec::RunRequest req = suite.request(c.workload, opts);
+        exec::RunResult res = engine.runOne(req);
+        EXPECT_EQ(obs::attrib::toJson(
+                      obs::attrib::attributeRun(req, res.train)) +
+                      "\n",
+                  golden)
+            << c.golden;
+    }
 }
 
 } // namespace

@@ -137,6 +137,40 @@ TEST(JournalPersist, WarmRestartServesFromJournal)
     }
 }
 
+// The per-tier all-reduce bytes attribution reads are journal output
+// like any other cell: a replayed pod point must carry them bit for
+// bit, or a warm `explain` would book every byte intra-node.
+TEST(JournalPersist, PodTierBytesSurviveReplayBitExactly)
+{
+    const sys::SystemConfig pod = sys::withPod(sys::c4140M(), 16, 8);
+    for (const sys::SystemConfig &system :
+         {pod, sys::withSpineDegraded(pod, 0.25)}) {
+        SCOPED_TRACE(system.name);
+        std::string dir = tempDir("pod_tier_bytes");
+        exec::RunRequest req;
+        req.system = system;
+        req.workload = *models::findWorkload("MLPf_Res50_MX");
+        req.options.num_gpus = 512;
+
+        exec::RunResult cold;
+        {
+            exec::Engine engine(durableOpts(dir));
+            cold = engine.runOne(req);
+        }
+        const double *tiers = cold.train.iter.comm_tier_bytes;
+        for (int t = 0; t < net::kNumFabricTiers; ++t)
+            EXPECT_GT(tiers[t], 0.0) << "tier " << t;
+
+        exec::Engine engine(durableOpts(dir));
+        exec::RunResult warm = engine.runOne(req);
+        EXPECT_TRUE(warm.from_journal);
+        EXPECT_EQ(engine.stats().unique_runs, 0u);
+        EXPECT_EQ(std::memcmp(tiers, warm.train.iter.comm_tier_bytes,
+                              sizeof(cold.train.iter.comm_tier_bytes)),
+                  0);
+    }
+}
+
 TEST(JournalPersist, KillResumeSimulatesOnlyRemainingPoints)
 {
     std::string dir = tempDir("kill_resume");
@@ -254,6 +288,33 @@ TEST(JournalPersist, WrongVersionQuarantinesWholeFile)
     EXPECT_TRUE(v.header_ok);
     EXPECT_FALSE(v.corrupt());
     EXPECT_EQ(v.valid_records, 1u);
+}
+
+// Version 3 records end before the per-tier bytes; replaying one
+// would misread every later field, so the whole file is quarantined.
+TEST(JournalPersist, VersionThreeJournalIsQuarantined)
+{
+    std::string dir = tempDir("version_three");
+    {
+        exec::Engine engine(durableOpts(dir));
+        engine.runOne(requestFor("MLPf_NCF_Py", 2));
+    }
+
+    std::string path = exec::Journal::journalPath(dir);
+    std::string bytes = slurp(path);
+    ASSERT_GT(bytes.size(), 16u);
+    ASSERT_EQ(static_cast<unsigned char>(bytes[8]),
+              exec::Journal::kVersion);
+    bytes[8] = 3; // u32 version, little-endian
+    dump(path, bytes);
+    EXPECT_FALSE(exec::Journal::verify(dir).header_ok);
+
+    exec::Engine engine(durableOpts(dir));
+    EXPECT_EQ(engine.stats().journal_loaded, 0u);
+    ASSERT_NE(engine.journal(), nullptr);
+    EXPECT_TRUE(engine.journal()->stats().quarantined);
+    engine.runOne(requestFor("MLPf_NCF_Py", 2));
+    EXPECT_EQ(engine.stats().unique_runs, 1u);
 }
 
 TEST(JournalPersist, ConcurrentDoubleOpenDegradesToReadOnly)

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "exec/engine.h"
+#include "obs/attrib/attribution.h"
 #include "serve/admission.h"
 #include "serve/client.h"
 #include "serve/protocol.h"
@@ -243,6 +244,34 @@ TEST(ServeProtocol, ResultResponseRoundTripsBitExactly)
     EXPECT_EQ(resp.status, "ok");
     EXPECT_EQ(serve::canonicalResultLine(resp.train),
               serve::canonicalResultLine(result.train));
+}
+
+// A decoded result must explain exactly like the engine's: the
+// per-tier all-reduce bytes cross the wire bit-exactly, so the
+// attribution's tier split is the same on both sides.
+TEST(ServeProtocol, DecodedPodResultAttributesLikeTheEngine)
+{
+    exec::RunRequest req;
+    req.system = *catalog().findMachine("pod(C4140 (M),16x8)", nullptr);
+    req.workload = catalog().registry.find("MLPf_Res50_MX")->spec();
+    req.options.num_gpus = 512;
+    exec::Engine engine{exec::ExecOptions(1)};
+    exec::RunResult result = engine.runOne(req);
+
+    serve::Response resp;
+    std::string err;
+    ASSERT_TRUE(serve::decodeResponse(serve::encodeResult("p", result),
+                                      &resp, &err))
+        << err;
+    EXPECT_EQ(std::memcmp(resp.train.iter.comm_tier_bytes,
+                          result.train.iter.comm_tier_bytes,
+                          sizeof(result.train.iter.comm_tier_bytes)),
+              0);
+    EXPECT_GT(result.train.iter.comm_tier_bytes[2], 0.0);
+    EXPECT_EQ(obs::attrib::toJson(
+                  obs::attrib::attributeRun(req, resp.train)),
+              obs::attrib::toJson(
+                  obs::attrib::attributeRun(req, result.train)));
 }
 
 TEST(ServeProtocol, ErrorAndRejectResponsesCarryDiagnostics)

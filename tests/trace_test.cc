@@ -231,7 +231,7 @@ TEST(Trace, AttributionLanesHighlightCriticalPath)
     train::RunOptions opts;
     opts.num_gpus = 4;
     auto r = trainer.run(spec, opts);
-    auto a = obs::attrib::attributeRun(k, spec, opts, r);
+    auto a = obs::attrib::attributeRun(spec, r);
 
     prof::TraceBuilder t;
     t.addAttribution(a, 2);
