@@ -75,14 +75,21 @@ worstIntraFabric(const Topology &topo, const FabricShape &shape)
     return worst;
 }
 
-/** Lowest-id up edge directly joining a and b, or -1. */
+/** True when edge e joins a and b. */
+bool
+joins(const Topology &topo, int e, NodeId a, NodeId b)
+{
+    auto [x, y] = topo.endpoints(e);
+    return (x == a && y == b) || (x == b && y == a);
+}
+
+/** Lowest-id up edge directly joining a and b, or -1. Incident edges
+ *  are listed in connect (= id) order. */
 int
 directUpEdge(const Topology &topo, NodeId a, NodeId b)
 {
-    for (int e = 0; e < topo.edgeCount(); ++e) {
-        auto [x, y] = topo.endpoints(e);
-        if (((x == a && y == b) || (x == b && y == a)) &&
-            !topo.linkDown(e))
+    for (int e : topo.incidentEdges(a)) {
+        if (joins(topo, e, a, b) && !topo.linkDown(e))
             return e;
     }
     return -1;
@@ -92,9 +99,8 @@ directUpEdge(const Topology &topo, NodeId a, NodeId b)
 bool
 directEdgeExists(const Topology &topo, NodeId a, NodeId b)
 {
-    for (int e = 0; e < topo.edgeCount(); ++e) {
-        auto [x, y] = topo.endpoints(e);
-        if ((x == a && y == b) || (x == b && y == a))
+    for (int e : topo.incidentEdges(a)) {
+        if (joins(topo, e, a, b))
             return true;
     }
     return false;

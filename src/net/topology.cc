@@ -4,7 +4,6 @@
 #include <atomic>
 #include <deque>
 #include <limits>
-#include <numeric>
 #include <sstream>
 
 #include "obs/registry.h"
@@ -43,40 +42,16 @@ ensureCacheMetrics()
     (void)misses;
 }
 
-/** Union-find over node ids (path halving + union by size). */
-class NodeUnion
+/** Nodes a GPUDirect P2P path may not pass through: CPU root
+ *  complexes and the datacenter fabric (GPUDirect P2P never crosses a
+ *  NIC — remote access is RDMA, which this model treats as
+ *  host-staged). */
+bool
+blocksP2p(NodeKind k)
 {
-  public:
-    explicit NodeUnion(int n) : parent_(n), size_(n, 1)
-    {
-        std::iota(parent_.begin(), parent_.end(), 0);
-    }
-
-    int find(int x)
-    {
-        while (parent_[x] != x) {
-            parent_[x] = parent_[parent_[x]];
-            x = parent_[x];
-        }
-        return x;
-    }
-
-    void unite(int a, int b)
-    {
-        a = find(a);
-        b = find(b);
-        if (a == b)
-            return;
-        if (size_[a] < size_[b])
-            std::swap(a, b);
-        parent_[b] = a;
-        size_[a] += size_[b];
-    }
-
-  private:
-    std::vector<int> parent_;
-    std::vector<int> size_;
-};
+    return k == NodeKind::Cpu || k == NodeKind::Nic ||
+           k == NodeKind::TorSwitch || k == NodeKind::SpineSwitch;
+}
 
 } // namespace
 
@@ -265,6 +240,8 @@ Topology::freshCacheLocked() const
             cache_.by_kind[k].clear();
             cache_.by_kind_valid[k] = false;
         }
+        cache_.nvlink_label.clear();
+        cache_.p2p_label.clear();
         cache_.epoch = epoch_;
         cache_.structure = structure_version_;
         cache_.primed = true;
@@ -295,56 +272,66 @@ Topology::nodesOfKind(NodeKind k) const
 }
 
 std::optional<Path>
-Topology::bfs(NodeId from, NodeId to,
-              const std::function<bool(int)> *allowed) const
+Topology::bfs(NodeId from, NodeId to) const
 {
     checkNode(from);
     checkNode(to);
     if (from == to)
         return Path{{from}, {}};
 
-    // BFS with NVLink preference: explore NVLink edges before others at
-    // each node so equal-hop NVLink routes win ties deterministically.
-    std::vector<int> prev_edge(nodes_.size(), -1);
-    std::vector<NodeId> prev_node(nodes_.size(), -1);
-    std::vector<bool> seen(nodes_.size(), false);
-    std::deque<NodeId> frontier;
+    // Each thread reuses its buffers across searches; a visit stamp
+    // replaces clearing the seen set.
+    thread_local std::vector<std::uint32_t> seen;
+    thread_local std::vector<int> prev_edge;
+    thread_local std::vector<NodeId> frontier;
+    thread_local std::uint32_t stamp = 0;
+    if (seen.size() < nodes_.size()) {
+        seen.assign(nodes_.size(), 0);
+        prev_edge.resize(nodes_.size());
+        stamp = 0;
+    }
+    if (++stamp == 0) {
+        std::fill(seen.begin(), seen.end(), 0);
+        stamp = 1;
+    }
+    frontier.clear();
     frontier.push_back(from);
-    seen[from] = true;
+    seen[from] = stamp;
 
-    while (!frontier.empty()) {
-        NodeId n = frontier.front();
-        frontier.pop_front();
-        std::vector<int> order = nodes_[n].edges;
-        std::stable_sort(order.begin(), order.end(), [&](int e1, int e2) {
-            return (edges_[e1].link.kind == LinkKind::NvLink) >
-                   (edges_[e2].link.kind == LinkKind::NvLink);
-        });
-        for (int e : order) {
-            if (edges_[e].down)
-                continue; // a down link carries no traffic, ever
-            if (allowed && !(*allowed)(e))
-                continue;
-            NodeId other = edges_[e].a == n ? edges_[e].b : edges_[e].a;
-            if (seen[other])
-                continue;
-            seen[other] = true;
-            prev_edge[other] = e;
-            prev_node[other] = n;
-            if (other == to) {
-                Path p;
-                NodeId cur = to;
-                while (cur != from) {
-                    p.nodes.push_back(cur);
-                    p.edges.push_back(prev_edge[cur]);
-                    cur = prev_node[cur];
+    // NVLink preference: a first pass over a node's edges visits its
+    // NVLink edges and a second pass the rest, each in connect order —
+    // the order a stable NVLink-first sort gives — so equal-hop
+    // NVLink routes win ties deterministically.
+    for (std::size_t head = 0; head < frontier.size(); ++head) {
+        NodeId n = frontier[head];
+        for (bool want_nvlink : {true, false}) {
+            for (int e : nodes_[n].edges) {
+                const Edge &edge = edges_[e];
+                if ((edge.link.kind == LinkKind::NvLink) != want_nvlink)
+                    continue;
+                if (edge.down)
+                    continue; // a down link carries no traffic, ever
+                NodeId other = edge.a == n ? edge.b : edge.a;
+                if (seen[other] == stamp)
+                    continue;
+                seen[other] = stamp;
+                prev_edge[other] = e;
+                if (other == to) {
+                    Path p;
+                    for (NodeId cur = to; cur != from;) {
+                        int pe = prev_edge[cur];
+                        p.nodes.push_back(cur);
+                        p.edges.push_back(pe);
+                        cur = edges_[pe].a == cur ? edges_[pe].b
+                                                  : edges_[pe].a;
+                    }
+                    p.nodes.push_back(from);
+                    std::reverse(p.nodes.begin(), p.nodes.end());
+                    std::reverse(p.edges.begin(), p.edges.end());
+                    return p;
                 }
-                p.nodes.push_back(from);
-                std::reverse(p.nodes.begin(), p.nodes.end());
-                std::reverse(p.edges.begin(), p.edges.end());
-                return p;
+                frontier.push_back(other);
             }
-            frontier.push_back(other);
         }
     }
     return std::nullopt;
@@ -368,7 +355,7 @@ Topology::route(NodeId from, NodeId to) const
         return it->second;
     }
     g_route_cache_misses.fetch_add(1, std::memory_order_relaxed);
-    auto p = bfs(from, to, nullptr);
+    auto p = bfs(from, to);
     c.routes.emplace(key, p);
     return p;
 }
@@ -393,6 +380,53 @@ Topology::pathLatency(const Path &p) const
     return lat;
 }
 
+template <typename EdgePred>
+std::vector<int>
+Topology::componentLabels(EdgePred usable) const
+{
+    std::vector<int> label(nodes_.size(), -1);
+    std::vector<NodeId> frontier;
+    for (NodeId root = 0; root < nodeCount(); ++root) {
+        if (label[root] >= 0)
+            continue;
+        label[root] = root;
+        frontier.assign(1, root);
+        for (std::size_t head = 0; head < frontier.size(); ++head) {
+            NodeId n = frontier[head];
+            for (int e : nodes_[n].edges) {
+                const Edge &edge = edges_[e];
+                if (edge.down || !usable(edge))
+                    continue;
+                NodeId other = edge.a == n ? edge.b : edge.a;
+                if (label[other] >= 0)
+                    continue;
+                label[other] = root;
+                frontier.push_back(other);
+            }
+        }
+    }
+    return label;
+}
+
+const Topology::Cache &
+Topology::labelledCacheLocked() const
+{
+    Cache &c = freshCacheLocked();
+    if (c.nvlink_label.empty()) {
+        c.nvlink_label = componentLabels([](const Edge &edge) {
+            return edge.link.kind == LinkKind::NvLink;
+        });
+        // A P2P-legal edge is no UPI link and touches no node that
+        // blocks P2P, so a P2P path crosses neither.
+        c.p2p_label = componentLabels([this](const Edge &edge) {
+            return edge.link.kind != LinkKind::Upi &&
+                   !blocksP2p(nodes_[edge.a].kind) &&
+                   !blocksP2p(nodes_[edge.b].kind);
+        });
+    }
+    return c;
+}
+
 bool
 Topology::canPeerToPeer(NodeId gpu_a, NodeId gpu_b) const
 {
@@ -400,35 +434,21 @@ Topology::canPeerToPeer(NodeId gpu_a, NodeId gpu_b) const
         sim::fatal("canPeerToPeer: both endpoints must be GPUs");
     if (gpu_a == gpu_b)
         return true;
-    // A P2P-legal path avoids CPU root complexes, UPI links, and the
-    // datacenter fabric (GPUDirect P2P never crosses a NIC — remote
-    // access is RDMA, which this model treats as host-staged).
-    std::function<bool(int)> allowed = [&](int e) {
-        if (edges_[e].link.kind == LinkKind::Upi)
-            return false;
-        auto blocked = [&](NodeId n) {
-            NodeKind k = nodes_[n].kind;
-            return k == NodeKind::Cpu || k == NodeKind::Nic ||
-                   k == NodeKind::TorSwitch ||
-                   k == NodeKind::SpineSwitch;
-        };
-        // Edges incident to a CPU are usable only if neither endpoint
-        // of the *search* would pass through the CPU; simplest rule:
-        // forbid any edge touching a blocked node.
-        return !blocked(edges_[e].a) && !blocked(edges_[e].b);
-    };
-    return bfs(gpu_a, gpu_b, &allowed).has_value();
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    const Cache &c = labelledCacheLocked();
+    return c.p2p_label[gpu_a] == c.p2p_label[gpu_b];
 }
 
 bool
 Topology::nvlinkConnected(NodeId gpu_a, NodeId gpu_b) const
 {
+    checkNode(gpu_a);
+    checkNode(gpu_b);
     if (gpu_a == gpu_b)
         return true;
-    std::function<bool(int)> allowed = [&](int e) {
-        return edges_[e].link.kind == LinkKind::NvLink;
-    };
-    return bfs(gpu_a, gpu_b, &allowed).has_value();
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    const Cache &c = labelledCacheLocked();
+    return c.nvlink_label[gpu_a] == c.nvlink_label[gpu_b];
 }
 
 CollectiveFabric
@@ -436,49 +456,23 @@ Topology::collectiveFabric(const std::vector<NodeId> &gpus) const
 {
     if (gpus.empty())
         sim::fatal("collectiveFabric: empty GPU set");
-    for (NodeId g : gpus)
-        checkNode(g);
-
-    // Pod fast path: pairwise BFS is O(n^2) and a 512-GPU pod set
-    // makes it prohibitive. Union nodes over the edges either check
-    // could ever traverse (NVLink links, or P2P-legal links: non-UPI,
-    // not touching a CPU/NIC/switch-fabric node, up). GPUs in
-    // different components can satisfy neither check, so a spanning
-    // set is host-staged — the only possible answer at pod scale.
-    {
-        NodeUnion uf(nodeCount());
-        for (int e = 0; e < edgeCount(); ++e) {
-            const Edge &edge = edges_[e];
-            if (edge.down)
-                continue;
-            bool nvlink = edge.link.kind == LinkKind::NvLink;
-            auto blocked = [&](NodeId n) {
-                NodeKind k = nodes_[n].kind;
-                return k == NodeKind::Cpu || k == NodeKind::Nic ||
-                       k == NodeKind::TorSwitch ||
-                       k == NodeKind::SpineSwitch;
-            };
-            bool p2p_legal = edge.link.kind != LinkKind::Upi &&
-                             !blocked(edge.a) && !blocked(edge.b);
-            if (nvlink || p2p_legal)
-                uf.unite(edge.a, edge.b);
-        }
-        int root = uf.find(gpus[0]);
-        for (std::size_t i = 1; i < gpus.size(); ++i) {
-            if (uf.find(gpus[i]) != root)
-                return CollectiveFabric::HostStaged;
-        }
+    for (NodeId g : gpus) {
+        if (kind(g) != NodeKind::Gpu)
+            sim::fatal("collectiveFabric: node %d is not a GPU", g);
     }
 
+    // Every pair is connected exactly when every member shares the
+    // first member's component, so one pass over the set answers what
+    // a BFS per pair would.
+    std::lock_guard<std::mutex> lock(cache_mu_);
+    const Cache &c = labelledCacheLocked();
     bool all_nvlink = true;
     bool all_p2p = true;
-    for (std::size_t i = 0; i < gpus.size(); ++i) {
-        for (std::size_t j = i + 1; j < gpus.size(); ++j) {
-            if (!nvlinkConnected(gpus[i], gpus[j]))
-                all_nvlink = false;
-            if (!canPeerToPeer(gpus[i], gpus[j]))
-                all_p2p = false;
-        }
+    for (NodeId g : gpus) {
+        if (c.nvlink_label[g] != c.nvlink_label[gpus[0]])
+            all_nvlink = false;
+        if (c.p2p_label[g] != c.p2p_label[gpus[0]])
+            all_p2p = false;
     }
     if (all_nvlink)
         return CollectiveFabric::NvLink;

@@ -22,7 +22,6 @@
 #define MLPSIM_NET_TOPOLOGY_H
 
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -149,13 +148,13 @@ class Topology
      */
     bool canPeerToPeer(NodeId gpu_a, NodeId gpu_b) const;
 
-    /** True when the two GPUs share a direct NVLink edge. */
+    /** True when some path of up NVLink edges joins the two nodes. */
     bool nvlinkConnected(NodeId gpu_a, NodeId gpu_b) const;
 
     /**
      * Fabric available for a collective spanning the GPU set: NvLink if
      * the set is connected via NVLink edges only, PcieP2p if every pair
-     * can P2P, else HostStaged.
+     * can P2P, else HostStaged. Every member must be a GPU.
      */
     CollectiveFabric collectiveFabric(const std::vector<NodeId> &gpus) const;
 
@@ -231,20 +230,26 @@ class Topology
     void checkNode(NodeId n) const;
     void checkEdge(int edge) const;
 
-    /**
-     * BFS from 'from' to 'to'. When 'allowed' is non-null, an edge is
-     * usable only if allowed(edge_id) is true.
-     */
-    std::optional<Path> bfs(NodeId from, NodeId to,
-                            const std::function<bool(int)> *allowed) const;
+    /** Minimum-hop BFS from 'from' to 'to' over up edges, NVLink
+     *  edges first at every node. */
+    std::optional<Path> bfs(NodeId from, NodeId to) const;
 
     std::optional<NodeId> computeHostCpu(NodeId gpu) const;
 
     /**
+     * Component label of every node over the up edges that satisfy
+     * 'usable'. Two nodes share a label exactly when a BFS restricted
+     * to those edges reaches one from the other.
+     */
+    template <typename EdgePred>
+    std::vector<int> componentLabels(EdgePred usable) const;
+
+    /**
      * Memoized derivations, invalidated whenever the link-state epoch
      * or the structure version moves. Guarded by cache_mu_ so parallel
-     * report workers can share one topology; hit/miss totals feed the
-     * net.topology.route_cache.* gauges in the obs registry.
+     * report workers can share one topology; route and host-CPU
+     * hit/miss totals feed the net.topology.route_cache.* gauges in
+     * the obs registry.
      */
     struct Cache {
         std::uint64_t epoch = 0;
@@ -254,11 +259,19 @@ class Topology
         std::vector<NodeId> by_kind[kNumNodeKinds];
         bool by_kind_valid[kNumNodeKinds] = {};
         std::unordered_map<NodeId, std::optional<NodeId>> host_cpu;
+        /** Components over up NVLink edges and over up P2P-legal
+         *  edges; empty until a fabric check asks. */
+        std::vector<int> nvlink_label;
+        std::vector<int> p2p_label;
     };
 
     /** Caller holds cache_mu_; drops stale results on epoch/structure
      *  moves. */
     Cache &freshCacheLocked() const;
+
+    /** Caller holds cache_mu_; the cache with both fabric labelings
+     *  computed. */
+    const Cache &labelledCacheLocked() const;
 
     std::vector<Node> nodes_;
     std::vector<Edge> edges_;

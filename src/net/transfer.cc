@@ -9,7 +9,8 @@
 namespace mlps::net {
 
 FlowSimulator::FlowSimulator(const Topology &topo)
-    : topo_(topo), edge_bytes_(topo.edgeCount(), 0.0)
+    : topo_(topo), edge_bytes_(topo.edgeCount(), 0.0),
+      slot_index_(topo.edgeCount() * 2, -1)
 {
 }
 
@@ -27,98 +28,134 @@ FlowSimulator::addFlow(NodeId from, NodeId to, double bytes, double start_s)
         sim::fatal("FlowSimulator: no route %s -> %s",
                    topo_.name(from).c_str(), topo_.name(to).c_str());
     Flow f;
-    f.path = *path;
+    f.path = std::move(*path);
+    // Encode each traversal as edge*2 + direction so that full-duplex
+    // links expose independent capacity per direction.
+    f.slot_begin = static_cast<int>(flow_slots_.size());
+    for (std::size_t i = 0; i < f.path.edges.size(); ++i) {
+        int e = f.path.edges[i];
+        auto [a, b] = topo_.endpoints(e);
+        int dir = (f.path.nodes[i] == a && f.path.nodes[i + 1] == b) ? 0
+                                                                       : 1;
+        flow_slots_.push_back(e * 2 + dir);
+        slot_index_[e * 2 + dir] = 0;
+    }
+    f.slot_end = static_cast<int>(flow_slots_.size());
     f.bytes = bytes;
     f.remaining = bytes;
     f.start_s = start_s;
-    f.latency_s = topo_.pathLatency(*path);
+    f.latency_s = topo_.pathLatency(f.path);
     flows_.push_back(std::move(f));
     return static_cast<FlowId>(flows_.size()) - 1;
 }
 
-std::vector<int>
-FlowSimulator::directedEdges(const Path &path) const
-{
-    // Encode each traversal as edge*2 + direction so that full-duplex
-    // links expose independent capacity per direction.
-    std::vector<int> out;
-    out.reserve(path.edges.size());
-    for (std::size_t i = 0; i < path.edges.size(); ++i) {
-        int e = path.edges[i];
-        auto [a, b] = topo_.endpoints(e);
-        int dir = (path.nodes[i] == a && path.nodes[i + 1] == b) ? 0 : 1;
-        out.push_back(e * 2 + dir);
-    }
-    return out;
-}
-
-std::vector<double>
-FlowSimulator::fairShare(const std::vector<int> &active) const
+void
+FlowSimulator::fairShare(const std::vector<int> &active)
 {
     // Progressive-filling max-min fairness over directed link
     // capacities: repeatedly find the most constrained (link,
     // direction), freeze its flows at the equal share, remove the
     // capacity they consume, repeat. Links are full duplex, so each
-    // direction has independent capacity.
-    std::vector<double> rate(flows_.size(), 0.0);
-    int slots = topo_.edgeCount() * 2;
-    std::vector<double> cap(slots);
-    for (int e = 0; e < topo_.edgeCount(); ++e) {
-        cap[e * 2] = topo_.effectiveLinkBytesPerSec(e);
-        cap[e * 2 + 1] = cap[e * 2];
+    // direction has independent capacity. Dense slots are numbered in
+    // directed-slot order, so a strict-'<' scan over the used ones
+    // picks the same bottleneck as a scan over every directed slot.
+    std::fill(unfrozen_.begin(), unfrozen_.end(), 0);
+    std::fill(users_.begin(), users_.end(), 0);
+    for (int fi : active) {
+        unfrozen_[fi] = 1;
+        for (int s : slotsOf(fi))
+            ++users_[s];
+    }
+    live_.clear();
+    for (int s = 0; s < static_cast<int>(users_.size()); ++s) {
+        if (users_[s] > 0) {
+            cap_[s] = base_cap_[s];
+            live_.push_back(s);
+        }
     }
 
-    std::vector<std::vector<int>> fedges(flows_.size());
-    for (int fi : active)
-        fedges[fi] = directedEdges(flows_[fi].path);
-
-    std::vector<int> unfrozen = active;
-    while (!unfrozen.empty()) {
-        // Count unfrozen flows per directed link.
-        std::vector<int> users(slots, 0);
-        for (int fi : unfrozen) {
-            for (int de : fedges[fi])
-                ++users[de];
-        }
-        // Most constrained slot = min cap/users over used slots.
+    for (;;) {
+        // Most constrained slot = min cap/users over used slots; the
+        // scan drops slots whose flows are all frozen and applies the
+        // numerical guard (capacities may underflow slightly).
         double best_share = std::numeric_limits<double>::infinity();
-        int best_slot = -1;
-        for (int s = 0; s < slots; ++s) {
-            if (users[s] == 0)
+        int best = -1;
+        std::size_t kept = 0;
+        for (int s : live_) {
+            if (users_[s] == 0)
                 continue;
-            double share = cap[s] / users[s];
+            live_[kept++] = s;
+            cap_[s] = std::max(cap_[s], 0.0);
+            double share = cap_[s] / users_[s];
             if (share < best_share) {
                 best_share = share;
-                best_slot = s;
+                best = s;
             }
         }
-        if (best_slot < 0) {
-            // Active flows with zero-hop paths (same node): infinite
-            // rate — treat as instantaneous via a huge rate.
-            for (int fi : unfrozen)
-                rate[fi] = 1e18;
+        live_.resize(kept);
+        if (best < 0)
             break;
-        }
         // Freeze flows crossing the bottleneck at the fair share.
-        std::vector<int> still;
-        for (int fi : unfrozen) {
-            const auto &des = fedges[fi];
-            bool crosses = std::find(des.begin(), des.end(),
-                                     best_slot) != des.end();
-            if (crosses) {
-                rate[fi] = best_share;
-                for (int de : des)
-                    cap[de] -= best_share;
-            } else {
-                still.push_back(fi);
+        for (int k = slot_flows_begin_[best];
+             k < slot_flows_begin_[best + 1]; ++k) {
+            int fi = slot_flows_[k];
+            if (!unfrozen_[fi])
+                continue;
+            unfrozen_[fi] = 0;
+            rate_[fi] = best_share;
+            for (int de : slotsOf(fi)) {
+                cap_[de] -= best_share;
+                --users_[de];
             }
         }
-        // Numerical guard: capacities may underflow slightly.
-        for (double &c : cap)
-            c = std::max(c, 0.0);
-        unfrozen = std::move(still);
     }
-    return rate;
+    // Active flows with zero-hop paths (same node) cross no slot:
+    // infinite rate — treat as instantaneous via a huge rate.
+    for (int fi : active) {
+        if (unfrozen_[fi])
+            rate_[fi] = 1e18;
+    }
+}
+
+void
+FlowSimulator::prepareFairShare()
+{
+    // Flows are all in: number the used directed slots densely, in
+    // directed-slot order, then release the lookup.
+    for (int d = 0; d < static_cast<int>(slot_index_.size()); ++d) {
+        if (slot_index_[d] != 0)
+            continue;
+        slot_index_[d] = static_cast<int>(slot_of_.size());
+        slot_of_.push_back(d);
+        if (routed_edges_.empty() || routed_edges_.back() != d / 2)
+            routed_edges_.push_back(d / 2);
+    }
+    for (int &s : flow_slots_)
+        s = slot_index_[s];
+    std::vector<int>().swap(slot_index_);
+    int slots = static_cast<int>(slot_of_.size());
+    base_cap_.resize(slots);
+    for (int s = 0; s < slots; ++s)
+        base_cap_[s] = topo_.effectiveLinkBytesPerSec(slot_of_[s] / 2);
+    cap_.resize(slots);
+    users_.assign(slots, 0);
+    live_.reserve(slots);
+    slot_flows_begin_.assign(slots + 1, 0);
+    for (int s : flow_slots_)
+        ++slot_flows_begin_[s + 1];
+    for (int s = 0; s < slots; ++s)
+        slot_flows_begin_[s + 1] += slot_flows_begin_[s];
+    slot_flows_.resize(slot_flows_begin_[slots]);
+    {
+        std::vector<int> fill(slot_flows_begin_.begin(),
+                              slot_flows_begin_.end() - 1);
+        for (int fi = 0; fi < static_cast<int>(flows_.size()); ++fi) {
+            for (int s : slotsOf(fi))
+                slot_flows_[fill[s]++] = fi;
+        }
+    }
+    rate_.assign(flows_.size(), 0.0);
+    unfrozen_.assign(flows_.size(), 0);
 }
 
 double
@@ -136,10 +173,13 @@ FlowSimulator::run()
     if (flows_.empty())
         return 0.0;
 
+    prepareFairShare();
+
     double now = 0.0;
+    std::vector<int> active;
     for (;;) {
         // Active = started, not done. Pending = not yet started.
-        std::vector<int> active;
+        active.clear();
         double next_start = std::numeric_limits<double>::infinity();
         bool any_pending = false;
         for (std::size_t i = 0; i < flows_.size(); ++i) {
@@ -176,13 +216,13 @@ FlowSimulator::run()
         if (completed_zero)
             continue;
 
-        std::vector<double> rate = fairShare(active);
+        fairShare(active);
 
         // Time to next completion among active flows.
         double dt = std::numeric_limits<double>::infinity();
         for (int fi : active) {
-            if (rate[fi] > 0.0)
-                dt = std::min(dt, flows_[fi].remaining / rate[fi]);
+            if (rate_[fi] > 0.0)
+                dt = std::min(dt, flows_[fi].remaining / rate_[fi]);
         }
         if (any_pending)
             dt = std::min(dt, next_start - now);
@@ -192,7 +232,7 @@ FlowSimulator::run()
         // Advance.
         for (int fi : active) {
             Flow &f = flows_[fi];
-            double moved = rate[fi] * dt;
+            double moved = rate_[fi] * dt;
             double used = std::min(moved, f.remaining);
             f.remaining -= used;
             for (int e : f.path.edges)
@@ -216,7 +256,7 @@ std::vector<LinkTraffic>
 FlowSimulator::linkTraffic() const
 {
     std::vector<LinkTraffic> out;
-    for (int e = 0; e < topo_.edgeCount(); ++e) {
+    for (int e : routed_edges_) {
         if (edge_bytes_[e] > 0.0)
             out.push_back({e, topo_.link(e).kind, edge_bytes_[e]});
     }
@@ -226,8 +266,9 @@ FlowSimulator::linkTraffic() const
 double
 FlowSimulator::bytesOnKind(LinkKind kind) const
 {
+    // Edges no flow crosses carry +0.0, which leaves the sum as is.
     double total = 0.0;
-    for (int e = 0; e < topo_.edgeCount(); ++e) {
+    for (int e : routed_edges_) {
         if (topo_.link(e).kind == kind)
             total += edge_bytes_[e];
     }
@@ -238,7 +279,7 @@ double
 FlowSimulator::bytesOnTier(FabricTier tier) const
 {
     double total = 0.0;
-    for (int e = 0; e < topo_.edgeCount(); ++e) {
+    for (int e : routed_edges_) {
         if (topo_.link(e).tier == tier)
             total += edge_bytes_[e];
     }

@@ -17,6 +17,7 @@
 #define MLPSIM_NET_TRANSFER_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/topology.h"
@@ -86,6 +87,9 @@ class FlowSimulator
   private:
     struct Flow {
         Path path;
+        /** The path's dense slots: flow_slots_[slot_begin, slot_end). */
+        int slot_begin = 0;
+        int slot_end = 0;
         double bytes;
         double remaining;
         double start_s;
@@ -95,17 +99,51 @@ class FlowSimulator
         bool done = false;
     };
 
-    /** Directed (edge, direction) slots a path traverses. */
-    std::vector<int> directedEdges(const Path &path) const;
+    /** Dense indices of the directed slots flow 'fi' traverses. */
+    std::span<const int> slotsOf(int fi) const
+    {
+        return {flow_slots_.data() + flows_[fi].slot_begin,
+                flow_slots_.data() + flows_[fi].slot_end};
+    }
 
-    /** Recompute max-min fair rates for all active flows. */
-    std::vector<double> fairShare(const std::vector<int> &active) const;
+    /** Size the fair-share state and index each slot's flows; run()
+     *  calls it once all flows are in. */
+    void prepareFairShare();
+
+    /** Recompute max-min fair rates of the active flows into rate_. */
+    void fairShare(const std::vector<int> &active);
 
     const Topology &topo_;
     std::vector<Flow> flows_;
     std::vector<FlowReport> reports_;
     std::vector<double> edge_bytes_;
     bool ran_ = false;
+
+    /** Directed slot (edge*2 + dir) -> dense index; -1 unused, 0 used
+     *  until prepareFairShare() numbers the used ones. */
+    std::vector<int> slot_index_;
+    /** Dense index -> directed slot. */
+    std::vector<int> slot_of_;
+    /** Every flow's slots, flow after flow: directed slots until
+     *  prepareFairShare() rewrites them as dense indices. */
+    std::vector<int> flow_slots_;
+    /** Edges some flow's path crosses, ascending; set by run(). Every
+     *  other edge carries no bytes. */
+    std::vector<int> routed_edges_;
+
+    // Fair-share state, sized once by prepareFairShare() and reused
+    // at every completion event.
+    /** Flows crossing each dense slot, in flow-id order (CSR). */
+    std::vector<int> slot_flows_begin_;
+    std::vector<int> slot_flows_;
+    std::vector<double> base_cap_;
+    std::vector<double> cap_;
+    std::vector<int> users_;
+    std::vector<double> rate_;
+    /** Per flow, within one fairShare() call: active, rate not set. */
+    std::vector<char> unfrozen_;
+    /** Slots some unfrozen flow crosses, ascending. */
+    std::vector<int> live_;
 };
 
 /**

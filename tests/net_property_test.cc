@@ -4,18 +4,31 @@
  * invariants on random connected topologies, flow-simulator byte
  * conservation and rate bounds, and all-reduce consistency across
  * algorithms.
+ *
+ * The differential tests at the end pin the fast paths to the
+ * straightforward algorithms they replace, kept here as references:
+ * a BFS that copies and stable-sorts each node's edges NVLink-first,
+ * pairwise-BFS fabric checks, and progressive filling that scans
+ * every slot for the bottleneck in each round. Results must agree
+ * exactly (floating-point values bit for bit).
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <deque>
+#include <functional>
+#include <limits>
 
 #include "net/allreduce.h"
 #include "net/topology.h"
 #include "net/transfer.h"
 #include "sim/logger.h"
 #include "sim/rng.h"
+#include "sys/machines.h"
 
 namespace {
 
@@ -345,6 +358,602 @@ TEST_P(RandomTopologyTest, TopologyMutationStressKeepsValidateGreen)
     topo.resetLinkState();
     ASSERT_NO_THROW(topo.validate());
     EXPECT_FALSE(topo.degraded());
+}
+
+// ------------------------------------------------ reference algorithms
+
+/**
+ * Reference min-hop BFS: NVLink edges first at every node via a copy
+ * and stable sort of its edge list; an edge is usable when it is up
+ * and, if 'allowed' is set, allowed(edge).
+ */
+std::optional<Path>
+referenceBfs(const Topology &topo, NodeId from, NodeId to,
+             const std::function<bool(int)> *allowed = nullptr)
+{
+    if (from == to)
+        return Path{{from}, {}};
+    int n_nodes = topo.nodeCount();
+    std::vector<int> prev_edge(n_nodes, -1);
+    std::vector<NodeId> prev_node(n_nodes, -1);
+    std::vector<bool> seen(n_nodes, false);
+    std::deque<NodeId> frontier;
+    frontier.push_back(from);
+    seen[from] = true;
+    while (!frontier.empty()) {
+        NodeId n = frontier.front();
+        frontier.pop_front();
+        std::vector<int> order = topo.incidentEdges(n);
+        std::stable_sort(order.begin(), order.end(), [&](int e1, int e2) {
+            return (topo.link(e1).kind == LinkKind::NvLink) >
+                   (topo.link(e2).kind == LinkKind::NvLink);
+        });
+        for (int e : order) {
+            if (topo.linkDown(e))
+                continue;
+            if (allowed && !(*allowed)(e))
+                continue;
+            auto [a, b] = topo.endpoints(e);
+            NodeId other = a == n ? b : a;
+            if (seen[other])
+                continue;
+            seen[other] = true;
+            prev_edge[other] = e;
+            prev_node[other] = n;
+            if (other == to) {
+                Path p;
+                NodeId cur = to;
+                while (cur != from) {
+                    p.nodes.push_back(cur);
+                    p.edges.push_back(prev_edge[cur]);
+                    cur = prev_node[cur];
+                }
+                p.nodes.push_back(from);
+                std::reverse(p.nodes.begin(), p.nodes.end());
+                std::reverse(p.edges.begin(), p.edges.end());
+                return p;
+            }
+            frontier.push_back(other);
+        }
+    }
+    return std::nullopt;
+}
+
+/** Pairwise-BFS oracle for the fabric checks over one link state. */
+struct FabricOracle {
+    std::vector<NodeId> gpus;
+    std::vector<std::vector<bool>> nvlink; ///< indexed like 'gpus'
+    std::vector<std::vector<bool>> p2p;
+
+    explicit FabricOracle(const Topology &topo) : gpus(topo.gpus())
+    {
+        std::function<bool(int)> nvlink_only = [&](int e) {
+            return topo.link(e).kind == LinkKind::NvLink;
+        };
+        auto blocked = [&](NodeId n) {
+            NodeKind k = topo.kind(n);
+            return k == NodeKind::Cpu || k == NodeKind::Nic ||
+                   k == NodeKind::TorSwitch ||
+                   k == NodeKind::SpineSwitch;
+        };
+        std::function<bool(int)> p2p_legal = [&](int e) {
+            auto [a, b] = topo.endpoints(e);
+            return topo.link(e).kind != LinkKind::Upi && !blocked(a) &&
+                   !blocked(b);
+        };
+        std::size_t n = gpus.size();
+        nvlink.assign(n, std::vector<bool>(n, true));
+        p2p.assign(n, std::vector<bool>(n, true));
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+                if (i == j)
+                    continue;
+                nvlink[i][j] = referenceBfs(topo, gpus[i], gpus[j],
+                                            &nvlink_only)
+                                   .has_value();
+                p2p[i][j] =
+                    referenceBfs(topo, gpus[i], gpus[j], &p2p_legal)
+                        .has_value();
+            }
+        }
+    }
+
+    /** Fabric of the GPUs at positions 'members' of 'gpus'. */
+    CollectiveFabric fabric(const std::vector<std::size_t> &members) const
+    {
+        bool all_nvlink = true;
+        bool all_p2p = true;
+        for (std::size_t i : members) {
+            for (std::size_t j : members) {
+                all_nvlink = all_nvlink && nvlink[i][j];
+                all_p2p = all_p2p && p2p[i][j];
+            }
+        }
+        if (all_nvlink)
+            return CollectiveFabric::NvLink;
+        if (all_p2p)
+            return CollectiveFabric::PcieP2p;
+        return CollectiveFabric::HostStaged;
+    }
+};
+
+/** Compare every fabric check against the oracle; 'all_subsets'
+ *  covers every nonempty GPU subset, else 'samples' random ones plus
+ *  the whole set. */
+void
+expectFabricChecksMatchOracle(const Topology &topo, bool all_subsets,
+                              mlps::sim::Rng &rng, int samples,
+                              const std::string &label)
+{
+    FabricOracle oracle(topo);
+    const std::vector<NodeId> &gpus = oracle.gpus;
+    std::size_t n = gpus.size();
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            ASSERT_EQ(topo.nvlinkConnected(gpus[i], gpus[j]),
+                      oracle.nvlink[i][j])
+                << label << ": nvlinkConnected " << i << "," << j;
+            ASSERT_EQ(topo.canPeerToPeer(gpus[i], gpus[j]),
+                      oracle.p2p[i][j])
+                << label << ": canPeerToPeer " << i << "," << j;
+        }
+    }
+    auto check = [&](const std::vector<std::size_t> &members) {
+        std::vector<NodeId> set;
+        for (std::size_t i : members)
+            set.push_back(gpus[i]);
+        ASSERT_EQ(topo.collectiveFabric(set), oracle.fabric(members))
+            << label << ": collectiveFabric over " << set.size()
+            << " GPUs";
+    };
+    if (all_subsets) {
+        for (std::uint64_t mask = 1; mask < (1ULL << n); ++mask) {
+            std::vector<std::size_t> members;
+            for (std::size_t i = 0; i < n; ++i) {
+                if (mask & (1ULL << i))
+                    members.push_back(i);
+            }
+            check(members);
+        }
+        return;
+    }
+    std::vector<std::size_t> everyone(n);
+    for (std::size_t i = 0; i < n; ++i)
+        everyone[i] = i;
+    check(everyone);
+    for (int k = 0; k < samples; ++k) {
+        std::vector<std::size_t> members;
+        for (std::size_t i = 0; i < n; ++i) {
+            if (rng.chance(0.3))
+                members.push_back(i);
+        }
+        if (!members.empty())
+            check(members);
+    }
+}
+
+/**
+ * Reference flow simulator: progressive filling that scans every
+ * directed slot for the bottleneck in each round, re-run from scratch
+ * at every completion event.
+ */
+class ReferenceFlowSim
+{
+  public:
+    explicit ReferenceFlowSim(const Topology &topo)
+        : topo_(topo), edge_bytes_(topo.edgeCount(), 0.0)
+    {
+    }
+
+    void addFlow(NodeId from, NodeId to, double bytes, double start_s)
+    {
+        Flow f;
+        f.path = *topo_.route(from, to);
+        f.bytes = bytes;
+        f.remaining = bytes;
+        f.start_s = start_s;
+        f.latency_s = topo_.pathLatency(f.path);
+        flows_.push_back(std::move(f));
+    }
+
+    const std::vector<FlowReport> &reports() const { return reports_; }
+    const std::vector<double> &edgeBytes() const { return edge_bytes_; }
+
+    double run()
+    {
+        reports_.assign(flows_.size(), FlowReport{});
+        for (std::size_t i = 0; i < flows_.size(); ++i) {
+            reports_[i].id = static_cast<FlowId>(i);
+            reports_[i].bytes = flows_[i].bytes;
+            reports_[i].start_s = flows_[i].start_s;
+        }
+        if (flows_.empty())
+            return 0.0;
+
+        double now = 0.0;
+        for (;;) {
+            std::vector<int> active;
+            double next_start = std::numeric_limits<double>::infinity();
+            bool any_pending = false;
+            for (std::size_t i = 0; i < flows_.size(); ++i) {
+                Flow &f = flows_[i];
+                if (f.done)
+                    continue;
+                double effective_start = f.start_s + f.latency_s;
+                if (now + 1e-15 >= effective_start) {
+                    active.push_back(static_cast<int>(i));
+                } else {
+                    any_pending = true;
+                    next_start = std::min(next_start, effective_start);
+                }
+            }
+            if (active.empty()) {
+                if (!any_pending)
+                    break;
+                now = next_start;
+                continue;
+            }
+
+            bool completed_zero = false;
+            for (int fi : active) {
+                Flow &f = flows_[fi];
+                if (f.remaining <= 0.0) {
+                    f.done = true;
+                    reports_[fi].finish_s = now;
+                    completed_zero = true;
+                }
+            }
+            if (completed_zero)
+                continue;
+
+            std::vector<double> rate = fairShare(active);
+
+            double dt = std::numeric_limits<double>::infinity();
+            for (int fi : active) {
+                if (rate[fi] > 0.0)
+                    dt = std::min(dt, flows_[fi].remaining / rate[fi]);
+            }
+            if (any_pending)
+                dt = std::min(dt, next_start - now);
+
+            for (int fi : active) {
+                Flow &f = flows_[fi];
+                double moved = rate[fi] * dt;
+                double used = std::min(moved, f.remaining);
+                f.remaining -= used;
+                for (int e : f.path.edges)
+                    edge_bytes_[e] += used;
+                if (f.remaining <= 1e-9) {
+                    f.remaining = 0.0;
+                    f.done = true;
+                    reports_[fi].finish_s = now + dt;
+                }
+            }
+            now += dt;
+        }
+        double makespan = 0.0;
+        for (const auto &r : reports_)
+            makespan = std::max(makespan, r.finish_s);
+        return makespan;
+    }
+
+  private:
+    struct Flow {
+        Path path;
+        double bytes;
+        double remaining;
+        double start_s;
+        double latency_s;
+        bool done = false;
+    };
+
+    std::vector<int> directedEdges(const Path &path) const
+    {
+        std::vector<int> out;
+        for (std::size_t i = 0; i < path.edges.size(); ++i) {
+            int e = path.edges[i];
+            auto [a, b] = topo_.endpoints(e);
+            int dir = (path.nodes[i] == a && path.nodes[i + 1] == b) ? 0
+                                                                     : 1;
+            out.push_back(e * 2 + dir);
+        }
+        return out;
+    }
+
+    std::vector<double> fairShare(const std::vector<int> &active) const
+    {
+        std::vector<double> rate(flows_.size(), 0.0);
+        int slots = topo_.edgeCount() * 2;
+        std::vector<double> cap(slots);
+        for (int e = 0; e < topo_.edgeCount(); ++e) {
+            cap[e * 2] = topo_.effectiveLinkBytesPerSec(e);
+            cap[e * 2 + 1] = cap[e * 2];
+        }
+        std::vector<std::vector<int>> fedges(flows_.size());
+        for (int fi : active)
+            fedges[fi] = directedEdges(flows_[fi].path);
+
+        std::vector<int> unfrozen = active;
+        while (!unfrozen.empty()) {
+            std::vector<int> users(slots, 0);
+            for (int fi : unfrozen) {
+                for (int de : fedges[fi])
+                    ++users[de];
+            }
+            double best_share = std::numeric_limits<double>::infinity();
+            int best_slot = -1;
+            for (int s = 0; s < slots; ++s) {
+                if (users[s] == 0)
+                    continue;
+                double share = cap[s] / users[s];
+                if (share < best_share) {
+                    best_share = share;
+                    best_slot = s;
+                }
+            }
+            if (best_slot < 0) {
+                for (int fi : unfrozen)
+                    rate[fi] = 1e18;
+                break;
+            }
+            std::vector<int> still;
+            for (int fi : unfrozen) {
+                const auto &des = fedges[fi];
+                bool crosses = std::find(des.begin(), des.end(),
+                                         best_slot) != des.end();
+                if (crosses) {
+                    rate[fi] = best_share;
+                    for (int de : des)
+                        cap[de] -= best_share;
+                } else {
+                    still.push_back(fi);
+                }
+            }
+            for (double &c : cap)
+                c = std::max(c, 0.0);
+            unfrozen = std::move(still);
+        }
+        return rate;
+    }
+
+    const Topology &topo_;
+    std::vector<Flow> flows_;
+    std::vector<FlowReport> reports_;
+    std::vector<double> edge_bytes_;
+};
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+struct FlowWant {
+    NodeId from;
+    NodeId to;
+    double bytes;
+    double start_s;
+};
+
+/** Run the flow set through FlowSimulator and the reference; every
+ *  double they report must be bit-identical. */
+void
+expectFlowSimMatchesReference(const Topology &topo,
+                              const std::vector<FlowWant> &wants,
+                              const std::string &label)
+{
+    FlowSimulator fast(topo);
+    ReferenceFlowSim ref(topo);
+    for (const FlowWant &w : wants) {
+        fast.addFlow(w.from, w.to, w.bytes, w.start_s);
+        ref.addFlow(w.from, w.to, w.bytes, w.start_s);
+    }
+    double fast_makespan = fast.run();
+    double ref_makespan = ref.run();
+    ASSERT_EQ(bits(fast_makespan), bits(ref_makespan))
+        << label << ": makespan " << fast_makespan << " vs "
+        << ref_makespan;
+    ASSERT_EQ(fast.reports().size(), ref.reports().size()) << label;
+    for (std::size_t i = 0; i < ref.reports().size(); ++i) {
+        const FlowReport &a = fast.reports()[i];
+        const FlowReport &b = ref.reports()[i];
+        ASSERT_EQ(a.id, b.id) << label;
+        ASSERT_EQ(bits(a.bytes), bits(b.bytes)) << label;
+        ASSERT_EQ(bits(a.start_s), bits(b.start_s)) << label;
+        ASSERT_EQ(bits(a.finish_s), bits(b.finish_s))
+            << label << ": flow " << i << " finishes at " << a.finish_s
+            << " vs " << b.finish_s;
+    }
+    std::vector<double> fast_bytes(topo.edgeCount(), 0.0);
+    for (const LinkTraffic &lt : fast.linkTraffic())
+        fast_bytes[lt.edge] = lt.bytes;
+    for (int e = 0; e < topo.edgeCount(); ++e) {
+        // linkTraffic() lists only edges that carried bytes.
+        double want = ref.edgeBytes()[e] > 0.0 ? ref.edgeBytes()[e] : 0.0;
+        ASSERT_EQ(bits(fast_bytes[e]), bits(want))
+            << label << ": edge " << e << " carried " << fast_bytes[e]
+            << " vs " << ref.edgeBytes()[e];
+    }
+}
+
+/** Seeded random flows between any nodes: zero-hop and zero-byte
+ *  flows included, starts either all at zero or staggered. */
+std::vector<FlowWant>
+randomFlows(const Topology &topo, mlps::sim::Rng &rng, int count,
+            const std::vector<NodeId> &endpoints)
+{
+    bool staggered = rng.chance(0.5);
+    std::vector<FlowWant> wants;
+    for (int i = 0; i < count; ++i) {
+        FlowWant w;
+        w.from = endpoints[rng.below(endpoints.size())];
+        w.to = rng.chance(0.1) ? w.from
+                               : endpoints[rng.below(endpoints.size())];
+        w.bytes = rng.chance(0.1) ? 0.0 : rng.uniform(1e5, 5e8);
+        w.start_s = staggered ? rng.uniform(0.0, 0.02) : 0.0;
+        if (!topo.route(w.from, w.to))
+            continue;
+        wants.push_back(w);
+    }
+    return wants;
+}
+
+std::vector<NodeId>
+allNodes(const Topology &topo)
+{
+    std::vector<NodeId> out(topo.nodeCount());
+    for (NodeId n = 0; n < topo.nodeCount(); ++n)
+        out[n] = n;
+    return out;
+}
+
+// ------------------------------------------------ differential tests
+
+TEST_P(RandomTopologyTest, RouteMatchesReferenceBfs)
+{
+    mlps::sim::Rng rng(11000 + GetParam());
+    int gpus = 0;
+    Topology topo = randomTopology(rng, gpus);
+    auto expectAllRoutesMatch = [&](const char *label) {
+        for (NodeId a = 0; a < topo.nodeCount(); ++a) {
+            for (NodeId b = 0; b < topo.nodeCount(); ++b) {
+                auto fast = topo.route(a, b);
+                auto ref = referenceBfs(topo, a, b);
+                ASSERT_EQ(fast.has_value(), ref.has_value()) << label;
+                if (!ref)
+                    continue;
+                ASSERT_EQ(fast->nodes, ref->nodes) << label;
+                ASSERT_EQ(fast->edges, ref->edges) << label;
+            }
+        }
+    };
+    expectAllRoutesMatch("healthy");
+    // Downs need not be survivable here: disconnected pairs must
+    // agree too.
+    for (int round = 0; round < 4; ++round) {
+        for (int e = 0; e < topo.edgeCount(); ++e) {
+            if (rng.chance(0.25))
+                topo.setLinkDown(e, !topo.linkDown(e));
+        }
+        expectAllRoutesMatch("links down");
+        topo.setLinkBandwidthScale(
+            static_cast<int>(rng.below(topo.edgeCount())), 0.5);
+        expectAllRoutesMatch("bandwidth scaled");
+    }
+}
+
+TEST_P(RandomTopologyTest, FabricChecksMatchPairwiseBfs)
+{
+    mlps::sim::Rng rng(12000 + GetParam());
+    int gpus = 0;
+    Topology topo = randomTopology(rng, gpus);
+    expectFabricChecksMatchOracle(topo, true, rng, 0, "healthy");
+    for (int round = 0; round < 4; ++round) {
+        for (int e = 0; e < topo.edgeCount(); ++e) {
+            if (rng.chance(0.25))
+                topo.setLinkDown(e, !topo.linkDown(e));
+        }
+        expectFabricChecksMatchOracle(topo, true, rng, 0, "links down");
+    }
+}
+
+TEST(FabricChecks, TableIIIBoxesMatchPairwiseBfsWithEachNvlinkDown)
+{
+    mlps::sim::Rng rng(13000);
+    std::vector<mlps::sys::SystemConfig> boxes = mlps::sys::allMachines();
+    boxes.push_back(mlps::sys::dgx1());
+    for (mlps::sys::SystemConfig &box : boxes) {
+        Topology &topo = box.topo;
+        expectFabricChecksMatchOracle(topo, true, rng, 0,
+                                      box.name + " healthy");
+        for (int e = 0; e < topo.edgeCount(); ++e) {
+            if (topo.link(e).kind != LinkKind::NvLink)
+                continue;
+            topo.setLinkDown(e, true);
+            expectFabricChecksMatchOracle(
+                topo, true, rng, 0,
+                box.name + " NVLink edge " + std::to_string(e) + " down");
+            topo.setLinkDown(e, false);
+        }
+    }
+}
+
+TEST(FabricChecks, PodsMatchPairwiseBfs)
+{
+    mlps::sim::Rng rng(14000);
+    for (const char *spec :
+         {"pod(C4140 (M),2x2)", "pod(DSS 8440,2x1)", "pod(T640,1x3)"}) {
+        mlps::sys::SystemConfig pod;
+        std::string error;
+        ASSERT_TRUE(mlps::sys::systemFromSpec(spec, &pod, &error))
+            << error;
+        Topology &topo = pod.topo;
+        expectFabricChecksMatchOracle(topo, false, rng, 64,
+                                      std::string(spec) + " healthy");
+        int nvlinks_downed = 0;
+        for (int e = 0; e < topo.edgeCount() && nvlinks_downed < 4; ++e) {
+            if (topo.link(e).kind != LinkKind::NvLink)
+                continue;
+            topo.setLinkDown(e, true);
+            ++nvlinks_downed;
+            expectFabricChecksMatchOracle(
+                topo, false, rng, 16,
+                std::string(spec) + " NVLink edge " + std::to_string(e) +
+                    " down");
+        }
+    }
+}
+
+TEST_P(RandomTopologyTest, FlowSimMatchesReferenceBitForBit)
+{
+    mlps::sim::Rng rng(15000 + GetParam());
+    int gpus = 0;
+    Topology topo = randomTopology(rng, gpus);
+    for (int round = 0; round < 12; ++round) {
+        switch (round % 3) {
+          case 0:
+            topo.resetLinkState();
+            break;
+          case 1: // bandwidth-scaled links
+            for (int e = 0; e < topo.edgeCount(); ++e) {
+                if (rng.chance(0.4))
+                    topo.setLinkBandwidthScale(e, rng.uniform(0.05, 1.0));
+            }
+            break;
+          default: // down links, rerouting what survives
+            for (int e = 0; e < topo.edgeCount(); ++e) {
+                if (rng.chance(0.3))
+                    downIfSurvivable(topo, e);
+            }
+            break;
+        }
+        int count = 1 + static_cast<int>(rng.below(24));
+        expectFlowSimMatchesReference(
+            topo, randomFlows(topo, rng, count, allNodes(topo)),
+            "round " + std::to_string(round));
+    }
+}
+
+TEST(FlowSimulatorReference, PodsMatchBitForBit)
+{
+    mlps::sim::Rng rng(16000);
+    mlps::sys::SystemConfig healthy =
+        mlps::sys::withPod(mlps::sys::c4140M(), 4, 2);
+    std::vector<mlps::sys::SystemConfig> pods = {
+        healthy,
+        mlps::sys::withSpineDegraded(healthy, 0.25),
+        mlps::sys::withTorDegraded(healthy, 1, 0.5),
+        mlps::sys::withNvlinkEdgeDown(healthy, 3),
+    };
+    for (const mlps::sys::SystemConfig &pod : pods) {
+        for (int trial = 0; trial < 4; ++trial) {
+            int count = 8 + static_cast<int>(rng.below(120));
+            expectFlowSimMatchesReference(
+                pod.topo,
+                randomFlows(pod.topo, rng, count, pod.topo.gpus()),
+                pod.name + " trial " + std::to_string(trial));
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTopologyTest,

@@ -157,6 +157,15 @@ TEST_F(SwitchTopoTest, InvalidNodesAreFatal)
     EXPECT_THROW(topo.canPeerToPeer(cpu, g0), FatalError);
 }
 
+TEST_F(SwitchTopoTest, FabricChecksRejectNonGpus)
+{
+    EXPECT_THROW(topo.canPeerToPeer(g0, sw), FatalError);
+    EXPECT_THROW(topo.collectiveFabric({g0, sw}), FatalError);
+    EXPECT_THROW(topo.collectiveFabric({cpu}), FatalError);
+    EXPECT_THROW(topo.collectiveFabric({g0, 99}), FatalError);
+    EXPECT_THROW(topo.nvlinkConnected(g0, 99), FatalError);
+}
+
 TEST(Topology, P2pBlockedThroughCpu)
 {
     // Two GPUs on CPU PCIe ports: path exists but crosses the root

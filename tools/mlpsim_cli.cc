@@ -10,7 +10,8 @@
  *   mlpsim characterize [--system NAME] [--jobs N]
  *   mlpsim trace <workload> [--system NAME] [--gpus N] [--out FILE]
  *   mlpsim explain <workload> [--system NAME] [--gpus N] [--json]
- *                             [--jobs N] [--cache-dir DIR] [...]
+ *                             [--degraded-links SPEC] [--jobs N]
+ *                             [--cache-dir DIR] [...]
  *   mlpsim faults <workload> [--mttf-hours H] [--link-mttf-hours H]
  *                            [--seed S] [...]
  *   mlpsim report [--out FILE] [--jobs N] [--cache-dir DIR]
@@ -407,6 +408,18 @@ cmdList()
     return 0;
 }
 
+/** The --system machine (default DSS 8440) with any --degraded-links
+ *  applied: the machine `run` and `explain` price. */
+sys::SystemConfig
+machineFrom(const Args &args)
+{
+    sys::SystemConfig machine =
+        systemByName(args.get("system", "DSS 8440"));
+    if (args.has("degraded-links"))
+        sys::applyDegradedLinks(machine, args.get("degraded-links", ""));
+    return machine;
+}
+
 train::RunOptions
 optionsFrom(const Args &args, const sys::SystemConfig &machine)
 {
@@ -440,10 +453,7 @@ cmdRun(const Args &args)
         throw UsageError(
             "run: need a workload name (or exactly one "
             "--workload-file)");
-    sys::SystemConfig machine =
-        systemByName(args.get("system", "DSS 8440"));
-    if (args.has("degraded-links"))
-        sys::applyDegradedLinks(machine, args.get("degraded-links", ""));
+    sys::SystemConfig machine = machineFrom(args);
     noteConfigDigest("system:" + machine.name,
                      exec::fingerprintOf(machine));
     core::Suite suite(machine);
@@ -727,8 +737,7 @@ cmdExplain(const Args &args)
         throw UsageError(
             "explain: need a workload name (or exactly one "
             "--workload-file)");
-    sys::SystemConfig machine =
-        systemByName(args.get("system", "DSS 8440"));
+    sys::SystemConfig machine = machineFrom(args);
     noteConfigDigest("system:" + machine.name,
                      exec::fingerprintOf(machine));
     core::Suite suite(machine);
@@ -1496,6 +1505,7 @@ usage()
         "  mlpsim trace <workload> [--system NAME] [--gpus N]\n"
         "             [--iterations K] [--out FILE]\n"
         "  mlpsim explain <workload> [--system NAME] [--gpus N]\n"
+        "             [--degraded-links SPEC]\n"
         "             [--precision P] [--reference] [--jobs N]\n"
         "             [--cache-dir DIR] [--json] [--out FILE]\n"
         "             [--trace FILE [--iterations K]]\n"
