@@ -125,9 +125,10 @@ mixInto(HashStream &h, const net::LinkSpec &l)
     h.mixDouble(l.efficiency);
 }
 
-void
-mixInto(HashStream &h, const net::Topology &t)
+net::Topology::Digest
+topologyPass(const net::Topology::Digest &in, const net::Topology &t)
 {
+    HashStream h(Fingerprint{in[0], in[1]});
     h.mixInt(t.nodeCount());
     for (net::NodeId n = 0; n < t.nodeCount(); ++n) {
         h.mixInt(static_cast<int>(t.kind(n)));
@@ -144,6 +145,17 @@ mixInto(HashStream &h, const net::Topology &t)
         h.mixInt(t.linkDown(e) ? 1 : 0);
         h.mixDouble(t.linkBandwidthScale(e));
     }
+    const Fingerprint out = h.digest();
+    return {out.hi, out.lo};
+}
+
+void
+mixInto(HashStream &h, const net::Topology &t)
+{
+    const Fingerprint in = h.digest();
+    const net::Topology::Digest out =
+        t.memoizedDigest(topologyPass, {in.hi, in.lo});
+    h = HashStream(Fingerprint{out[0], out[1]});
 }
 
 void

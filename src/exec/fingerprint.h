@@ -56,6 +56,10 @@ class HashStream
   public:
     HashStream();
 
+    /** Continue a stream whose state digest() returned. */
+    explicit HashStream(const Fingerprint &state)
+        : hi_(state.hi), lo_(state.lo) {}
+
     void mixBytes(const void *data, std::size_t n);
     void mixU64(std::uint64_t v);
     void mixInt(long long v);
@@ -72,7 +76,12 @@ class HashStream
     std::uint64_t lo_;
 };
 
-/** Fingerprint of a machine, covering specs and topology graph. */
+/**
+ * Fingerprint of a machine, covering specs and topology graph. The
+ * topology pass is memoized on the graph that copies of the machine
+ * share (net::Topology::memoizedDigest), so refingerprinting a copy
+ * costs its link-state scan, not the graph.
+ */
 Fingerprint fingerprintOf(const sys::SystemConfig &system);
 
 /** Fingerprint of a workload, covering graph/dataset/knobs. */

@@ -81,56 +81,40 @@ toString(CollectiveFabric fabric)
                static_cast<int>(fabric));
 }
 
-Topology::Topology(const Topology &other)
+void
+Topology::CacheHolder::clear()
 {
-    nodes_ = other.nodes_;
-    edges_ = other.edges_;
-    epoch_ = other.epoch_;
-    structure_version_ = other.structure_version_;
+    // Callers change the Topology, so no reader holds the lock.
+    if (cache.primed)
+        cache = Cache{};
 }
 
-Topology &
-Topology::operator=(const Topology &other)
+Topology::Graph &
+Topology::mutableGraph()
 {
-    if (this == &other)
-        return *this;
-    nodes_ = other.nodes_;
-    edges_ = other.edges_;
-    epoch_ = other.epoch_;
-    structure_version_ = other.structure_version_;
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    cache_ = Cache{};
-    return *this;
-}
-
-Topology::Topology(Topology &&other) noexcept
-{
-    nodes_ = std::move(other.nodes_);
-    edges_ = std::move(other.edges_);
-    epoch_ = other.epoch_;
-    structure_version_ = other.structure_version_;
-}
-
-Topology &
-Topology::operator=(Topology &&other) noexcept
-{
-    if (this == &other)
-        return *this;
-    nodes_ = std::move(other.nodes_);
-    edges_ = std::move(other.edges_);
-    epoch_ = other.epoch_;
-    structure_version_ = other.structure_version_;
-    std::lock_guard<std::mutex> lock(cache_mu_);
-    cache_ = Cache{};
-    return *this;
+    if (!graph_ || cache_.graph_shared.load(std::memory_order_relaxed)) {
+        auto own = std::make_shared<Graph>();
+        if (graph_) {
+            own->nodes = graph_->nodes;
+            own->edges = graph_->edges;
+        }
+        graph_ = std::move(own);
+        cache_.graph_shared.store(false, std::memory_order_relaxed);
+    }
+    cache_.clear();
+    // This copy is the graph's only owner, and the graph was made
+    // non-const by make_shared. Its memo described the old shape.
+    Graph &g = const_cast<Graph &>(*graph_);
+    g.memo.clear();
+    return g;
 }
 
 NodeId
 Topology::addNode(NodeKind kind, const std::string &name)
 {
-    nodes_.push_back(Node{kind, name, {}});
-    ++structure_version_;
-    return static_cast<NodeId>(nodes_.size()) - 1;
+    Graph &g = mutableGraph();
+    g.nodes.push_back(Node{kind, name, {}});
+    return static_cast<NodeId>(g.nodes.size()) - 1;
 }
 
 NodeId
@@ -184,11 +168,12 @@ Topology::connect(NodeId a, NodeId b, const LinkSpec &link)
     checkNode(b);
     if (a == b)
         sim::fatal("Topology::connect: self-loop on node %d", a);
-    edges_.push_back(Edge{a, b, link});
-    int id = static_cast<int>(edges_.size()) - 1;
-    nodes_[a].edges.push_back(id);
-    nodes_[b].edges.push_back(id);
-    ++structure_version_;
+    Graph &g = mutableGraph();
+    g.edges.push_back(Edge{a, b, link});
+    link_state_.emplace_back();
+    int id = static_cast<int>(g.edges.size()) - 1;
+    g.nodes[a].edges.push_back(id);
+    g.nodes[b].edges.push_back(id);
     return id;
 }
 
@@ -196,57 +181,54 @@ const std::vector<int> &
 Topology::incidentEdges(NodeId n) const
 {
     checkNode(n);
-    return nodes_[n].edges;
+    return graph_->nodes[n].edges;
 }
 
 NodeKind
 Topology::kind(NodeId n) const
 {
     checkNode(n);
-    return nodes_[n].kind;
+    return graph_->nodes[n].kind;
 }
 
 const std::string &
 Topology::name(NodeId n) const
 {
     checkNode(n);
-    return nodes_[n].name;
+    return graph_->nodes[n].name;
 }
 
 const LinkSpec &
 Topology::link(int edge) const
 {
-    if (edge < 0 || edge >= edgeCount())
-        sim::fatal("Topology: edge id %d out of range", edge);
-    return edges_[edge].link;
+    checkEdge(edge);
+    return graph_->edges[edge].link;
 }
 
 std::pair<NodeId, NodeId>
 Topology::endpoints(int edge) const
 {
-    if (edge < 0 || edge >= edgeCount())
-        sim::fatal("Topology: edge id %d out of range", edge);
-    return {edges_[edge].a, edges_[edge].b};
+    checkEdge(edge);
+    return {graph_->edges[edge].a, graph_->edges[edge].b};
 }
 
 Topology::Cache &
 Topology::freshCacheLocked() const
 {
-    if (!cache_.primed || cache_.epoch != epoch_ ||
-        cache_.structure != structure_version_) {
-        cache_.routes.clear();
-        cache_.host_cpu.clear();
+    Cache &c = cache_.cache;
+    if (!c.primed || c.epoch != epoch_) {
+        c.routes.clear();
+        c.host_cpu.clear();
         for (int k = 0; k < kNumNodeKinds; ++k) {
-            cache_.by_kind[k].clear();
-            cache_.by_kind_valid[k] = false;
+            c.by_kind[k].clear();
+            c.by_kind_valid[k] = false;
         }
-        cache_.nvlink_label.clear();
-        cache_.p2p_label.clear();
-        cache_.epoch = epoch_;
-        cache_.structure = structure_version_;
-        cache_.primed = true;
+        c.nvlink_label.clear();
+        c.p2p_label.clear();
+        c.epoch = epoch_;
+        c.primed = true;
     }
-    return cache_;
+    return c;
 }
 
 std::vector<NodeId>
@@ -254,7 +236,7 @@ Topology::nodesOfKind(NodeKind k) const
 {
     ensureCacheMetrics();
     int ki = static_cast<int>(k);
-    std::lock_guard<std::mutex> lock(cache_mu_);
+    std::lock_guard<std::mutex> lock(cache_.mu);
     Cache &c = freshCacheLocked();
     if (c.by_kind_valid[ki]) {
         g_route_cache_hits.fetch_add(1, std::memory_order_relaxed);
@@ -263,7 +245,7 @@ Topology::nodesOfKind(NodeKind k) const
     g_route_cache_misses.fetch_add(1, std::memory_order_relaxed);
     std::vector<NodeId> out;
     for (NodeId n = 0; n < nodeCount(); ++n) {
-        if (nodes_[n].kind == k)
+        if (graph_->nodes[n].kind == k)
             out.push_back(n);
     }
     c.by_kind[ki] = out;
@@ -285,9 +267,10 @@ Topology::bfs(NodeId from, NodeId to) const
     thread_local std::vector<int> prev_edge;
     thread_local std::vector<NodeId> frontier;
     thread_local std::uint32_t stamp = 0;
-    if (seen.size() < nodes_.size()) {
-        seen.assign(nodes_.size(), 0);
-        prev_edge.resize(nodes_.size());
+    const Graph &g = *graph_;
+    if (seen.size() < g.nodes.size()) {
+        seen.assign(g.nodes.size(), 0);
+        prev_edge.resize(g.nodes.size());
         stamp = 0;
     }
     if (++stamp == 0) {
@@ -305,11 +288,11 @@ Topology::bfs(NodeId from, NodeId to) const
     for (std::size_t head = 0; head < frontier.size(); ++head) {
         NodeId n = frontier[head];
         for (bool want_nvlink : {true, false}) {
-            for (int e : nodes_[n].edges) {
-                const Edge &edge = edges_[e];
+            for (int e : g.nodes[n].edges) {
+                const Edge &edge = g.edges[e];
                 if ((edge.link.kind == LinkKind::NvLink) != want_nvlink)
                     continue;
-                if (edge.down)
+                if (link_state_[e].down)
                     continue; // a down link carries no traffic, ever
                 NodeId other = edge.a == n ? edge.b : edge.a;
                 if (seen[other] == stamp)
@@ -322,8 +305,8 @@ Topology::bfs(NodeId from, NodeId to) const
                         int pe = prev_edge[cur];
                         p.nodes.push_back(cur);
                         p.edges.push_back(pe);
-                        cur = edges_[pe].a == cur ? edges_[pe].b
-                                                  : edges_[pe].a;
+                        cur = g.edges[pe].a == cur ? g.edges[pe].b
+                                                   : g.edges[pe].a;
                     }
                     p.nodes.push_back(from);
                     std::reverse(p.nodes.begin(), p.nodes.end());
@@ -347,7 +330,7 @@ Topology::route(NodeId from, NodeId to) const
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
          << 32) |
         static_cast<std::uint32_t>(to);
-    std::lock_guard<std::mutex> lock(cache_mu_);
+    std::lock_guard<std::mutex> lock(cache_.mu);
     Cache &c = freshCacheLocked();
     auto it = c.routes.find(key);
     if (it != c.routes.end()) {
@@ -384,7 +367,8 @@ template <typename EdgePred>
 std::vector<int>
 Topology::componentLabels(EdgePred usable) const
 {
-    std::vector<int> label(nodes_.size(), -1);
+    const Graph &g = *graph_;
+    std::vector<int> label(g.nodes.size(), -1);
     std::vector<NodeId> frontier;
     for (NodeId root = 0; root < nodeCount(); ++root) {
         if (label[root] >= 0)
@@ -393,9 +377,9 @@ Topology::componentLabels(EdgePred usable) const
         frontier.assign(1, root);
         for (std::size_t head = 0; head < frontier.size(); ++head) {
             NodeId n = frontier[head];
-            for (int e : nodes_[n].edges) {
-                const Edge &edge = edges_[e];
-                if (edge.down || !usable(edge))
+            for (int e : g.nodes[n].edges) {
+                const Edge &edge = g.edges[e];
+                if (link_state_[e].down || !usable(edge))
                     continue;
                 NodeId other = edge.a == n ? edge.b : edge.a;
                 if (label[other] >= 0)
@@ -418,10 +402,11 @@ Topology::labelledCacheLocked() const
         });
         // A P2P-legal edge is no UPI link and touches no node that
         // blocks P2P, so a P2P path crosses neither.
-        c.p2p_label = componentLabels([this](const Edge &edge) {
+        const std::vector<Node> &nodes = graph_->nodes;
+        c.p2p_label = componentLabels([&nodes](const Edge &edge) {
             return edge.link.kind != LinkKind::Upi &&
-                   !blocksP2p(nodes_[edge.a].kind) &&
-                   !blocksP2p(nodes_[edge.b].kind);
+                   !blocksP2p(nodes[edge.a].kind) &&
+                   !blocksP2p(nodes[edge.b].kind);
         });
     }
     return c;
@@ -434,7 +419,7 @@ Topology::canPeerToPeer(NodeId gpu_a, NodeId gpu_b) const
         sim::fatal("canPeerToPeer: both endpoints must be GPUs");
     if (gpu_a == gpu_b)
         return true;
-    std::lock_guard<std::mutex> lock(cache_mu_);
+    std::lock_guard<std::mutex> lock(cache_.mu);
     const Cache &c = labelledCacheLocked();
     return c.p2p_label[gpu_a] == c.p2p_label[gpu_b];
 }
@@ -446,7 +431,7 @@ Topology::nvlinkConnected(NodeId gpu_a, NodeId gpu_b) const
     checkNode(gpu_b);
     if (gpu_a == gpu_b)
         return true;
-    std::lock_guard<std::mutex> lock(cache_mu_);
+    std::lock_guard<std::mutex> lock(cache_.mu);
     const Cache &c = labelledCacheLocked();
     return c.nvlink_label[gpu_a] == c.nvlink_label[gpu_b];
 }
@@ -464,7 +449,7 @@ Topology::collectiveFabric(const std::vector<NodeId> &gpus) const
     // Every pair is connected exactly when every member shares the
     // first member's component, so one pass over the set answers what
     // a BFS per pair would.
-    std::lock_guard<std::mutex> lock(cache_mu_);
+    std::lock_guard<std::mutex> lock(cache_.mu);
     const Cache &c = labelledCacheLocked();
     bool all_nvlink = true;
     bool all_p2p = true;
@@ -488,7 +473,8 @@ Topology::computeHostCpu(NodeId gpu) const
     // lowest node id wins — identical to probing every CPU with
     // route() and keeping the first strict improvement, without
     // paying #CPUs searches on a pod-scale graph.
-    std::vector<int> depth(nodes_.size(), -1);
+    const Graph &g = *graph_;
+    std::vector<int> depth(g.nodes.size(), -1);
     std::deque<NodeId> frontier;
     frontier.push_back(gpu);
     depth[gpu] = 0;
@@ -499,15 +485,15 @@ Topology::computeHostCpu(NodeId gpu) const
         frontier.pop_front();
         if (depth[n] > best_depth)
             break; // deeper layers cannot improve
-        if (nodes_[n].kind == NodeKind::Cpu &&
+        if (g.nodes[n].kind == NodeKind::Cpu &&
             (depth[n] < best_depth || (best && n < *best))) {
             best_depth = depth[n];
             best = n;
         }
-        for (int e : nodes_[n].edges) {
-            if (edges_[e].down)
+        for (int e : g.nodes[n].edges) {
+            if (link_state_[e].down)
                 continue;
-            NodeId other = edges_[e].a == n ? edges_[e].b : edges_[e].a;
+            NodeId other = g.edges[e].a == n ? g.edges[e].b : g.edges[e].a;
             if (depth[other] >= 0)
                 continue;
             depth[other] = depth[n] + 1;
@@ -523,7 +509,7 @@ Topology::hostCpu(NodeId gpu) const
     ensureCacheMetrics();
     if (kind(gpu) != NodeKind::Gpu)
         sim::fatal("hostCpu: node %d is not a GPU", gpu);
-    std::lock_guard<std::mutex> lock(cache_mu_);
+    std::lock_guard<std::mutex> lock(cache_.mu);
     Cache &c = freshCacheLocked();
     auto it = c.host_cpu.find(gpu);
     if (it != c.host_cpu.end()) {
@@ -541,14 +527,15 @@ Topology::describe() const
 {
     std::ostringstream os;
     for (int e = 0; e < edgeCount(); ++e) {
-        const Edge &edge = edges_[e];
-        os << nodes_[edge.a].name << " <-> " << nodes_[edge.b].name
-           << "  [" << toString(edge.link.kind) << " "
-           << edge.link.gbps << " GB/s";
-        if (edge.down)
+        const Edge &edge = graph_->edges[e];
+        const LinkState &state = link_state_[e];
+        os << graph_->nodes[edge.a].name << " <-> "
+           << graph_->nodes[edge.b].name << "  ["
+           << toString(edge.link.kind) << " " << edge.link.gbps << " GB/s";
+        if (state.down)
             os << ", DOWN";
-        else if (edge.bandwidth_scale != 1.0)
-            os << ", x" << edge.bandwidth_scale;
+        else if (state.bandwidth_scale != 1.0)
+            os << ", x" << state.bandwidth_scale;
         os << "]\n";
     }
     return os.str();
@@ -566,9 +553,9 @@ void
 Topology::setLinkDown(int edge, bool down)
 {
     checkEdge(edge);
-    if (edges_[edge].down == down)
+    if (link_state_[edge].down == down)
         return;
-    edges_[edge].down = down;
+    link_state_[edge].down = down;
     ++epoch_;
 }
 
@@ -580,9 +567,9 @@ Topology::setLinkBandwidthScale(int edge, double scale)
         sim::fatal("Topology: bandwidth scale %g on edge %d must be "
                    "positive (use setLinkDown for a dead link)",
                    scale, edge);
-    if (edges_[edge].bandwidth_scale == scale)
+    if (link_state_[edge].bandwidth_scale == scale)
         return;
-    edges_[edge].bandwidth_scale = scale;
+    link_state_[edge].bandwidth_scale = scale;
     ++epoch_;
 }
 
@@ -590,33 +577,33 @@ bool
 Topology::linkDown(int edge) const
 {
     checkEdge(edge);
-    return edges_[edge].down;
+    return link_state_[edge].down;
 }
 
 double
 Topology::linkBandwidthScale(int edge) const
 {
     checkEdge(edge);
-    return edges_[edge].bandwidth_scale;
+    return link_state_[edge].bandwidth_scale;
 }
 
 double
 Topology::effectiveLinkBytesPerSec(int edge) const
 {
     checkEdge(edge);
-    const Edge &e = edges_[edge];
-    if (e.down)
+    const LinkState &state = link_state_[edge];
+    if (state.down)
         return 0.0;
-    return e.link.effectiveBytesPerSec() * e.bandwidth_scale;
+    return graph_->edges[edge].link.effectiveBytesPerSec() *
+           state.bandwidth_scale;
 }
 
 void
 Topology::resetLinkState()
 {
-    for (Edge &e : edges_) {
-        if (e.down || e.bandwidth_scale != 1.0) {
-            e.down = false;
-            e.bandwidth_scale = 1.0;
+    for (LinkState &state : link_state_) {
+        if (!state.healthy()) {
+            state = LinkState{};
             ++epoch_;
         }
     }
@@ -625,8 +612,8 @@ Topology::resetLinkState()
 bool
 Topology::degraded() const
 {
-    for (const Edge &e : edges_) {
-        if (e.down || e.bandwidth_scale != 1.0)
+    for (const LinkState &state : link_state_) {
+        if (!state.healthy())
             return true;
     }
     return false;
@@ -635,20 +622,60 @@ Topology::degraded() const
 bool
 Topology::anyLinkDown() const
 {
-    for (const Edge &e : edges_) {
-        if (e.down)
+    for (const LinkState &state : link_state_) {
+        if (state.down)
             return true;
     }
     return false;
 }
 
+Topology::Digest
+Topology::memoizedDigest(DigestPass pass, const Digest &in) const
+{
+    if (!graph_)
+        return pass(in, *this);
+    std::vector<std::pair<int, LinkState>> unhealthy;
+    for (int e = 0; e < edgeCount(); ++e) {
+        if (!link_state_[e].healthy())
+            unhealthy.emplace_back(e, link_state_[e]);
+    }
+    const Graph &g = *graph_;
+    auto stored = [&]() -> const Digest * {
+        for (const DigestMemoEntry &m : g.memo) {
+            if (m.pass == pass && m.in == in && m.unhealthy == unhealthy)
+                return &m.out;
+        }
+        return nullptr;
+    };
+    {
+        std::lock_guard<std::mutex> lock(g.memo_mu);
+        if (const Digest *hit = stored())
+            return *hit;
+    }
+    // Run the pass unlocked: copies hashing other link states in
+    // parallel must not wait on it.
+    const Digest out = pass(in, *this);
+    // A few link states per graph cover every use so far (healthy,
+    // spine- and ToR-degraded pods); more would only hold memory.
+    constexpr std::size_t kMemoEntries = 4;
+    std::lock_guard<std::mutex> lock(g.memo_mu);
+    if (!stored()) { // else a racing twin stored it first
+        if (g.memo.size() == kMemoEntries)
+            g.memo.erase(g.memo.begin());
+        g.memo.push_back({pass, in, std::move(unhealthy), out});
+    }
+    return out;
+}
+
 void
 Topology::validate() const
 {
-    if (nodes_.empty())
+    if (nodeCount() == 0)
         sim::fatal("Topology: no nodes");
+    const std::vector<Node> &nodes = graph_->nodes;
+    const std::vector<Edge> &edges = graph_->edges;
     for (int e = 0; e < edgeCount(); ++e) {
-        const Edge &edge = edges_[e];
+        const Edge &edge = edges[e];
         if (edge.a < 0 || edge.a >= nodeCount() || edge.b < 0 ||
             edge.b >= nodeCount())
             sim::fatal("Topology: edge %d has dangling endpoint "
@@ -657,62 +684,63 @@ Topology::validate() const
         if (!(edge.link.gbps > 0.0))
             sim::fatal("Topology: edge %d (%s <-> %s) has non-positive "
                        "bandwidth %g GB/s",
-                       e, nodes_[edge.a].name.c_str(),
-                       nodes_[edge.b].name.c_str(), edge.link.gbps);
+                       e, nodes[edge.a].name.c_str(),
+                       nodes[edge.b].name.c_str(), edge.link.gbps);
         if (!(edge.link.efficiency > 0.0))
             sim::fatal("Topology: edge %d (%s <-> %s) has non-positive "
                        "efficiency %g",
-                       e, nodes_[edge.a].name.c_str(),
-                       nodes_[edge.b].name.c_str(),
+                       e, nodes[edge.a].name.c_str(),
+                       nodes[edge.b].name.c_str(),
                        edge.link.efficiency);
-        if (!(edge.bandwidth_scale > 0.0))
+        if (!(link_state_[e].bandwidth_scale > 0.0))
             sim::fatal("Topology: edge %d (%s <-> %s) has non-positive "
                        "bandwidth scale %g",
-                       e, nodes_[edge.a].name.c_str(),
-                       nodes_[edge.b].name.c_str(), edge.bandwidth_scale);
+                       e, nodes[edge.a].name.c_str(),
+                       nodes[edge.b].name.c_str(),
+                       link_state_[e].bandwidth_scale);
     }
     // Hierarchy invariants for pod fabrics. These fire before the
     // generic connectivity check so misconfigurations get an
     // actionable message instead of a bare "unreachable" one.
     for (int e = 0; e < edgeCount(); ++e) {
-        const Edge &edge = edges_[e];
-        NodeKind ka = nodes_[edge.a].kind;
-        NodeKind kb = nodes_[edge.b].kind;
+        const Edge &edge = edges[e];
+        NodeKind ka = nodes[edge.a].kind;
+        NodeKind kb = nodes[edge.b].kind;
         if ((ka == NodeKind::Gpu && kb == NodeKind::SpineSwitch) ||
             (kb == NodeKind::Gpu && ka == NodeKind::SpineSwitch))
             sim::fatal("Topology: GPU '%s' wired directly to spine "
                        "switch '%s'; did you mean to attach it behind "
                        "a NIC and ToR switch?",
-                       nodes_[ka == NodeKind::Gpu ? edge.a : edge.b]
+                       nodes[ka == NodeKind::Gpu ? edge.a : edge.b]
                            .name.c_str(),
-                       nodes_[ka == NodeKind::Gpu ? edge.b : edge.a]
+                       nodes[ka == NodeKind::Gpu ? edge.b : edge.a]
                            .name.c_str());
     }
     int tor_count = 0;
-    for (const Node &n : nodes_) {
+    for (const Node &n : nodes) {
         if (n.kind == NodeKind::TorSwitch)
             ++tor_count;
     }
     for (NodeId n = 0; n < nodeCount(); ++n) {
-        if (nodes_[n].kind == NodeKind::Nic) {
+        if (nodes[n].kind == NodeKind::Nic) {
             bool uplinked = false;
-            for (int e : nodes_[n].edges) {
+            for (int e : nodes[n].edges) {
                 NodeId other =
-                    edges_[e].a == n ? edges_[e].b : edges_[e].a;
-                if (nodes_[other].kind == NodeKind::TorSwitch)
+                    edges[e].a == n ? edges[e].b : edges[e].a;
+                if (nodes[other].kind == NodeKind::TorSwitch)
                     uplinked = true;
             }
             if (!uplinked)
                 sim::fatal("Topology: NIC '%s' has zero uplinks; did "
                            "you mean to connect it to a ToR switch?",
-                           nodes_[n].name.c_str());
+                           nodes[n].name.c_str());
         }
-        if (nodes_[n].kind == NodeKind::TorSwitch && tor_count >= 2) {
+        if (nodes[n].kind == NodeKind::TorSwitch && tor_count >= 2) {
             bool spined = false;
-            for (int e : nodes_[n].edges) {
+            for (int e : nodes[n].edges) {
                 NodeId other =
-                    edges_[e].a == n ? edges_[e].b : edges_[e].a;
-                if (nodes_[other].kind == NodeKind::SpineSwitch)
+                    edges[e].a == n ? edges[e].b : edges[e].a;
+                if (nodes[other].kind == NodeKind::SpineSwitch)
                     spined = true;
             }
             if (!spined)
@@ -720,13 +748,13 @@ Topology::validate() const
                            "disconnected from the pod (%d racks, no "
                            "spine uplink); did you mean to connect it "
                            "to a spine switch?",
-                           nodes_[n].name.c_str(), tor_count);
+                           nodes[n].name.c_str(), tor_count);
         }
     }
 
     // Connectivity over *up* edges: one dead link must not strand a
     // node, or routing (and therefore every transfer) silently fails.
-    std::vector<bool> seen(nodes_.size(), false);
+    std::vector<bool> seen(nodes.size(), false);
     std::deque<NodeId> frontier;
     frontier.push_back(0);
     seen[0] = true;
@@ -734,10 +762,10 @@ Topology::validate() const
     while (!frontier.empty()) {
         NodeId n = frontier.front();
         frontier.pop_front();
-        for (int e : nodes_[n].edges) {
-            if (edges_[e].down)
+        for (int e : nodes[n].edges) {
+            if (link_state_[e].down)
                 continue;
-            NodeId other = edges_[e].a == n ? edges_[e].b : edges_[e].a;
+            NodeId other = edges[e].a == n ? edges[e].b : edges[e].a;
             if (seen[other])
                 continue;
             seen[other] = true;
@@ -750,7 +778,7 @@ Topology::validate() const
             if (!seen[n])
                 sim::fatal("Topology: node '%s' unreachable over up "
                            "links (%d of %d nodes connected)",
-                           nodes_[n].name.c_str(), reached, nodeCount());
+                           nodes[n].name.c_str(), reached, nodeCount());
         }
     }
 }

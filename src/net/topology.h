@@ -16,12 +16,21 @@
  * bandwidth flows into every path/flow computation. Each state
  * mutation bumps an epoch counter so cached per-topology derivations
  * know when to recompute.
+ *
+ * The graph (node kinds, names, incident lists, edge endpoints and
+ * link specs) is immutable once shared: copies of a Topology share
+ * it and own only their link state and route cache, so copying a
+ * pod-scale machine costs its link state, not its structure. The
+ * builders copy a shared graph before changing it.
  */
 
 #ifndef MLPSIM_NET_TOPOLOGY_H
 #define MLPSIM_NET_TOPOLOGY_H
 
+#include <array>
+#include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -76,15 +85,15 @@ struct Path {
 class Topology
 {
   public:
-    Topology() = default;
+    /** 128-bit state of a hash pass over a topology. */
+    using Digest = std::array<std::uint64_t, 2>;
 
-    // The route/kind cache is guarded by a mutex, which deletes the
-    // default copy/move operations; copies carry the graph and start
-    // with a cold cache.
-    Topology(const Topology &other);
-    Topology &operator=(const Topology &other);
-    Topology(Topology &&other) noexcept;
-    Topology &operator=(Topology &&other) noexcept;
+    /**
+     * A hash pass: the state after mixing a topology (graph and link
+     * state) into the incoming state. Must be a pure function of its
+     * arguments.
+     */
+    using DigestPass = Digest (*)(const Digest &in, const Topology &topo);
 
     /** Add a CPU socket node. @return its id. */
     NodeId addCpu(const std::string &name);
@@ -107,8 +116,12 @@ class Topology
     /** Connect two nodes with a link. @return the edge id. */
     int connect(NodeId a, NodeId b, const LinkSpec &link);
 
-    int nodeCount() const { return static_cast<int>(nodes_.size()); }
-    int edgeCount() const { return static_cast<int>(edges_.size()); }
+    int nodeCount() const {
+        return graph_ ? static_cast<int>(graph_->nodes.size()) : 0;
+    }
+    int edgeCount() const {
+        return graph_ ? static_cast<int>(graph_->edges.size()) : 0;
+    }
 
     NodeKind kind(NodeId n) const;
     const std::string &name(NodeId n) const;
@@ -202,6 +215,14 @@ class Topology
     std::uint64_t epoch() const { return epoch_; }
 
     /**
+     * pass(in, *this), memoized on the graph this copy shares. The key
+     * is the pass, 'in' and this copy's link state (the edges that are
+     * down or scaled, with their exact values), so a hit returns the
+     * state the pass would compute. Each graph keeps a few entries.
+     */
+    Digest memoizedDigest(DigestPass pass, const Digest &in) const;
+
+    /**
      * Check structural and dynamic invariants: every edge endpoint
      * names a real node, every link has positive bandwidth/efficiency,
      * the graph is connected over *up* edges, and the hierarchy is
@@ -222,13 +243,42 @@ class Topology
         NodeId a;
         NodeId b;
         LinkSpec link;
+    };
+
+    /** One edge's dynamic state; the default is healthy. */
+    struct LinkState {
         bool down = false;
         double bandwidth_scale = 1.0;
+
+        bool healthy() const { return !down && bandwidth_scale == 1.0; }
+        bool operator==(const LinkState &) const = default;
+    };
+
+    struct DigestMemoEntry {
+        DigestPass pass;
+        Digest in;
+        /** (edge, state) of every unhealthy edge, ascending edge id. */
+        std::vector<std::pair<int, LinkState>> unhealthy;
+        Digest out;
+    };
+
+    /** The structure copies share; never changed while shared. */
+    struct Graph {
+        std::vector<Node> nodes;
+        std::vector<Edge> edges;
+        mutable std::mutex memo_mu;
+        /** memoizedDigest results, most recently added last. */
+        mutable std::vector<DigestMemoEntry> memo;
     };
 
     NodeId addNode(NodeKind kind, const std::string &name);
     void checkNode(NodeId n) const;
     void checkEdge(int edge) const;
+
+    /** The graph to build into: this copy's own (copied first when it
+     *  may be shared), with its memo dropped and this copy's cache
+     *  cold. */
+    Graph &mutableGraph();
 
     /** Minimum-hop BFS from 'from' to 'to' over up edges, NVLink
      *  edges first at every node. */
@@ -245,15 +295,14 @@ class Topology
     std::vector<int> componentLabels(EdgePred usable) const;
 
     /**
-     * Memoized derivations, invalidated whenever the link-state epoch
-     * or the structure version moves. Guarded by cache_mu_ so parallel
-     * report workers can share one topology; route and host-CPU
-     * hit/miss totals feed the net.topology.route_cache.* gauges in
-     * the obs registry.
+     * Memoized derivations of this copy, invalidated whenever the
+     * link-state epoch moves (and dropped by the builders). Guarded by
+     * a mutex so parallel report workers can share one topology; route
+     * and host-CPU hit/miss totals feed the
+     * net.topology.route_cache.* gauges in the obs registry.
      */
     struct Cache {
         std::uint64_t epoch = 0;
-        std::uint64_t structure = 0;
         bool primed = false;
         std::unordered_map<std::uint64_t, std::optional<Path>> routes;
         std::vector<NodeId> by_kind[kNumNodeKinds];
@@ -265,22 +314,54 @@ class Topology
         std::vector<int> p2p_label;
     };
 
-    /** Caller holds cache_mu_; drops stale results on epoch/structure
-     *  moves. */
+    /**
+     * Per-object state a copy does not take over: the cache and its
+     * mutex, and whether graph_ may have another owner. A copy starts
+     * cold and marks both sides as sharing, so the builders copy the
+     * graph before changing it (use_count() cannot prove that another
+     * thread has finished reading it). A move leaves both sides cold,
+     * so a moved-from Topology answers from nothing stale.
+     */
+    struct CacheHolder {
+        CacheHolder() = default;
+        CacheHolder(const CacheHolder &other) {
+            other.graph_shared = graph_shared = true;
+        }
+        CacheHolder(CacheHolder &&other) noexcept
+            : graph_shared(other.graph_shared.load()) {
+            other.clear();
+        }
+        CacheHolder &operator=(const CacheHolder &other) {
+            clear();
+            other.graph_shared = graph_shared = true;
+            return *this;
+        }
+        CacheHolder &operator=(CacheHolder &&other) noexcept {
+            clear();
+            graph_shared = other.graph_shared.load();
+            other.clear();
+            return *this;
+        }
+        void clear();
+
+        mutable std::mutex mu;
+        mutable Cache cache;
+        mutable std::atomic<bool> graph_shared{false};
+    };
+
+    /** Caller holds cache_.mu; drops stale results on epoch moves. */
     Cache &freshCacheLocked() const;
 
-    /** Caller holds cache_mu_; the cache with both fabric labelings
+    /** Caller holds cache_.mu; the cache with both fabric labelings
      *  computed. */
     const Cache &labelledCacheLocked() const;
 
-    std::vector<Node> nodes_;
-    std::vector<Edge> edges_;
+    /** Null only when empty (default-constructed or moved from). */
+    std::shared_ptr<const Graph> graph_;
+    /** Parallel to the graph's edges. */
+    std::vector<LinkState> link_state_;
     std::uint64_t epoch_ = 0;
-    /** Bumped by addNode/connect (graph shape, not link state). */
-    std::uint64_t structure_version_ = 0;
-
-    mutable std::mutex cache_mu_;
-    mutable Cache cache_;
+    CacheHolder cache_;
 };
 
 } // namespace mlps::net

@@ -23,6 +23,7 @@
 #include <functional>
 #include <limits>
 
+#include "fingerprint_reference.h"
 #include "net/allreduce.h"
 #include "net/topology.h"
 #include "net/transfer.h"
@@ -358,6 +359,22 @@ TEST_P(RandomTopologyTest, TopologyMutationStressKeepsValidateGreen)
     topo.resetLinkState();
     ASSERT_NO_THROW(topo.validate());
     EXPECT_FALSE(topo.degraded());
+}
+
+// The memoized machine fingerprint equals the unmemoized reference
+// after every step of a 1k-step link-state walk over three copies that
+// share one random graph.
+TEST_P(RandomTopologyTest, FingerprintTopologyMutationStressMatchesReference)
+{
+    mlps::sim::Rng rng(20000 + GetParam());
+    int gpus = 0;
+    mlps::sys::SystemConfig system;
+    system.name = "random " + std::to_string(GetParam());
+    system.topo = randomTopology(rng, gpus);
+    system.gpu_nodes = system.topo.gpus();
+    mlps::reference::expectMemoMatchesReferenceOnWalk(
+        std::vector<mlps::sys::SystemConfig>(3, system), 30000 + GetParam(),
+        1000);
 }
 
 // ------------------------------------------------ reference algorithms
