@@ -105,28 +105,6 @@ AllReduceResult ringAllReduce(const Topology &topo,
                               const AllReduceParams &params = {});
 
 /**
- * Binary-tree all-reduce (reduce then broadcast): 2*ceil(log2 N)
- * rounds each moving the full payload. Latency-optimal — fewer
- * rounds than the ring's 2*(N-1) steps — but not bandwidth-optimal,
- * so it wins only for small payloads or heavy bucketing, which is
- * exactly when NCCL selects its tree algorithm.
- */
-AllReduceResult treeAllReduce(const Topology &topo,
-                              const std::vector<NodeId> &gpus,
-                              double bytes,
-                              const AllReduceParams &params = {});
-
-/**
- * NCCL-style automatic algorithm choice: evaluates both ring and
- * tree and returns the faster (the result's timing reflects the
- * winner).
- */
-AllReduceResult autoAllReduce(const Topology &topo,
-                              const std::vector<NodeId> &gpus,
-                              double bytes,
-                              const AllReduceParams &params = {});
-
-/**
  * GPU grouping derived from the static link tiers: GPUs connected by
  * intra-node links form one node group; node groups connected without
  * crossing a cross-rack link share a rack. Derived from the *static*

@@ -83,6 +83,8 @@ precisionToken(hw::Precision p)
     }
 }
 
+} // namespace
+
 bool
 precisionFromToken(const std::string &token, hw::Precision *out)
 {
@@ -96,6 +98,8 @@ precisionFromToken(const std::string &token, hw::Precision *out)
         return false;
     return true;
 }
+
+namespace {
 
 /** The deterministic cells of one TrainResult, as a JSON object. */
 std::string

@@ -123,6 +123,10 @@ struct ParsedRequest {
     std::string metrics_format = "json";
 };
 
+/** "fp32", "fp16" or "mixed"; false for anything else. The request
+ *  grammar and the CLI's --precision share this vocabulary. */
+bool precisionFromToken(const std::string &token, hw::Precision *out);
+
 /**
  * Parse and validate one request line the way the CLI validates its
  * flags. @return false with a one-line diagnostic (including

@@ -17,17 +17,6 @@ quote(const std::string &s)
     return "\"" + sim::jsonEscape(s) + "\"";
 }
 
-std::string
-modeToken(RunMode mode)
-{
-    switch (mode) {
-      case RunMode::Training: return "training";
-      case RunMode::KernelLoop: return "kernel-loop";
-      case RunMode::CollectiveLoop: return "collective-loop";
-    }
-    return "training";
-}
-
 /** One already-rendered member of an object. */
 struct KV {
     std::string key;
@@ -191,6 +180,17 @@ render(const WorkloadSpec &s, bool pretty)
 }
 
 } // namespace
+
+std::string
+modeToken(RunMode mode)
+{
+    switch (mode) {
+      case RunMode::Training: return "training";
+      case RunMode::KernelLoop: return "kernel-loop";
+      case RunMode::CollectiveLoop: return "collective-loop";
+    }
+    return "training";
+}
 
 std::string
 exportWorkload(const WorkloadSpec &spec)

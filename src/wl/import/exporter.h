@@ -24,6 +24,10 @@
 
 namespace mlps::wl::import {
 
+/** The document's "mode" token: "training", "kernel-loop" or
+ *  "collective-loop". */
+std::string modeToken(RunMode mode);
+
 /**
  * Pretty document: two-space indent, one op per line, trailing
  * newline. The file form written by `mlpsim workload export`.

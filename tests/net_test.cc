@@ -547,101 +547,6 @@ TEST_P(AllReduceGpuCountTest, PositiveAndBoundedBelowByAnalytic)
 INSTANTIATE_TEST_SUITE_P(Counts, AllReduceGpuCountTest,
                          ::testing::Values(2, 3, 4, 6, 8));
 
-// --------------------------------------------------------- tree allreduce
-
-net::Topology
-nvlinkMesh(int n)
-{
-    net::Topology topo;
-    std::vector<net::NodeId> gpus;
-    for (int i = 0; i < n; ++i)
-        gpus.push_back(topo.addGpu("G" + std::to_string(i)));
-    for (int i = 0; i < n; ++i)
-        for (int j = i + 1; j < n; ++j)
-            topo.connect(gpus[i], gpus[j], net::nvlink(2));
-    return topo;
-}
-
-TEST(TreeAllReduce, TrivialCases)
-{
-    net::Topology topo = nvlinkMesh(4);
-    EXPECT_DOUBLE_EQ(
-        net::treeAllReduce(topo, {topo.gpus()[0]}, 1e8).seconds, 0.0);
-    EXPECT_DOUBLE_EQ(net::treeAllReduce(topo, topo.gpus(), 0.0).seconds,
-                     0.0);
-}
-
-TEST(TreeAllReduce, MonotoneInBytes)
-{
-    net::Topology topo = nvlinkMesh(8);
-    double t1 = net::treeAllReduce(topo, topo.gpus(), 1e8).seconds;
-    double t2 = net::treeAllReduce(topo, topo.gpus(), 2e8).seconds;
-    EXPECT_LT(t1, t2);
-}
-
-TEST(TreeAllReduce, RingWinsForLargePayloads)
-{
-    // Ring is bandwidth-optimal: 2(N-1)/N*B vs tree's 2*log2(N)*B.
-    net::Topology topo = nvlinkMesh(8);
-    double bytes = 500e6;
-    double ring = net::ringAllReduce(topo, topo.gpus(), bytes).seconds;
-    double tree = net::treeAllReduce(topo, topo.gpus(), bytes).seconds;
-    EXPECT_LT(ring, tree);
-}
-
-TEST(TreeAllReduce, TreeWinsForTinyBucketedPayloads)
-{
-    // With many buckets the ring pays 2(N-1) latencies per bucket,
-    // the tree only 2*log2(N).
-    net::Topology topo = nvlinkMesh(8);
-    net::AllReduceParams params;
-    params.buckets = 200;
-    double bytes = 1e5;
-    double ring =
-        net::ringAllReduce(topo, topo.gpus(), bytes, params).seconds;
-    double tree =
-        net::treeAllReduce(topo, topo.gpus(), bytes, params).seconds;
-    EXPECT_LT(tree, ring);
-}
-
-TEST(TreeAllReduce, AutoPicksTheWinner)
-{
-    net::Topology topo = nvlinkMesh(8);
-    for (double bytes : {1e4, 1e6, 1e8, 1e9}) {
-        net::AllReduceParams params;
-        params.buckets = 50;
-        double ring =
-            net::ringAllReduce(topo, topo.gpus(), bytes, params)
-                .seconds;
-        double tree =
-            net::treeAllReduce(topo, topo.gpus(), bytes, params)
-                .seconds;
-        double chosen =
-            net::autoAllReduce(topo, topo.gpus(), bytes, params)
-                .seconds;
-        EXPECT_DOUBLE_EQ(chosen, std::min(ring, tree)) << bytes;
-    }
-}
-
-TEST(TreeAllReduce, AccountsTraffic)
-{
-    net::Topology topo = nvlinkMesh(4);
-    auto r = net::treeAllReduce(topo, topo.gpus(), 1e8);
-    // Reduce phase: 2 + 1 transfers of the payload; doubled for the
-    // broadcast: 6 * bytes over NVLink.
-    EXPECT_NEAR(r.nvlink_bytes, 6e8, 1e3);
-    EXPECT_DOUBLE_EQ(r.pcie_bytes, 0.0);
-}
-
-TEST(TreeAllReduce, NonGpuIsFatal)
-{
-    net::Topology topo = nvlinkMesh(2);
-    net::NodeId cpu = topo.addCpu("CPU0");
-    topo.connect(cpu, topo.gpus()[0], net::pcie3(16));
-    EXPECT_THROW(net::treeAllReduce(topo, {cpu}, 1e6), FatalError);
-    EXPECT_THROW(net::treeAllReduce(topo, {}, 1e6), FatalError);
-}
-
 // --------------------------------------------------- dynamic link state
 
 /**

@@ -2,63 +2,22 @@
  * @file
  * mlpsim command-line interface: the study as a tool.
  *
- *   mlpsim list
- *   mlpsim run <workload> [--system NAME] [--gpus N]
- *                         [--precision fp32|mixed] [--reference]
- *   mlpsim scaling <workload...> [--system NAME] [--jobs N]
- *   mlpsim schedule [--gpus N] [--system NAME] [--jobs N] <workload...>
- *   mlpsim characterize [--system NAME] [--jobs N]
- *   mlpsim trace <workload> [--system NAME] [--gpus N] [--out FILE]
- *   mlpsim explain <workload> [--system NAME] [--gpus N] [--json]
- *                             [--degraded-links SPEC] [--jobs N]
- *                             [--cache-dir DIR] [...]
- *   mlpsim faults <workload> [--mttf-hours H] [--link-mttf-hours H]
- *                            [--seed S] [...]
- *   mlpsim report [--out FILE] [--jobs N] [--cache-dir DIR]
- *   mlpsim cache stats|verify|clear --cache-dir DIR
- *   mlpsim serve [--listen HOST:PORT] [--port-file FILE]
- *                [--cache-dir DIR] [--cache-max-entries N]
- *                [--cache-max-bytes B] [--jobs N]
- *                [--chaos fs,net,clock --chaos-seed S] [...]
- *   mlpsim query <workload...> --connect HOST:PORT | --port-file FILE
- *                [--local] [--system NAME] [--gpus N] [...]
- *   mlpsim soak [--seed S] [--ops N] [--chaos fs,net,clock]
- *               [--cycles K] [--clients C] [--jobs N]
- *               [--cache-dir DIR]
- *   mlpsim workload list
- *   mlpsim workload validate <file...>
- *   mlpsim workload export <name> [--out FILE]
- *   mlpsim workload fuzz [--seed S] [--iterations N]
- *
- * run, scaling, schedule, characterize, explain, report and query
- * accept --workload-file FILE (repeatable): an external
- * mlpsim-graph-v1 JSON document imported, validated and registered
- * next to the built-ins (docs/WORKLOAD_IR.md). A rejected file aborts
- * strict commands with exit code 8; report quarantines it and
- * degrades instead.
- *
- * Every subcommand additionally accepts --telemetry-dir DIR: the
- * invocation then writes a provenance manifest, metric snapshots
- * (JSON + Prometheus), a harness self-trace and a structured log into
- * DIR (see docs/OBSERVABILITY.md).
- *
- * Exit codes: 0 success, 2 usage error, 3 configuration error,
- * 4 report written but degraded (some runs failed, the cache is busy
- * under a live server, or a soak invariant failed), 5 cache
- * corruption detected by `cache verify`, 6 query rejected by an
- * overloaded server, 7 journal writes lost to a full disk,
- * 8 workload file rejected by the importer.
+ * One table drives the whole command line: kFlags names every flag
+ * with its value kind, and kCommands gives each subcommand its
+ * positional arity, its flags and a summary. parseArgs() reads argv
+ * against a row, main() dispatches through it and usage() (printed by
+ * `mlpsim` with no arguments) is generated from it.
  */
 
-#include <cctype>
+#include <algorithm>
 #include <cerrno>
 #include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -120,120 +79,121 @@ struct RejectError : std::runtime_error {
     using std::runtime_error::runtime_error;
 };
 
-/** Tiny flag parser: positionals plus --key value / --switch. */
-struct Args {
-    std::vector<std::string> positional;
-    std::map<std::string, std::string> flags;
-    /** Every occurrence of each flag, in command-line order — for
-     *  flags like --workload-file that may repeat. */
-    std::map<std::string, std::vector<std::string>> all_flags;
+/** A flag's value: none (a switch), free text, or a number that is
+ *  checked strictly when the command line is read. */
+enum class Kind { Switch, Text, Int, Number };
+using enum Kind;
 
-    static Args
-    parse(int argc, char **argv, int first)
+struct Flag {
+    const char *name;
+    Kind kind;
+    const char *meta = ""; ///< the value's placeholder in usage
+    bool repeatable = false;
+};
+
+/** Every flag of every command. A name has one kind everywhere, so
+ *  --seed is the same integer for run, faults, soak and workload. */
+const Flag kFlags[] = {
+    {"system", Text, "NAME"}, {"gpus", Int, "N"},
+    {"precision", Text, "fp32|fp16|mixed"}, {"reference", Switch},
+    {"degraded-links", Text, "SPEC"}, {"jobs", Int, "N"},
+    {"cache-dir", Text, "DIR"}, {"cache-max-entries", Int, "N"},
+    {"cache-max-bytes", Number, "B"}, {"compact-ratio", Number, "R"},
+    {"workload-file", Text, "FILE", true}, {"telemetry-dir", Text, "DIR"},
+    {"mttf-hours", Number, "H"}, {"link-mttf-hours", Number, "H"},
+    {"checkpoint", Number, "MIN"}, {"hours", Number, "H"},
+    {"seed", Int, "S"}, {"iterations", Int, "K"}, {"json", Switch},
+    {"out", Text, "FILE"}, {"trace", Text, "FILE"},
+    {"listen", Text, "HOST:PORT"}, {"port-file", Text, "FILE"},
+    {"rate", Number, "R"}, {"burst", Number, "B"}, {"weight", Int, "W"},
+    {"max-queued", Int, "N"}, {"max-batch", Int, "N"},
+    {"deadline-s", Number, "D"}, {"drain-timeout-s", Number, "D"},
+    {"chaos", Text, "fs,net,clock"}, {"chaos-seed", Int, "S"},
+    {"connect", Text, "HOST:PORT"}, {"wait-s", Number, "S"},
+    {"local", Switch}, {"stats", Switch}, {"ping", Switch},
+    {"ops", Int, "N"}, {"cycles", Int, "K"}, {"clients", Int, "C"}};
+
+/** Flag groups shared by several commands. "global" is implied on
+ *  every command. */
+const std::pair<const char *, const char *> kGroups[] = {
+    {"machine", "system gpus precision reference degraded-links"},
+    {"engine",
+     "jobs cache-dir cache-max-entries cache-max-bytes compact-ratio"},
+    {"imports", "workload-file"},
+    {"global", "telemetry-dir"},
+};
+
+/** Numbers parse strictly: the whole value, in range, or a usage
+ *  error naming the flag ("--gpus 4x" must not run on 4 GPUs). */
+void
+checkNumber(const Flag &flag, const std::string &value)
+{
+    char *end = nullptr;
+    errno = 0;
+    double v = flag.kind == Int ? std::strtol(value.c_str(), &end, 10)
+                                : std::strtod(value.c_str(), &end);
+    if (value.empty() || *end != '\0' || errno == ERANGE ||
+        (flag.kind == Int && (v < INT_MIN || v > INT_MAX)))
+        throw UsageError(std::string("--") + flag.name + " " + value +
+                         ": expected " +
+                         (flag.kind == Int ? "an integer" : "a number"));
+}
+
+/** A command line read against its command's row in kCommands. */
+struct Args {
+    std::string command;
+    std::vector<std::string> positional;
+    /** Every value of every flag given, in command-line order; a
+     *  switch records an empty value. */
+    std::map<std::string, std::vector<std::string>> values;
+
+    bool has(const std::string &key) const { return values.count(key); }
+
+    std::string
+    get(const std::string &key, const std::string &fallback) const
     {
-        Args a;
-        for (int i = first; i < argc; ++i) {
-            std::string tok = argv[i];
-            if (tok.rfind("--", 0) == 0) {
-                std::string key = tok.substr(2);
-                // A leading '-' marks the next flag, except when it
-                // spells a negative number ("--mttf-hours -4" must
-                // reach validation as -4, not be dropped).
-                bool has_value =
-                    i + 1 < argc &&
-                    (argv[i + 1][0] != '-' ||
-                     std::isdigit(static_cast<unsigned char>(
-                         argv[i + 1][1])) ||
-                     argv[i + 1][1] == '.');
-                if (has_value)
-                    a.flags[key] = argv[++i];
-                else
-                    a.flags[key] = "true";
-                a.all_flags[key].push_back(a.flags[key]);
-            } else {
-                a.positional.push_back(tok);
-            }
-        }
-        return a;
+        return has(key) ? values.at(key).front() : fallback;
     }
 
     /** All values of a repeatable flag, command-line order. */
     std::vector<std::string>
     getAll(const std::string &key) const
     {
-        auto it = all_flags.find(key);
-        return it == all_flags.end() ? std::vector<std::string>{}
-                                     : it->second;
+        return has(key) ? values.at(key) : std::vector<std::string>{};
     }
 
-    std::string
-    get(const std::string &key, const std::string &fallback) const
-    {
-        auto it = flags.find(key);
-        return it == flags.end() ? fallback : it->second;
-    }
-
-    /** Numbers parse strictly: the whole value, in range, or a usage
-     *  error naming the flag ("--gpus 4x" must not run on 4 GPUs). */
+    /** Numbers were checked when the command line was read. */
     int
     getInt(const std::string &key, int fallback) const
     {
-        auto it = flags.find(key);
-        if (it == flags.end())
-            return fallback;
-        char *end = nullptr;
-        errno = 0;
-        long v = std::strtol(it->second.c_str(), &end, 10);
-        requireWhole(key, it->second, end,
-                     errno != ERANGE && v >= INT_MIN && v <= INT_MAX,
-                     "an integer");
-        return static_cast<int>(v);
+        return has(key) ? std::atoi(get(key, "").c_str()) : fallback;
     }
 
     double
     getDouble(const std::string &key, double fallback) const
     {
-        auto it = flags.find(key);
-        if (it == flags.end())
-            return fallback;
-        char *end = nullptr;
-        errno = 0;
-        double v = std::strtod(it->second.c_str(), &end);
-        requireWhole(key, it->second, end, errno != ERANGE, "a number");
-        return v;
+        return has(key) ? std::atof(get(key, "").c_str()) : fallback;
     }
 
-    static void
-    requireWhole(const std::string &key, const std::string &value,
-                 const char *end, bool in_range, const char *kind)
+    /** A stray positional is a usage error, never an ignored word. */
+    void
+    takesAtMost(std::size_t n) const
     {
-        if (value.empty() || *end != '\0' || !in_range)
-            throw UsageError("--" + key + " " + value + ": expected " +
-                             kind);
-    }
-
-    bool
-    has(const std::string &key) const
-    {
-        return flags.count(key) > 0;
+        if (positional.size() > n)
+            throw UsageError(command + ": unexpected argument '" +
+                             positional[n] + "'");
     }
 };
 
-/**
- * Resolve --system: an exact machine name, "reference", or the pod
- * grammar `pod(<box>,<racks>x<nodes>[,spines=S])`. One resolver
- * (sys::systemFromSpec) serves both the CLI and the serve catalog,
- * so their vocabularies and did-you-mean hints never drift.
- */
-sys::SystemConfig
-systemByName(const std::string &name)
+/** Write `text` to `path`; false on any error. */
+bool
+writeText(const std::string &path, const std::string &text)
 {
-    sys::SystemConfig out;
-    std::string error;
-    if (!sys::systemFromSpec(name, &out, &error))
-        sim::fatal("%s; 'mlpsim list' shows all systems",
-                   error.c_str());
-    return out;
+    FILE *f = std::fopen(path.c_str(), "wb");
+    if (!f)
+        return false;
+    bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
+    return std::fclose(f) == 0 && ok;
 }
 
 /** Validate a user-supplied GPU count against the machine. */
@@ -261,20 +221,25 @@ gpusFrom(const Args &args, const sys::SystemConfig &machine,
 int
 jobsFrom(const Args &args)
 {
-    if (!args.has("jobs"))
-        return 0;
     int jobs = args.getInt("jobs", 0);
-    if (jobs <= 0)
+    if (args.has("jobs") && jobs <= 0)
         sim::fatal("--jobs %s: worker count must be a positive integer",
                    args.get("jobs", "").c_str());
     return jobs;
 }
 
-/** Apply the --cache-max-entries/--cache-max-bytes/--compact-ratio
- *  bounded-cache flags to engine options. */
-void
-fillCacheBudget(const Args &args, exec::ExecOptions *eopts)
+/**
+ * The engine of a sweep command or the server: worker count from
+ * --jobs, durable journal from --cache-dir (omitted = in-memory only)
+ * and the bounded-cache flags.
+ */
+exec::ExecOptions
+engineOptions(const Args &args,
+              exec::ErrorPolicy policy = exec::ErrorPolicy::Throw)
 {
+    exec::ExecOptions eopts(jobsFrom(args));
+    eopts.cache_dir = args.get("cache-dir", "");
+    eopts.on_error = policy;
     int entries = args.getInt("cache-max-entries", 0);
     if (entries < 0)
         sim::fatal("--cache-max-entries %d: must be >= 0 (0 = "
@@ -287,24 +252,10 @@ fillCacheBudget(const Args &args, exec::ExecOptions *eopts)
     if (ratio < 0.0 || ratio > 1.0)
         sim::fatal("--compact-ratio %g: must be in [0, 1] (0 "
                    "disables compaction)", ratio);
-    eopts->cache_max_entries = static_cast<std::size_t>(entries);
-    eopts->cache_max_bytes = static_cast<std::uint64_t>(bytes);
-    eopts->journal_compact_ratio = ratio;
-}
-
-/**
- * Build the engine of a sweep command: worker count from --jobs,
- * durable journal from --cache-dir (omitted = in-memory only).
- */
-exec::Engine
-makeEngine(const Args &args,
-           exec::ErrorPolicy policy = exec::ErrorPolicy::Throw)
-{
-    exec::ExecOptions eopts(jobsFrom(args));
-    eopts.cache_dir = args.get("cache-dir", "");
-    eopts.on_error = policy;
-    fillCacheBudget(args, &eopts);
-    return exec::Engine(std::move(eopts));
+    eopts.cache_max_entries = static_cast<std::size_t>(entries);
+    eopts.cache_max_bytes = static_cast<std::uint64_t>(bytes);
+    eopts.journal_compact_ratio = ratio;
+    return eopts;
 }
 
 /**
@@ -334,18 +285,14 @@ noteEngine(const exec::Engine &engine)
         exec::fillManifest(engine, &t->manifest());
 }
 
-/** Record a labelled config fingerprint in the manifest. */
+/** Record the machine's config fingerprint in the manifest. */
 void
-noteConfigDigest(const std::string &label, const exec::Fingerprint &fp)
+noteSystem(const sys::SystemConfig &machine)
 {
-    auto *t = obs::TelemetrySession::current();
-    if (!t)
-        return;
-    char hex[36];
-    std::snprintf(hex, sizeof(hex), "%016llx%016llx",
-                  static_cast<unsigned long long>(fp.hi),
-                  static_cast<unsigned long long>(fp.lo));
-    t->manifest().config_digests.push_back(label + "=" + hex);
+    if (auto *t = obs::TelemetrySession::current())
+        t->manifest().config_digests.push_back(
+            "system:" + machine.name + "=" +
+            exec::toHex(exec::fingerprintOf(machine)));
 }
 
 /**
@@ -375,6 +322,22 @@ importedWorkloads(const Args &args)
     return specs;
 }
 
+/**
+ * The workload of `run` and `explain`: the positional, which picks
+ * among built-ins and imports alike, or else the only imported file.
+ */
+std::string
+oneWorkload(const Args &args,
+            const std::vector<wl::WorkloadSpec> &imported)
+{
+    if (!args.positional.empty())
+        return args.positional[0];
+    if (imported.size() == 1)
+        return imported[0].abbrev;
+    throw UsageError(args.command + ": need a workload name (or "
+                     "exactly one --workload-file)");
+}
+
 /** Workload names of a sweep: positionals then imported abbrevs. */
 std::vector<std::string>
 workloadNames(const Args &args,
@@ -383,11 +346,14 @@ workloadNames(const Args &args,
     std::vector<std::string> names = args.positional;
     for (const wl::WorkloadSpec &s : imported)
         names.push_back(s.abbrev);
+    if (names.empty())
+        throw UsageError(args.command +
+                         ": need workload names or --workload-file");
     return names;
 }
 
 int
-cmdList()
+cmdList(const Args &)
 {
     core::Registry reg;
     std::printf("Workloads:\n");
@@ -408,16 +374,36 @@ cmdList()
     return 0;
 }
 
-/** The --system machine (default DSS 8440) with any --degraded-links
- *  applied: the machine `run` and `explain` price. */
+/**
+ * The --system machine with any --degraded-links applied. --system
+ * takes an exact machine name, "reference", or the pod grammar
+ * `pod(<box>,<racks>x<nodes>[,spines=S])`. One resolver
+ * (sys::systemFromSpec) serves both the CLI and the serve catalog,
+ * so their vocabularies and did-you-mean hints never drift.
+ */
 sys::SystemConfig
-machineFrom(const Args &args)
+machineFrom(const Args &args, const char *fallback = "DSS 8440")
 {
-    sys::SystemConfig machine =
-        systemByName(args.get("system", "DSS 8440"));
+    sys::SystemConfig machine;
+    std::string error;
+    if (!sys::systemFromSpec(args.get("system", fallback), &machine,
+                             &error))
+        sim::fatal("%s; 'mlpsim list' shows all systems",
+                   error.c_str());
     if (args.has("degraded-links"))
         sys::applyDegradedLinks(machine, args.get("degraded-links", ""));
     return machine;
+}
+
+/** An MTTF flag's hours, which must be positive. */
+double
+mttfHours(const Args &args, const std::string &key, double fallback)
+{
+    double hours = args.getDouble(key, fallback);
+    if (hours <= 0.0)
+        sim::fatal("--%s %g: MTTF must be positive hours", key.c_str(),
+                   hours);
+    return hours;
 }
 
 train::RunOptions
@@ -426,13 +412,7 @@ optionsFrom(const Args &args, const sys::SystemConfig &machine)
     train::RunOptions opts;
     opts.num_gpus = gpusFrom(args, machine, 1);
     std::string prec = args.get("precision", "mixed");
-    if (prec == "fp32")
-        opts.precision = hw::Precision::FP32;
-    else if (prec == "fp16")
-        opts.precision = hw::Precision::FP16;
-    else if (prec == "mixed")
-        opts.precision = hw::Precision::Mixed;
-    else
+    if (!serve::precisionFromToken(prec, &opts.precision))
         sim::fatal("unknown precision '%s'", prec.c_str());
     opts.reference_code = args.has("reference");
     return opts;
@@ -442,20 +422,9 @@ int
 cmdRun(const Args &args)
 {
     std::vector<wl::WorkloadSpec> imported = importedWorkloads(args);
-    // With exactly one imported file the name is implied; otherwise
-    // the positional picks among built-ins and imports alike.
-    std::string name;
-    if (!args.positional.empty())
-        name = args.positional[0];
-    else if (imported.size() == 1)
-        name = imported[0].abbrev;
-    else
-        throw UsageError(
-            "run: need a workload name (or exactly one "
-            "--workload-file)");
+    std::string name = oneWorkload(args, imported);
     sys::SystemConfig machine = machineFrom(args);
-    noteConfigDigest("system:" + machine.name,
-                     exec::fingerprintOf(machine));
+    noteSystem(machine);
     core::Suite suite(machine);
     for (const wl::WorkloadSpec &s : imported)
         suite.addWorkload(s);
@@ -483,17 +452,14 @@ cmdRun(const Args &args)
                 r.usage.pcie_mbps, r.usage.nvlink_mbps);
     std::printf("  total        %.1f min to quality target\n",
                 r.totalMinutes());
+    const wl::WorkloadSpec &spec = suite.registry().find(name)->spec();
+    int seed = args.getInt("seed", 42);
     if (args.has("mttf-hours")) {
-        double mttf = args.getDouble("mttf-hours", 0.0);
-        if (mttf <= 0.0)
-            sim::fatal("--mttf-hours %g: MTTF must be positive hours",
-                       mttf);
-        const core::Benchmark *b =
-            suite.registry().find(name);
-        auto ckpt = train::checkpointModelFor(machine, b->spec());
+        double mttf = mttfHours(args, "mttf-hours", 0.0);
+        auto ckpt = train::checkpointModelFor(machine, spec);
         fault::FaultModel model(
             fault::FaultModelConfig::datacenterProfile(mttf),
-            static_cast<std::uint64_t>(args.getInt("seed", 42)));
+            static_cast<std::uint64_t>(seed));
         double interval_s = args.getDouble("checkpoint", 0.0) * 60.0;
         if (interval_s < 0.0)
             sim::fatal("--checkpoint %g: interval must be >= 0 "
@@ -501,7 +467,7 @@ cmdRun(const Args &args)
                        interval_s / 60.0);
         auto ft = train::applyFaultTrace(r, ckpt, model, interval_s);
         std::printf("  --- with faults (MTTF %.1f h, seed %d) ---\n",
-                    mttf, args.getInt("seed", 42));
+                    mttf, seed);
         std::printf("  checkpoint   %.1f s every %.1f min (%.0f MB "
                     "snapshot)\n", ft.checkpoint_s,
                     std::isinf(ft.checkpoint_interval_s)
@@ -521,20 +487,13 @@ cmdRun(const Args &args)
                     ft.goodput(), ft.availability());
     }
     if (args.has("link-mttf-hours")) {
-        double mttf = args.getDouble("link-mttf-hours", 0.0);
-        if (mttf <= 0.0)
-            sim::fatal("--link-mttf-hours %g: MTTF must be positive "
-                       "hours", mttf);
-        const core::Benchmark *b =
-            suite.registry().find(name);
+        double mttf = mttfHours(args, "link-mttf-hours", 0.0);
         fault::LinkFaultModel model(
             fault::LinkFaultConfig::datacenterProfile(mttf),
-            static_cast<std::uint64_t>(args.getInt("seed", 42)));
-        train::RunOptions opts = optionsFrom(args, machine);
-        auto lf = train::applyLinkFaultTrace(machine, b->spec(), opts,
-                                             model);
+            static_cast<std::uint64_t>(seed));
+        auto lf = train::applyLinkFaultTrace(machine, spec, opts, model);
         std::printf("  --- with link faults (MTTF %.1f h, seed %d) "
-                    "---\n", mttf, args.getInt("seed", 42));
+                    "---\n", mttf, seed);
         std::printf("  expected     %.1f min (%d fabric windows, %d "
                     "topology epochs)\n", lf.expected_seconds / 60.0,
                     lf.degradations, lf.topology_epochs);
@@ -550,13 +509,9 @@ cmdRun(const Args &args)
 int
 cmdFaults(const Args &args)
 {
-    sys::SystemConfig machine =
-        systemByName(args.get("system", "DSS 8440"));
+    sys::SystemConfig machine = machineFrom(args);
     int gpus = gpusFrom(args, machine, machine.num_gpus);
-    double mttf = args.getDouble("mttf-hours", 24.0);
-    if (mttf <= 0.0)
-        sim::fatal("--mttf-hours %g: MTTF must be positive hours",
-                   mttf);
+    double mttf = mttfHours(args, "mttf-hours", 24.0);
     double hours = args.getDouble("hours", 24.0);
     if (hours <= 0.0)
         sim::fatal("--hours %g: horizon must be positive", hours);
@@ -573,10 +528,7 @@ cmdFaults(const Args &args)
 
     std::vector<fault::LinkFaultEvent> link_trace;
     if (args.has("link-mttf-hours")) {
-        double link_mttf = args.getDouble("link-mttf-hours", 0.0);
-        if (link_mttf <= 0.0)
-            sim::fatal("--link-mttf-hours %g: MTTF must be positive "
-                       "hours", link_mttf);
+        double link_mttf = mttfHours(args, "link-mttf-hours", 0.0);
         fault::LinkFaultModel link_model(
             fault::LinkFaultConfig::datacenterProfile(link_mttf),
             static_cast<std::uint64_t>(seed));
@@ -593,7 +545,7 @@ cmdFaults(const Args &args)
         prof::TraceBuilder tb;
         tb.addFaultTrace(trace);
         tb.addLinkFaultTrace(link_trace, machine.topo);
-        std::string path = args.get("trace", "mlpsim_faults.json");
+        std::string path = args.get("trace", "");
         if (!tb.writeFile(path))
             sim::fatal("faults: cannot write '%s'", path.c_str());
         std::printf("wrote %zu fault spans to %s\n",
@@ -607,21 +559,16 @@ cmdScaling(const Args &args)
 {
     std::vector<wl::WorkloadSpec> imported = importedWorkloads(args);
     std::vector<std::string> names = workloadNames(args, imported);
-    if (names.empty())
-        throw UsageError(
-            "scaling: need workload names or --workload-file");
-    sys::SystemConfig machine =
-        systemByName(args.get("system", "DSS 8440"));
+    sys::SystemConfig machine = machineFrom(args);
     core::Suite suite(machine);
     for (const wl::WorkloadSpec &s : imported)
         suite.addWorkload(s);
     std::vector<int> counts;
     for (int n = 1; n <= machine.num_gpus; n *= 2)
         counts.push_back(n);
-    exec::Engine engine = makeEngine(args);
+    exec::Engine engine(engineOptions(args));
     auto rows = suite.scalingStudy(names, counts, &engine);
-    noteConfigDigest("system:" + machine.name,
-                     exec::fingerprintOf(machine));
+    noteSystem(machine);
     noteEngine(engine);
     std::printf("%-15s %12s %12s %8s", "workload", "P100 ref(min)",
                 "1 GPU(min)", "P-to-V");
@@ -643,19 +590,14 @@ cmdSchedule(const Args &args)
 {
     std::vector<wl::WorkloadSpec> imported = importedWorkloads(args);
     std::vector<std::string> names = workloadNames(args, imported);
-    if (names.empty())
-        throw UsageError(
-            "schedule: need workload names or --workload-file");
-    sys::SystemConfig machine =
-        systemByName(args.get("system", "DSS 8440"));
+    sys::SystemConfig machine = machineFrom(args);
     int gpus = gpusFrom(args, machine, machine.num_gpus);
     core::Suite suite(machine);
     for (const wl::WorkloadSpec &s : imported)
         suite.addWorkload(s);
-    exec::Engine engine = makeEngine(args);
+    exec::Engine engine(engineOptions(args));
     auto jobs = suite.jobSpecs(names, gpus, &engine);
-    noteConfigDigest("system:" + machine.name,
-                     exec::fingerprintOf(machine));
+    noteSystem(machine);
     noteEngine(engine);
     auto naive = sched::naiveSchedule(jobs, gpus);
     auto opt = sched::optimalSchedule(jobs, gpus);
@@ -670,13 +612,11 @@ int
 cmdCharacterize(const Args &args)
 {
     std::vector<wl::WorkloadSpec> imported = importedWorkloads(args);
-    sys::SystemConfig machine =
-        systemByName(args.get("system", "C4140 (K)"));
-    exec::Engine engine = makeEngine(args);
+    sys::SystemConfig machine = machineFrom(args, "C4140 (K)");
+    exec::Engine engine(engineOptions(args));
     auto rep = core::characterize(machine, gpusFrom(args, machine, 1),
                                   &engine, imported);
-    noteConfigDigest("system:" + machine.name,
-                     exec::fingerprintOf(machine));
+    noteSystem(machine);
     noteEngine(engine);
     std::printf("%-15s %-10s %9s %9s %10s %10s\n", "workload", "suite",
                 "PC1", "PC2", "TFLOP/s", "FLOP/B");
@@ -700,11 +640,9 @@ cmdTrace(const Args &args)
 {
     if (args.positional.empty())
         throw UsageError("trace: need a workload name");
-    sys::SystemConfig machine =
-        systemByName(args.get("system", "C4140 (K)"));
-    core::Suite suite(machine);
-    train::RunOptions opts = optionsFrom(args, machine);
-    auto r = suite.run(args.positional[0], opts);
+    sys::SystemConfig machine = machineFrom(args, "C4140 (K)");
+    auto r = core::Suite(machine).run(args.positional[0],
+                                      optionsFrom(args, machine));
     prof::TraceBuilder trace;
     trace.addIterations(r, args.getInt("iterations", 4));
     std::string path = args.get("out", "mlpsim_trace.json");
@@ -728,22 +666,13 @@ int
 cmdExplain(const Args &args)
 {
     std::vector<wl::WorkloadSpec> imported = importedWorkloads(args);
-    std::string name;
-    if (!args.positional.empty())
-        name = args.positional[0];
-    else if (imported.size() == 1)
-        name = imported[0].abbrev;
-    else
-        throw UsageError(
-            "explain: need a workload name (or exactly one "
-            "--workload-file)");
+    std::string name = oneWorkload(args, imported);
     sys::SystemConfig machine = machineFrom(args);
-    noteConfigDigest("system:" + machine.name,
-                     exec::fingerprintOf(machine));
+    noteSystem(machine);
     core::Suite suite(machine);
     for (const wl::WorkloadSpec &s : imported)
         suite.addWorkload(s);
-    exec::Engine engine = makeEngine(args);
+    exec::Engine engine(engineOptions(args));
     exec::RunRequest req =
         suite.request(name, optionsFrom(args, machine));
     exec::RunResult res = engine.runOne(req);
@@ -756,7 +685,7 @@ cmdExplain(const Args &args)
         prof::TraceBuilder tb;
         tb.addIterations(res.train, iters);
         tb.addAttribution(a, iters);
-        std::string path = args.get("trace", "mlpsim_explain.json");
+        std::string path = args.get("trace", "");
         if (!tb.writeFile(path))
             sim::fatal("explain: cannot write '%s'", path.c_str());
         std::fprintf(stderr,
@@ -768,14 +697,8 @@ cmdExplain(const Args &args)
     std::string json = obs::attrib::toJson(a);
     if (args.has("out")) {
         std::string out = args.get("out", "");
-        FILE *f = std::fopen(out.c_str(), "wb");
-        if (!f || std::fwrite(json.data(), 1, json.size(), f) !=
-                      json.size()) {
-            if (f)
-                std::fclose(f);
+        if (!writeText(out, json))
             sim::fatal("explain: cannot write '%s'", out.c_str());
-        }
-        std::fclose(f);
         std::fprintf(stderr, "wrote %s (%zu bytes)\n", out.c_str(),
                      json.size());
     }
@@ -845,7 +768,6 @@ cmdReport(const Args &args)
     std::string quarantine_dir = cache_dir.empty()
                                      ? std::string("mlpsim-quarantine")
                                      : cache_dir + "/quarantine";
-    bool rejected_any = false;
     for (const std::string &file : args.getAll("workload-file")) {
         wl::import::ImportResult res =
             wl::import::importWorkloadFile(file);
@@ -853,7 +775,6 @@ cmdReport(const Args &args)
             ropts.imported.push_back(std::move(res.spec));
             continue;
         }
-        rejected_any = true;
         std::fprintf(stderr, "%s",
                      wl::import::renderDiagnostics(file, res).c_str());
         std::string kept =
@@ -868,7 +789,8 @@ cmdReport(const Args &args)
     std::printf("running the full study (takes a moment)...\n");
     // Capture, not Throw: a failed point degrades its table cell and
     // lands in the report's appendix instead of aborting the study.
-    exec::Engine engine = makeEngine(args, exec::ErrorPolicy::Capture);
+    exec::Engine engine(
+        engineOptions(args, exec::ErrorPolicy::Capture));
     if (!core::writeStudyReport(path, ropts, engine))
         sim::fatal("report: cannot write '%s'", path.c_str());
     noteEngine(engine);
@@ -886,7 +808,7 @@ cmdReport(const Args &args)
                          e.num_gpus, e.reason.c_str(), e.what.c_str());
         return diskFullExit(engine, kDegraded);
     }
-    if (rejected_any) {
+    if (!ropts.rejected_files.empty()) {
         std::fprintf(stderr,
                      "mlpsim: error: report degraded, %zu workload "
                      "file(s) rejected (quarantined in %s)\n",
@@ -900,9 +822,7 @@ cmdReport(const Args &args)
 int
 cmdCache(const Args &args)
 {
-    if (args.positional.empty())
-        throw UsageError(
-            "cache: need a subcommand (stats, verify or clear)");
+    args.takesAtMost(1);
     const std::string &sub = args.positional[0];
     std::string dir = args.get("cache-dir", "");
     if (dir.empty())
@@ -923,13 +843,11 @@ cmdCache(const Args &args)
 
     if (sub == "stats" || sub == "verify") {
         exec::JournalVerifyReport v = exec::Journal::verify(dir);
-        if (!v.exists) {
-            std::printf("no journal at %s\n",
-                        exec::Journal::journalPath(dir).c_str());
+        std::string path = exec::Journal::journalPath(dir);
+        std::printf(v.exists ? "journal %s\n" : "no journal at %s\n",
+                    path.c_str());
+        if (!v.exists)
             return kOk;
-        }
-        std::printf("journal %s\n",
-                    exec::Journal::journalPath(dir).c_str());
         std::printf("  %zu record(s), %llu of %llu bytes valid\n",
                     v.valid_records,
                     static_cast<unsigned long long>(v.valid_bytes),
@@ -965,14 +883,22 @@ cmdCache(const Args &args)
         }
         return kOk;
     }
-    if (sub == "clear") {
-        std::uint64_t bytes = exec::Journal::clear(dir);
-        std::printf("removed %llu byte(s) from %s\n",
-                    static_cast<unsigned long long>(bytes),
-                    dir.c_str());
-        return kOk;
-    }
-    throw UsageError("cache: unknown subcommand '" + sub + "'");
+    std::uint64_t bytes = exec::Journal::clear(dir);
+    std::printf("removed %llu byte(s) from %s\n",
+                static_cast<unsigned long long>(bytes), dir.c_str());
+    return kOk;
+}
+
+/** The --chaos fault dimensions, `fallback` when the flag is absent. */
+chaos::ChaosSpec
+chaosFrom(const Args &args, const char *fallback)
+{
+    chaos::ChaosSpec spec;
+    std::string text = args.get("chaos", fallback);
+    std::string error;
+    if (!chaos::ChaosSpec::parse(text, &spec, &error))
+        sim::fatal("--chaos %s: %s", text.c_str(), error.c_str());
+    return spec;
 }
 
 int
@@ -995,10 +921,7 @@ cmdServe(const Args &args)
     }
     cfg.port_file = args.get("port-file", "");
 
-    exec::ExecOptions eopts(jobsFrom(args));
-    eopts.cache_dir = args.get("cache-dir", "");
-    fillCacheBudget(args, &eopts);
-    cfg.core.exec = std::move(eopts);
+    cfg.core.exec = engineOptions(args);
 
     cfg.core.admission.rate = args.getDouble("rate", 50.0);
     cfg.core.admission.burst = args.getDouble("burst", 100.0);
@@ -1011,13 +934,11 @@ cmdServe(const Args &args)
     if (max_queued < 1 || weight < 1 || max_batch < 1)
         sim::fatal("--max-queued/--weight/--max-batch: need "
                    "positive values");
-    cfg.core.admission.max_queued =
-        static_cast<std::size_t>(max_queued);
+    cfg.core.admission.max_queued = static_cast<std::size_t>(max_queued);
     cfg.core.admission.weight = static_cast<std::size_t>(weight);
     cfg.core.max_batch = static_cast<std::size_t>(max_batch);
     cfg.core.default_deadline_s = args.getDouble("deadline-s", 0.0);
-    cfg.core.drain_timeout_s =
-        args.getDouble("drain-timeout-s", 5.0);
+    cfg.core.drain_timeout_s = args.getDouble("drain-timeout-s", 5.0);
     if (cfg.core.default_deadline_s < 0.0 ||
         cfg.core.drain_timeout_s < 0.0)
         sim::fatal("--deadline-s/--drain-timeout-s: need values "
@@ -1027,14 +948,7 @@ cmdServe(const Args &args)
     // fault dimensions are injected into its own I/O, sockets and
     // clock — a way to watch recovery behaviour interactively with
     // the exact schedule a seed would give the soak harness.
-    chaos::ChaosSpec spec;
-    if (args.has("chaos")) {
-        std::string cerr_msg;
-        if (!chaos::ChaosSpec::parse(args.get("chaos", ""), &spec,
-                                     &cerr_msg))
-            sim::fatal("--chaos %s: %s", args.get("chaos", "").c_str(),
-                       cerr_msg.c_str());
-    }
+    chaos::ChaosSpec spec = chaosFrom(args, "");
     std::uint64_t chaos_seed =
         static_cast<std::uint64_t>(args.getInt("chaos-seed", 42));
     std::unique_ptr<chaos::ScheduledFsHooks> fs_hooks;
@@ -1071,15 +985,9 @@ cmdSoak(const Args &args)
     if (ops < 1)
         sim::fatal("--ops %d: need at least one operation", ops);
     opts.ops = static_cast<std::size_t>(ops);
-    std::string spec = args.get("chaos", "all");
-    std::string cerr_msg;
-    if (!chaos::ChaosSpec::parse(spec, &opts.chaos, &cerr_msg))
-        sim::fatal("--chaos %s: %s", spec.c_str(), cerr_msg.c_str());
+    opts.chaos = chaosFrom(args, "all");
     opts.jobs = jobsFrom(args);
     opts.cache_dir = args.get("cache-dir", "mlpsim-soak-cache");
-    if (opts.cache_dir.empty())
-        throw UsageError("soak: --cache-dir must not be empty (the "
-                         "directory is wiped and reused)");
     int clients = args.getInt("clients", 4);
     int cycles = args.getInt("cycles", 3);
     if (clients < 1 || cycles < 1)
@@ -1096,60 +1004,36 @@ cmdSoak(const Args &args)
     return report.pass ? kOk : kDegraded;
 }
 
-/** The request tail shared by named and inline-graph run requests:
- *  system, gpus, precision, the optional knobs, closing brace. */
-std::string
-queryRequestTail(const Args &args)
-{
-    std::string tail = ",\"system\":\"" +
-                       serve::jsonEscape(
-                           args.get("system", "DSS 8440")) +
-                       "\",\"gpus\":" +
-                       std::to_string(args.getInt("gpus", 1)) +
-                       ",\"precision\":\"" +
-                       serve::jsonEscape(
-                           args.get("precision", "mixed")) +
-                       "\"";
-    if (args.has("reference"))
-        tail += ",\"reference\":true";
-    double deadline = args.getDouble("deadline-s", 0.0);
-    if (deadline > 0.0)
-        tail += ",\"deadline_s\":" + serve::jsonDouble(deadline);
-    tail += "}";
-    return tail;
-}
-
-/** Build the JSON run request the query command sends (or, with
- *  --local, evaluates in-process through the same validation). */
-std::string
-queryRequestLine(const Args &args, const std::string &workload,
-                 const std::string &id)
-{
-    return "{\"type\":\"run\",\"id\":\"" + serve::jsonEscape(id) +
-           "\",\"workload\":\"" + serve::jsonEscape(workload) + "\"" +
-           queryRequestTail(args);
-}
-
 /**
- * As above, but carrying an imported workload inline as a
- * "workload_graph" object — the server never sees the file, only the
- * compact export, and re-validates it through the same importer the
- * CLI used, so a rejection reads identically in both places.
+ * Build the JSON run request the query command sends (or, with
+ * --local, evaluates in-process through the same validation).
+ * `workload` is the request's workload member: a built-in's name, or
+ * an imported workload carried inline as a "workload_graph" object —
+ * the server never sees the file, only the compact export, and
+ * re-validates it through the same importer the CLI used, so a
+ * rejection reads identically in both places.
  */
 std::string
-queryGraphRequestLine(const Args &args, const wl::WorkloadSpec &spec,
-                      const std::string &id)
+queryRequestLine(const Args &args, const std::string &id,
+                 const std::string &label, const std::string &workload)
 {
-    std::string line = "{\"type\":\"run\",\"id\":\"" +
-                       serve::jsonEscape(id) +
-                       "\",\"workload_graph\":" +
-                       wl::import::exportWorkloadLine(spec) +
-                       queryRequestTail(args);
+    std::string line =
+        "{\"type\":\"run\",\"id\":\"" + serve::jsonEscape(id) +
+        "\"," + workload + ",\"system\":\"" +
+        serve::jsonEscape(args.get("system", "DSS 8440")) +
+        "\",\"gpus\":" + std::to_string(args.getInt("gpus", 1)) +
+        ",\"precision\":\"" +
+        serve::jsonEscape(args.get("precision", "mixed")) + "\"";
+    if (args.has("reference"))
+        line += ",\"reference\":true";
+    double deadline = args.getDouble("deadline-s", 0.0);
+    if (deadline > 0.0)
+        line += ",\"deadline_s\":" + serve::jsonDouble(deadline);
+    line += "}";
     if (line.size() > serve::kMaxLineBytes)
         sim::fatal("query: workload '%s' exports to %zu bytes, over "
                    "the %zu-byte protocol line limit",
-                   spec.abbrev.c_str(), line.size(),
-                   serve::kMaxLineBytes);
+                   label.c_str(), line.size(), serve::kMaxLineBytes);
     return line;
 }
 
@@ -1184,7 +1068,8 @@ queryLocal(const Args &args,
            const std::vector<std::string> &request_lines)
 {
     serve::Catalog catalog;
-    exec::Engine engine = makeEngine(args, exec::ErrorPolicy::Capture);
+    exec::Engine engine(
+        engineOptions(args, exec::ErrorPolicy::Capture));
     int worst = kOk;
     std::vector<serve::Response> responses(request_lines.size());
     std::vector<exec::RunRequest> batch;
@@ -1231,14 +1116,12 @@ bool
 dialServer(const Args &args, serve::Connection *conn,
            std::string *error)
 {
-    if (args.has("connect")) {
-        std::string host;
-        int port = 0;
-        if (!serve::parseEndpoint(args.get("connect", ""), &host,
-                                  &port, error))
-            return false;
-        return conn->dial(host, port, error);
-    }
+    std::string host;
+    int port = 0;
+    if (args.has("connect"))
+        return serve::parseEndpoint(args.get("connect", ""), &host,
+                                    &port, error) &&
+               conn->dial(host, port, error);
     std::string pf = args.get("port-file", "");
     if (pf.empty()) {
         *error = "need --connect HOST:PORT or --port-file FILE "
@@ -1278,17 +1161,19 @@ cmdQuery(const Args &args)
         throw UsageError("query: need workload names, "
                          "--workload-file FILE, --stats or --ping");
 
+    // Imported workloads travel inline after the named ones; ids
+    // number both, so output order matches the command line.
     std::vector<std::string> request_lines;
-    for (std::size_t i = 0; i < args.positional.size(); ++i)
+    auto add = [&](const std::string &label, const std::string &wl) {
         request_lines.push_back(queryRequestLine(
-            args, args.positional[i],
-            "q" + std::to_string(i + 1)));
-    // Imported workloads travel inline; ids continue the numbering so
-    // output order matches the command line (names, then files).
-    for (std::size_t i = 0; i < imported.size(); ++i)
-        request_lines.push_back(queryGraphRequestLine(
-            args, imported[i],
-            "q" + std::to_string(args.positional.size() + i + 1)));
+            args, "q" + std::to_string(request_lines.size() + 1),
+            label, wl));
+    };
+    for (const std::string &name : args.positional)
+        add(name, "\"workload\":\"" + serve::jsonEscape(name) + "\"");
+    for (const wl::WorkloadSpec &spec : imported)
+        add(spec.abbrev, "\"workload_graph\":" +
+                             wl::import::exportWorkloadLine(spec));
 
     if (args.has("local")) {
         if (want_stats || args.has("ping"))
@@ -1364,19 +1249,10 @@ cmdQuery(const Args &args)
 int
 cmdWorkload(const Args &args)
 {
-    if (args.positional.empty())
-        throw UsageError("workload: need a subcommand (list, "
-                         "validate, export or fuzz)");
     const std::string &sub = args.positional[0];
 
     if (sub == "list") {
-        auto mode_token = [](wl::RunMode m) {
-            switch (m) {
-            case wl::RunMode::KernelLoop: return "kernel-loop";
-            case wl::RunMode::CollectiveLoop: return "collective-loop";
-            default: return "training";
-            }
-        };
+        args.takesAtMost(1);
         core::Registry reg;
         std::printf("%-10s %-9s %-15s %4s %10s %10s\n", "workload",
                     "suite", "mode", "ops", "params(M)", "GB/step");
@@ -1387,7 +1263,7 @@ cmdWorkload(const Args &args)
             std::printf("%-10s %-9s %-15s %4d %10.1f %10.1f\n",
                         b.abbrev().c_str(),
                         wl::toString(b.suite()).c_str(),
-                        mode_token(b.spec().mode),
+                        wl::import::modeToken(b.spec().mode).c_str(),
                         t.op_count, b.paramCount() / 1e6, step_gb);
         }
         std::printf("\n%zu workloads; 'mlpsim workload export "
@@ -1428,6 +1304,7 @@ cmdWorkload(const Args &args)
     if (sub == "export") {
         if (args.positional.size() < 2)
             throw UsageError("workload export: need a workload name");
+        args.takesAtMost(2);
         const std::string &name = args.positional[1];
         core::Registry reg;
         const core::Benchmark *b = reg.find(name);
@@ -1441,121 +1318,258 @@ cmdWorkload(const Args &args)
             std::fputs(text.c_str(), stdout);
             return kOk;
         }
-        FILE *f = std::fopen(out.c_str(), "wb");
-        if (!f || std::fwrite(text.data(), 1, text.size(), f) !=
-                      text.size()) {
-            if (f)
-                std::fclose(f);
+        if (!writeText(out, text))
             sim::fatal("workload export: cannot write '%s'",
                        out.c_str());
-        }
-        std::fclose(f);
         std::printf("wrote %s (%zu bytes)\n", out.c_str(),
                     text.size());
         return kOk;
     }
 
-    if (sub == "fuzz") {
-        wl::import::FuzzOptions fopts;
-        fopts.seed = static_cast<std::uint64_t>(
-            args.getDouble("seed", 1.0));
-        fopts.iterations = args.getInt("iterations", 1000);
-        if (fopts.seed == 0 || fopts.iterations < 1)
-            throw UsageError("workload fuzz: --seed and --iterations "
-                             "must be positive");
-        core::Registry reg;
-        std::vector<std::string> corpus;
-        for (const auto &b : reg.all())
-            corpus.push_back(wl::import::exportWorkload(b.spec()));
-        wl::import::FuzzReport rep =
-            wl::import::fuzzImporter(corpus, fopts);
-        std::printf("fuzz: seed %llu, %d iteration(s), %d accepted, "
-                    "%d rejected, digest %016llx\n",
-                    static_cast<unsigned long long>(fopts.seed),
-                    rep.iterations, rep.accepted, rep.rejected,
-                    static_cast<unsigned long long>(rep.digest));
-        if (!rep.pass) {
-            std::fprintf(stderr, "mlpsim: error: fuzz failed: %s\n",
-                         rep.failure.c_str());
-            return kDegraded;
-        }
-        return kOk;
+    // fuzz
+    args.takesAtMost(1);
+    wl::import::FuzzOptions fopts;
+    int seed = args.getInt("seed", 1);
+    fopts.iterations = args.getInt("iterations", 1000);
+    if (seed < 1 || fopts.iterations < 1)
+        throw UsageError("workload fuzz: --seed and --iterations "
+                         "must be positive");
+    fopts.seed = static_cast<std::uint64_t>(seed);
+    core::Registry reg;
+    std::vector<std::string> corpus;
+    for (const auto &b : reg.all())
+        corpus.push_back(wl::import::exportWorkload(b.spec()));
+    wl::import::FuzzReport rep = wl::import::fuzzImporter(corpus, fopts);
+    std::printf("fuzz: seed %llu, %d iteration(s), %d accepted, "
+                "%d rejected, digest %016llx\n",
+                static_cast<unsigned long long>(fopts.seed),
+                rep.iterations, rep.accepted, rep.rejected,
+                static_cast<unsigned long long>(rep.digest));
+    if (!rep.pass) {
+        std::fprintf(stderr, "mlpsim: error: fuzz failed: %s\n",
+                     rep.failure.c_str());
+        return kDegraded;
     }
+    return kOk;
+}
 
-    throw UsageError("workload: unknown subcommand '" + sub + "'");
+/**
+ * How many positionals a command takes: none; at most one (the
+ * command says whether it is required); a sub-verb from the row's
+ * '|'-separated operands, then whatever that verb takes; or many.
+ */
+enum class Arity { None, One, Verb, Many };
+
+struct Command {
+    const char *name;
+    Arity arity;
+    const char *operands; ///< the positionals, as usage shows them
+    const char *flags;    ///< groups and flags, space-separated
+    const char *summary;
+    int (*run)(const Args &);
+};
+
+const Command kCommands[] = {
+    {"list", Arity::None, "", "", "workloads and systems", cmdList},
+    {"run", Arity::One, "<workload>",
+     "machine imports mttf-hours checkpoint seed link-mttf-hours",
+     "one training run, optionally under faults", cmdRun},
+    {"scaling", Arity::Many, "<workload...>", "system engine imports",
+     "time to train from 1 GPU to the whole machine", cmdScaling},
+    {"schedule", Arity::Many, "<workload...>",
+     "system gpus engine imports",
+     "naive vs optimal job schedule", cmdSchedule},
+    {"characterize", Arity::None, "", "system gpus engine imports",
+     "PCA and roofline of every workload", cmdCharacterize},
+    {"trace", Arity::One, "<workload>", "machine iterations out",
+     "chrome://tracing timeline of K iterations", cmdTrace},
+    {"explain", Arity::One, "<workload>",
+     "machine engine imports json out trace iterations",
+     "where one run's iteration time goes", cmdExplain},
+    {"report", Arity::None, "", "out engine imports",
+     "the whole study as one markdown report", cmdReport},
+    {"cache", Arity::Verb, "stats|verify|clear", "cache-dir",
+     "inspect, check or clear a run journal", cmdCache},
+    {"faults", Arity::None, "",
+     "system gpus mttf-hours link-mttf-hours hours seed trace",
+     "a seeded GPU and link failure trace", cmdFaults},
+    {"serve", Arity::None, "",
+     "listen port-file engine rate burst max-queued weight max-batch "
+     "deadline-s drain-timeout-s chaos chaos-seed",
+     "one warm cache served to many clients (docs/SERVICE.md)", cmdServe},
+    {"query", Arity::Many, "<workload...>",
+     "connect port-file wait-s local system gpus precision reference "
+     "deadline-s stats ping engine imports",
+     "run requests on a server, or in-process with --local", cmdQuery},
+    {"soak", Arity::None, "",
+     "seed ops chaos cycles clients jobs cache-dir",
+     "seeded chaos soak (docs/CHAOS.md)", cmdSoak},
+    {"workload", Arity::Verb, "list|validate|export|fuzz",
+     "imports out seed iterations",
+     "validate <file...>, export <name> (docs/WORKLOAD_IR.md)",
+     cmdWorkload},
+};
+
+std::vector<std::string>
+split(const std::string &text, char sep = ' ')
+{
+    std::vector<std::string> out;
+    std::istringstream in(text);
+    for (std::string word; std::getline(in, word, sep);)
+        if (!word.empty())
+            out.push_back(word);
+    return out;
+}
+
+/** The members of flag group `word`, or null for a single flag. */
+const char *
+groupMembers(const std::string &word)
+{
+    for (const auto &[group, members] : kGroups)
+        if (word == group)
+            return members;
+    return nullptr;
+}
+
+/** The flags a space-separated list of groups and flag names means. */
+std::vector<const Flag *>
+expand(const std::string &spec)
+{
+    std::vector<const Flag *> out;
+    for (const std::string &word : split(spec)) {
+        const char *members = groupMembers(word);
+        for (const std::string &name : split(members ? members : word)) {
+            auto f = std::find_if(
+                std::begin(kFlags), std::end(kFlags),
+                [&](const Flag &flag) { return name == flag.name; });
+            if (f == std::end(kFlags))
+                throw std::logic_error("no flag --" + name);
+            out.push_back(f);
+        }
+    }
+    return out;
+}
+
+/**
+ * Read argv against a command's row: its flags and the global group,
+ * nothing else. A value flag takes the next word even when it starts
+ * with '-' ("--mttf-hours -4" reaches validation as -4), but not an
+ * empty word or another "--" flag.
+ */
+Args
+parseArgs(const Command &cmd, int argc, char **argv)
+{
+    Args a;
+    a.command = cmd.name;
+    std::vector<const Flag *> accepted =
+        expand(std::string(cmd.flags) + " global");
+    std::vector<std::string> names;
+    for (const Flag *f : accepted)
+        names.push_back(std::string("--") + f->name);
+    for (int i = 2; i < argc; ++i) {
+        std::string tok = argv[i];
+        if (tok.size() < 2 || tok[0] != '-') {
+            a.positional.push_back(tok);
+            continue;
+        }
+        auto at = std::find(names.begin(), names.end(), tok);
+        if (at == names.end())
+            throw UsageError(a.command + ": unknown flag '" + tok +
+                             "'" + core::didYouMean(tok, names));
+        const Flag &flag = *accepted[at - names.begin()];
+        std::vector<std::string> &seen = a.values[flag.name];
+        if (!seen.empty() && !flag.repeatable)
+            throw UsageError(tok + " given more than once");
+        std::string value;
+        if (flag.kind != Switch) {
+            if (i + 1 == argc || !*argv[i + 1] ||
+                std::string(argv[i + 1]).rfind("--", 0) == 0)
+                throw UsageError(tok + " needs a value (" + flag.meta +
+                                 ")");
+            value = argv[++i];
+            if (flag.kind != Text)
+                checkNumber(flag, value);
+        }
+        seen.push_back(value);
+    }
+    if (cmd.arity == Arity::None || cmd.arity == Arity::One)
+        a.takesAtMost(cmd.arity == Arity::One ? 1 : 0);
+    if (cmd.arity != Arity::Verb)
+        return a;
+    if (a.positional.empty())
+        throw UsageError(a.command + ": need a subcommand (" +
+                         cmd.operands + ")");
+    const std::string &verb = a.positional[0];
+    std::vector<std::string> verbs = split(cmd.operands, '|');
+    if (std::find(verbs.begin(), verbs.end(), verb) == verbs.end())
+        throw UsageError(a.command + ": unknown subcommand '" + verb +
+                         "'" + core::didYouMean(verb, verbs));
+    return a;
+}
+
+/** `line` continued by `items`, wrapped before column 72. */
+std::string
+wrapped(std::string line, const std::vector<std::string> &items)
+{
+    std::size_t start = 0;
+    for (const std::string &item : items) {
+        if (line.size() - start + 1 + item.size() > 72) {
+            start = line.size() + 1;
+            line += "\n" + std::string(12, ' ');
+        }
+        line += " " + item;
+    }
+    return line + "\n";
+}
+
+/** The usage words of a flag list: "[machine flags]" for a group,
+ *  "[--name META]" for a flag, with "..." when it repeats. */
+std::vector<std::string>
+synopsis(const std::string &spec)
+{
+    std::vector<std::string> out;
+    for (const std::string &word : split(spec)) {
+        if (groupMembers(word)) {
+            out.push_back("[" + word + " flags]");
+            continue;
+        }
+        const Flag &f = *expand(word)[0];
+        std::string item = std::string("[--") + f.name;
+        if (f.kind != Switch)
+            item += std::string(" ") + f.meta;
+        out.push_back(item + (f.repeatable ? "]..." : "]"));
+    }
+    return out;
 }
 
 void
 usage()
 {
+    std::string text =
+        "mlpsim — MLPerf training characterization simulator\n\n";
+    for (const Command &c : kCommands) {
+        std::vector<std::string> items = synopsis(c.flags);
+        if (*c.operands)
+            items.insert(items.begin(), c.operands);
+        text += wrapped(std::string("  mlpsim ") + c.name, items) +
+                "      " + c.summary + "\n";
+    }
+    text += "\nFlag groups (every command takes the global flags):\n";
+    for (const auto &[group, members] : kGroups)
+        text += wrapped(std::string("  ") + group + " flags:",
+                        synopsis(members));
     std::printf(
-        "mlpsim — MLPerf training characterization simulator\n\n"
-        "  mlpsim list\n"
-        "  mlpsim run <workload> [--system NAME] [--gpus N]\n"
-        "             [--precision fp32|fp16|mixed] [--reference]\n"
-        "             [--mttf-hours H [--checkpoint MIN] [--seed S]]\n"
-        "             [--link-mttf-hours H] [--degraded-links SPEC]\n"
-        "             (SPEC: 'GPU0-GPU1:down,nvlink:0.5,...')\n"
-        "  mlpsim scaling <workload...> [--system NAME] [--jobs N]\n"
-        "             [--cache-dir DIR]\n"
-        "  mlpsim schedule [--gpus N] [--system NAME] [--jobs N]\n"
-        "             [--cache-dir DIR] <workload...>\n"
-        "  mlpsim characterize [--system NAME] [--gpus N] [--jobs N]\n"
-        "             [--cache-dir DIR]\n"
-        "  mlpsim trace <workload> [--system NAME] [--gpus N]\n"
-        "             [--iterations K] [--out FILE]\n"
-        "  mlpsim explain <workload> [--system NAME] [--gpus N]\n"
-        "             [--degraded-links SPEC]\n"
-        "             [--precision P] [--reference] [--jobs N]\n"
-        "             [--cache-dir DIR] [--json] [--out FILE]\n"
-        "             [--trace FILE [--iterations K]]\n"
-        "             (attribute one run's iteration time into\n"
-        "             exposed compute / per-tier comm / bubble /\n"
-        "             overhead; byte-identical across --jobs and\n"
-        "             journal warmth)\n"
-        "  mlpsim report [--out FILE] [--jobs N] [--cache-dir DIR]\n"
-        "  mlpsim cache stats|verify|clear --cache-dir DIR\n"
-        "  mlpsim faults [--system NAME] [--gpus N] [--mttf-hours H]\n"
-        "             [--link-mttf-hours H] [--hours H] [--seed S]\n"
-        "             [--trace FILE]\n"
-        "  mlpsim serve [--listen HOST:PORT] [--port-file FILE]\n"
-        "             [--cache-dir DIR] [--cache-max-entries N]\n"
-        "             [--cache-max-bytes B] [--compact-ratio R]\n"
-        "             [--jobs N] [--rate R] [--burst B]\n"
-        "             [--max-queued N] [--weight W] [--max-batch N]\n"
-        "             [--deadline-s D] [--drain-timeout-s D]\n"
-        "             [--chaos fs,net,clock [--chaos-seed S]]\n"
-        "  mlpsim query <workload...> --connect HOST:PORT\n"
-        "             | --port-file FILE [--wait-s S] | --local\n"
-        "             [--system NAME] [--gpus N] [--precision P]\n"
-        "             [--reference] [--deadline-s D] [--stats]\n"
-        "             [--ping]  (docs/SERVICE.md)\n"
-        "  mlpsim soak [--seed S] [--ops N] [--chaos fs,net,clock]\n"
-        "             [--cycles K] [--clients C] [--jobs N]\n"
-        "             [--cache-dir DIR]  (docs/CHAOS.md)\n"
-        "  mlpsim workload list | validate <file...>\n"
-        "             | export <name> [--out FILE]\n"
-        "             | fuzz [--seed S] [--iterations N]\n"
-        "             (docs/WORKLOAD_IR.md)\n\n"
-        "run, scaling, schedule, characterize, explain, report and\n"
-        "query also\n"
-        "accept --workload-file FILE (repeatable): an external\n"
-        "mlpsim-graph-v1 document validated and registered next to\n"
-        "the built-ins. report quarantines rejected files; the other\n"
-        "commands abort with exit code 8.\n\n"
-        "--system NAME accepts a machine name, 'reference', or the\n"
-        "pod grammar pod(<box>,<racks>x<nodes>[,spines=S]) — e.g.\n"
-        "--system 'pod(C4140 (M),4x4)' ('mlpsim list' for details).\n\n"
-        "Sweep commands accept --cache-max-entries/--cache-max-bytes\n"
-        "to bound the run cache (LRU eviction; evicted entries stay\n"
-        "in the journal until compaction).\n\n"
-        "Every command accepts --telemetry-dir DIR: write a run\n"
-        "manifest, metric snapshots, a harness self-trace and a\n"
-        "structured log into DIR (docs/OBSERVABILITY.md).\n\n"
-        "Exit codes: 0 ok, 2 usage, 3 configuration, 4 degraded\n"
-        "report, busy cache or failed soak, 5 corrupt cache,\n"
-        "6 overloaded server, 7 journal writes lost to a full disk,\n"
-        "8 workload file rejected by the importer.\n");
+        "%s\n--workload-file imports an mlpsim-graph-v1 document next to\n"
+        "the built-ins; report quarantines a rejected file, the other\n"
+        "commands exit 8. --system takes a machine name, 'reference' or\n"
+        "pod(<box>,<racks>x<nodes>[,spines=S]), e.g. 'pod(C4140 (M),4x4)'.\n"
+        "--degraded-links takes 'GPU0-GPU1:down,nvlink:0.5,...'.\n\n"
+        "Flags are strict per command. Exit codes: 0 ok, 2 usage (unknown\n"
+        "command or flag, stray argument, missing or malformed value),\n"
+        "3 configuration, 4 degraded report, busy cache or failed soak,\n"
+        "5 corrupt cache, 6 overloaded server, 7 journal writes lost to\n"
+        "a full disk, 8 workload file rejected by the importer.\n",
+        text.c_str());
 }
 
 } // namespace
@@ -1567,51 +1581,28 @@ main(int argc, char **argv)
         usage();
         return kUsage;
     }
-    std::string cmd = argv[1];
-    Args args = Args::parse(argc, argv, 2);
     // Declared before the try so artifacts still flush (via the
     // destructor's finish()) when a command exits through fatal().
     std::unique_ptr<obs::TelemetrySession> telemetry;
     try {
-        if (args.has("telemetry-dir")) {
-            std::string dir = args.get("telemetry-dir", "");
-            if (dir.empty() || dir == "true")
-                throw UsageError(
-                    "--telemetry-dir needs a directory path");
-            telemetry = std::make_unique<obs::TelemetrySession>(
-                dir, cmd,
-                std::vector<std::string>(argv, argv + argc));
+        std::string name = argv[1];
+        auto cmd = std::find_if(
+            std::begin(kCommands), std::end(kCommands),
+            [&](const Command &c) { return name == c.name; });
+        if (cmd == std::end(kCommands)) {
+            std::vector<std::string> names;
+            for (const Command &c : kCommands)
+                names.push_back(c.name);
+            throw UsageError("unknown command '" + name + "'" +
+                             core::didYouMean(name, names));
         }
-        obs::Span cmd_span("phase", cmd);
-        if (cmd == "list")
-            return cmdList();
-        if (cmd == "run")
-            return cmdRun(args);
-        if (cmd == "scaling")
-            return cmdScaling(args);
-        if (cmd == "schedule")
-            return cmdSchedule(args);
-        if (cmd == "characterize")
-            return cmdCharacterize(args);
-        if (cmd == "trace")
-            return cmdTrace(args);
-        if (cmd == "explain")
-            return cmdExplain(args);
-        if (cmd == "report")
-            return cmdReport(args);
-        if (cmd == "cache")
-            return cmdCache(args);
-        if (cmd == "faults")
-            return cmdFaults(args);
-        if (cmd == "serve")
-            return cmdServe(args);
-        if (cmd == "query")
-            return cmdQuery(args);
-        if (cmd == "soak")
-            return cmdSoak(args);
-        if (cmd == "workload")
-            return cmdWorkload(args);
-        throw UsageError("unknown command '" + cmd + "'");
+        Args args = parseArgs(*cmd, argc, argv);
+        if (args.has("telemetry-dir"))
+            telemetry = std::make_unique<obs::TelemetrySession>(
+                args.get("telemetry-dir", ""), name,
+                std::vector<std::string>(argv, argv + argc));
+        obs::Span cmd_span("phase", name);
+        return cmd->run(args);
     } catch (const UsageError &e) {
         std::fprintf(stderr, "mlpsim: error: %s\n", e.what());
         std::fprintf(stderr,
