@@ -112,7 +112,6 @@ class Engine
     void setRunDeadline(double seconds) {
         opts_.run_deadline_s = seconds;
     }
-    double runDeadline() const { return opts_.run_deadline_s; }
 
     RunCache &cache() { return cache_; }
     Executor &executor() { return executor_; }
@@ -139,9 +138,6 @@ class Engine
         std::function<void(const RunRequest &, int attempt)> hook) {
         eval_hook_ = std::move(hook);
     }
-
-    /** Per-run host wall-time sampler (simulated points only). */
-    const sim::Sampler &runWall() const { return run_wall_; }
 
     /** Counter snapshot. */
     EngineStats stats() const;

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include <fcntl.h>
 #include <signal.h>
@@ -299,48 +300,24 @@ crc32(const void *data, std::size_t n)
 std::string
 encodeJournalPayload(const Fingerprint &key, const RunResult &result)
 {
-    const train::TrainResult &t = result.train;
     std::string b;
     putU64(b, key.hi);
     putU64(b, key.lo);
 
-    putStr(b, t.workload);
-    putStr(b, t.system);
-    putU32(b, static_cast<std::uint32_t>(t.num_gpus));
-    putU32(b, static_cast<std::uint32_t>(t.precision));
-    putU8(b, t.reference_code ? 1 : 0);
-    putF64(b, t.per_gpu_batch);
-    putF64(b, t.global_batch);
-    putF64(b, t.steps_per_epoch);
-    putF64(b, t.epochs);
-
-    putF64(b, t.iter.fwd_s);
-    putF64(b, t.iter.bwd_s);
-    putF64(b, t.iter.optimizer_s);
-    putF64(b, t.iter.comm_s);
-    putF64(b, t.iter.exposed_comm_s);
-    putF64(b, t.iter.h2d_s);
-    putF64(b, t.iter.host_s);
-    putF64(b, t.iter.overhead_s);
-    putF64(b, t.iter.gpu_busy_s);
-    putF64(b, t.iter.iteration_s);
-    putU32(b, static_cast<std::uint32_t>(t.iter.kernel_launches));
-    putU32(b, static_cast<std::uint32_t>(t.iter.micro_batches));
-    putU32(b, static_cast<std::uint32_t>(t.iter.reroutes));
-    for (double bytes : t.iter.comm_tier_bytes)
-        putF64(b, bytes);
-
-    putF64(b, t.usage.cpu_util_pct);
-    putF64(b, t.usage.gpu_util_pct_sum);
-    putF64(b, t.usage.dram_footprint_mb);
-    putF64(b, t.usage.hbm_footprint_mb);
-    putF64(b, t.usage.pcie_mbps);
-    putF64(b, t.usage.nvlink_mbps);
-
-    putU32(b, static_cast<std::uint32_t>(t.fabric));
-    putF64(b, t.total_seconds);
-    putF64(b, t.achieved_flops);
-    putF64(b, t.achieved_bytes_per_sec);
+    train::forEachField(result.train, [&b](const char *, const auto &v) {
+        using T = std::remove_cvref_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>)
+            putStr(b, v);
+        else if constexpr (std::is_same_v<T, bool>)
+            putU8(b, v ? 1 : 0);
+        else if constexpr (std::is_same_v<T, double>)
+            putF64(b, v);
+        else if constexpr (std::is_array_v<T>) {
+            for (double bytes : v)
+                putF64(b, bytes);
+        } else // int and the enums
+            putU32(b, static_cast<std::uint32_t>(v));
+    });
 
     const auto &records = result.profile.records();
     putU32(b, static_cast<std::uint32_t>(records.size()));
@@ -364,46 +341,27 @@ decodeJournalPayload(const std::string &payload, Fingerprint *key,
     key->hi = r.u64();
     key->lo = r.u64();
 
-    train::TrainResult &t = result->train;
-    t.workload = r.str();
-    t.system = r.str();
-    t.num_gpus = static_cast<int>(r.u32());
-    t.precision = static_cast<hw::Precision>(
-        r.u32Max(static_cast<std::uint32_t>(hw::Precision::Mixed)));
-    t.reference_code = r.u8() != 0;
-    t.per_gpu_batch = r.f64();
-    t.global_batch = r.f64();
-    t.steps_per_epoch = r.f64();
-    t.epochs = r.f64();
-
-    t.iter.fwd_s = r.f64();
-    t.iter.bwd_s = r.f64();
-    t.iter.optimizer_s = r.f64();
-    t.iter.comm_s = r.f64();
-    t.iter.exposed_comm_s = r.f64();
-    t.iter.h2d_s = r.f64();
-    t.iter.host_s = r.f64();
-    t.iter.overhead_s = r.f64();
-    t.iter.gpu_busy_s = r.f64();
-    t.iter.iteration_s = r.f64();
-    t.iter.kernel_launches = static_cast<int>(r.u32());
-    t.iter.micro_batches = static_cast<int>(r.u32());
-    t.iter.reroutes = static_cast<int>(r.u32());
-    for (double &bytes : t.iter.comm_tier_bytes)
-        bytes = r.f64();
-
-    t.usage.cpu_util_pct = r.f64();
-    t.usage.gpu_util_pct_sum = r.f64();
-    t.usage.dram_footprint_mb = r.f64();
-    t.usage.hbm_footprint_mb = r.f64();
-    t.usage.pcie_mbps = r.f64();
-    t.usage.nvlink_mbps = r.f64();
-
-    t.fabric = static_cast<net::CollectiveFabric>(r.u32Max(
-        static_cast<std::uint32_t>(net::CollectiveFabric::HostStaged)));
-    t.total_seconds = r.f64();
-    t.achieved_flops = r.f64();
-    t.achieved_bytes_per_sec = r.f64();
+    train::forEachField(result->train, [&r](const char *, auto &v) {
+        using T = std::remove_cvref_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, std::string>)
+            v = r.str();
+        else if constexpr (std::is_same_v<T, bool>)
+            v = r.u8() != 0;
+        else if constexpr (std::is_same_v<T, double>)
+            v = r.f64();
+        else if constexpr (std::is_array_v<T>) {
+            for (double &bytes : v)
+                bytes = r.f64();
+        } else if constexpr (std::is_same_v<T, int>)
+            v = static_cast<int>(r.u32());
+        else if constexpr (std::is_same_v<T, hw::Precision>)
+            v = static_cast<T>(r.u32Max(
+                static_cast<std::uint32_t>(hw::Precision::Mixed)));
+        else
+            v = static_cast<net::CollectiveFabric>(r.u32Max(
+                static_cast<std::uint32_t>(
+                    net::CollectiveFabric::HostStaged)));
+    });
 
     std::uint32_t n = r.u32();
     if (!r.ok())

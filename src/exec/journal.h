@@ -15,7 +15,11 @@
  *             clean close, compaction and recovery rewrite so verify
  *             can detect a tail truncated on a record boundary)
  *   record* : u32 payload length, u32 CRC32(payload), payload
- *   payload : fingerprint (2 x u64) + encoded RunResult
+ *   payload : fingerprint (2 x u64), the TrainResult fields in
+ *             train::forEachField order (string = u32 length + bytes,
+ *             int and enum = u32, bool = u8, double = f64 bit
+ *             pattern, tier bytes = one f64 per tier), then the
+ *             kernel-profile records (u32 count + records)
  *
  * Doubles are encoded by bit pattern, so a journal-served result is
  * bit-identical to the simulation that produced it — the report-level

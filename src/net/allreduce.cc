@@ -524,27 +524,4 @@ autoHierarchicalAllReduce(const Topology &topo,
     return ring2d.seconds <= tree.seconds ? ring2d : tree;
 }
 
-double
-analyticRingSeconds(const Topology &topo, const std::vector<NodeId> &gpus,
-                    double bytes, const AllReduceParams &params)
-{
-    int n = static_cast<int>(gpus.size());
-    if (n <= 1 || bytes <= 0.0)
-        return 0.0;
-
-    // Bottleneck neighbour-hop bandwidth around the ring.
-    double bw = std::numeric_limits<double>::infinity();
-    double lat = 0.0;
-    for (int i = 0; i < n; ++i) {
-        auto path = topo.route(gpus[i], gpus[(i + 1) % n]);
-        if (!path)
-            sim::fatal("analyticRingSeconds: ring hop disconnected");
-        bw = std::min(bw, topo.pathBandwidth(*path));
-        lat = std::max(lat, topo.pathLatency(*path));
-    }
-    int steps = 2 * (n - 1);
-    double chunk = bytes / n;
-    return steps * (chunk / bw + lat + params.step_overhead_us * 1e-6);
-}
-
 } // namespace mlps::net

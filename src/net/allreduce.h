@@ -162,17 +162,6 @@ AllReduceResult autoHierarchicalAllReduce(
     const Topology &topo, const std::vector<NodeId> &gpus, double bytes,
     const AllReduceParams &params = {});
 
-/**
- * Closed-form estimate 2*(N-1)/N * bytes / ring_bw + step latencies,
- * using the bottleneck neighbour-link bandwidth. Used as a sanity
- * cross-check of the flow-level model (they agree on contention-free
- * rings).
- */
-double analyticRingSeconds(const Topology &topo,
-                           const std::vector<NodeId> &gpus,
-                           double bytes,
-                           const AllReduceParams &params = {});
-
 } // namespace mlps::net
 
 #endif // MLPSIM_NET_ALLREDUCE_H

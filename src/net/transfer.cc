@@ -252,17 +252,6 @@ FlowSimulator::run()
     return makespan;
 }
 
-std::vector<LinkTraffic>
-FlowSimulator::linkTraffic() const
-{
-    std::vector<LinkTraffic> out;
-    for (int e : routed_edges_) {
-        if (edge_bytes_[e] > 0.0)
-            out.push_back({e, topo_.link(e).kind, edge_bytes_[e]});
-    }
-    return out;
-}
-
 double
 FlowSimulator::bytesOnKind(LinkKind kind) const
 {
@@ -284,22 +273,6 @@ FlowSimulator::bytesOnTier(FabricTier tier) const
             total += edge_bytes_[e];
     }
     return total;
-}
-
-double
-soloTransferSeconds(const Topology &topo, NodeId from, NodeId to,
-                    double bytes)
-{
-    if (from == to)
-        return 0.0;
-    auto path = topo.route(from, to);
-    if (!path)
-        return std::numeric_limits<double>::infinity();
-    double bw = topo.pathBandwidth(*path);
-    double lat = topo.pathLatency(*path);
-    if (bw <= 0.0)
-        return std::numeric_limits<double>::infinity();
-    return lat + bytes / bw;
 }
 
 } // namespace mlps::net

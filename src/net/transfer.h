@@ -40,13 +40,6 @@ struct FlowReport {
     }
 };
 
-/** Per-link traffic accounting after a simulation completes. */
-struct LinkTraffic {
-    int edge = -1;
-    LinkKind kind = LinkKind::Pcie3;
-    double bytes = 0.0;
-};
-
 /**
  * Max-min fair flow-level simulator.
  *
@@ -75,8 +68,8 @@ class FlowSimulator
     /** Reports for all flows, indexed by FlowId. Valid after run(). */
     const std::vector<FlowReport> &reports() const { return reports_; }
 
-    /** Per-link byte totals. Valid after run(). */
-    std::vector<LinkTraffic> linkTraffic() const;
+    /** Bytes each edge carried, indexed by edge id. Valid after run(). */
+    const std::vector<double> &edgeBytes() const { return edge_bytes_; }
 
     /** Total bytes that traversed links of the given kind. */
     double bytesOnKind(LinkKind kind) const;
@@ -145,14 +138,6 @@ class FlowSimulator
     /** Slots some unfrozen flow crosses, ascending. */
     std::vector<int> live_;
 };
-
-/**
- * Convenience: time to move 'bytes' alone over the route between two
- * nodes (bandwidth-bottleneck plus per-hop latency).
- * @return seconds; +inf when disconnected.
- */
-double soloTransferSeconds(const Topology &topo, NodeId from, NodeId to,
-                           double bytes);
 
 } // namespace mlps::net
 

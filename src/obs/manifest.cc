@@ -1,9 +1,8 @@
 #include "obs/manifest.h"
 
-#include <cstdio>
 #include <sstream>
 
-#include "obs/trace_json.h"
+#include "sim/json.h"
 
 namespace mlps::obs {
 
@@ -12,23 +11,7 @@ namespace {
 std::string
 quoted(const std::string &s)
 {
-    return "\"" + jsonEscape(s) + "\"";
-}
-
-std::string
-formatDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    for (int prec = 1; prec < 17; ++prec) {
-        char probe[64];
-        std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
-        double parsed = 0.0;
-        std::sscanf(probe, "%lf", &parsed);
-        if (parsed == v)
-            return probe;
-    }
-    return buf;
+    return "\"" + sim::jsonEscape(s) + "\"";
 }
 
 void
@@ -80,18 +63,18 @@ manifestToJson(const RunManifest &m)
     os << "    \"cache\": {\"hits\": " << m.cache_hits
        << ", \"unique_runs\": " << m.unique_runs
        << ", \"journal_loaded\": " << m.journal_loaded
-       << ", \"hit_ratio\": " << formatDouble(m.cache_hit_ratio)
+       << ", \"hit_ratio\": " << sim::shortestDouble(m.cache_hit_ratio)
        << "},\n";
-    os << "    \"sim_seconds\": " << formatDouble(m.sim_seconds)
+    os << "    \"sim_seconds\": " << sim::shortestDouble(m.sim_seconds)
        << ",\n";
-    os << "    \"wall_seconds\": " << formatDouble(m.wall_seconds)
+    os << "    \"wall_seconds\": " << sim::shortestDouble(m.wall_seconds)
        << ",\n";
     os << "    \"timestamp_unix\": " << m.timestamp_unix << ",\n";
     os << "    \"phases\": [";
     for (std::size_t i = 0; i < m.phases.size(); ++i)
         os << (i ? "," : "") << "\n      {\"name\": "
            << quoted(m.phases[i].first)
-           << ", \"wall_s\": " << formatDouble(m.phases[i].second)
+           << ", \"wall_s\": " << sim::shortestDouble(m.phases[i].second)
            << "}";
     os << (m.phases.empty() ? "],\n" : "\n    ],\n");
     os << "    \"build\": {\"compiler\": " << quoted(m.compiler)

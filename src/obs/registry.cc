@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdio>
 #include <sstream>
 
+#include "sim/json.h"
 #include "sim/logger.h"
 
 namespace mlps::obs {
@@ -30,24 +30,6 @@ validName(const std::string &name)
             return false;
     }
     return true;
-}
-
-/** Shortest round-trippable rendering of a metric value. */
-std::string
-formatValue(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    double parsed = 0.0;
-    std::sscanf(buf, "%lf", &parsed);
-    for (int prec = 1; prec < 17; ++prec) {
-        char probe[64];
-        std::snprintf(probe, sizeof(probe), "%.*g", prec, v);
-        std::sscanf(probe, "%lf", &parsed);
-        if (parsed == v)
-            return probe;
-    }
-    return buf;
 }
 
 std::string
@@ -191,17 +173,17 @@ MetricRegistry::toPrometheus() const
         std::string p = promName(r.name);
         if (r.kind == "counter") {
             os << "# TYPE " << p << " counter\n"
-               << p << "_total " << formatValue(r.value) << "\n"
+               << p << "_total " << sim::shortestDouble(r.value) << "\n"
                << p << "_events " << r.events << "\n";
         } else if (r.kind == "sampler") {
             os << "# TYPE " << p << " summary\n"
                << p << "_count " << r.events << "\n"
-               << p << "_sum " << formatValue(r.value) << "\n"
-               << p << "_min " << formatValue(r.min) << "\n"
-               << p << "_max " << formatValue(r.max) << "\n";
+               << p << "_sum " << sim::shortestDouble(r.value) << "\n"
+               << p << "_min " << sim::shortestDouble(r.min) << "\n"
+               << p << "_max " << sim::shortestDouble(r.max) << "\n";
         } else {
             os << "# TYPE " << p << " gauge\n"
-               << p << " " << formatValue(r.value) << "\n";
+               << p << " " << sim::shortestDouble(r.value) << "\n";
         }
     }
     return os.str();
@@ -214,12 +196,12 @@ MetricRegistry::toJson() const
     auto emit = [](std::ostringstream &os, const MetricRow &r,
                    bool last) {
         os << "    {\"name\": \"" << r.name << "\", \"kind\": \""
-           << r.kind << "\", \"value\": " << formatValue(r.value)
+           << r.kind << "\", \"value\": " << sim::shortestDouble(r.value)
            << ", \"events\": " << r.events;
         if (r.kind == "sampler")
-            os << ", \"min\": " << formatValue(r.min)
-               << ", \"max\": " << formatValue(r.max)
-               << ", \"mean\": " << formatValue(r.mean);
+            os << ", \"min\": " << sim::shortestDouble(r.min)
+               << ", \"max\": " << sim::shortestDouble(r.max)
+               << ", \"mean\": " << sim::shortestDouble(r.mean);
         os << "}" << (last ? "\n" : ",\n");
     };
     std::ostringstream os;

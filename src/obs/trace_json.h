@@ -7,11 +7,8 @@
  * what the simulated run did) and the *harness* self-trace
  * (obs::SelfTracer — what the simulator process did). Keeping them on
  * a single code path means an escaping fix, or a viewer-compatibility
- * tweak, can never drift between the two.
- *
- * Also hosts a dependency-free JSON well-formedness checker used by
- * tests and `manifest_check` to validate emitted artifacts without an
- * external parser.
+ * tweak, can never drift between the two. Strings are escaped by
+ * sim::jsonEscape, like every other JSON emitter in the tree.
  */
 
 #ifndef MLPSIM_OBS_TRACE_JSON_H
@@ -21,14 +18,6 @@
 #include <string>
 
 namespace mlps::obs {
-
-/**
- * Escape a byte string for embedding in a JSON string literal:
- * quotes and backslashes get a backslash, control bytes below 0x20
- * become \n, \t, \r or \u00XX. Non-ASCII bytes pass through verbatim
- * (the emitters write UTF-8).
- */
-std::string jsonEscape(const std::string &s);
 
 /**
  * Append one Chrome complete ("X") trace event object, no trailing
@@ -60,14 +49,6 @@ void appendThreadNameEvent(std::ostream &os, int pid, int tid,
                            const std::string &name);
 void appendThreadSortIndexEvent(std::ostream &os, int pid, int tid,
                                 int sort_index);
-
-/**
- * Syntax-check a JSON document (objects, arrays, strings, numbers,
- * literals; rejects trailing garbage). @return true when `text`
- * parses; on failure `error` (if given) names the first problem and
- * its byte offset.
- */
-bool jsonValid(const std::string &text, std::string *error = nullptr);
 
 } // namespace mlps::obs
 

@@ -41,7 +41,6 @@ SysMonitor::observe(const train::TrainResult &result, double window_s)
         samples_.push_back(s);
         cpu_.record(s.cpu_util_pct);
         dram_.record(s.dram_used_mb);
-        disk_.record(s.disk_read_mbps);
     }
 }
 
@@ -51,7 +50,6 @@ SysMonitor::reset()
     samples_.clear();
     cpu_.reset();
     dram_.reset();
-    disk_.reset();
 }
 
 } // namespace mlps::prof

@@ -51,8 +51,6 @@ class SysMonitor
     double avgCpuUtil() const { return cpu_.mean(); }
     /** Average DRAM footprint, MB. */
     double avgDramMb() const { return dram_.mean(); }
-    /** Average disk read rate, MB/s. */
-    double avgDiskReadMbps() const { return disk_.mean(); }
 
     /** Clear collected samples. */
     void reset();
@@ -63,7 +61,6 @@ class SysMonitor
     std::vector<SysSample> samples_;
     sim::Sampler cpu_{"cpu", false};
     sim::Sampler dram_{"dram", false};
-    sim::Sampler disk_{"disk", false};
 };
 
 } // namespace mlps::prof

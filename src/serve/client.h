@@ -49,7 +49,6 @@ class Connection
     /** Protocol version from the hello; 0 before dial(). */
     int serverProto() const { return proto_; }
 
-    bool connected() const { return fd_ >= 0; }
     void close();
 
   private:

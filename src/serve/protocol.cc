@@ -1,10 +1,13 @@
 #include "serve/protocol.h"
 
 #include <cctype>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
+#include <type_traits>
 
 #include "hw/precision.h"
 #include "net/link.h"
@@ -16,61 +19,11 @@ namespace mlps::serve {
 
 namespace {
 
-/** Object member as string; fallback when absent or mistyped. */
-std::string
-memberString(const Json &obj, const char *key,
-             const std::string &fallback = {})
-{
-    const Json *m = obj.find(key);
-    return m && m->isString() ? m->str : fallback;
-}
-
-double
-memberNumber(const Json &obj, const char *key, double fallback)
-{
-    const Json *m = obj.find(key);
-    return m && m->isNumber() ? m->number : fallback;
-}
-
-bool
-memberBool(const Json &obj, const char *key, bool fallback)
-{
-    const Json *m = obj.find(key);
-    return m && m->isBool() ? m->boolean : fallback;
-}
-
 /** Result key of one tier's all-reduce bytes: "<tier>_bytes". */
 std::string
 tierBytesKey(int tier)
 {
     return net::toString(static_cast<net::FabricTier>(tier)) + "_bytes";
-}
-
-void
-appendField(std::string &b, const char *key, const std::string &value,
-            bool *first)
-{
-    if (!*first)
-        b += ",";
-    *first = false;
-    b += "\"";
-    b += key;
-    b += "\":\"";
-    b += jsonEscape(value);
-    b += "\"";
-}
-
-void
-appendRaw(std::string &b, const char *key, const std::string &raw,
-          bool *first)
-{
-    if (!*first)
-        b += ",";
-    *first = false;
-    b += "\"";
-    b += key;
-    b += "\":";
-    b += raw;
 }
 
 std::string
@@ -101,113 +54,115 @@ precisionFromToken(const std::string &token, hw::Precision *out)
 
 namespace {
 
+/** `v` as an int when it is integral and in range. */
+bool
+intFrom(double v, int *out)
+{
+    if (!(v >= INT_MIN && v <= INT_MAX) || v != std::trunc(v))
+        return false;
+    *out = static_cast<int>(v);
+    return true;
+}
+
+/**
+ * Read member `key` of `obj` into `out`. An absent member keeps
+ * `out`; a mistyped, non-integral or out-of-range one returns false
+ * and keeps it too.
+ */
+template <class T>
+bool
+readMember(const Json &obj, const std::string &key, T *out)
+{
+    const Json *m = obj.find(key);
+    auto take = [out](bool ok, const auto &v) {
+        if (ok)
+            *out = v;
+        return ok;
+    };
+    if (!m)
+        return true;
+    if constexpr (std::is_same_v<T, std::string>)
+        return take(m->isString(), m->str);
+    else if constexpr (std::is_same_v<T, bool>)
+        return take(m->isBool(), m->boolean);
+    else if constexpr (std::is_same_v<T, double>)
+        return take(m->isNumber(), m->number);
+    else if constexpr (std::is_same_v<T, hw::Precision>)
+        return m->isString() && precisionFromToken(m->str, out);
+    else if constexpr (std::is_same_v<T, int>)
+        return m->isNumber() && intFrom(m->number, out);
+    else { // net::CollectiveFabric
+        int v = 0;
+        return m->isNumber() && intFrom(m->number, &v) && v >= 0 &&
+               v <= static_cast<int>(net::CollectiveFabric::HostStaged) &&
+               take(true, static_cast<T>(v));
+    }
+}
+
+/** Member `key` of `obj`; `fallback` when absent or mistyped. */
+template <class T>
+T
+memberOr(const Json &obj, const std::string &key, T fallback)
+{
+    readMember(obj, key, &fallback);
+    return fallback;
+}
+
 /** The deterministic cells of one TrainResult, as a JSON object. */
 std::string
 encodeTrainResult(const train::TrainResult &t)
 {
     std::string b = "{";
-    bool first = true;
-    appendField(b, "workload", t.workload, &first);
-    appendField(b, "system", t.system, &first);
-    appendRaw(b, "gpus", std::to_string(t.num_gpus), &first);
-    appendField(b, "precision", precisionToken(t.precision), &first);
-    appendRaw(b, "reference", t.reference_code ? "true" : "false",
-              &first);
-    appendRaw(b, "per_gpu_batch", jsonDouble(t.per_gpu_batch), &first);
-    appendRaw(b, "global_batch", jsonDouble(t.global_batch), &first);
-    appendRaw(b, "steps_per_epoch", jsonDouble(t.steps_per_epoch),
-              &first);
-    appendRaw(b, "epochs", jsonDouble(t.epochs), &first);
-    appendRaw(b, "fwd_s", jsonDouble(t.iter.fwd_s), &first);
-    appendRaw(b, "bwd_s", jsonDouble(t.iter.bwd_s), &first);
-    appendRaw(b, "optimizer_s", jsonDouble(t.iter.optimizer_s),
-              &first);
-    appendRaw(b, "comm_s", jsonDouble(t.iter.comm_s), &first);
-    appendRaw(b, "exposed_comm_s", jsonDouble(t.iter.exposed_comm_s),
-              &first);
-    appendRaw(b, "h2d_s", jsonDouble(t.iter.h2d_s), &first);
-    appendRaw(b, "host_s", jsonDouble(t.iter.host_s), &first);
-    appendRaw(b, "overhead_s", jsonDouble(t.iter.overhead_s), &first);
-    appendRaw(b, "gpu_busy_s", jsonDouble(t.iter.gpu_busy_s), &first);
-    appendRaw(b, "iteration_s", jsonDouble(t.iter.iteration_s),
-              &first);
-    appendRaw(b, "kernel_launches",
-              std::to_string(t.iter.kernel_launches), &first);
-    appendRaw(b, "micro_batches",
-              std::to_string(t.iter.micro_batches), &first);
-    appendRaw(b, "reroutes", std::to_string(t.iter.reroutes), &first);
-    for (int k = 0; k < net::kNumFabricTiers; ++k)
-        appendRaw(b, tierBytesKey(k).c_str(),
-                  jsonDouble(t.iter.comm_tier_bytes[k]), &first);
-    appendRaw(b, "cpu_util_pct", jsonDouble(t.usage.cpu_util_pct),
-              &first);
-    appendRaw(b, "gpu_util_pct_sum",
-              jsonDouble(t.usage.gpu_util_pct_sum), &first);
-    appendRaw(b, "dram_footprint_mb",
-              jsonDouble(t.usage.dram_footprint_mb), &first);
-    appendRaw(b, "hbm_footprint_mb",
-              jsonDouble(t.usage.hbm_footprint_mb), &first);
-    appendRaw(b, "pcie_mbps", jsonDouble(t.usage.pcie_mbps), &first);
-    appendRaw(b, "nvlink_mbps", jsonDouble(t.usage.nvlink_mbps),
-              &first);
-    appendRaw(b, "fabric",
-              std::to_string(static_cast<int>(t.fabric)), &first);
-    appendRaw(b, "total_seconds", jsonDouble(t.total_seconds), &first);
-    appendRaw(b, "achieved_flops", jsonDouble(t.achieved_flops),
-              &first);
-    appendRaw(b, "achieved_bytes_per_sec",
-              jsonDouble(t.achieved_bytes_per_sec), &first);
+    auto key = [&b](std::string_view name) {
+        if (b.size() > 1)
+            b += ',';
+        b += '"';
+        b += name;
+        b += "\":";
+    };
+    train::forEachField(t, [&](const char *name, const auto &v) {
+        using T = std::remove_cvref_t<decltype(v)>;
+        if constexpr (std::is_array_v<T>) {
+            for (int k = 0; k < net::kNumFabricTiers; ++k) {
+                key(tierBytesKey(k));
+                b += jsonDouble(v[k]);
+            }
+        } else {
+            key(name);
+            if constexpr (std::is_same_v<T, std::string>)
+                b += '"' + jsonEscape(v) + '"';
+            else if constexpr (std::is_same_v<T, bool>)
+                b += v ? "true" : "false";
+            else if constexpr (std::is_same_v<T, double>)
+                b += jsonDouble(v);
+            else if constexpr (std::is_same_v<T, hw::Precision>)
+                b += '"' + precisionToken(v) + '"';
+            else // int and the fabric enum
+                b += std::to_string(static_cast<int>(v));
+        }
+    });
     b += "}";
     return b;
 }
 
-void
-decodeTrainResult(const Json &r, train::TrainResult *t)
+/**
+ * Decode a result object into `t`. @return false naming the first
+ * bad member in `bad`.
+ */
+bool
+decodeTrainResult(const Json &r, train::TrainResult *t, std::string *bad)
 {
-    t->workload = memberString(r, "workload");
-    t->system = memberString(r, "system");
-    t->num_gpus = static_cast<int>(memberNumber(r, "gpus", 1));
-    precisionFromToken(memberString(r, "precision", "mixed"),
-                       &t->precision);
-    t->reference_code = memberBool(r, "reference", false);
-    t->per_gpu_batch = memberNumber(r, "per_gpu_batch", 0);
-    t->global_batch = memberNumber(r, "global_batch", 0);
-    t->steps_per_epoch = memberNumber(r, "steps_per_epoch", 0);
-    t->epochs = memberNumber(r, "epochs", 0);
-    t->iter.fwd_s = memberNumber(r, "fwd_s", 0);
-    t->iter.bwd_s = memberNumber(r, "bwd_s", 0);
-    t->iter.optimizer_s = memberNumber(r, "optimizer_s", 0);
-    t->iter.comm_s = memberNumber(r, "comm_s", 0);
-    t->iter.exposed_comm_s = memberNumber(r, "exposed_comm_s", 0);
-    t->iter.h2d_s = memberNumber(r, "h2d_s", 0);
-    t->iter.host_s = memberNumber(r, "host_s", 0);
-    t->iter.overhead_s = memberNumber(r, "overhead_s", 0);
-    t->iter.gpu_busy_s = memberNumber(r, "gpu_busy_s", 0);
-    t->iter.iteration_s = memberNumber(r, "iteration_s", 0);
-    t->iter.kernel_launches =
-        static_cast<int>(memberNumber(r, "kernel_launches", 0));
-    t->iter.micro_batches =
-        static_cast<int>(memberNumber(r, "micro_batches", 0));
-    t->iter.reroutes =
-        static_cast<int>(memberNumber(r, "reroutes", 0));
-    for (int k = 0; k < net::kNumFabricTiers; ++k)
-        t->iter.comm_tier_bytes[k] =
-            memberNumber(r, tierBytesKey(k).c_str(), 0);
-    t->usage.cpu_util_pct = memberNumber(r, "cpu_util_pct", 0);
-    t->usage.gpu_util_pct_sum =
-        memberNumber(r, "gpu_util_pct_sum", 0);
-    t->usage.dram_footprint_mb =
-        memberNumber(r, "dram_footprint_mb", 0);
-    t->usage.hbm_footprint_mb =
-        memberNumber(r, "hbm_footprint_mb", 0);
-    t->usage.pcie_mbps = memberNumber(r, "pcie_mbps", 0);
-    t->usage.nvlink_mbps = memberNumber(r, "nvlink_mbps", 0);
-    t->fabric = static_cast<net::CollectiveFabric>(
-        static_cast<int>(memberNumber(r, "fabric", 0)));
-    t->total_seconds = memberNumber(r, "total_seconds", 0);
-    t->achieved_flops = memberNumber(r, "achieved_flops", 0);
-    t->achieved_bytes_per_sec =
-        memberNumber(r, "achieved_bytes_per_sec", 0);
+    train::forEachField(*t, [&](const char *name, auto &v) {
+        using T = std::remove_cvref_t<decltype(v)>;
+        if constexpr (std::is_array_v<T>) {
+            for (int k = 0; k < net::kNumFabricTiers && bad->empty(); ++k)
+                if (!readMember(r, tierBytesKey(k), &v[k]))
+                    *bad = tierBytesKey(k);
+        } else if (bad->empty() && !readMember(r, name, &v)) {
+            *bad = name;
+        }
+    });
+    return bad->empty();
 }
 
 } // namespace
@@ -268,8 +223,8 @@ parseRequest(const std::string &line, const Catalog &catalog,
         *error = "request must be a JSON object";
         return false;
     }
-    out->id = memberString(doc, "id");
-    std::string type = memberString(doc, "type");
+    out->id = memberOr<std::string>(doc, "id", {});
+    std::string type = memberOr<std::string>(doc, "type", {});
     if (type == "stats") {
         out->kind = ParsedRequest::Kind::Stats;
         return true;
@@ -280,7 +235,7 @@ parseRequest(const std::string &line, const Catalog &catalog,
     }
     if (type == "metrics") {
         out->kind = ParsedRequest::Kind::Metrics;
-        std::string format = memberString(doc, "format");
+        std::string format = memberOr<std::string>(doc, "format", {});
         if (format.empty())
             format = "json";
         if (format != "json" && format != "prometheus") {
@@ -298,7 +253,7 @@ parseRequest(const std::string &line, const Catalog &catalog,
     }
 
     out->kind = ParsedRequest::Kind::Run;
-    std::string workload = memberString(doc, "workload");
+    std::string workload = memberOr<std::string>(doc, "workload", {});
     const Json *graph_doc = doc.find("workload_graph");
     wl::WorkloadSpec imported;
     if (graph_doc) {
@@ -337,14 +292,18 @@ parseRequest(const std::string &line, const Catalog &catalog,
             return false;
         }
     }
-    std::string system = memberString(doc, "system", "DSS 8440");
+    std::string system = memberOr<std::string>(doc, "system", "DSS 8440");
     const sys::SystemConfig *machine =
         catalog.findMachine(system, error);
     if (!machine)
         return false;
 
     // The same envelope the CLI enforces via gpusFrom().
-    int gpus = static_cast<int>(memberNumber(doc, "gpus", 1));
+    int gpus = 1;
+    if (!readMember(doc, "gpus", &gpus)) {
+        *error = "\"gpus\" must be an integer";
+        return false;
+    }
     if (gpus <= 0 || (gpus & (gpus - 1)) != 0) {
         *error = "\"gpus\" must be a positive power of two (got " +
                  std::to_string(gpus) + ")";
@@ -357,7 +316,7 @@ parseRequest(const std::string &line, const Catalog &catalog,
         return false;
     }
 
-    std::string precision = memberString(doc, "precision", "mixed");
+    std::string precision = memberOr<std::string>(doc, "precision", "mixed");
     hw::Precision prec;
     if (!precisionFromToken(precision, &prec)) {
         *error = "unknown precision '" + precision +
@@ -370,9 +329,9 @@ parseRequest(const std::string &line, const Catalog &catalog,
     out->run.options.num_gpus = gpus;
     out->run.options.precision = prec;
     out->run.options.reference_code =
-        memberBool(doc, "reference", false);
-    out->run.profiled = memberBool(doc, "profiled", false);
-    out->deadline_s = memberNumber(doc, "deadline_s", 0.0);
+        memberOr(doc, "reference", false);
+    out->run.profiled = memberOr(doc, "profiled", false);
+    out->deadline_s = memberOr(doc, "deadline_s", 0.0);
     if (out->deadline_s < 0.0) {
         *error = "\"deadline_s\" must be >= 0";
         return false;
@@ -470,19 +429,29 @@ decodeResponse(const std::string &line, Response *out,
         *error = "response must be a JSON object";
         return false;
     }
-    out->type = memberString(doc, "type");
-    out->id = memberString(doc, "id");
-    out->status = memberString(doc, "status");
-    out->reason = memberString(doc, "reason");
-    out->what = memberString(doc, "what");
-    out->retry_after_s = memberNumber(doc, "retry_after_s", 0.0);
-    out->proto = static_cast<int>(memberNumber(doc, "proto", 0));
-    out->cache_hit = memberBool(doc, "cache_hit", false);
-    out->from_journal = memberBool(doc, "from_journal", false);
-    out->format = memberString(doc, "format");
-    out->metrics_text = memberString(doc, "text");
-    if (const Json *r = doc.find("result"); r && r->isObject())
-        decodeTrainResult(*r, &out->train);
+    out->type = memberOr<std::string>(doc, "type", {});
+    out->id = memberOr<std::string>(doc, "id", {});
+    out->status = memberOr<std::string>(doc, "status", {});
+    out->reason = memberOr<std::string>(doc, "reason", {});
+    out->what = memberOr<std::string>(doc, "what", {});
+    out->retry_after_s = memberOr(doc, "retry_after_s", 0.0);
+    out->proto = 0;
+    if (!readMember(doc, "proto", &out->proto)) {
+        *error = "bad \"proto\"";
+        return false;
+    }
+    out->cache_hit = memberOr(doc, "cache_hit", false);
+    out->from_journal = memberOr(doc, "from_journal", false);
+    out->format = memberOr<std::string>(doc, "format", {});
+    out->metrics_text = memberOr<std::string>(doc, "text", {});
+    out->train = {};
+    if (const Json *r = doc.find("result"); r && r->isObject()) {
+        std::string bad;
+        if (!decodeTrainResult(*r, &out->train, &bad)) {
+            *error = "bad result member \"" + bad + "\"";
+            return false;
+        }
+    }
     if (const Json *m = doc.find("metrics"); m && m->isObject()) {
         // Keep the raw text: stats consumers print it verbatim.
         std::size_t open = line.find("\"metrics\":");

@@ -81,7 +81,7 @@ using Json = sim::JsonValue;
 /** JSON string escaping (quotes not included). */
 using sim::jsonEscape;
 
-/** Shortest round-trip rendering of a double (%.17g, bit-exact). */
+/** Round-trip rendering of a double (%.17g, bit-exact). */
 using sim::jsonDouble;
 
 // ---- requests -------------------------------------------------------
@@ -183,7 +183,10 @@ struct Response {
     std::string metrics_text;  ///< metrics-prometheus exposition text
 };
 
-/** Decode one response line. @return false + error on junk. */
+/**
+ * Decode one response line. @return false + error on junk, or on a
+ * result member that is mistyped or out of range (docs/SERVICE.md).
+ */
 bool decodeResponse(const std::string &line, Response *out,
                     std::string *error);
 

@@ -39,9 +39,6 @@ class LineBuffer
 
     bool overflowed() const { return overflowed_; }
 
-    /** Bytes of the current partial line. */
-    std::size_t partialBytes() const { return partial_.size(); }
-
   private:
     std::size_t max_line_;
     std::string partial_;

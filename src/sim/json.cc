@@ -10,6 +10,41 @@ namespace mlps::sim {
 
 namespace {
 
+/**
+ * Length of the JSON number at `p`, 0 when it does not start one:
+ * -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+ */
+std::size_t
+grammarLength(const char *p)
+{
+    const char *q = p;
+    auto digits = [&q] {
+        const char *from = q;
+        while (std::isdigit(static_cast<unsigned char>(*q)))
+            ++q;
+        return q != from;
+    };
+    if (*q == '-')
+        ++q;
+    if (*q == '0')
+        ++q;
+    else if (!digits())
+        return 0;
+    if (*q == '.') {
+        ++q;
+        if (!digits())
+            return 0;
+    }
+    if (*q == 'e' || *q == 'E') {
+        ++q;
+        if (*q == '+' || *q == '-')
+            ++q;
+        if (!digits())
+            return 0;
+    }
+    return static_cast<std::size_t>(q - p);
+}
+
 /** Recursive-descent JSON parser over one document. */
 class Parser
 {
@@ -245,24 +280,16 @@ class Parser
     {
         const char *start = s_.c_str() + pos_;
         char *end = nullptr;
-        errno = 0;
         double v = std::strtod(start, &end);
         if (end == start)
             return fail("expected a value");
-        if (limits_.strict_numbers) {
-            // strtod accepts inf/nan spellings, hex floats and a
-            // leading '+'; none of those are JSON, and an overflowing
-            // literal must not smuggle an infinity past validation.
-            char c0 = *start;
-            if ((c0 != '-' && !std::isdigit(
-                                  static_cast<unsigned char>(c0))) ||
-                !std::isfinite(v))
-                return fail("bad number");
-            const char *digits = c0 == '-' ? start + 1 : start;
-            if (digits[0] == '0' &&
-                (digits[1] == 'x' || digits[1] == 'X'))
-                return fail("bad number");
-        }
+        // strtod also reads inf/nan, hex floats, a leading '+' or '.',
+        // leading zeros and "1."; strict mode takes only what the JSON
+        // grammar spans, and no overflow to infinity.
+        if (limits_.strict_numbers &&
+            (grammarLength(start) != static_cast<std::size_t>(end - start) ||
+             !std::isfinite(v)))
+            return fail("bad number");
         out->kind = JsonValue::Kind::Number;
         out->number = v;
         pos_ += static_cast<std::size_t>(end - start);
@@ -306,6 +333,15 @@ JsonValue::find(const std::string &key) const
     return nullptr;
 }
 
+bool
+jsonValid(const std::string &text, std::string *error)
+{
+    JsonLimits limits;
+    limits.strict_numbers = true;
+    JsonValue doc;
+    return JsonValue::parse(text, limits, &doc, error);
+}
+
 std::string
 jsonEscape(const std::string &s)
 {
@@ -319,6 +355,8 @@ jsonEscape(const std::string &s)
             out += "\\n";
         } else if (c == '\t') {
             out += "\\t";
+        } else if (c == '\r') {
+            out += "\\r";
         } else if (c < 0x20) {
             char buf[8];
             std::snprintf(buf, sizeof(buf), "\\u%04x", c);
@@ -336,6 +374,19 @@ jsonDouble(double v)
     if (!std::isfinite(v)) // NaN/inf are not JSON; error paths carry
         return "0";        // their value in `what`, not in cells
     char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+std::string
+shortestDouble(double v)
+{
+    char buf[40];
+    for (int prec = 1; prec < 17; ++prec) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            return buf;
+    }
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
 }

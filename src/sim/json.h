@@ -1,20 +1,19 @@
 /**
  * @file
- * Shared bounded JSON parser.
+ * The tree's one JSON reader, and the escaper and number formatters
+ * every JSON emitter uses.
  *
- * One recursive-descent parser serves every consumer of untrusted
- * JSON in the tree: the serve wire protocol (line-delimited requests)
- * and the workload importer (whole files). Budgets are explicit —
- * nesting depth, document bytes and token count — so hostile input
- * fails with a one-line diagnostic instead of recursing or allocating
- * away. Every parsed node carries the byte offset it started at,
- * which the importer maps to line/column for its diagnostics.
+ * One bounded recursive-descent parser reads the serve wire protocol,
+ * workload files, and (through jsonValid) the artifacts the tree
+ * emits, which tests and `manifest_check` check. Depth, byte and
+ * token budgets make hostile input fail with a one-line diagnostic;
+ * every node carries its byte offset for line/column diagnostics.
  *
- * The default-limit parse() overload is byte-compatible with the
- * parser that historically lived in serve/protocol.cc: same depth
- * ceiling (32), same error strings ("<why> at byte N"), same lenient
- * strtod number grammar. Consumers of untrusted files should pass
- * JsonLimits with strict_numbers and byte/token budgets instead.
+ * The default parse() keeps the wire's historical behaviour: depth
+ * 32, errors "<why> at byte N", and strtod's lenient numbers.
+ * JsonLimits::strict_numbers takes exactly the JSON number grammar
+ * (`-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?`, finite); the
+ * importer and jsonValid() use it.
  */
 
 #ifndef MLPSIM_SIM_JSON_H
@@ -36,9 +35,10 @@ struct JsonLimits {
     /** Ceiling on parsed values (0 = unlimited). */
     std::size_t max_tokens = 0;
     /**
-     * Reject numbers outside the JSON grammar: strtod extensions
-     * (inf, nan, hex floats) and values that overflow to infinity.
-     * Off by default for wire-protocol compatibility.
+     * Accept only the JSON number grammar: no strtod extensions
+     * (inf, nan, hex floats, a leading '+' or '.'), no leading zeros,
+     * no bare '.' or exponent, and no value that overflows to
+     * infinity. Off by default for wire-protocol compatibility.
      */
     bool strict_numbers = false;
 };
@@ -75,14 +75,31 @@ struct JsonValue {
     bool isBool() const { return kind == Kind::Bool; }
     bool isObject() const { return kind == Kind::Object; }
     bool isArray() const { return kind == Kind::Array; }
-    bool isNull() const { return kind == Kind::Null; }
 };
 
-/** JSON string escaping (quotes not included). */
+/**
+ * Syntax-check a complete JSON document under the strict number
+ * grammar. @return true when `text` parses; on failure `error` (if
+ * given) names the first problem and its byte offset.
+ */
+bool jsonValid(const std::string &text, std::string *error = nullptr);
+
+/**
+ * Escape a byte string for embedding in a JSON string literal (quotes
+ * not included): quotes and backslashes get a backslash, control
+ * bytes below 0x20 become \n, \t, \r or \u00XX. Non-ASCII bytes pass
+ * through verbatim (the emitters write UTF-8).
+ */
 std::string jsonEscape(const std::string &s);
 
-/** Shortest round-trip rendering of a double (%.17g, bit-exact). */
+/** Round-trip rendering of a double (%.17g; "0" when not finite). */
 std::string jsonDouble(double v);
+
+/**
+ * Shortest %g rendering that reads back as the same double (at most
+ * %.17g); manifests and metric snapshots use it.
+ */
+std::string shortestDouble(double v);
 
 /**
  * Map a byte offset to 1-based line and column (tabs count one

@@ -91,8 +91,6 @@ struct TrainResult {
 
     /** Total time in minutes (Table IV unit). */
     double totalMinutes() const { return total_seconds / 60.0; }
-    /** Total time in hours. */
-    double totalHours() const { return total_seconds / 3600.0; }
     /** Training arithmetic intensity, FLOPs/byte. */
     double arithmeticIntensity() const {
         return achieved_bytes_per_sec > 0.0
@@ -100,6 +98,55 @@ struct TrainResult {
                    : 0.0;
     }
 };
+
+/**
+ * The one list of a run result's persisted fields: calls f(key, field)
+ * for each, in the order the journal stores them and the serve wire
+ * sends them (both codecs are visitors over this list). R is
+ * TrainResult or const TrainResult. A field is a std::string, int,
+ * bool, double, hw::Precision, net::CollectiveFabric, or the per-tier
+ * all-reduce bytes (a double[net::kNumFabricTiers] under
+ * "comm_tier_bytes", which the wire sends as one "<tier>_bytes" member
+ * per tier). serve::canonicalResultLine keeps its own names and order.
+ */
+template <class R, class F>
+void
+forEachField(R &t, F &&f)
+{
+    f("workload", t.workload);
+    f("system", t.system);
+    f("gpus", t.num_gpus);
+    f("precision", t.precision);
+    f("reference", t.reference_code);
+    f("per_gpu_batch", t.per_gpu_batch);
+    f("global_batch", t.global_batch);
+    f("steps_per_epoch", t.steps_per_epoch);
+    f("epochs", t.epochs);
+    f("fwd_s", t.iter.fwd_s);
+    f("bwd_s", t.iter.bwd_s);
+    f("optimizer_s", t.iter.optimizer_s);
+    f("comm_s", t.iter.comm_s);
+    f("exposed_comm_s", t.iter.exposed_comm_s);
+    f("h2d_s", t.iter.h2d_s);
+    f("host_s", t.iter.host_s);
+    f("overhead_s", t.iter.overhead_s);
+    f("gpu_busy_s", t.iter.gpu_busy_s);
+    f("iteration_s", t.iter.iteration_s);
+    f("kernel_launches", t.iter.kernel_launches);
+    f("micro_batches", t.iter.micro_batches);
+    f("reroutes", t.iter.reroutes);
+    f("comm_tier_bytes", t.iter.comm_tier_bytes);
+    f("cpu_util_pct", t.usage.cpu_util_pct);
+    f("gpu_util_pct_sum", t.usage.gpu_util_pct_sum);
+    f("dram_footprint_mb", t.usage.dram_footprint_mb);
+    f("hbm_footprint_mb", t.usage.hbm_footprint_mb);
+    f("pcie_mbps", t.usage.pcie_mbps);
+    f("nvlink_mbps", t.usage.nvlink_mbps);
+    f("fabric", t.fabric);
+    f("total_seconds", t.total_seconds);
+    f("achieved_flops", t.achieved_flops);
+    f("achieved_bytes_per_sec", t.achieved_bytes_per_sec);
+}
 
 } // namespace mlps::train
 

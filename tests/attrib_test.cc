@@ -29,7 +29,7 @@
 #include "net/allreduce.h"
 #include "obs/attrib/attribution.h"
 #include "obs/registry.h"
-#include "obs/trace_json.h"
+#include "sim/json.h"
 #include "sim/logger.h"
 #include "sys/machines.h"
 #include "train/trainer.h"
@@ -199,7 +199,7 @@ TEST(Attribution, JsonIsValidStableAndCarriesTheSchema)
         std::string one = obs::attrib::toJson(a);
         std::string two = obs::attrib::toJson(a);
         EXPECT_EQ(one, two) << b.abbrev();
-        EXPECT_TRUE(obs::jsonValid(one)) << b.abbrev();
+        EXPECT_TRUE(sim::jsonValid(one)) << b.abbrev();
         EXPECT_NE(one.find("\"schema\":\"mlpsim-attribution-v1\""),
                   std::string::npos);
         EXPECT_NE(one.find("\"critical_path\":"), std::string::npos);

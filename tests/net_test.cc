@@ -14,6 +14,7 @@
 #include "net/link.h"
 #include "net/topology.h"
 #include "net/transfer.h"
+#include "net_reference.h"
 #include "sim/logger.h"
 
 namespace {
@@ -21,6 +22,9 @@ namespace {
 using namespace mlps::net;
 namespace net = mlps::net;
 using mlps::sim::FatalError;
+using mlps::reference::analyticRingSeconds;
+using mlps::reference::linkTraffic;
+using mlps::reference::soloTransferSeconds;
 
 // ----------------------------------------------------------------- link
 
@@ -343,7 +347,7 @@ TEST(FlowSimulator, TracksPerLinkTraffic)
     fsim.run();
     EXPECT_NEAR(fsim.bytesOnKind(LinkKind::Pcie3), 50e6, 1.0);
     EXPECT_NEAR(fsim.bytesOnKind(LinkKind::NvLink), 50e6, 1.0);
-    EXPECT_EQ(fsim.linkTraffic().size(), 2u);
+    EXPECT_EQ(linkTraffic(fsim, topo).size(), 2u);
 }
 
 TEST(FlowSimulator, ErrorsOnMisuse)

@@ -21,6 +21,7 @@
 #include "obs/telemetry.h"
 #include "obs/trace_json.h"
 #include "sim/counters.h"
+#include "sim/json.h"
 #include "sim/logger.h"
 #include "sys/machines.h"
 
@@ -42,12 +43,12 @@ slurp(const std::string &path)
 
 TEST(TraceJson, EscapesSpecials)
 {
-    EXPECT_EQ(obs::jsonEscape("plain"), "plain");
-    EXPECT_EQ(obs::jsonEscape("a\"b"), "a\\\"b");
-    EXPECT_EQ(obs::jsonEscape("a\\b"), "a\\\\b");
-    EXPECT_EQ(obs::jsonEscape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
-    EXPECT_EQ(obs::jsonEscape(std::string("x\x01y")), "x\\u0001y");
-    EXPECT_EQ(obs::jsonEscape("héllo"), "héllo"); // UTF-8 verbatim
+    EXPECT_EQ(sim::jsonEscape("plain"), "plain");
+    EXPECT_EQ(sim::jsonEscape("a\"b"), "a\\\"b");
+    EXPECT_EQ(sim::jsonEscape("a\\b"), "a\\\\b");
+    EXPECT_EQ(sim::jsonEscape("a\nb\tc\rd"), "a\\nb\\tc\\rd");
+    EXPECT_EQ(sim::jsonEscape(std::string("x\x01y")), "x\\u0001y");
+    EXPECT_EQ(sim::jsonEscape("héllo"), "héllo"); // UTF-8 verbatim
 }
 
 TEST(TraceJson, EventFormatIsStable)
@@ -62,22 +63,29 @@ TEST(TraceJson, EventFormatIsStable)
 TEST(TraceJson, ValidatorAcceptsAndRejects)
 {
     std::string error;
-    EXPECT_TRUE(obs::jsonValid("{}", &error)) << error;
-    EXPECT_TRUE(obs::jsonValid("[1, 2.5, -3e4, \"x\", true, null]",
+    EXPECT_TRUE(sim::jsonValid("{}", &error)) << error;
+    EXPECT_TRUE(sim::jsonValid("[1, 2.5, -3e4, \"x\", true, null]",
                                &error))
         << error;
-    EXPECT_TRUE(obs::jsonValid(
+    EXPECT_TRUE(sim::jsonValid(
         "{\"a\": {\"b\": [\"\\\"\\\\\\n\\u0041\"]}}", &error))
         << error;
 
-    EXPECT_FALSE(obs::jsonValid("", &error));
-    EXPECT_FALSE(obs::jsonValid("{", &error));
-    EXPECT_FALSE(obs::jsonValid("{} trailing", &error));
-    EXPECT_FALSE(obs::jsonValid("{\"a\": }", &error));
-    EXPECT_FALSE(obs::jsonValid("\"unterminated", &error));
-    EXPECT_FALSE(obs::jsonValid("[1,]", &error));
-    EXPECT_FALSE(obs::jsonValid("01", &error));
-    EXPECT_FALSE(obs::jsonValid("\"bad \\x escape\"", &error));
+    EXPECT_FALSE(sim::jsonValid("", &error));
+    EXPECT_FALSE(sim::jsonValid("{", &error));
+    EXPECT_FALSE(sim::jsonValid("{} trailing", &error));
+    EXPECT_FALSE(sim::jsonValid("{\"a\": }", &error));
+    EXPECT_FALSE(sim::jsonValid("\"unterminated", &error));
+    EXPECT_FALSE(sim::jsonValid("[1,]", &error));
+    EXPECT_FALSE(sim::jsonValid("01", &error));
+    EXPECT_FALSE(sim::jsonValid("\"bad \\x escape\"", &error));
+
+    // Numbers follow the JSON grammar, not strtod's.
+    EXPECT_TRUE(sim::jsonValid("[0, -0, 0.5, -1.25e+3, 1E2, 1e-7]", &error))
+        << error;
+    for (const char *bad : {"1.", "1e", "1e+", ".5", "+1", "-", "-01",
+                            "0x10", "1.e3", "NaN", "inf", "1e999"})
+        EXPECT_FALSE(sim::jsonValid(bad, &error)) << bad;
 }
 
 // ---------------------------------------------------------- registry
@@ -125,7 +133,7 @@ TEST(Registry, CounterGaugeSamplerExport)
 
     std::string json = reg.toJson();
     std::string error;
-    EXPECT_TRUE(obs::jsonValid(json, &error)) << error;
+    EXPECT_TRUE(sim::jsonValid(json, &error)) << error;
     EXPECT_NE(json.find("\"mlpsim-metrics-v1\""), std::string::npos);
 }
 
@@ -263,7 +271,7 @@ TEST(SelfTrace, EnabledSpansNestAndSerialize)
 
     std::string json = t.toJson();
     std::string error;
-    EXPECT_TRUE(obs::jsonValid(json, &error)) << error;
+    EXPECT_TRUE(sim::jsonValid(json, &error)) << error;
     EXPECT_NE(json.find("\"cat\": \"harness\""), std::string::npos);
     EXPECT_NE(json.find("inner \\\"quoted\\\""), std::string::npos);
     t.clear();
@@ -313,7 +321,7 @@ TEST(StructuredLog, MirrorsLinesAsJson)
     std::string error;
     while (std::getline(in, line)) {
         ++lines;
-        EXPECT_TRUE(obs::jsonValid(line, &error))
+        EXPECT_TRUE(sim::jsonValid(line, &error))
             << line << ": " << error;
     }
     EXPECT_EQ(lines, 2);
@@ -364,7 +372,7 @@ TEST(Manifest, SerializesDeterministicFirst)
 
     std::string json = obs::manifestToJson(m);
     std::string error;
-    EXPECT_TRUE(obs::jsonValid(json, &error)) << error;
+    EXPECT_TRUE(sim::jsonValid(json, &error)) << error;
     EXPECT_LT(json.find("\"deterministic\""), json.find("\"volatile\""));
     EXPECT_NE(json.find("\"request_digest\": "
                         "\"deadbeefdeadbeefdeadbeefdeadbeef\""),
@@ -405,7 +413,7 @@ TEST(Telemetry, SessionWritesAllArtifacts)
                           "self_trace.json"}) {
         std::string text = slurp(dir + "/" + f);
         ASSERT_FALSE(text.empty()) << f;
-        EXPECT_TRUE(obs::jsonValid(text, &error)) << f << ": " << error;
+        EXPECT_TRUE(sim::jsonValid(text, &error)) << f << ": " << error;
     }
     std::string manifest = slurp(dir + "/run_manifest.json");
     EXPECT_NE(manifest.find("\"command\": \"unit\""), std::string::npos);

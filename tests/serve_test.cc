@@ -295,6 +295,56 @@ TEST(ServeProtocol, ErrorAndRejectResponsesCarryDiagnostics)
     EXPECT_DOUBLE_EQ(resp.retry_after_s, 0.75);
 }
 
+// Integers and enums arrive as JSON numbers; one that is not an
+// integer in range (1e300 would overflow the cast to int) or names no
+// enum value fails the decode instead of being cast.
+TEST(ServeProtocol, DecoderRejectsNonIntegralAndOutOfRangeMembers)
+{
+    const std::string head =
+        "{\"type\":\"result\",\"id\":\"x\",\"status\":\"ok\",\"result\":{";
+    serve::Response resp;
+    std::string err;
+    for (const char *member :
+         {"\"gpus\":1e300", "\"gpus\":2.5", "\"gpus\":\"8\"",
+          "\"kernel_launches\":-1e10", "\"micro_batches\":1e19",
+          "\"reroutes\":NaN", "\"fabric\":3", "\"fabric\":-1",
+          "\"fabric\":1.5", "\"precision\":\"fp64\"",
+          "\"intra-node_bytes\":true"}) {
+        err.clear();
+        EXPECT_FALSE(serve::decodeResponse(head + member + "}}", &resp,
+                                           &err))
+            << member;
+        EXPECT_NE(err.find("bad result member"), std::string::npos)
+            << member << ": " << err;
+    }
+    EXPECT_FALSE(serve::decodeResponse(
+        "{\"type\":\"hello\",\"proto\":1e300}", &resp, &err));
+
+    // In range: decoded; absent members keep their TrainResult{} value.
+    ASSERT_TRUE(serve::decodeResponse(
+        head + "\"gpus\":8,\"fabric\":2,\"precision\":\"fp16\"}}", &resp,
+        &err))
+        << err;
+    EXPECT_EQ(resp.train.num_gpus, 8);
+    EXPECT_EQ(resp.train.fabric, net::CollectiveFabric::HostStaged);
+    EXPECT_EQ(resp.train.precision, hw::Precision::FP16);
+    EXPECT_EQ(resp.train.iter.micro_batches, 1);
+
+    // Run requests read "gpus" the same way.
+    serve::ParsedRequest req;
+    for (const char *gpus : {"1e300", "2.5", "\"8\""}) {
+        EXPECT_FALSE(serve::parseRequest(
+            std::string("{\"type\":\"run\",\"workload\":\"MLPf_NCF_Py\","
+                        "\"gpus\":") +
+                gpus + "}",
+            catalog(), &req, &err))
+            << gpus;
+        EXPECT_NE(err.find("\"gpus\" must be an integer"),
+                  std::string::npos)
+            << gpus << ": " << err;
+    }
+}
+
 // ---- line framing ---------------------------------------------------
 
 TEST(ServeSession, SplitsLinesAcrossFeeds)

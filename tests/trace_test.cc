@@ -11,8 +11,8 @@
 
 #include "models/zoo.h"
 #include "obs/attrib/attribution.h"
-#include "obs/trace_json.h"
 #include "prof/trace.h"
+#include "sim/json.h"
 #include "sim/logger.h"
 #include "sys/machines.h"
 #include "train/trainer.h"
@@ -48,7 +48,7 @@ TEST(Trace, MetadataPrologueNamesAndSortsTracks)
     t.add("Host", "preprocess", 5.0, 1.0);
     std::string json = t.toJson();
     std::string error;
-    ASSERT_TRUE(obs::jsonValid(json, &error)) << error;
+    ASSERT_TRUE(sim::jsonValid(json, &error)) << error;
 
     // One process_name, one thread_name + sort_index per track.
     EXPECT_NE(json.find("\"process_name\""), std::string::npos);
@@ -96,7 +96,7 @@ TEST(Trace, HostileNamesRoundTripThroughSharedEmitter)
         t.add("track " + s, "name " + s, 0.0, 1.0);
     std::string json = t.toJson();
     std::string error;
-    EXPECT_TRUE(obs::jsonValid(json, &error)) << error;
+    EXPECT_TRUE(sim::jsonValid(json, &error)) << error;
     // Escapes present, raw specials absent from the payload.
     EXPECT_NE(json.find("\\\""), std::string::npos);
     EXPECT_NE(json.find("\\\\"), std::string::npos);
@@ -117,7 +117,7 @@ TEST(Trace, EmitterJsonParses)
     t.add("GPU0", "fwd", 0.5, 10.25);
     t.add("Host", "load", 1.0, 2.0);
     std::string error;
-    EXPECT_TRUE(obs::jsonValid(t.toJson(), &error)) << error;
+    EXPECT_TRUE(sim::jsonValid(t.toJson(), &error)) << error;
 }
 
 TEST(Trace, NegativeSpanIsFatal)
@@ -218,7 +218,7 @@ TEST(Trace, PodScaleTraceStaysBounded)
     EXPECT_GT(reroutes, 0);
 
     std::string error;
-    EXPECT_TRUE(obs::jsonValid(t.toJson(), &error)) << error;
+    EXPECT_TRUE(sim::jsonValid(t.toJson(), &error)) << error;
 }
 
 // Attribution lanes: every span of the graph renders, and critical
@@ -247,7 +247,7 @@ TEST(Trace, AttributionLanesHighlightCriticalPath)
     EXPECT_THROW(t.addAttribution(a, 0), FatalError);
 
     std::string error;
-    EXPECT_TRUE(obs::jsonValid(t.toJson(), &error)) << error;
+    EXPECT_TRUE(sim::jsonValid(t.toJson(), &error)) << error;
 }
 
 TEST(Trace, LinkFaultTracksAndRerouteMarkers)

@@ -7,7 +7,8 @@
  *   manifest_check deterministic <file>
  *
  * `manifest` / `metrics` validate that the file is well-formed JSON
- * (through the same obs::jsonValid checker the tests use) and carries
+ * (through the tree's one JSON parser, sim::jsonValid, which the tests
+ * use too) and carries
  * the required schema markers and keys. `deterministic` prints the
  * file's deterministic section — the fixed-indentation block both
  * writers emit first — so a shell script can byte-compare it across
@@ -22,7 +23,7 @@
 #include <string>
 #include <vector>
 
-#include "obs/trace_json.h"
+#include "sim/json.h"
 
 namespace {
 
@@ -58,7 +59,7 @@ checkJson(const std::string &path, const std::string &text,
           const std::vector<std::string> &required)
 {
     std::string error;
-    if (!mlps::obs::jsonValid(text, &error))
+    if (!mlps::sim::jsonValid(text, &error))
         return fail(path, "invalid JSON: " + error);
     for (const std::string &key : required)
         if (!contains(text, key))
