@@ -42,6 +42,38 @@ ensureCacheMetrics()
     (void)misses;
 }
 
+/** One thread's buffers for the graph searches, reused across
+ *  searches; a visit stamp replaces clearing the seen set. */
+struct SearchScratch {
+    std::vector<std::uint32_t> seen;
+    std::vector<NodeId> prev_node; ///< bfs: the node reached from
+    std::vector<int> prev_edge;    ///< bfs: the edge reached over
+    std::vector<int> depth;        ///< computeHostCpu: hops from the GPU
+    std::vector<NodeId> frontier;  ///< FIFO: a head index walks it
+    std::uint32_t stamp = 0;
+};
+
+/** This thread's scratch, sized for 'nodes', with a fresh stamp and an
+ *  empty frontier. */
+SearchScratch &
+searchScratch(std::size_t nodes)
+{
+    thread_local SearchScratch s;
+    if (s.seen.size() < nodes) {
+        s.seen.assign(nodes, 0);
+        s.prev_node.resize(nodes);
+        s.prev_edge.resize(nodes);
+        s.depth.resize(nodes);
+        s.stamp = 0;
+    }
+    if (++s.stamp == 0) {
+        std::fill(s.seen.begin(), s.seen.end(), 0);
+        s.stamp = 1;
+    }
+    s.frontier.clear();
+    return s;
+}
+
 /** Nodes a GPUDirect P2P path may not pass through: CPU root
  *  complexes and the datacenter fabric (GPUDirect P2P never crosses a
  *  NIC — remote access is RDMA, which this model treats as
@@ -113,7 +145,7 @@ NodeId
 Topology::addNode(NodeKind kind, const std::string &name)
 {
     Graph &g = mutableGraph();
-    g.nodes.push_back(Node{kind, name, {}});
+    g.nodes.push_back(Node{kind, name, {}, {}, 0});
     return static_cast<NodeId>(g.nodes.size()) - 1;
 }
 
@@ -172,8 +204,17 @@ Topology::connect(NodeId a, NodeId b, const LinkSpec &link)
     g.edges.push_back(Edge{a, b, link});
     link_state_.emplace_back();
     int id = static_cast<int>(g.edges.size()) - 1;
-    g.nodes[a].edges.push_back(id);
-    g.nodes[b].edges.push_back(id);
+    for (auto [n, other] : {std::pair{a, b}, std::pair{b, a}}) {
+        Node &node = g.nodes[n];
+        node.edges.push_back(id);
+        // bfs order: a new NVLink edge follows the node's last one,
+        // any other edge goes last.
+        if (link.kind == LinkKind::NvLink)
+            node.adj.insert(node.adj.begin() + node.nvlinks++,
+                            {other, id});
+        else
+            node.adj.emplace_back(other, id);
+    }
     return id;
 }
 
@@ -261,60 +302,39 @@ Topology::bfs(NodeId from, NodeId to) const
     if (from == to)
         return Path{{from}, {}};
 
-    // Each thread reuses its buffers across searches; a visit stamp
-    // replaces clearing the seen set.
-    thread_local std::vector<std::uint32_t> seen;
-    thread_local std::vector<int> prev_edge;
-    thread_local std::vector<NodeId> frontier;
-    thread_local std::uint32_t stamp = 0;
     const Graph &g = *graph_;
-    if (seen.size() < g.nodes.size()) {
-        seen.assign(g.nodes.size(), 0);
-        prev_edge.resize(g.nodes.size());
-        stamp = 0;
-    }
-    if (++stamp == 0) {
-        std::fill(seen.begin(), seen.end(), 0);
-        stamp = 1;
-    }
-    frontier.clear();
-    frontier.push_back(from);
-    seen[from] = stamp;
-
-    // NVLink preference: a first pass over a node's edges visits its
-    // NVLink edges and a second pass the rest, each in connect order —
-    // the order a stable NVLink-first sort gives — so equal-hop
-    // NVLink routes win ties deterministically.
-    for (std::size_t head = 0; head < frontier.size(); ++head) {
-        NodeId n = frontier[head];
-        for (bool want_nvlink : {true, false}) {
-            for (int e : g.nodes[n].edges) {
-                const Edge &edge = g.edges[e];
-                if ((edge.link.kind == LinkKind::NvLink) != want_nvlink)
-                    continue;
-                if (link_state_[e].down)
-                    continue; // a down link carries no traffic, ever
-                NodeId other = edge.a == n ? edge.b : edge.a;
-                if (seen[other] == stamp)
-                    continue;
-                seen[other] = stamp;
-                prev_edge[other] = e;
-                if (other == to) {
-                    Path p;
-                    for (NodeId cur = to; cur != from;) {
-                        int pe = prev_edge[cur];
-                        p.nodes.push_back(cur);
-                        p.edges.push_back(pe);
-                        cur = g.edges[pe].a == cur ? g.edges[pe].b
-                                                   : g.edges[pe].a;
-                    }
-                    p.nodes.push_back(from);
-                    std::reverse(p.nodes.begin(), p.nodes.end());
-                    std::reverse(p.edges.begin(), p.edges.end());
-                    return p;
+    SearchScratch &s = searchScratch(g.nodes.size());
+    s.frontier.push_back(from);
+    s.seen[from] = s.stamp;
+    // Each adjacency lists NVLink edges first, each kind in connect
+    // order — the order a stable NVLink-first sort of the incident
+    // edges gives — so equal-hop NVLink routes win ties
+    // deterministically. A fabric with no down link skips the
+    // per-edge state.
+    const bool any_down = anyLinkDown();
+    for (std::size_t head = 0; head < s.frontier.size(); ++head) {
+        NodeId n = s.frontier[head];
+        for (auto [other, e] : g.nodes[n].adj) {
+            if (s.seen[other] == s.stamp)
+                continue;
+            if (any_down && link_state_[e].down)
+                continue; // a down link carries no traffic, ever
+            s.seen[other] = s.stamp;
+            s.prev_node[other] = n;
+            s.prev_edge[other] = e;
+            if (other == to) {
+                Path p;
+                for (NodeId cur = to; cur != from;
+                     cur = s.prev_node[cur]) {
+                    p.nodes.push_back(cur);
+                    p.edges.push_back(s.prev_edge[cur]);
                 }
-                frontier.push_back(other);
+                p.nodes.push_back(from);
+                std::reverse(p.nodes.begin(), p.nodes.end());
+                std::reverse(p.edges.begin(), p.edges.end());
+                return p;
             }
+            s.frontier.push_back(other);
         }
     }
     return std::nullopt;
@@ -474,30 +494,29 @@ Topology::computeHostCpu(NodeId gpu) const
     // route() and keeping the first strict improvement, without
     // paying #CPUs searches on a pod-scale graph.
     const Graph &g = *graph_;
-    std::vector<int> depth(g.nodes.size(), -1);
-    std::deque<NodeId> frontier;
-    frontier.push_back(gpu);
-    depth[gpu] = 0;
+    SearchScratch &s = searchScratch(g.nodes.size());
+    s.frontier.push_back(gpu);
+    s.seen[gpu] = s.stamp;
+    s.depth[gpu] = 0;
+    const bool any_down = anyLinkDown();
     std::optional<NodeId> best;
     int best_depth = std::numeric_limits<int>::max();
-    while (!frontier.empty()) {
-        NodeId n = frontier.front();
-        frontier.pop_front();
-        if (depth[n] > best_depth)
+    for (std::size_t head = 0; head < s.frontier.size(); ++head) {
+        NodeId n = s.frontier[head];
+        if (s.depth[n] > best_depth)
             break; // deeper layers cannot improve
         if (g.nodes[n].kind == NodeKind::Cpu &&
-            (depth[n] < best_depth || (best && n < *best))) {
-            best_depth = depth[n];
+            (s.depth[n] < best_depth || (best && n < *best))) {
+            best_depth = s.depth[n];
             best = n;
         }
-        for (int e : g.nodes[n].edges) {
-            if (link_state_[e].down)
+        for (auto [other, e] : g.nodes[n].adj) {
+            if (s.seen[other] == s.stamp ||
+                (any_down && link_state_[e].down))
                 continue;
-            NodeId other = g.edges[e].a == n ? g.edges[e].b : g.edges[e].a;
-            if (depth[other] >= 0)
-                continue;
-            depth[other] = depth[n] + 1;
-            frontier.push_back(other);
+            s.seen[other] = s.stamp;
+            s.depth[other] = s.depth[n] + 1;
+            s.frontier.push_back(other);
         }
     }
     return best;
@@ -556,6 +575,7 @@ Topology::setLinkDown(int edge, bool down)
     if (link_state_[edge].down == down)
         return;
     link_state_[edge].down = down;
+    down_links_.n += down ? 1 : -1;
     ++epoch_;
 }
 
@@ -607,6 +627,7 @@ Topology::resetLinkState()
             ++epoch_;
         }
     }
+    down_links_.n = 0;
 }
 
 bool
@@ -614,16 +635,6 @@ Topology::degraded() const
 {
     for (const LinkState &state : link_state_) {
         if (!state.healthy())
-            return true;
-    }
-    return false;
-}
-
-bool
-Topology::anyLinkDown() const
-{
-    for (const LinkState &state : link_state_) {
-        if (state.down)
             return true;
     }
     return false;

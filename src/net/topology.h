@@ -204,8 +204,9 @@ class Topology
     /** True when any link is down or bandwidth-scaled below 1.0. */
     bool degraded() const;
 
-    /** True when at least one link is down (routing has changed). */
-    bool anyLinkDown() const;
+    /** True when at least one link is down (routing has changed).
+     *  O(1): the topology counts its down links. */
+    bool anyLinkDown() const { return down_links_.n > 0; }
 
     /**
      * Monotone counter bumped on every link-state change. Consumers
@@ -236,7 +237,13 @@ class Topology
     struct Node {
         NodeKind kind;
         std::string name;
+        /** Incident edge ids, in connect order. */
         std::vector<int> edges;
+        /** (neighbour, edge) in the order bfs visits them: NVLink
+         *  edges first, then the rest, each in connect order. */
+        std::vector<std::pair<NodeId, int>> adj;
+        /** Number of NVLink entries leading adj. */
+        int nvlinks = 0;
     };
 
     struct Edge {
@@ -280,8 +287,8 @@ class Topology
      *  cold. */
     Graph &mutableGraph();
 
-    /** Minimum-hop BFS from 'from' to 'to' over up edges, NVLink
-     *  edges first at every node. */
+    /** Minimum-hop BFS from 'from' to 'to' over up edges, one pass
+     *  over each node's NVLink-first adjacency. */
     std::optional<Path> bfs(NodeId from, NodeId to) const;
 
     std::optional<NodeId> computeHostCpu(NodeId gpu) const;
@@ -360,6 +367,20 @@ class Topology
     std::shared_ptr<const Graph> graph_;
     /** Parallel to the graph's edges. */
     std::vector<LinkState> link_state_;
+    /** Links of link_state_ that are down. A moved-from count reads
+     *  zero, like the moved-from link state. */
+    struct DownCount {
+        int n = 0;
+        DownCount() = default;
+        DownCount(const DownCount &) = default;
+        DownCount &operator=(const DownCount &) = default;
+        DownCount(DownCount &&other) noexcept
+            : n(std::exchange(other.n, 0)) {}
+        DownCount &operator=(DownCount &&other) noexcept {
+            n = std::exchange(other.n, 0);
+            return *this;
+        }
+    } down_links_;
     std::uint64_t epoch_ = 0;
     CacheHolder cache_;
 };

@@ -1,16 +1,58 @@
 #include "net/transfer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "sim/logger.h"
 
 namespace mlps::net {
 
+namespace {
+
+std::uint64_t
+bits(double x)
+{
+    return std::bit_cast<std::uint64_t>(x);
+}
+
+/** Fold 'v' into the running hash 'h' (FNV-1a over 64-bit words). */
+std::uint64_t
+mix(std::uint64_t h, std::uint64_t v)
+{
+    return (h ^ v) * 0x100000001b3ULL;
+}
+
+} // namespace
+
+/** Position-by-position maps from a representative's slots and edges
+ *  to a candidate's; -1 is unmapped. sameClass() leaves them all -1. */
+struct FlowSimulator::PairMaps {
+    std::vector<int> slot;
+    std::vector<int> slot_inv;
+    std::vector<int> edge;
+    std::vector<int> edge_inv;
+    /** The representative's directed slots, ascending and distinct. */
+    std::vector<int> rep_slots;
+
+    /** Pair x with y: true when neither is paired elsewhere. */
+    static bool bind(std::vector<int> &map, std::vector<int> &inv, int x,
+                     int y)
+    {
+        if (map[x] >= 0)
+            return map[x] == y;
+        if (inv[y] >= 0)
+            return false;
+        map[x] = y;
+        inv[y] = x;
+        return true;
+    }
+};
+
 FlowSimulator::FlowSimulator(const Topology &topo)
-    : topo_(topo), edge_bytes_(topo.edgeCount(), 0.0),
-      slot_index_(topo.edgeCount() * 2, -1)
+    : topo_(topo), edge_bytes_(topo.edgeCount(), 0.0)
 {
 }
 
@@ -38,7 +80,6 @@ FlowSimulator::addFlow(NodeId from, NodeId to, double bytes, double start_s)
         int dir = (f.path.nodes[i] == a && f.path.nodes[i + 1] == b) ? 0
                                                                        : 1;
         flow_slots_.push_back(e * 2 + dir);
-        slot_index_[e * 2 + dir] = 0;
     }
     f.slot_end = static_cast<int>(flow_slots_.size());
     f.bytes = bytes;
@@ -47,6 +88,168 @@ FlowSimulator::addFlow(NodeId from, NodeId to, double bytes, double start_s)
     f.latency_s = topo_.pathLatency(f.path);
     flows_.push_back(std::move(f));
     return static_cast<FlowId>(flows_.size()) - 1;
+}
+
+void
+FlowSimulator::classify()
+{
+    // Components: union-find over flows, joined through the first flow
+    // to cross each undirected edge. Uniting under the lower root keeps
+    // every root its component's lowest flow. Undirected, so that each
+    // edge's byte total comes from one component.
+    int n = static_cast<int>(flows_.size());
+    std::vector<int> root(n);
+    std::iota(root.begin(), root.end(), 0);
+    auto find = [&root](int x) {
+        while (root[x] != x) {
+            root[x] = root[root[x]];
+            x = root[x];
+        }
+        return x;
+    };
+    std::vector<int> edge_flow(topo_.edgeCount(), -1);
+    for (int fi = 0; fi < n; ++fi) {
+        for (int e : flows_[fi].path.edges) {
+            if (edge_flow[e] < 0) {
+                edge_flow[e] = fi;
+                continue;
+            }
+            int a = find(fi);
+            int b = find(edge_flow[e]);
+            root[std::max(a, b)] = std::min(a, b);
+        }
+    }
+    for (int e = 0; e < topo_.edgeCount(); ++e) {
+        if (edge_flow[e] >= 0)
+            routed_edges_.push_back(e);
+    }
+
+    // Number components by their lowest flow and group flows (CSR).
+    std::vector<int> component_of(n);
+    for (int fi = 0; fi < n; ++fi) {
+        int r = find(fi);
+        if (r != fi) {
+            component_of[fi] = component_of[r];
+            continue;
+        }
+        component_of[fi] = static_cast<int>(rep_of_.size());
+        rep_of_.push_back(-1);
+    }
+    int components = static_cast<int>(rep_of_.size());
+    component_begin_.assign(components + 1, 0);
+    for (int c : component_of)
+        ++component_begin_[c + 1];
+    for (int c = 0; c < components; ++c)
+        component_begin_[c + 1] += component_begin_[c];
+    component_flows_.resize(n);
+    {
+        std::vector<int> fill(component_begin_.begin(),
+                              component_begin_.end() - 1);
+        for (int fi = 0; fi < n; ++fi)
+            component_flows_[fill[component_of[fi]]++] = fi;
+    }
+
+    // Classes: a component joins the first representative it copies
+    // exactly, else represents a new class. Sorting on a hash of what
+    // sameClass compares flow by flow brings the candidates together;
+    // each run of one hash meets its components in ascending order.
+    std::vector<std::pair<std::uint64_t, int>> keyed(components);
+    for (int c = 0; c < components; ++c) {
+        std::uint64_t key = 0xcbf29ce484222325ULL;
+        for (int fi : flowsOf(c)) {
+            const Flow &f = flows_[fi];
+            key = mix(key, bits(f.bytes));
+            key = mix(key, bits(f.start_s));
+            key = mix(key, bits(f.latency_s));
+            key = mix(key, f.path.edges.size());
+        }
+        keyed[c] = {key, c};
+    }
+    std::sort(keyed.begin(), keyed.end());
+    std::vector<int> reps; // of the current hash
+    PairMaps maps;
+    for (std::size_t i = 0; i < keyed.size(); ++i) {
+        if (i > 0 && keyed[i].first != keyed[i - 1].first)
+            reps.clear();
+        int c = keyed[i].second;
+        for (std::size_t k = 0; k < reps.size() && rep_of_[c] < 0; ++k) {
+            if (sameClass(reps[k], c, maps))
+                rep_of_[c] = reps[k];
+        }
+        if (rep_of_[c] < 0) {
+            rep_of_[c] = c;
+            reps.push_back(c);
+        }
+    }
+    for (int fi = 0; fi < n; ++fi) {
+        if (rep_of_[component_of[fi]] == component_of[fi])
+            simulated_.push_back(fi);
+    }
+}
+
+bool
+FlowSimulator::sameClass(int r, int c, PairMaps &maps) const
+{
+    std::span<const int> rf = flowsOf(r);
+    std::span<const int> cf = flowsOf(c);
+    if (rf.size() != cf.size())
+        return false;
+    if (maps.slot.empty()) {
+        maps.slot.assign(topo_.edgeCount() * 2, -1);
+        maps.slot_inv.assign(topo_.edgeCount() * 2, -1);
+        maps.edge.assign(topo_.edgeCount(), -1);
+        maps.edge_inv.assign(topo_.edgeCount(), -1);
+    }
+    maps.rep_slots.clear();
+    for (int fi : rf) {
+        std::span<const int> s = slotsOf(fi);
+        maps.rep_slots.insert(maps.rep_slots.end(), s.begin(), s.end());
+    }
+    std::sort(maps.rep_slots.begin(), maps.rep_slots.end());
+    maps.rep_slots.erase(
+        std::unique(maps.rep_slots.begin(), maps.rep_slots.end()),
+        maps.rep_slots.end());
+
+    // Pair the flows in flow-id order, and their hops position by
+    // position: equal sizes, start and propagation times, and slot and
+    // edge maps that are bijections joining links of equal capacity.
+    bool same = true;
+    for (std::size_t k = 0; k < rf.size() && same; ++k) {
+        const Flow &a = flows_[rf[k]];
+        const Flow &b = flows_[cf[k]];
+        same = bits(a.bytes) == bits(b.bytes) &&
+               bits(a.start_s) == bits(b.start_s) &&
+               bits(a.latency_s) == bits(b.latency_s) &&
+               a.path.edges.size() == b.path.edges.size();
+        std::span<const int> sa = slotsOf(rf[k]);
+        std::span<const int> sb = slotsOf(cf[k]);
+        for (std::size_t i = 0; i < sa.size() && same; ++i) {
+            int ea = sa[i] / 2;
+            int eb = sb[i] / 2;
+            bool fresh = maps.edge[ea] < 0;
+            same = PairMaps::bind(maps.slot, maps.slot_inv, sa[i], sb[i]) &&
+                   PairMaps::bind(maps.edge, maps.edge_inv, ea, eb) &&
+                   (!fresh || topo_.effectiveLinkBytesPerSec(ea) ==
+                                  topo_.effectiveLinkBytesPerSec(eb));
+        }
+    }
+    // The slot map must keep dense-slot order: fair sharing breaks
+    // equal-share ties on the lowest slot, so a copy ties the same way
+    // only if its slots sort like the representative's.
+    int prev = -1;
+    for (int s : maps.rep_slots) {
+        if (same && maps.slot[s] <= prev)
+            same = false;
+        prev = maps.slot[s];
+        if (maps.slot[s] >= 0)
+            maps.slot_inv[maps.slot[s]] = -1;
+        maps.slot[s] = -1;
+        int e = s / 2;
+        if (maps.edge[e] >= 0)
+            maps.edge_inv[maps.edge[e]] = -1;
+        maps.edge[e] = -1;
+    }
+    return same;
 }
 
 void
@@ -59,8 +262,6 @@ FlowSimulator::fairShare(const std::vector<int> &active)
     // direction has independent capacity. Dense slots are numbered in
     // directed-slot order, so a strict-'<' scan over the used ones
     // picks the same bottleneck as a scan over every directed slot.
-    std::fill(unfrozen_.begin(), unfrozen_.end(), 0);
-    std::fill(users_.begin(), users_.end(), 0);
     for (int fi : active) {
         unfrozen_[fi] = 1;
         for (int s : slotsOf(fi))
@@ -109,47 +310,57 @@ FlowSimulator::fairShare(const std::vector<int> &active)
             }
         }
     }
-    // Active flows with zero-hop paths (same node) cross no slot:
-    // infinite rate — treat as instantaneous via a huge rate.
+    // Every slot's flows froze, so users_ is all zero again. Active
+    // flows with zero-hop paths (same node) cross no slot: infinite
+    // rate — treat as instantaneous via a huge rate.
     for (int fi : active) {
-        if (unfrozen_[fi])
+        if (unfrozen_[fi]) {
+            unfrozen_[fi] = 0;
             rate_[fi] = 1e18;
+        }
     }
 }
 
 void
 FlowSimulator::prepareFairShare()
 {
-    // Flows are all in: number the used directed slots densely, in
-    // directed-slot order, then release the lookup.
-    for (int d = 0; d < static_cast<int>(slot_index_.size()); ++d) {
-        if (slot_index_[d] != 0)
-            continue;
-        slot_index_[d] = static_cast<int>(slot_of_.size());
-        slot_of_.push_back(d);
-        if (routed_edges_.empty() || routed_edges_.back() != d / 2)
-            routed_edges_.push_back(d / 2);
+    // Number the simulated flows' directed slots densely, in
+    // directed-slot order.
+    std::vector<int> index(topo_.edgeCount() * 2, -1);
+    std::vector<int> slot_of; // dense index -> directed slot
+    for (int fi : simulated_) {
+        for (int s : slotsOf(fi))
+            index[s] = 0;
     }
-    for (int &s : flow_slots_)
-        s = slot_index_[s];
-    std::vector<int>().swap(slot_index_);
-    int slots = static_cast<int>(slot_of_.size());
+    for (int d = 0; d < static_cast<int>(index.size()); ++d) {
+        if (index[d] == 0) {
+            index[d] = static_cast<int>(slot_of.size());
+            slot_of.push_back(d);
+        }
+    }
+    for (int fi : simulated_) {
+        for (int k = flows_[fi].slot_begin; k < flows_[fi].slot_end; ++k)
+            flow_slots_[k] = index[flow_slots_[k]];
+    }
+    int slots = static_cast<int>(slot_of.size());
     base_cap_.resize(slots);
     for (int s = 0; s < slots; ++s)
-        base_cap_[s] = topo_.effectiveLinkBytesPerSec(slot_of_[s] / 2);
+        base_cap_[s] = topo_.effectiveLinkBytesPerSec(slot_of[s] / 2);
     cap_.resize(slots);
     users_.assign(slots, 0);
     live_.reserve(slots);
     slot_flows_begin_.assign(slots + 1, 0);
-    for (int s : flow_slots_)
-        ++slot_flows_begin_[s + 1];
+    for (int fi : simulated_) {
+        for (int s : slotsOf(fi))
+            ++slot_flows_begin_[s + 1];
+    }
     for (int s = 0; s < slots; ++s)
         slot_flows_begin_[s + 1] += slot_flows_begin_[s];
     slot_flows_.resize(slot_flows_begin_[slots]);
     {
         std::vector<int> fill(slot_flows_begin_.begin(),
                               slot_flows_begin_.end() - 1);
-        for (int fi = 0; fi < static_cast<int>(flows_.size()); ++fi) {
+        for (int fi : simulated_) {
             for (int s : slotsOf(fi))
                 slot_flows_[fill[s]++] = fi;
         }
@@ -158,23 +369,9 @@ FlowSimulator::prepareFairShare()
     unfrozen_.assign(flows_.size(), 0);
 }
 
-double
-FlowSimulator::run()
+void
+FlowSimulator::simulate()
 {
-    if (ran_)
-        sim::fatal("FlowSimulator: run() called twice");
-    ran_ = true;
-    reports_.assign(flows_.size(), FlowReport{});
-    for (std::size_t i = 0; i < flows_.size(); ++i) {
-        reports_[i].id = static_cast<FlowId>(i);
-        reports_[i].bytes = flows_[i].bytes;
-        reports_[i].start_s = flows_[i].start_s;
-    }
-    if (flows_.empty())
-        return 0.0;
-
-    prepareFairShare();
-
     double now = 0.0;
     std::vector<int> active;
     for (;;) {
@@ -182,14 +379,13 @@ FlowSimulator::run()
         active.clear();
         double next_start = std::numeric_limits<double>::infinity();
         bool any_pending = false;
-        for (std::size_t i = 0; i < flows_.size(); ++i) {
-            Flow &f = flows_[i];
+        for (int fi : simulated_) {
+            const Flow &f = flows_[fi];
             if (f.done)
                 continue;
             double effective_start = f.start_s + f.latency_s;
             if (now + 1e-15 >= effective_start) {
-                f.started = true;
-                active.push_back(static_cast<int>(i));
+                active.push_back(fi);
             } else {
                 any_pending = true;
                 next_start = std::min(next_start, effective_start);
@@ -208,7 +404,6 @@ FlowSimulator::run()
             Flow &f = flows_[fi];
             if (f.remaining <= 0.0) {
                 f.done = true;
-                f.finish_s = now;
                 reports_[fi].finish_s = now;
                 completed_zero = true;
             }
@@ -240,11 +435,46 @@ FlowSimulator::run()
             if (f.remaining <= 1e-9) {
                 f.remaining = 0.0;
                 f.done = true;
-                f.finish_s = now + dt;
                 reports_[fi].finish_s = now + dt;
             }
         }
         now += dt;
+    }
+}
+
+double
+FlowSimulator::run()
+{
+    if (ran_)
+        sim::fatal("FlowSimulator: run() called twice");
+    ran_ = true;
+    reports_.assign(flows_.size(), FlowReport{});
+    for (std::size_t i = 0; i < flows_.size(); ++i) {
+        reports_[i].id = static_cast<FlowId>(i);
+        reports_[i].bytes = flows_[i].bytes;
+        reports_[i].start_s = flows_[i].start_s;
+    }
+    if (flows_.empty())
+        return 0.0;
+
+    classify();
+    prepareFairShare();
+    simulate();
+    // Each class member ends as its representative did: flow by flow,
+    // hop by hop.
+    for (int c = 0; c + 1 < static_cast<int>(component_begin_.size());
+         ++c) {
+        if (rep_of_[c] == c)
+            continue;
+        std::span<const int> rf = flowsOf(rep_of_[c]);
+        std::span<const int> cf = flowsOf(c);
+        for (std::size_t k = 0; k < rf.size(); ++k) {
+            reports_[cf[k]].finish_s = reports_[rf[k]].finish_s;
+            const std::vector<int> &re = flows_[rf[k]].path.edges;
+            const std::vector<int> &ce = flows_[cf[k]].path.edges;
+            for (std::size_t i = 0; i < re.size(); ++i)
+                edge_bytes_[ce[i]] = edge_bytes_[re[i]];
+        }
     }
     double makespan = 0.0;
     for (const auto &r : reports_)

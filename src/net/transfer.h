@@ -11,6 +11,16 @@
  * The training model uses it for host-to-device input staging and for
  * the per-step flows of the ring all-reduce, where shared-bottleneck
  * contention (e.g. two staged flows crossing one UPI link) matters.
+ *
+ * Pods repeat the same traffic in every host: flows that share no link
+ * form components, and components that are exact copies of each other
+ * (same bytes, start times and latencies, paired links of equal
+ * capacity, in the same relative slot order) form a symmetry class.
+ * run() simulates one representative per class — all classes in one
+ * event loop, so every event splits every class's steps as it would
+ * with all flows present — and copies the representative's finish
+ * times and link bytes to the other members. Results are bit-identical
+ * to simulating every flow.
  */
 
 #ifndef MLPSIM_NET_TRANSFER_H
@@ -80,28 +90,49 @@ class FlowSimulator
   private:
     struct Flow {
         Path path;
-        /** The path's dense slots: flow_slots_[slot_begin, slot_end). */
+        /** The path's slots: flow_slots_[slot_begin, slot_end). */
         int slot_begin = 0;
         int slot_end = 0;
         double bytes;
         double remaining;
         double start_s;
-        double finish_s = -1.0;
         double latency_s = 0.0;
-        bool started = false;
         bool done = false;
     };
 
-    /** Dense indices of the directed slots flow 'fi' traverses. */
+    /** Flows of component 'c', ascending. */
+    std::span<const int> flowsOf(int c) const
+    {
+        return {component_flows_.data() + component_begin_[c],
+                component_flows_.data() + component_begin_[c + 1]};
+    }
+
+    /** Slots of flow 'fi': directed (edge*2 + dir) until
+     *  prepareFairShare() rewrites the simulated flows' as dense. */
     std::span<const int> slotsOf(int fi) const
     {
         return {flow_slots_.data() + flows_[fi].slot_begin,
                 flow_slots_.data() + flows_[fi].slot_end};
     }
 
-    /** Size the fair-share state and index each slot's flows; run()
-     *  calls it once all flows are in. */
+    /** sameClass()'s scratch maps, defined in transfer.cc. */
+    struct PairMaps;
+
+    /** Split the flows into components that share no undirected edge,
+     *  map each to the representative of its symmetry class, and list
+     *  the representatives' flows in simulated_. */
+    void classify();
+
+    /** True when component 'c' is an exact copy of component 'r' (see
+     *  the file comment). */
+    bool sameClass(int r, int c, PairMaps &maps) const;
+
+    /** Number the simulated flows' slots densely and size the
+     *  fair-share state for them. */
     void prepareFairShare();
+
+    /** The event loop over the simulated flows. */
+    void simulate();
 
     /** Recompute max-min fair rates of the active flows into rate_. */
     void fairShare(const std::vector<int> &active);
@@ -112,17 +143,20 @@ class FlowSimulator
     std::vector<double> edge_bytes_;
     bool ran_ = false;
 
-    /** Directed slot (edge*2 + dir) -> dense index; -1 unused, 0 used
-     *  until prepareFairShare() numbers the used ones. */
-    std::vector<int> slot_index_;
-    /** Dense index -> directed slot. */
-    std::vector<int> slot_of_;
-    /** Every flow's slots, flow after flow: directed slots until
-     *  prepareFairShare() rewrites them as dense indices. */
+    /** Every flow's slots, flow after flow. */
     std::vector<int> flow_slots_;
     /** Edges some flow's path crosses, ascending; set by run(). Every
      *  other edge carries no bytes. */
     std::vector<int> routed_edges_;
+    /** Flows grouped by component, each group ascending (CSR); a
+     *  component's first flow is its lowest. */
+    std::vector<int> component_flows_;
+    std::vector<int> component_begin_;
+    /** Per component, the representative of its class. */
+    std::vector<int> rep_of_;
+    /** The flows of every representative, ascending: what simulate()
+     *  runs. */
+    std::vector<int> simulated_;
 
     // Fair-share state, sized once by prepareFairShare() and reused
     // at every completion event.
@@ -131,6 +165,8 @@ class FlowSimulator
     std::vector<int> slot_flows_;
     std::vector<double> base_cap_;
     std::vector<double> cap_;
+    /** Per dense slot, unfrozen flows crossing it; all zero between
+     *  fairShare() calls. */
     std::vector<int> users_;
     std::vector<double> rate_;
     /** Per flow, within one fairShare() call: active, rate not set. */

@@ -32,6 +32,7 @@
 #include "sim/json.h"
 #include "sim/logger.h"
 #include "sys/machines.h"
+#include "sys/system_config.h"
 #include "train/trainer.h"
 #include "train/training_job.h"
 
@@ -387,11 +388,16 @@ slurp(const std::string &path)
 }
 
 // `mlpsim explain --json` documents written by the build before
-// attribution stopped re-pricing collectives. The engine-evaluated
-// attribution must reproduce them byte for byte.
+// attribution stopped re-pricing collectives (the _nvdown one by the
+// build before flow simulation priced one copy per symmetry class).
+// The engine-evaluated attribution must reproduce them byte for byte.
 TEST(Attribution, MatchesExplainGoldens)
 {
     sys::SystemConfig pod = pod16x8();
+    // One host's GPU0-GPU1 NVLink is down: that host re-chains its
+    // ring around the dead link, the other 127 keep theirs.
+    sys::SystemConfig nvdown = pod;
+    sys::applyDegradedLinks(nvdown, "r3n5.GPU0-r3n5.GPU1:down");
     struct Case {
         const char *golden;
         sys::SystemConfig system;
@@ -405,6 +411,8 @@ TEST(Attribution, MatchesExplainGoldens)
         {"explain_gnmt_dss8440_8.json", sys::dss8440(), "MLPf_GNMT_Py",
          8},
         {"explain_red_pod64.json", pod, "Deep_Red_Cu", 64},
+        {"explain_res50_pod512_nvdown.json", nvdown, "MLPf_Res50_MX",
+         512},
     };
     exec::Engine engine{exec::ExecOptions(2)};
     for (const Case &c : cases) {

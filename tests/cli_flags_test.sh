@@ -78,6 +78,22 @@ expect_usage "unexpected argument 'MLPf_NCF_Py'" \
     run MLPf_Res50_MX MLPf_NCF_Py
 expect_usage "unknown subcommand 'stat'" cache stat --cache-dir c
 
+# A flag that only matters with a partner is an error without it,
+# not silently ignored: --checkpoint times a fault run, and query's
+# engine flags configure the in-process engine of --local.
+expect_usage "--checkpoint only matters with --mttf-hours" \
+    run MLPf_Res50_MX --checkpoint 30
+expect_usage "--jobs only matters with --local" query MLPf_NCF_Py --jobs 2
+expect_usage "--cache-dir only matters with --local" \
+    query MLPf_NCF_Py --cache-dir c --port-file p
+"$mlpsim" run MLPf_Res50_MX --checkpoint 30 --mttf-hours 24 \
+    >out.txt 2>err.txt || {
+    echo "run --checkpoint 30 --mttf-hours 24 failed"
+    failed=1
+}
+same_stdout "query --local --jobs 1 MLPf_NCF_Py" \
+    "query --local --jobs 2 MLPf_NCF_Py"
+
 # Numbers parse strictly, whichever command reads them.
 expect_usage "--gpus 4x: expected an integer" run MLPf_Res50_MX --gpus 4x
 expect_usage "--seed 1.9: expected an integer" workload fuzz --seed 1.9

@@ -237,6 +237,66 @@ TEST(Topology, DescribeListsLinks)
     EXPECT_NE(desc.find("PCIe3"), std::string::npos);
 }
 
+TEST(Topology, AnyLinkDownTracksSetResetAndCopies)
+{
+    Topology topo;
+    NodeId cpu = topo.addCpu("CPU0");
+    NodeId g0 = topo.addGpu("GPU0");
+    NodeId g1 = topo.addGpu("GPU1");
+    int e0 = topo.connect(cpu, g0, pcie3(16));
+    int e1 = topo.connect(cpu, g1, pcie3(16));
+    int nv = topo.connect(g0, g1, nvlink(2));
+    EXPECT_FALSE(topo.anyLinkDown());
+
+    // The count moves only on real changes: downing a down link, or
+    // raising an up one, leaves it as is.
+    topo.setLinkDown(nv, true);
+    topo.setLinkDown(nv, true);
+    topo.setLinkDown(e0, true);
+    EXPECT_TRUE(topo.anyLinkDown());
+    topo.setLinkDown(e1, false);
+    topo.setLinkDown(nv, false);
+    EXPECT_TRUE(topo.anyLinkDown());
+    topo.setLinkDown(e0, false);
+    EXPECT_FALSE(topo.anyLinkDown());
+    topo.setLinkBandwidthScale(e1, 0.5);
+    EXPECT_FALSE(topo.anyLinkDown());
+
+    // Copies take the count with the link state and then go their
+    // own way.
+    topo.setLinkDown(nv, true);
+    Topology copy = topo;
+    EXPECT_TRUE(copy.anyLinkDown());
+    copy.setLinkDown(nv, false);
+    EXPECT_FALSE(copy.anyLinkDown());
+    EXPECT_TRUE(topo.anyLinkDown());
+    copy = topo;
+    EXPECT_TRUE(copy.anyLinkDown());
+
+    // Routing skips the per-edge check only with no link down.
+    auto detour = copy.route(g0, g1);
+    ASSERT_TRUE(detour);
+    EXPECT_EQ(detour->hops(), 2);
+    copy.setLinkDown(nv, false);
+    EXPECT_EQ(copy.route(g0, g1)->hops(), 1);
+
+    // A move carries the count; the moved-from topology has no links.
+    Topology moved = std::move(topo);
+    EXPECT_TRUE(moved.anyLinkDown());
+    EXPECT_FALSE(topo.anyLinkDown()); // NOLINT(bugprone-use-after-move)
+    Topology assigned;
+    assigned = std::move(moved);
+    EXPECT_TRUE(assigned.anyLinkDown());
+    EXPECT_FALSE(moved.anyLinkDown()); // NOLINT(bugprone-use-after-move)
+
+    // A reset clears every down link at once.
+    assigned.setLinkDown(e0, true);
+    assigned.resetLinkState();
+    EXPECT_FALSE(assigned.anyLinkDown());
+    assigned.setLinkDown(e1, true);
+    EXPECT_TRUE(assigned.anyLinkDown());
+}
+
 // -------------------------------------------------------- flow simulator
 
 TEST(FlowSimulator, SingleFlowMatchesSoloEstimate)

@@ -1364,7 +1364,10 @@ struct Command {
     const char *name;
     Arity arity;
     const char *operands; ///< the positionals, as usage shows them
-    const char *flags;    ///< groups and flags, space-separated
+    /** Groups and flags, space-separated. "NAME@PARTNER" marks flags
+     *  that only matter with --PARTNER: given alone, they are a usage
+     *  error. */
+    const char *flags;
     const char *summary;
     int (*run)(const Args &);
 };
@@ -1372,7 +1375,8 @@ struct Command {
 const Command kCommands[] = {
     {"list", Arity::None, "", "", "workloads and systems", cmdList},
     {"run", Arity::One, "<workload>",
-     "machine imports mttf-hours checkpoint seed link-mttf-hours",
+     "machine imports mttf-hours checkpoint@mttf-hours seed "
+     "link-mttf-hours",
      "one training run, optionally under faults", cmdRun},
     {"scaling", Arity::Many, "<workload...>", "system engine imports",
      "time to train from 1 GPU to the whole machine", cmdScaling},
@@ -1399,7 +1403,7 @@ const Command kCommands[] = {
      "one warm cache served to many clients (docs/SERVICE.md)", cmdServe},
     {"query", Arity::Many, "<workload...>",
      "connect port-file wait-s local system gpus precision reference "
-     "deadline-s stats ping engine imports",
+     "deadline-s stats ping engine@local imports",
      "run requests on a server, or in-process with --local", cmdQuery},
     {"soak", Arity::None, "",
      "seed ops chaos cycles clients jobs cache-dir",
@@ -1431,12 +1435,24 @@ groupMembers(const std::string &word)
     return nullptr;
 }
 
+/** A word of a command's flag list split at '@': the group or flag
+ *  name, and the partner flag it needs (empty for none). */
+std::pair<std::string, std::string>
+splitPartner(const std::string &word)
+{
+    std::size_t at = word.find('@');
+    if (at == std::string::npos)
+        return {word, ""};
+    return {word.substr(0, at), word.substr(at + 1)};
+}
+
 /** The flags a space-separated list of groups and flag names means. */
 std::vector<const Flag *>
 expand(const std::string &spec)
 {
     std::vector<const Flag *> out;
-    for (const std::string &word : split(spec)) {
+    for (const std::string &item : split(spec)) {
+        std::string word = splitPartner(item).first;
         const char *members = groupMembers(word);
         for (const std::string &name : split(members ? members : word)) {
             auto f = std::find_if(
@@ -1492,6 +1508,18 @@ parseArgs(const Command &cmd, int argc, char **argv)
         }
         seen.push_back(value);
     }
+    for (const std::string &word : split(cmd.flags)) {
+        auto [names, partner] = splitPartner(word);
+        if (partner.empty() || a.has(partner))
+            continue;
+        for (const Flag *f : expand(names)) {
+            if (a.has(f->name))
+                throw UsageError(a.command + ": --" + f->name +
+                                 " only matters with --" + partner +
+                                 "; add --" + partner + " or drop --" +
+                                 f->name);
+        }
+    }
     if (cmd.arity == Arity::None || cmd.arity == Arity::One)
         a.takesAtMost(cmd.arity == Arity::One ? 1 : 0);
     if (cmd.arity != Arity::Verb)
@@ -1523,21 +1551,24 @@ wrapped(std::string line, const std::vector<std::string> &items)
 }
 
 /** The usage words of a flag list: "[machine flags]" for a group,
- *  "[--name META]" for a flag, with "..." when it repeats. */
+ *  "[--name META]" for a flag, with "..." when it repeats and
+ *  " with --partner" when it needs one. */
 std::vector<std::string>
 synopsis(const std::string &spec)
 {
     std::vector<std::string> out;
-    for (const std::string &word : split(spec)) {
+    for (const std::string &item : split(spec)) {
+        auto [word, partner] = splitPartner(item);
+        std::string with = partner.empty() ? "" : " with --" + partner;
         if (groupMembers(word)) {
-            out.push_back("[" + word + " flags]");
+            out.push_back("[" + word + " flags" + with + "]");
             continue;
         }
         const Flag &f = *expand(word)[0];
-        std::string item = std::string("[--") + f.name;
+        std::string text = std::string("[--") + f.name;
         if (f.kind != Switch)
-            item += std::string(" ") + f.meta;
-        out.push_back(item + (f.repeatable ? "]..." : "]"));
+            text += std::string(" ") + f.meta;
+        out.push_back(text + with + (f.repeatable ? "]..." : "]"));
     }
     return out;
 }
