@@ -31,6 +31,15 @@ evaluate(const RunRequest &req)
     return r;
 }
 
+/** "<prefix><n>", formatted only while the harness trace collects. */
+std::string
+countedSpanName(const char *prefix, std::size_t n)
+{
+    if (!obs::SelfTracer::global().enabled())
+        return {};
+    return prefix + std::to_string(n);
+}
+
 /** One evaluated (or failed) unique point, pre-publish. */
 struct JobOutcome {
     RunResult result;
@@ -188,8 +197,26 @@ std::vector<RunResult>
 Engine::run(std::vector<RunRequest> requests,
             const ResultSink &on_ready)
 {
+    std::vector<const RunRequest *> batch;
+    batch.reserve(requests.size());
+    for (const RunRequest &r : requests)
+        batch.push_back(&r);
+    return runBatch(batch, on_ready);
+}
+
+RunResult
+Engine::runOne(const RunRequest &request)
+{
+    const RunRequest *const one = &request;
+    return std::move(runBatch({&one, 1}, ResultSink())[0]);
+}
+
+std::vector<RunResult>
+Engine::runBatch(std::span<const RunRequest *const> requests,
+                 const ResultSink &on_ready)
+{
     obs::Span batch_span("exec.engine",
-                         "batch n=" + std::to_string(requests.size()));
+                         countedSpanName("batch n=", requests.size()));
     requests_.add(static_cast<double>(requests.size()));
     std::vector<RunResult> out(requests.size());
 
@@ -204,7 +231,7 @@ Engine::run(std::vector<RunRequest> requests,
     {
         obs::Span span("exec.engine", "dedupe");
         for (std::size_t i = 0; i < requests.size(); ++i) {
-            Fingerprint key = requests[i].key();
+            Fingerprint key = requests[i]->key();
             request_digest_.mix(key);
             if (auto cached = cache_.lookup(key)) {
                 out[i] = std::move(*cached);
@@ -231,10 +258,10 @@ Engine::run(std::vector<RunRequest> requests,
     // outcome instead of tearing the batch down.
     std::vector<JobOutcome> job_out(job_req.size());
     {
-        obs::Span span("exec.engine", "execute jobs=" +
-                                          std::to_string(job_req.size()));
+        obs::Span span("exec.engine",
+                       countedSpanName("execute jobs=", job_req.size()));
         executor_.forEach(job_req.size(), [&](std::size_t j) {
-            job_out[j] = supervised(requests[job_req[j]], job_key[j],
+            job_out[j] = supervised(*requests[job_req[j]], job_key[j],
                                     opts_, eval_hook_);
         });
     }
@@ -308,14 +335,6 @@ Engine::run(std::vector<RunRequest> requests,
     if (first_error)
         std::rethrow_exception(first_error);
     return out;
-}
-
-RunResult
-Engine::runOne(const RunRequest &request)
-{
-    std::vector<RunRequest> batch;
-    batch.push_back(request);
-    return run(std::move(batch))[0];
 }
 
 EngineStats

@@ -33,6 +33,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -156,6 +157,12 @@ class Engine
     }
 
   private:
+    /** run() over requests the caller keeps alive; runOne() passes
+     *  its one request without copying it. */
+    std::vector<RunResult>
+    runBatch(std::span<const RunRequest *const> requests,
+             const ResultSink &on_ready);
+
     ExecOptions opts_;
     Executor executor_;
     RunCache cache_;

@@ -126,7 +126,8 @@ mixInto(HashStream &h, const net::LinkSpec &l)
 }
 
 net::Topology::Digest
-topologyPass(const net::Topology::Digest &in, const net::Topology &t)
+topologyPass(const net::Topology::Digest &in, const net::Topology &t,
+             net::Topology::NodeLists lists)
 {
     HashStream h(Fingerprint{in[0], in[1]});
     h.mixInt(t.nodeCount());
@@ -145,17 +146,13 @@ topologyPass(const net::Topology::Digest &in, const net::Topology &t)
         h.mixInt(t.linkDown(e) ? 1 : 0);
         h.mixDouble(t.linkBandwidthScale(e));
     }
+    for (const std::vector<net::NodeId> *list : lists) {
+        h.mixU64(list->size());
+        for (net::NodeId n : *list)
+            h.mixInt(n);
+    }
     const Fingerprint out = h.digest();
     return {out.hi, out.lo};
-}
-
-void
-mixInto(HashStream &h, const net::Topology &t)
-{
-    const Fingerprint in = h.digest();
-    const net::Topology::Digest out =
-        t.memoizedDigest(topologyPass, {in.hi, in.lo});
-    h = HashStream(Fingerprint{out[0], out[1]});
 }
 
 void
@@ -167,6 +164,27 @@ mixInto(HashStream &h, const wl::Op &op)
     h.mixDouble(op.bytes);
     h.mixDouble(op.param_bytes);
     h.mixDouble(op.activation_bytes);
+}
+
+wl::OpGraph::Digest
+graphPass(const wl::OpGraph::Digest &in, const wl::OpGraph &g)
+{
+    HashStream h(Fingerprint{in[0], in[1]});
+    h.mixString(g.name());
+    h.mixU64(g.size());
+    for (const wl::Op &op : g.ops())
+        mixInto(h, op);
+    const Fingerprint out = h.digest();
+    return {out.hi, out.lo};
+}
+
+void
+mixInto(HashStream &h, const wl::OpGraph &g)
+{
+    const Fingerprint in = h.digest();
+    const wl::OpGraph::Digest out =
+        g.memoizedDigest(graphPass, {in.hi, in.lo});
+    h = HashStream(Fingerprint{out[0], out[1]});
 }
 
 void
@@ -211,17 +229,14 @@ fingerprintOf(const sys::SystemConfig &system)
     h.mixInt(system.num_gpus);
     mixInto(h, system.cpu);
     mixInto(h, system.gpu);
-    mixInto(h, system.topo);
-    h.mixU64(system.cpu_nodes.size());
-    for (net::NodeId n : system.cpu_nodes)
-        h.mixInt(n);
-    h.mixU64(system.gpu_nodes.size());
-    for (net::NodeId n : system.gpu_nodes)
-        h.mixInt(n);
-    h.mixU64(system.switch_nodes.size());
-    for (net::NodeId n : system.switch_nodes)
-        h.mixInt(n);
-    return h.digest();
+    // The topology and the node-id lists after it (~900 ids on a pod)
+    // are hashed once per graph and link state.
+    const std::vector<net::NodeId> *lists[] = {
+        &system.cpu_nodes, &system.gpu_nodes, &system.switch_nodes};
+    const Fingerprint in = h.digest();
+    const net::Topology::Digest out =
+        system.topo.memoizedDigest(topologyPass, {in.hi, in.lo}, lists);
+    return Fingerprint{out[0], out[1]};
 }
 
 Fingerprint
@@ -236,10 +251,7 @@ fingerprintOf(const wl::WorkloadSpec &workload)
     h.mixInt(static_cast<int>(workload.suite));
     h.mixInt(static_cast<int>(workload.mode));
 
-    h.mixString(workload.graph.name());
-    h.mixU64(workload.graph.size());
-    for (const wl::Op &op : workload.graph.ops())
-        mixInto(h, op);
+    mixInto(h, workload.graph);
     mixInto(h, workload.dataset);
     mixInto(h, workload.convergence);
     mixInto(h, workload.host);

@@ -78,13 +78,20 @@ class HashStream
 
 /**
  * Fingerprint of a machine, covering specs and topology graph. The
- * topology pass is memoized on the graph that copies of the machine
- * share (net::Topology::memoizedDigest), so refingerprinting a copy
- * costs its link-state scan, not the graph.
+ * pass over the topology and the CPU/GPU/switch node-id lists is
+ * memoized on the graph that copies of the machine share
+ * (net::Topology::memoizedDigest), so refingerprinting a copy costs
+ * its link-state scan and a compare of the lists, not the hashing.
  */
 Fingerprint fingerprintOf(const sys::SystemConfig &system);
 
-/** Fingerprint of a workload, covering graph/dataset/knobs. */
+/**
+ * Fingerprint of a workload, covering graph/dataset/knobs. The pass
+ * over the graph's name and ops is memoized on the block that copies
+ * of the graph share (wl::OpGraph::memoizedDigest), keyed on the
+ * state the identity strings left, so refingerprinting a copy hashes
+ * the identity and the scalar knobs only.
+ */
 Fingerprint fingerprintOf(const wl::WorkloadSpec &workload);
 
 /** Fingerprint of run options. */

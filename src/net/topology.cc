@@ -124,14 +124,14 @@ Topology::CacheHolder::clear()
 Topology::Graph &
 Topology::mutableGraph()
 {
-    if (!graph_ || cache_.graph_shared.load(std::memory_order_relaxed)) {
+    if (!graph_ || graph_mark_.shared.load(std::memory_order_relaxed)) {
         auto own = std::make_shared<Graph>();
         if (graph_) {
             own->nodes = graph_->nodes;
             own->edges = graph_->edges;
         }
         graph_ = std::move(own);
-        cache_.graph_shared.store(false, std::memory_order_relaxed);
+        graph_mark_.shared.store(false, std::memory_order_relaxed);
     }
     cache_.clear();
     // This copy is the graph's only owner, and the graph was made
@@ -641,41 +641,38 @@ Topology::degraded() const
 }
 
 Topology::Digest
-Topology::memoizedDigest(DigestPass pass, const Digest &in) const
+Topology::memoizedDigest(DigestPass pass, const Digest &in,
+                         NodeLists lists) const
 {
     if (!graph_)
-        return pass(in, *this);
+        return pass(in, *this, lists);
     std::vector<std::pair<int, LinkState>> unhealthy;
     for (int e = 0; e < edgeCount(); ++e) {
         if (!link_state_[e].healthy())
             unhealthy.emplace_back(e, link_state_[e]);
     }
-    const Graph &g = *graph_;
-    auto stored = [&]() -> const Digest * {
-        for (const DigestMemoEntry &m : g.memo) {
-            if (m.pass == pass && m.in == in && m.unhealthy == unhealthy)
-                return &m.out;
+    auto sameLists = [&](const std::vector<std::vector<NodeId>> &have) {
+        if (have.size() != lists.size())
+            return false;
+        for (std::size_t i = 0; i < have.size(); ++i) {
+            if (have[i] != *lists[i])
+                return false;
         }
-        return nullptr;
+        return true;
     };
-    {
-        std::lock_guard<std::mutex> lock(g.memo_mu);
-        if (const Digest *hit = stored())
-            return *hit;
-    }
-    // Run the pass unlocked: copies hashing other link states in
-    // parallel must not wait on it.
-    const Digest out = pass(in, *this);
-    // A few link states per graph cover every use so far (healthy,
-    // spine- and ToR-degraded pods); more would only hold memory.
-    constexpr std::size_t kMemoEntries = 4;
-    std::lock_guard<std::mutex> lock(g.memo_mu);
-    if (!stored()) { // else a racing twin stored it first
-        if (g.memo.size() == kMemoEntries)
-            g.memo.erase(g.memo.begin());
-        g.memo.push_back({pass, in, std::move(unhealthy), out});
-    }
-    return out;
+    return graph_->memo.get(
+        [&](const DigestMemoEntry &m) {
+            return m.pass == pass && m.in == in &&
+                   m.unhealthy == unhealthy && sameLists(m.lists);
+        },
+        [&] { return pass(in, *this, lists); },
+        [&](const Digest &out) {
+            std::vector<std::vector<NodeId>> copied;
+            for (const std::vector<NodeId> *list : lists)
+                copied.push_back(*list);
+            return DigestMemoEntry{pass, in, std::move(unhealthy),
+                                   std::move(copied), out};
+        });
 }
 
 void

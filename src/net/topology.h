@@ -27,18 +27,18 @@
 #ifndef MLPSIM_NET_TOPOLOGY_H
 #define MLPSIM_NET_TOPOLOGY_H
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "net/link.h"
+#include "sim/shared_memo.h"
 
 namespace mlps::net {
 
@@ -86,14 +86,19 @@ class Topology
 {
   public:
     /** 128-bit state of a hash pass over a topology. */
-    using Digest = std::array<std::uint64_t, 2>;
+    using Digest = sim::Digest;
+
+    /** Node-id lists a hash pass mixes after the topology (a
+     *  machine's CPU, GPU and switch nodes). */
+    using NodeLists = std::span<const std::vector<NodeId> *const>;
 
     /**
      * A hash pass: the state after mixing a topology (graph and link
-     * state) into the incoming state. Must be a pure function of its
-     * arguments.
+     * state) and then the node lists into the incoming state. Must be
+     * a pure function of its arguments.
      */
-    using DigestPass = Digest (*)(const Digest &in, const Topology &topo);
+    using DigestPass = Digest (*)(const Digest &in, const Topology &topo,
+                                  NodeLists lists);
 
     /** Add a CPU socket node. @return its id. */
     NodeId addCpu(const std::string &name);
@@ -216,12 +221,14 @@ class Topology
     std::uint64_t epoch() const { return epoch_; }
 
     /**
-     * pass(in, *this), memoized on the graph this copy shares. The key
-     * is the pass, 'in' and this copy's link state (the edges that are
-     * down or scaled, with their exact values), so a hit returns the
-     * state the pass would compute. Each graph keeps a few entries.
+     * pass(in, *this, lists), memoized on the graph this copy shares.
+     * The key is the pass, 'in', this copy's link state (the edges
+     * that are down or scaled, with their exact values) and the lists'
+     * contents, compared by value, so a hit returns the state the pass
+     * would compute. Each graph keeps a few entries.
      */
-    Digest memoizedDigest(DigestPass pass, const Digest &in) const;
+    Digest memoizedDigest(DigestPass pass, const Digest &in,
+                          NodeLists lists) const;
 
     /**
      * Check structural and dynamic invariants: every edge endpoint
@@ -266,6 +273,7 @@ class Topology
         Digest in;
         /** (edge, state) of every unhealthy edge, ascending edge id. */
         std::vector<std::pair<int, LinkState>> unhealthy;
+        std::vector<std::vector<NodeId>> lists;
         Digest out;
     };
 
@@ -273,9 +281,7 @@ class Topology
     struct Graph {
         std::vector<Node> nodes;
         std::vector<Edge> edges;
-        mutable std::mutex memo_mu;
-        /** memoizedDigest results, most recently added last. */
-        mutable std::vector<DigestMemoEntry> memo;
+        sim::DigestMemo<DigestMemoEntry> memo;
     };
 
     NodeId addNode(NodeKind kind, const std::string &name);
@@ -322,30 +328,20 @@ class Topology
     };
 
     /**
-     * Per-object state a copy does not take over: the cache and its
-     * mutex, and whether graph_ may have another owner. A copy starts
-     * cold and marks both sides as sharing, so the builders copy the
-     * graph before changing it (use_count() cannot prove that another
-     * thread has finished reading it). A move leaves both sides cold,
-     * so a moved-from Topology answers from nothing stale.
+     * The cache and its mutex, which a copy does not take over: a copy
+     * starts cold, and a move leaves both sides cold, so a moved-from
+     * Topology answers from nothing stale.
      */
     struct CacheHolder {
         CacheHolder() = default;
-        CacheHolder(const CacheHolder &other) {
-            other.graph_shared = graph_shared = true;
-        }
-        CacheHolder(CacheHolder &&other) noexcept
-            : graph_shared(other.graph_shared.load()) {
-            other.clear();
-        }
-        CacheHolder &operator=(const CacheHolder &other) {
+        CacheHolder(const CacheHolder &) {}
+        CacheHolder(CacheHolder &&other) noexcept { other.clear(); }
+        CacheHolder &operator=(const CacheHolder &) {
             clear();
-            other.graph_shared = graph_shared = true;
             return *this;
         }
         CacheHolder &operator=(CacheHolder &&other) noexcept {
             clear();
-            graph_shared = other.graph_shared.load();
             other.clear();
             return *this;
         }
@@ -353,7 +349,6 @@ class Topology
 
         mutable std::mutex mu;
         mutable Cache cache;
-        mutable std::atomic<bool> graph_shared{false};
     };
 
     /** Caller holds cache_.mu; drops stale results on epoch moves. */
@@ -365,6 +360,9 @@ class Topology
 
     /** Null only when empty (default-constructed or moved from). */
     std::shared_ptr<const Graph> graph_;
+    /** Whether graph_ may have another owner; the builders copy the
+     *  graph first when it may. */
+    sim::ShareMark graph_mark_;
     /** Parallel to the graph's edges. */
     std::vector<LinkState> link_state_;
     /** Links of link_state_ that are down. A moved-from count reads

@@ -73,8 +73,9 @@ constexpr std::size_t kMaxLineBytes = 64 * 1024;
 /**
  * The protocol's JSON vocabulary is the shared bounded parser in
  * sim/json.h; the historical serve::Json spelling is kept as an
- * alias. The default parse() limits (depth 32, lenient numbers) are
- * byte-compatible with the parser that used to live here.
+ * alias. The default parse() limits (depth 32) and error strings are
+ * those of the parser that used to live here; numbers follow the JSON
+ * grammar only.
  */
 using Json = sim::JsonValue;
 

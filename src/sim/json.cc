@@ -284,11 +284,10 @@ class Parser
         if (end == start)
             return fail("expected a value");
         // strtod also reads inf/nan, hex floats, a leading '+' or '.',
-        // leading zeros and "1."; strict mode takes only what the JSON
-        // grammar spans, and no overflow to infinity.
-        if (limits_.strict_numbers &&
-            (grammarLength(start) != static_cast<std::size_t>(end - start) ||
-             !std::isfinite(v)))
+        // leading zeros and "1."; take only what the JSON grammar
+        // spans, and no overflow to infinity.
+        if (grammarLength(start) != static_cast<std::size_t>(end - start) ||
+            !std::isfinite(v))
             return fail("bad number");
         out->kind = JsonValue::Kind::Number;
         out->number = v;
@@ -336,10 +335,8 @@ JsonValue::find(const std::string &key) const
 bool
 jsonValid(const std::string &text, std::string *error)
 {
-    JsonLimits limits;
-    limits.strict_numbers = true;
     JsonValue doc;
-    return JsonValue::parse(text, limits, &doc, error);
+    return JsonValue::parse(text, &doc, error);
 }
 
 std::string

@@ -9,11 +9,12 @@
  * token budgets make hostile input fail with a one-line diagnostic;
  * every node carries its byte offset for line/column diagnostics.
  *
- * The default parse() keeps the wire's historical behaviour: depth
- * 32, errors "<why> at byte N", and strtod's lenient numbers.
- * JsonLimits::strict_numbers takes exactly the JSON number grammar
- * (`-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?`, finite); the
- * importer and jsonValid() use it.
+ * The default parse() keeps the wire's historical limits and
+ * errors: depth 32 and "<why> at byte N". Every caller reads numbers
+ * in exactly the JSON grammar
+ * (`-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?`, finite); strtod's
+ * extensions (hex, inf, nan, a leading '+' or '.', leading zeros, a
+ * bare '.' or exponent) are "bad number".
  */
 
 #ifndef MLPSIM_SIM_JSON_H
@@ -34,13 +35,6 @@ struct JsonLimits {
     std::size_t max_bytes = 0;
     /** Ceiling on parsed values (0 = unlimited). */
     std::size_t max_tokens = 0;
-    /**
-     * Accept only the JSON number grammar: no strtod extensions
-     * (inf, nan, hex floats, a leading '+' or '.'), no leading zeros,
-     * no bare '.' or exponent, and no value that overflows to
-     * infinity. Off by default for wire-protocol compatibility.
-     */
-    bool strict_numbers = false;
 };
 
 /** Parsed JSON value (object keys keep insertion order). */

@@ -1134,7 +1134,6 @@ importWorkload(const std::string &text, const ImportOptions &opts)
     limits.max_depth = opts.max_depth;
     limits.max_bytes = opts.max_bytes;
     limits.max_tokens = opts.max_tokens;
-    limits.strict_numbers = true;
     sim::JsonValue doc;
     std::string parse_error;
     if (!sim::JsonValue::parse(text, limits, &doc, &parse_error)) {

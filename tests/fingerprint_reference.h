@@ -1,10 +1,12 @@
 /**
  * @file
- * The unmemoized machine fingerprint, kept as the reference that
- * exec::fingerprintOf(system) must equal bit for bit. Its topology
- * pass mixes every node name and every edge's link spec and link
- * state on every call; the library memoizes that pass on the graph
- * copies share.
+ * The unmemoized machine and workload fingerprints, kept as the
+ * references that exec::fingerprintOf must equal bit for bit. The
+ * machine's topology pass mixes every node name, every edge's link
+ * spec and link state and every CPU/GPU/switch node id on every call,
+ * and the workload's graph pass mixes every op; the library memoizes
+ * both passes on the structure copies share (the topology graph and
+ * the op-graph block).
  */
 
 #ifndef MLPSIM_TESTS_FINGERPRINT_REFERENCE_H
@@ -20,6 +22,7 @@
 #include "exec/supervisor.h"
 #include "sim/rng.h"
 #include "sys/system_config.h"
+#include "wl/workload.h"
 
 namespace mlps::reference {
 
@@ -111,6 +114,85 @@ fingerprintOf(const sys::SystemConfig &system)
     h.mixU64(system.switch_nodes.size());
     for (net::NodeId n : system.switch_nodes)
         h.mixInt(n);
+    return h.digest();
+}
+
+inline void
+mixInto(exec::HashStream &h, const wl::Op &op)
+{
+    h.mixString(op.name);
+    h.mixInt(static_cast<int>(op.kind));
+    h.mixDouble(op.flops);
+    h.mixDouble(op.bytes);
+    h.mixDouble(op.param_bytes);
+    h.mixDouble(op.activation_bytes);
+}
+
+inline void
+mixInto(exec::HashStream &h, const wl::DatasetSpec &d)
+{
+    h.mixString(d.name);
+    h.mixDouble(d.num_samples);
+    h.mixDouble(d.raw_bytes_per_sample);
+    h.mixDouble(d.input_bytes_per_sample);
+}
+
+inline void
+mixInto(exec::HashStream &h, const wl::ConvergenceModel &c)
+{
+    h.mixString(c.quality_target);
+    h.mixDouble(c.base_epochs);
+    h.mixDouble(c.reference_global_batch);
+    h.mixDouble(c.penalty_exponent);
+    h.mixDouble(c.global_batch_cap);
+    h.mixDouble(c.eval_overhead);
+}
+
+inline void
+mixInto(exec::HashStream &h, const wl::HostPipelineSpec &p)
+{
+    h.mixDouble(p.cpu_core_us_per_sample);
+    h.mixDouble(p.serial_cpu_us_per_sample);
+    h.mixDouble(p.framework_dram_bytes);
+    h.mixDouble(p.per_gpu_dram_bytes);
+    h.mixDouble(p.dataset_residency);
+    h.mixDouble(p.os_baseline_cpu_pct);
+}
+
+/** exec::fingerprintOf(workload) without the graph memo. */
+inline exec::Fingerprint
+fingerprintOf(const wl::WorkloadSpec &workload)
+{
+    exec::HashStream h;
+    h.mixString(workload.abbrev);
+    h.mixString(workload.domain);
+    h.mixString(workload.model_name);
+    h.mixString(workload.framework);
+    h.mixString(workload.submitter);
+    h.mixInt(static_cast<int>(workload.suite));
+    h.mixInt(static_cast<int>(workload.mode));
+
+    h.mixString(workload.graph.name());
+    h.mixU64(workload.graph.size());
+    for (const wl::Op &op : workload.graph.ops())
+        mixInto(h, op);
+    mixInto(h, workload.dataset);
+    mixInto(h, workload.convergence);
+    mixInto(h, workload.host);
+
+    h.mixDouble(workload.per_gpu_batch);
+    h.mixDouble(workload.comm_overlap);
+    h.mixDouble(workload.sync_penalty_base);
+    h.mixDouble(workload.sync_penalty_log);
+    h.mixDouble(workload.tc_efficiency);
+    h.mixBool(workload.fp32_gradients);
+    h.mixDouble(workload.staged_overlap_retention);
+    h.mixDouble(workload.staged_iteration_penalty);
+    h.mixDouble(workload.iteration_overhead_us);
+    h.mixDouble(workload.reference_code_derate);
+    h.mixDouble(workload.kernel_iterations);
+    h.mixDouble(workload.collective_bytes);
+    h.mixDouble(workload.collective_iterations);
     return h.digest();
 }
 

@@ -88,10 +88,11 @@ TEST(ServeJson, SharedParserKeepsWireErrorStringsAndLimits)
     EXPECT_FALSE(serve::Json::parse("{\"a\":1}x", &doc, &err));
     EXPECT_EQ(err, "trailing characters after document at byte 7");
 
-    // The lenient wire grammar still takes strtod extensions (the
-    // strict budgeted grammar is the importer's, not serve's).
-    EXPECT_TRUE(serve::Json::parse("{\"v\": 0x10}", &doc, &err))
-        << err;
+    // The wire reads numbers in the JSON grammar only, like the
+    // importer: strtod extensions such as hex are a bad number.
+    EXPECT_FALSE(serve::Json::parse("{\"v\": 0x10}", &doc, &err));
+    EXPECT_EQ(err, "bad number at byte 6");
+    EXPECT_TRUE(serve::Json::parse("{\"v\": 16}", &doc, &err)) << err;
     EXPECT_DOUBLE_EQ(doc.find("v")->number, 16.0);
 }
 
@@ -307,7 +308,7 @@ TEST(ServeProtocol, DecoderRejectsNonIntegralAndOutOfRangeMembers)
     for (const char *member :
          {"\"gpus\":1e300", "\"gpus\":2.5", "\"gpus\":\"8\"",
           "\"kernel_launches\":-1e10", "\"micro_batches\":1e19",
-          "\"reroutes\":NaN", "\"fabric\":3", "\"fabric\":-1",
+          "\"fabric\":3", "\"fabric\":-1",
           "\"fabric\":1.5", "\"precision\":\"fp64\"",
           "\"intra-node_bytes\":true"}) {
         err.clear();
@@ -319,6 +320,12 @@ TEST(ServeProtocol, DecoderRejectsNonIntegralAndOutOfRangeMembers)
     }
     EXPECT_FALSE(serve::decodeResponse(
         "{\"type\":\"hello\",\"proto\":1e300}", &resp, &err));
+    // NaN is no JSON number, so the line fails to parse before any
+    // member is decoded.
+    err.clear();
+    EXPECT_FALSE(serve::decodeResponse(head + "\"reroutes\":NaN}}", &resp,
+                                       &err));
+    EXPECT_EQ(err, "bad JSON: bad number at byte 61");
 
     // In range: decoded; absent members keep their TrainResult{} value.
     ASSERT_TRUE(serve::decodeResponse(
