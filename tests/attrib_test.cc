@@ -184,8 +184,9 @@ TEST(Attribution, TopContributorsAreSortedCriticalSpans)
     ASSERT_LE(top.size(), 3u);
     for (std::size_t i = 0; i < top.size(); ++i) {
         EXPECT_TRUE(top[i]->critical);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(top[i - 1]->duration_s, top[i]->duration_s);
+        }
     }
     // Asking for more than the path holds returns the whole path.
     auto all = obs::attrib::topContributors(a, 1000);
@@ -266,9 +267,10 @@ TEST(Attribution, GatedByNamesThePipelineBottleneck)
                     << a.gated_by;
                 // A bubble exists iff something other than the GPU
                 // gates the iteration.
-                if (a.bubble_s > 0.0)
+                if (a.bubble_s > 0.0) {
                     EXPECT_NE(a.gated_by, "gpu")
                         << b.abbrev() << " on " << system.name;
+                }
             }
         }
     }

@@ -157,8 +157,9 @@ TEST(FaultModel, TraceIsSortedAndWellFormed)
             EXPECT_GE(ev.resource, 0);
         else
             EXPECT_EQ(ev.resource, -1);
-        if (ev.resource >= 0)
+        if (ev.resource >= 0) {
             EXPECT_LT(ev.resource, 4);
+        }
     }
 }
 
@@ -243,8 +244,9 @@ TEST(LinkFaultIsolation, LinkFaultsNeverPerturbNodeTraces)
         fault::LinkFaultModel links(
             fault::LinkFaultConfig::datacenterProfile(link_mttf), 123);
         auto link_trace = links.generate(48 * 3600.0, box.topo);
-        if (link_mttf <= 2.0)
+        if (link_mttf <= 2.0) {
             ASSERT_FALSE(link_trace.empty());
+        }
         fault::applyLinkFaults(box.topo, link_trace, 3600.0);
 
         fault::FaultModel nodes(denseProfile(), 123);

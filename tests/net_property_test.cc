@@ -1197,6 +1197,148 @@ TEST(FlowSimulatorReference, SymmetricClassesMatchBitForBit)
     }
 }
 
+// The all-reduce models against their per-algorithm oracle copies
+// (net_reference.h): every public entry point, every result field,
+// bit for bit, on boxes, pods, degraded fabrics and degenerate shapes.
+
+/** Every field of two all-reduce results, bit for bit. */
+void
+expectSameAllReduce(const AllReduceResult &got, const AllReduceResult &want,
+                    const std::string &what)
+{
+    EXPECT_EQ(got.seconds, want.seconds) << what;
+    EXPECT_EQ(got.fabric, want.fabric) << what;
+    EXPECT_EQ(got.nvlink_bytes, want.nvlink_bytes) << what;
+    EXPECT_EQ(got.pcie_bytes, want.pcie_bytes) << what;
+    EXPECT_EQ(got.upi_bytes, want.upi_bytes) << what;
+    EXPECT_EQ(got.eth_bytes, want.eth_bytes) << what;
+    for (int t = 0; t < kNumFabricTiers; ++t)
+        EXPECT_EQ(got.tier_bytes[t], want.tier_bytes[t])
+            << what << " tier " << t;
+    EXPECT_EQ(got.reroutes, want.reroutes) << what;
+}
+
+/** How often the oracle's auto picked each multi-rack candidate. */
+struct AutoBranches {
+    int ring2d = 0;
+    int tree = 0;
+};
+
+/**
+ * The four all-reduce entry points on one GPU set against their
+ * oracle copies, at each payload, with default tunables and with
+ * several buckets behind a 2x straggler.
+ */
+void
+expectAllReduceMatchesReference(const Topology &topo,
+                                const std::vector<NodeId> &gpus,
+                                const std::vector<double> &payloads,
+                                const std::string &label,
+                                AutoBranches *branches = nullptr)
+{
+    namespace ref = mlps::reference;
+    AllReduceParams straggler;
+    straggler.buckets = 7;
+    straggler.slowest_participant_scale = 2.0;
+    FabricShape shape = fabricShape(topo, gpus);
+    bool multi_rack = shape.node_groups.size() > 1 && shape.uniform() &&
+                      shape.rack_groups.size() > 1;
+    for (const AllReduceParams &p : {AllReduceParams{}, straggler}) {
+        for (double bytes : payloads) {
+            std::string what = label + ", " + std::to_string(bytes) +
+                               " B, buckets " +
+                               std::to_string(p.buckets);
+            expectSameAllReduce(ringAllReduce(topo, gpus, bytes, p),
+                                ref::ringAllReduce(topo, gpus, bytes, p),
+                                "ring: " + what);
+            AllReduceResult ring2d =
+                ref::hierarchicalRingAllReduce(topo, gpus, bytes, p);
+            AllReduceResult tree =
+                ref::hierarchicalTreeAllReduce(topo, gpus, bytes, p);
+            expectSameAllReduce(
+                hierarchicalRingAllReduce(topo, gpus, bytes, p), ring2d,
+                "2d ring: " + what);
+            expectSameAllReduce(
+                hierarchicalTreeAllReduce(topo, gpus, bytes, p), tree,
+                "tree: " + what);
+            expectSameAllReduce(
+                autoHierarchicalAllReduce(topo, gpus, bytes, p),
+                ref::autoHierarchicalAllReduce(topo, gpus, bytes, p),
+                "auto: " + what);
+            if (branches && multi_rack && bytes > 0.0)
+                ++(ring2d.seconds <= tree.seconds ? branches->ring2d
+                                                  : branches->tree);
+        }
+    }
+}
+
+/** Payloads: none, one the cross-rack tree wins, one the 2D ring
+ *  wins. */
+const std::vector<double> kAllReducePayloads = {0.0, 64.0 * 1024,
+                                                256.0 * 1024 * 1024};
+
+TEST_P(RandomTopologyTest, MatchesAllReduceReference)
+{
+    mlps::sim::Rng rng(17000 + GetParam());
+    int gpus = 0;
+    Topology topo = randomTopology(rng, gpus);
+    expectAllReduceMatchesReference(topo, topo.gpus(), kAllReducePayloads,
+                                    "healthy");
+    // Down links re-chain the ring and count reroutes.
+    for (int e = 0; e < topo.edgeCount(); ++e) {
+        if (rng.chance(0.3))
+            downIfSurvivable(topo, e);
+    }
+    expectAllReduceMatchesReference(topo, topo.gpus(), kAllReducePayloads,
+                                    "links down");
+}
+
+TEST(AllReduceReference, PodsMatchBitForBit)
+{
+    using mlps::sys::SystemConfig;
+    namespace sys = mlps::sys;
+    SystemConfig pod4x4 = sys::withPod(sys::c4140M(), 4, 4);
+    SystemConfig pod16x8 = sys::withPod(sys::c4140M(), 16, 8);
+    SystemConfig nvdown4x4 = pod4x4;
+    sys::applyDegradedLinks(nvdown4x4, "r1n2.GPU0-r1n2.GPU1:down");
+    SystemConfig nvdown16x8 = pod16x8;
+    sys::applyDegradedLinks(nvdown16x8, "r3n5.GPU0-r3n5.GPU1:down");
+    struct Case {
+        SystemConfig system;
+        int gpus; // 0 = every GPU
+    };
+    const Case cases[] = {
+        {pod4x4, 0},
+        {pod16x8, 0},
+        {sys::withPod(sys::c4140M(), 1, 1, 0), 0},
+        {sys::withPod(sys::c4140M(), 1, 4), 0},
+        {sys::withTorDegraded(pod4x4, 0, 0.25), 0},
+        {sys::withSpineDegraded(pod4x4, 0.25), 0},
+        {nvdown4x4, 0},
+        {pod4x4, 6}, // non-uniform: one full 4-GPU host and a half
+        {sys::dss8440(), 0},
+        // The systems and GPU counts of the explain goldens.
+        {pod16x8, 512},
+        {sys::withSpineDegraded(pod16x8, 0.25), 512},
+        {sys::dss8440(), 8},
+        {pod16x8, 64},
+        {nvdown16x8, 512},
+    };
+    AutoBranches branches;
+    for (const Case &c : cases) {
+        std::vector<NodeId> gpus =
+            c.gpus ? c.system.gpuSubset(c.gpus) : c.system.gpu_nodes;
+        expectAllReduceMatchesReference(
+            c.system.topo, gpus, kAllReducePayloads,
+            c.system.name + " x" + std::to_string(gpus.size()),
+            &branches);
+    }
+    // Both of the auto's multi-rack candidates won somewhere, so the
+    // comparison covered each.
+    EXPECT_GT(branches.ring2d, 0);
+    EXPECT_GT(branches.tree, 0);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTopologyTest,
                          ::testing::Range(0, 10));
 

@@ -1,9 +1,10 @@
 /**
  * @file
- * Closed-form network oracles the flow-level model is checked
- * against. Production prices every transfer with net::FlowSimulator
- * and the all-reduce models; these estimates only cross-check them on
- * contention-free cases, so they live with the tests.
+ * Network oracles the flow-level model is checked against.
+ * Production prices every transfer with net::FlowSimulator and the
+ * all-reduce models. The closed-form estimates only cross-check them
+ * on contention-free cases; the per-algorithm all-reduce copies at
+ * the end are the bit-exact oracle of the collective plans.
  */
 
 #ifndef MLPSIM_TESTS_NET_REFERENCE_H
@@ -83,6 +84,408 @@ linkTraffic(const net::FlowSimulator &fsim, const net::Topology &topo)
         if (fsim.edgeBytes()[e] > 0.0)
             out.push_back({e, topo.link(e).kind, fsim.edgeBytes()[e]});
     return out;
+}
+
+/*
+ * The all-reduce models as they stood when each algorithm priced its
+ * own phases: one function per algorithm, each building and running
+ * its own flow simulations. Production now builds phase plans and
+ * prices them in one evaluator; these copies are the oracle its
+ * results must equal bit for bit (AllReduceReference tests).
+ */
+
+namespace detail {
+
+using net::AllReduceParams;
+using net::AllReduceResult;
+using net::CollectiveFabric;
+using net::FabricShape;
+using net::FabricTier;
+using net::FlowSimulator;
+using net::LinkKind;
+using net::NodeId;
+using net::NodeKind;
+using net::Topology;
+using net::kNumFabricTiers;
+
+/** Accumulate a simulated phase's per-kind/per-tier bytes, scaled by
+ *  the number of identical steps the simulation stands for. */
+inline void
+accountBytes(AllReduceResult *res, const FlowSimulator &fsim, double mult)
+{
+    res->nvlink_bytes += mult * fsim.bytesOnKind(LinkKind::NvLink);
+    res->pcie_bytes += mult * fsim.bytesOnKind(LinkKind::Pcie3);
+    res->upi_bytes += mult * fsim.bytesOnKind(LinkKind::Upi);
+    res->eth_bytes += mult * fsim.bytesOnKind(LinkKind::Eth);
+    for (int t = 0; t < kNumFabricTiers; ++t)
+        res->tier_bytes[t] +=
+            mult * fsim.bytesOnTier(static_cast<FabricTier>(t));
+}
+
+/** Worst per-host collective fabric across the shape's node groups:
+ *  phases barrier, so the slowest host's fallback paces them all. */
+inline CollectiveFabric
+worstIntraFabric(const Topology &topo, const FabricShape &shape)
+{
+    CollectiveFabric worst = CollectiveFabric::NvLink;
+    for (const auto &group : shape.node_groups) {
+        CollectiveFabric f = topo.collectiveFabric(group);
+        if (static_cast<int>(f) > static_cast<int>(worst))
+            worst = f;
+    }
+    return worst;
+}
+
+/** True when edge e joins a and b. */
+inline bool
+joins(const Topology &topo, int e, NodeId a, NodeId b)
+{
+    auto [x, y] = topo.endpoints(e);
+    return (x == a && y == b) || (x == b && y == a);
+}
+
+/** Lowest-id up edge directly joining a and b, or -1. Incident edges
+ *  are listed in connect (= id) order. */
+inline int
+directUpEdge(const Topology &topo, NodeId a, NodeId b)
+{
+    for (int e : topo.incidentEdges(a)) {
+        if (joins(topo, e, a, b) && !topo.linkDown(e))
+            return e;
+    }
+    return -1;
+}
+
+/** True when some (possibly down) edge directly joins a and b. */
+inline bool
+directEdgeExists(const Topology &topo, NodeId a, NodeId b)
+{
+    for (int e : topo.incidentEdges(a)) {
+        if (joins(topo, e, a, b))
+            return true;
+    }
+    return false;
+}
+
+/** Fault-aware per-host ring orders, counting intra-node reroutes. */
+inline std::vector<std::vector<NodeId>>
+hostRingOrders(const Topology &topo, const FabricShape &shape,
+               AllReduceResult *res)
+{
+    std::vector<std::vector<NodeId>> orders;
+    orders.reserve(shape.node_groups.size());
+    for (const auto &group : shape.node_groups) {
+        std::vector<NodeId> order = net::survivingRingOrder(topo, group);
+        int n = static_cast<int>(order.size());
+        if (topo.anyLinkDown() && n > 1) {
+            for (int i = 0; i < n; ++i) {
+                NodeId a = order[i];
+                NodeId b = order[(i + 1) % n];
+                if (directEdgeExists(topo, a, b) &&
+                    directUpEdge(topo, a, b) < 0)
+                    ++res->reroutes;
+            }
+        }
+        orders.push_back(std::move(order));
+    }
+    return orders;
+}
+
+/** Ring-phase wall time: simulated step * step count + per-bucket
+ *  step overheads. */
+inline double
+phaseSeconds(double step_s, int steps, int buckets, double lat_us)
+{
+    return steps * step_s +
+           static_cast<double>(buckets) * steps * lat_us * 1e-6;
+}
+
+} // namespace detail
+
+/** Flat ring all-reduce (oracle copy of net::ringAllReduce). */
+inline net::AllReduceResult
+ringAllReduce(const net::Topology &topo,
+              const std::vector<net::NodeId> &gpus, double bytes,
+              const net::AllReduceParams &params = {})
+{
+    using namespace detail;
+    AllReduceResult res;
+    if (gpus.empty())
+        sim::fatal("ringAllReduce: empty GPU set");
+    for (NodeId g : gpus) {
+        if (topo.kind(g) != NodeKind::Gpu)
+            sim::fatal("ringAllReduce: node %d is not a GPU", g);
+    }
+    int n = static_cast<int>(gpus.size());
+    if (n == 1 || bytes <= 0.0) {
+        res.fabric = topo.collectiveFabric(gpus);
+        return res;
+    }
+
+    res.fabric = topo.collectiveFabric(gpus);
+    double chunk = bytes / n;
+    int steps = 2 * (n - 1);
+    int buckets = std::max(params.buckets, 1);
+
+    bool staged = res.fabric == CollectiveFabric::HostStaged;
+    double derate = staged ? params.staged_bw_derate : 1.0;
+    double per_step_lat_us =
+        staged ? params.staged_step_overhead_us : params.step_overhead_us;
+
+    // With links down, rebuild the ring over the surviving fabric and
+    // count hops that lost their direct link (the flow simulator then
+    // routes them around the fault).
+    std::vector<NodeId> order = net::survivingRingOrder(topo, gpus);
+    if (topo.anyLinkDown()) {
+        for (int i = 0; i < n; ++i) {
+            NodeId a = order[i];
+            NodeId b = order[(i + 1) % n];
+            if (directEdgeExists(topo, a, b) &&
+                directUpEdge(topo, a, b) < 0)
+                ++res.reroutes;
+        }
+    }
+
+    // Every step has identical flow structure (each GPU sends one chunk
+    // to its successor), so simulate one step and multiply. Bucketing
+    // does not change the bandwidth term (same total bytes) but pays
+    // the per-step latency once per bucket.
+    FlowSimulator fsim(topo);
+    for (int i = 0; i < n; ++i)
+        fsim.addFlow(order[i], order[(i + 1) % n], chunk);
+    double step_s = fsim.run() / derate;
+
+    res.seconds = steps * step_s +
+                  static_cast<double>(buckets) * steps *
+                      per_step_lat_us * 1e-6;
+    res.seconds *= std::max(params.slowest_participant_scale, 1.0);
+    accountBytes(&res, fsim, steps);
+    return res;
+}
+
+/** 2D-ring hierarchical all-reduce (oracle copy of
+ *  net::hierarchicalRingAllReduce). */
+inline net::AllReduceResult
+hierarchicalRingAllReduce(const net::Topology &topo,
+                          const std::vector<net::NodeId> &gpus,
+                          double bytes,
+                          const net::AllReduceParams &params = {})
+{
+    using namespace detail;
+    if (gpus.empty())
+        sim::fatal("hierarchicalRingAllReduce: empty GPU set");
+    FabricShape shape = net::fabricShape(topo, gpus);
+    std::size_t hosts = shape.node_groups.size();
+    // Degenerate shapes delegate to the flat ring *verbatim*: a
+    // single-host pod must stay bit-identical to the box model.
+    if (hosts <= 1 || !shape.uniform() || bytes <= 0.0)
+        return reference::ringAllReduce(topo, gpus, bytes, params);
+
+    int per_host = static_cast<int>(shape.node_groups[0].size());
+    int m = static_cast<int>(hosts);
+    int buckets = std::max(params.buckets, 1);
+
+    AllReduceResult res;
+    res.fabric = CollectiveFabric::HostStaged; // spans hosts
+
+    std::vector<std::vector<NodeId>> orders =
+        hostRingOrders(topo, shape, &res);
+
+    CollectiveFabric intra = worstIntraFabric(topo, shape);
+    bool intra_staged = intra == CollectiveFabric::HostStaged;
+    double intra_derate = intra_staged ? params.staged_bw_derate : 1.0;
+    double intra_lat_us = intra_staged ? params.staged_step_overhead_us
+                                       : params.step_overhead_us;
+
+    double chunk = bytes / per_host;
+    double seconds = 0.0;
+
+    // Phase 1 + 3: intra-node reduce-scatter and allgather, rings in
+    // every host concurrently, (L-1) steps of bytes/L each way.
+    if (per_host > 1) {
+        FlowSimulator fsim(topo);
+        for (const auto &order : orders) {
+            for (int i = 0; i < per_host; ++i)
+                fsim.addFlow(order[i], order[(i + 1) % per_host],
+                             chunk);
+        }
+        double step_s = fsim.run() / intra_derate;
+        int steps = 2 * (per_host - 1);
+        seconds += phaseSeconds(step_s, steps, buckets, intra_lat_us);
+        accountBytes(&res, fsim, steps);
+    }
+
+    // Phase 2: cross-node ring all-reduce of each shard over the NIC
+    // fabric — rank i of host h talks to rank i of host h+1, L
+    // concurrent rank-rings, 2*(M-1) steps of bytes/(L*M). Always
+    // host-staged: the path crosses CPU, NIC and switch fabric.
+    {
+        FlowSimulator fsim(topo);
+        double xchunk = chunk / m;
+        for (int i = 0; i < per_host; ++i) {
+            for (int h = 0; h < m; ++h)
+                fsim.addFlow(orders[h][i], orders[(h + 1) % m][i],
+                             xchunk);
+        }
+        double step_s = fsim.run() / params.staged_bw_derate;
+        int steps = 2 * (m - 1);
+        seconds += phaseSeconds(step_s, steps, buckets,
+                                params.staged_step_overhead_us);
+        accountBytes(&res, fsim, steps);
+    }
+
+    res.seconds =
+        seconds * std::max(params.slowest_participant_scale, 1.0);
+    return res;
+}
+
+/** Cross-rack tree hierarchical all-reduce (oracle copy of
+ *  net::hierarchicalTreeAllReduce). */
+inline net::AllReduceResult
+hierarchicalTreeAllReduce(const net::Topology &topo,
+                          const std::vector<net::NodeId> &gpus,
+                          double bytes,
+                          const net::AllReduceParams &params = {})
+{
+    using namespace detail;
+    if (gpus.empty())
+        sim::fatal("hierarchicalTreeAllReduce: empty GPU set");
+    FabricShape shape = net::fabricShape(topo, gpus);
+    std::size_t hosts = shape.node_groups.size();
+    if (hosts <= 1 || !shape.uniform() || bytes <= 0.0)
+        return reference::ringAllReduce(topo, gpus, bytes, params);
+    std::size_t racks = shape.rack_groups.size();
+    if (racks <= 1)
+        return reference::hierarchicalRingAllReduce(topo, gpus, bytes,
+                                                    params);
+
+    int per_host = static_cast<int>(shape.node_groups[0].size());
+    int per_rack = static_cast<int>(shape.rack_groups[0].size());
+    int buckets = std::max(params.buckets, 1);
+
+    AllReduceResult res;
+    res.fabric = CollectiveFabric::HostStaged;
+
+    std::vector<std::vector<NodeId>> orders =
+        hostRingOrders(topo, shape, &res);
+
+    CollectiveFabric intra = worstIntraFabric(topo, shape);
+    bool intra_staged = intra == CollectiveFabric::HostStaged;
+    double intra_derate = intra_staged ? params.staged_bw_derate : 1.0;
+    double intra_lat_us = intra_staged ? params.staged_step_overhead_us
+                                       : params.step_overhead_us;
+
+    double chunk = bytes / per_host;
+    double seconds = 0.0;
+
+    // Phase 1 + 5: intra-node reduce-scatter and allgather.
+    if (per_host > 1) {
+        FlowSimulator fsim(topo);
+        for (const auto &order : orders) {
+            for (int i = 0; i < per_host; ++i)
+                fsim.addFlow(order[i], order[(i + 1) % per_host],
+                             chunk);
+        }
+        double step_s = fsim.run() / intra_derate;
+        int steps = 2 * (per_host - 1);
+        seconds += phaseSeconds(step_s, steps, buckets, intra_lat_us);
+        accountBytes(&res, fsim, steps);
+    }
+
+    // Phase 2: intra-rack cross-node ring all-reduce of each shard,
+    // every rack concurrently, 2*(Mr-1) steps of bytes/(L*Mr).
+    if (per_rack > 1) {
+        FlowSimulator fsim(topo);
+        double xchunk = chunk / per_rack;
+        for (const auto &rack : shape.rack_groups) {
+            for (int i = 0; i < per_host; ++i) {
+                for (int j = 0; j < per_rack; ++j)
+                    fsim.addFlow(orders[rack[j]][i],
+                                 orders[rack[(j + 1) % per_rack]][i],
+                                 xchunk);
+            }
+        }
+        double step_s = fsim.run() / params.staged_bw_derate;
+        int steps = 2 * (per_rack - 1);
+        seconds += phaseSeconds(step_s, steps, buckets,
+                                params.staged_step_overhead_us);
+        accountBytes(&res, fsim, steps);
+    }
+
+    // Phase 3: binary-tree reduce + mirrored broadcast of each shard
+    // across rack leaders (host 0 of each rack) over the spine —
+    // 2*ceil(log2 R) rounds each moving bytes/L.
+    {
+        double reduce_s = 0.0;
+        int rounds = 0;
+        for (std::size_t stride = 1; stride < racks;
+             stride *= 2, ++rounds) {
+            FlowSimulator fsim(topo);
+            bool any = false;
+            for (std::size_t r = 0; r + stride < racks;
+                 r += 2 * stride) {
+                int lo = shape.rack_groups[r][0];
+                int hi = shape.rack_groups[r + stride][0];
+                for (int i = 0; i < per_host; ++i)
+                    fsim.addFlow(orders[hi][i], orders[lo][i], chunk);
+                any = true;
+            }
+            if (any)
+                reduce_s += fsim.run() / params.staged_bw_derate;
+            accountBytes(&res, fsim, 2.0);
+        }
+        seconds += 2.0 * reduce_s +
+                   static_cast<double>(buckets) * 2.0 * rounds *
+                       params.staged_step_overhead_us * 1e-6;
+    }
+
+    // Phase 4: pipelined re-broadcast of the tree result down each
+    // rack's host chain (the whole chain streams concurrently; the
+    // Mr-1 hop handoffs surface as per-hop overheads).
+    if (per_rack > 1) {
+        FlowSimulator fsim(topo);
+        for (const auto &rack : shape.rack_groups) {
+            for (int i = 0; i < per_host; ++i) {
+                for (int j = 0; j + 1 < per_rack; ++j)
+                    fsim.addFlow(orders[rack[j]][i],
+                                 orders[rack[j + 1]][i], chunk);
+            }
+        }
+        double step_s = fsim.run() / params.staged_bw_derate;
+        seconds += step_s + static_cast<double>(buckets) *
+                                (per_rack - 1) *
+                                params.staged_step_overhead_us * 1e-6;
+        accountBytes(&res, fsim, 1.0);
+    }
+
+    res.seconds =
+        seconds * std::max(params.slowest_participant_scale, 1.0);
+    return res;
+}
+
+/** Shape-aware automatic choice (oracle copy of
+ *  net::autoHierarchicalAllReduce). */
+inline net::AllReduceResult
+autoHierarchicalAllReduce(const net::Topology &topo,
+                          const std::vector<net::NodeId> &gpus,
+                          double bytes,
+                          const net::AllReduceParams &params = {})
+{
+    if (gpus.empty())
+        sim::fatal("autoHierarchicalAllReduce: empty GPU set");
+    net::FabricShape shape = net::fabricShape(topo, gpus);
+    // Single host (every Table III box): the flat fault-aware ring,
+    // bit for bit.
+    if (shape.node_groups.size() <= 1 || !shape.uniform())
+        return reference::ringAllReduce(topo, gpus, bytes, params);
+    if (shape.rack_groups.size() <= 1)
+        return reference::hierarchicalRingAllReduce(topo, gpus, bytes,
+                                                    params);
+    net::AllReduceResult ring2d =
+        reference::hierarchicalRingAllReduce(topo, gpus, bytes, params);
+    net::AllReduceResult tree =
+        reference::hierarchicalTreeAllReduce(topo, gpus, bytes, params);
+    return ring2d.seconds <= tree.seconds ? ring2d : tree;
 }
 
 } // namespace mlps::reference
