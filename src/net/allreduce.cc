@@ -12,20 +12,6 @@ namespace mlps::net {
 
 namespace {
 
-/** Accumulate a simulated phase's per-kind/per-tier bytes, scaled by
- *  the number of identical steps the simulation stands for. */
-void
-accountBytes(AllReduceResult *res, const FlowSimulator &fsim, double mult)
-{
-    res->nvlink_bytes += mult * fsim.bytesOnKind(LinkKind::NvLink);
-    res->pcie_bytes += mult * fsim.bytesOnKind(LinkKind::Pcie3);
-    res->upi_bytes += mult * fsim.bytesOnKind(LinkKind::Upi);
-    res->eth_bytes += mult * fsim.bytesOnKind(LinkKind::Eth);
-    for (int t = 0; t < kNumFabricTiers; ++t)
-        res->tier_bytes[t] +=
-            mult * fsim.bytesOnTier(static_cast<FabricTier>(t));
-}
-
 /** Union-find over node ids (path halving + union by size). */
 class Dsu
 {
@@ -61,20 +47,6 @@ class Dsu
     std::vector<int> size_;
 };
 
-/** Worst per-host collective fabric across the shape's node groups:
- *  phases barrier, so the slowest host's fallback paces them all. */
-CollectiveFabric
-worstIntraFabric(const Topology &topo, const FabricShape &shape)
-{
-    CollectiveFabric worst = CollectiveFabric::NvLink;
-    for (const auto &group : shape.node_groups) {
-        CollectiveFabric f = topo.collectiveFabric(group);
-        if (static_cast<int>(f) > static_cast<int>(worst))
-            worst = f;
-    }
-    return worst;
-}
-
 /** True when edge e joins a and b. */
 bool
 joins(const Topology &topo, int e, NodeId a, NodeId b)
@@ -95,15 +67,280 @@ directUpEdge(const Topology &topo, NodeId a, NodeId b)
     return -1;
 }
 
-/** True when some (possibly down) edge directly joins a and b. */
-bool
-directEdgeExists(const Topology &topo, NodeId a, NodeId b)
+/** Ring hops of the closed ring 'order' that lost every direct link
+ *  to a fault: the flow simulator routes them around it. */
+int
+reroutedHops(const Topology &topo, const std::vector<NodeId> &order)
 {
-    for (int e : topo.incidentEdges(a)) {
-        if (joins(topo, e, a, b))
-            return true;
+    int n = static_cast<int>(order.size());
+    if (n < 2 || !topo.anyLinkDown())
+        return 0;
+    int hops = 0;
+    for (int i = 0; i < n; ++i) {
+        NodeId a = order[i];
+        NodeId b = order[(i + 1) % n];
+        bool direct = false;
+        for (int e : topo.incidentEdges(a))
+            direct = direct || joins(topo, e, a, b);
+        if (direct && directUpEdge(topo, a, b) < 0)
+            ++hops;
     }
-    return false;
+    return hops;
+}
+
+/** One transfer of a collective round. */
+struct Flow {
+    NodeId from;
+    NodeId to;
+    double bytes;
+};
+
+/**
+ * One phase of a collective plan: rounds that run one after another,
+ * each a set of concurrent flows. The phase costs
+ *
+ *     time_mult * sum(round makespan / derate)
+ *         + buckets * overhead_steps * lat_us
+ *
+ * and each round's link bytes count byte_mult times, so a ring phase
+ * is one simulated step standing for all of its identical steps.
+ */
+struct Phase {
+    std::vector<std::vector<Flow>> rounds;
+    double time_mult = 1.0;
+    int overhead_steps = 0;
+    double lat_us = 0.0;
+    double derate = 1.0;
+    double byte_mult = 1.0;
+};
+
+/** A collective as data: its phases, in pricing order. */
+using CollectivePlan = std::vector<Phase>;
+
+/** A phase of 'steps' identical steps over 'fabric', no rounds yet.
+ *  Host-staged transfers reach only a fraction of the link rate and
+ *  pay the staged per-step overhead. */
+Phase
+stepsOver(CollectiveFabric fabric, int steps,
+          const AllReduceParams &params)
+{
+    bool staged = fabric == CollectiveFabric::HostStaged;
+    Phase phase;
+    phase.time_mult = phase.byte_mult = steps;
+    phase.overhead_steps = steps;
+    phase.derate = staged ? params.staged_bw_derate : 1.0;
+    phase.lat_us =
+        staged ? params.staged_step_overhead_us : params.step_overhead_us;
+    return phase;
+}
+
+/** Fault-aware ring order of every host of a uniform set. */
+struct HostRings {
+    std::vector<std::vector<NodeId>> orders; ///< per node group
+    int per_host = 0;                        ///< L, GPUs per host
+    double chunk = 0.0;                      ///< bytes / L
+};
+
+/**
+ * Intra-node reduce-scatter and allgather: a ring in every host
+ * concurrently, 2*(L-1) steps of bytes/L, over the worst host's
+ * fabric. The flat ring is this phase with the whole set as one host.
+ */
+CollectivePlan
+hostRingPlan(const Topology &topo, const FabricShape &shape,
+             const HostRings &h, const AllReduceParams &params)
+{
+    if (h.per_host <= 1)
+        return {};
+    // Phases barrier, so the slowest host's fallback paces them all.
+    CollectiveFabric worst = CollectiveFabric::NvLink;
+    for (const auto &group : shape.node_groups)
+        worst = std::max(worst, topo.collectiveFabric(group));
+    Phase phase = stepsOver(worst, 2 * (h.per_host - 1), params);
+    std::vector<Flow> &round = phase.rounds.emplace_back();
+    for (const auto &order : h.orders) {
+        for (int i = 0; i < h.per_host; ++i)
+            round.push_back(
+                {order[i], order[(i + 1) % h.per_host], h.chunk});
+    }
+    return {phase};
+}
+
+/**
+ * Cross-node ring all-reduce of each shard in every group of hosts
+ * concurrently: rank i of a group's host j talks to rank i of host
+ * j+1, L concurrent rank-rings per group, 2*(M-1) steps of
+ * bytes/(L*M) for M hosts a group. Always host-staged: the path
+ * crosses CPU, NIC and switch fabric.
+ */
+Phase
+rankRingPhase(const HostRings &h, const std::vector<std::vector<int>> &groups,
+              const AllReduceParams &params)
+{
+    int m = static_cast<int>(groups[0].size());
+    Phase phase =
+        stepsOver(CollectiveFabric::HostStaged, 2 * (m - 1), params);
+    std::vector<Flow> &round = phase.rounds.emplace_back();
+    for (const auto &hosts : groups) {
+        for (int i = 0; i < h.per_host; ++i) {
+            for (int j = 0; j < m; ++j)
+                round.push_back({h.orders[hosts[j]][i],
+                                 h.orders[hosts[(j + 1) % m]][i],
+                                 h.chunk / m});
+        }
+    }
+    return phase;
+}
+
+/** 2D ring's cross-node level: one rank-ring over all hosts. */
+CollectivePlan
+crossNodeRingPlan(const HostRings &h, const AllReduceParams &params)
+{
+    std::vector<int> hosts(h.orders.size());
+    std::iota(hosts.begin(), hosts.end(), 0);
+    return {rankRingPhase(h, {hosts}, params)};
+}
+
+/** Cross-rack tree's levels above the host rings, all host-staged. */
+CollectivePlan
+treePlan(const FabricShape &shape, const HostRings &h,
+         const AllReduceParams &params)
+{
+    const auto &racks = shape.rack_groups;
+    const auto &orders = h.orders;
+    int per_rack = static_cast<int>(racks[0].size());
+    CollectivePlan plan;
+
+    // Intra-rack cross-node ring all-reduce of each shard.
+    if (per_rack > 1)
+        plan.push_back(rankRingPhase(h, racks, params));
+
+    // Binary-tree reduce + mirrored broadcast of each shard across
+    // rack leaders (host 0 of each rack) over the spine: ceil(log2 R)
+    // rounds each moving bytes/L, each paid twice.
+    Phase &tree = plan.emplace_back(
+        stepsOver(CollectiveFabric::HostStaged, 2, params));
+    for (std::size_t stride = 1; stride < racks.size(); stride *= 2) {
+        std::vector<Flow> &round = tree.rounds.emplace_back();
+        for (std::size_t r = 0; r + stride < racks.size(); r += 2 * stride) {
+            for (int i = 0; i < h.per_host; ++i)
+                round.push_back({orders[racks[r + stride][0]][i],
+                                 orders[racks[r][0]][i], h.chunk});
+        }
+    }
+    tree.overhead_steps = 2 * static_cast<int>(tree.rounds.size());
+
+    // Pipelined re-broadcast of the tree result down each rack's host
+    // chain (the whole chain streams concurrently; the Mr-1 hop
+    // handoffs surface as per-hop overheads).
+    if (per_rack > 1) {
+        Phase &chain = plan.emplace_back(
+            stepsOver(CollectiveFabric::HostStaged, 1, params));
+        chain.overhead_steps = per_rack - 1;
+        std::vector<Flow> &round = chain.rounds.emplace_back();
+        for (const auto &rack : racks) {
+            for (int i = 0; i < h.per_host; ++i) {
+                for (int j = 0; j + 1 < per_rack; ++j)
+                    round.push_back({orders[rack[j]][i],
+                                     orders[rack[j + 1]][i], h.chunk});
+            }
+        }
+    }
+    return plan;
+}
+
+/**
+ * The one evaluator: add the cost of 'plan' to 'res' in plan order —
+ * seconds (before the straggler stretch) and per-kind and per-tier
+ * bytes. Each round is one flow simulation; nothing else in the
+ * collective model simulates flows.
+ */
+void
+price(const Topology &topo, const CollectivePlan &plan,
+      const AllReduceParams &params, AllReduceResult *res)
+{
+    int buckets = std::max(params.buckets, 1);
+    for (const Phase &phase : plan) {
+        double rounds_s = 0.0;
+        for (const std::vector<Flow> &round : phase.rounds) {
+            FlowSimulator fsim(topo);
+            for (const Flow &f : round)
+                fsim.addFlow(f.from, f.to, f.bytes);
+            rounds_s += fsim.run() / phase.derate;
+            double mult = phase.byte_mult;
+            res->nvlink_bytes += mult * fsim.bytesOnKind(LinkKind::NvLink);
+            res->pcie_bytes += mult * fsim.bytesOnKind(LinkKind::Pcie3);
+            res->upi_bytes += mult * fsim.bytesOnKind(LinkKind::Upi);
+            res->eth_bytes += mult * fsim.bytesOnKind(LinkKind::Eth);
+            for (int t = 0; t < kNumFabricTiers; ++t)
+                res->tier_bytes[t] +=
+                    mult * fsim.bytesOnTier(static_cast<FabricTier>(t));
+        }
+        res->seconds += phase.time_mult * rounds_s +
+                        static_cast<double>(buckets) *
+                            phase.overhead_steps * phase.lat_us * 1e-6;
+    }
+}
+
+/** Cross-node levels a plan may continue with after its host rings. */
+enum Levels { kNone = 0, kRing2D = 1, kTree = 2 };
+
+/**
+ * Price a uniform set of hosts onto 'res' (which carries the fabric):
+ * build the host rings once and price their phase once, then each
+ * candidate's cross-node levels on a copy of that tally. Returns the
+ * fastest candidate (ties to the 2D ring), straggler-stretched.
+ */
+AllReduceResult
+priceHosts(const Topology &topo, const FabricShape &shape, double bytes,
+           const AllReduceParams &params, int levels, AllReduceResult res)
+{
+    HostRings h;
+    h.per_host = static_cast<int>(shape.node_groups[0].size());
+    h.chunk = bytes / h.per_host;
+    for (const auto &group : shape.node_groups) {
+        h.orders.push_back(survivingRingOrder(topo, group));
+        res.reroutes += reroutedHops(topo, h.orders.back());
+    }
+    price(topo, hostRingPlan(topo, shape, h, params), params, &res);
+
+    auto finish = [&](const CollectivePlan &plan) {
+        AllReduceResult out = res;
+        price(topo, plan, params, &out);
+        out.seconds *= std::max(params.slowest_participant_scale, 1.0);
+        return out;
+    };
+    if (levels == kNone)
+        return finish({});
+    if (levels == kRing2D)
+        return finish(crossNodeRingPlan(h, params));
+    if (levels == kTree)
+        return finish(treePlan(shape, h, params));
+    AllReduceResult ring2d = finish(crossNodeRingPlan(h, params));
+    AllReduceResult tree = finish(treePlan(shape, h, params));
+    return ring2d.seconds <= tree.seconds ? ring2d : tree;
+}
+
+/**
+ * Every hierarchical entry point. Degenerate shapes run the flat ring
+ * *verbatim* — a single-host pod must stay bit-identical to the box
+ * model — and a single rack has no cross-rack level for the tree.
+ */
+AllReduceResult
+hierarchicalAllReduce(const Topology &topo, const std::vector<NodeId> &gpus,
+                      double bytes, const AllReduceParams &params,
+                      int levels, const char *who)
+{
+    if (gpus.empty())
+        sim::fatal("%s: empty GPU set", who);
+    FabricShape shape = fabricShape(topo, gpus);
+    if (shape.node_groups.size() <= 1 || !shape.uniform() || bytes <= 0.0)
+        return ringAllReduce(topo, gpus, bytes, params);
+    AllReduceResult res;
+    res.fabric = CollectiveFabric::HostStaged; // spans hosts
+    return priceHosts(topo, shape, bytes, params,
+                      shape.rack_groups.size() <= 1 ? kRing2D : levels,
+                      res);
 }
 
 } // namespace
@@ -151,64 +388,6 @@ survivingRingOrder(const Topology &topo, const std::vector<NodeId> &gpus)
         used[best] = true;
     }
     return order;
-}
-
-AllReduceResult
-ringAllReduce(const Topology &topo, const std::vector<NodeId> &gpus,
-              double bytes, const AllReduceParams &params)
-{
-    AllReduceResult res;
-    if (gpus.empty())
-        sim::fatal("ringAllReduce: empty GPU set");
-    for (NodeId g : gpus) {
-        if (topo.kind(g) != NodeKind::Gpu)
-            sim::fatal("ringAllReduce: node %d is not a GPU", g);
-    }
-    int n = static_cast<int>(gpus.size());
-    if (n == 1 || bytes <= 0.0) {
-        res.fabric = topo.collectiveFabric(gpus);
-        return res;
-    }
-
-    res.fabric = topo.collectiveFabric(gpus);
-    double chunk = bytes / n;
-    int steps = 2 * (n - 1);
-    int buckets = std::max(params.buckets, 1);
-
-    bool staged = res.fabric == CollectiveFabric::HostStaged;
-    double derate = staged ? params.staged_bw_derate : 1.0;
-    double per_step_lat_us =
-        staged ? params.staged_step_overhead_us : params.step_overhead_us;
-
-    // With links down, rebuild the ring over the surviving fabric and
-    // count hops that lost their direct link (the flow simulator then
-    // routes them around the fault).
-    std::vector<NodeId> order = survivingRingOrder(topo, gpus);
-    if (topo.anyLinkDown()) {
-        for (int i = 0; i < n; ++i) {
-            NodeId a = order[i];
-            NodeId b = order[(i + 1) % n];
-            if (directEdgeExists(topo, a, b) &&
-                directUpEdge(topo, a, b) < 0)
-                ++res.reroutes;
-        }
-    }
-
-    // Every step has identical flow structure (each GPU sends one chunk
-    // to its successor), so simulate one step and multiply. Bucketing
-    // does not change the bandwidth term (same total bytes) but pays
-    // the per-step latency once per bucket.
-    FlowSimulator fsim(topo);
-    for (int i = 0; i < n; ++i)
-        fsim.addFlow(order[i], order[(i + 1) % n], chunk);
-    double step_s = fsim.run() / derate;
-
-    res.seconds = steps * step_s +
-                  static_cast<double>(buckets) * steps *
-                      per_step_lat_us * 1e-6;
-    res.seconds *= std::max(params.slowest_participant_scale, 1.0);
-    accountBytes(&res, fsim, steps);
-    return res;
 }
 
 bool
@@ -275,113 +454,32 @@ fabricShape(const Topology &topo, const std::vector<NodeId> &gpus)
     return shape;
 }
 
-namespace {
-
-/** Fault-aware per-host ring orders, counting intra-node reroutes. */
-std::vector<std::vector<NodeId>>
-hostRingOrders(const Topology &topo, const FabricShape &shape,
-               AllReduceResult *res)
+AllReduceResult
+ringAllReduce(const Topology &topo, const std::vector<NodeId> &gpus,
+              double bytes, const AllReduceParams &params)
 {
-    std::vector<std::vector<NodeId>> orders;
-    orders.reserve(shape.node_groups.size());
-    for (const auto &group : shape.node_groups) {
-        std::vector<NodeId> order = survivingRingOrder(topo, group);
-        int n = static_cast<int>(order.size());
-        if (topo.anyLinkDown() && n > 1) {
-            for (int i = 0; i < n; ++i) {
-                NodeId a = order[i];
-                NodeId b = order[(i + 1) % n];
-                if (directEdgeExists(topo, a, b) &&
-                    directUpEdge(topo, a, b) < 0)
-                    ++res->reroutes;
-            }
-        }
-        orders.push_back(std::move(order));
+    if (gpus.empty())
+        sim::fatal("ringAllReduce: empty GPU set");
+    for (NodeId g : gpus) {
+        if (topo.kind(g) != NodeKind::Gpu)
+            sim::fatal("ringAllReduce: node %d is not a GPU", g);
     }
-    return orders;
+    AllReduceResult res;
+    res.fabric = topo.collectiveFabric(gpus);
+    if (gpus.size() == 1 || bytes <= 0.0)
+        return res;
+    FabricShape host; // the whole set as one host
+    host.node_groups = {gpus};
+    return priceHosts(topo, host, bytes, params, kNone, res);
 }
-
-/** Ring-phase wall time: simulated step * step count + per-bucket
- *  step overheads. */
-double
-phaseSeconds(double step_s, int steps, int buckets, double lat_us)
-{
-    return steps * step_s +
-           static_cast<double>(buckets) * steps * lat_us * 1e-6;
-}
-
-} // namespace
 
 AllReduceResult
 hierarchicalRingAllReduce(const Topology &topo,
                           const std::vector<NodeId> &gpus, double bytes,
                           const AllReduceParams &params)
 {
-    if (gpus.empty())
-        sim::fatal("hierarchicalRingAllReduce: empty GPU set");
-    FabricShape shape = fabricShape(topo, gpus);
-    std::size_t hosts = shape.node_groups.size();
-    // Degenerate shapes delegate to the flat ring *verbatim*: a
-    // single-host pod must stay bit-identical to the box model.
-    if (hosts <= 1 || !shape.uniform() || bytes <= 0.0)
-        return ringAllReduce(topo, gpus, bytes, params);
-
-    int per_host = static_cast<int>(shape.node_groups[0].size());
-    int m = static_cast<int>(hosts);
-    int buckets = std::max(params.buckets, 1);
-
-    AllReduceResult res;
-    res.fabric = CollectiveFabric::HostStaged; // spans hosts
-
-    std::vector<std::vector<NodeId>> orders =
-        hostRingOrders(topo, shape, &res);
-
-    CollectiveFabric intra = worstIntraFabric(topo, shape);
-    bool intra_staged = intra == CollectiveFabric::HostStaged;
-    double intra_derate = intra_staged ? params.staged_bw_derate : 1.0;
-    double intra_lat_us = intra_staged ? params.staged_step_overhead_us
-                                       : params.step_overhead_us;
-
-    double chunk = bytes / per_host;
-    double seconds = 0.0;
-
-    // Phase 1 + 3: intra-node reduce-scatter and allgather, rings in
-    // every host concurrently, (L-1) steps of bytes/L each way.
-    if (per_host > 1) {
-        FlowSimulator fsim(topo);
-        for (const auto &order : orders) {
-            for (int i = 0; i < per_host; ++i)
-                fsim.addFlow(order[i], order[(i + 1) % per_host],
-                             chunk);
-        }
-        double step_s = fsim.run() / intra_derate;
-        int steps = 2 * (per_host - 1);
-        seconds += phaseSeconds(step_s, steps, buckets, intra_lat_us);
-        accountBytes(&res, fsim, steps);
-    }
-
-    // Phase 2: cross-node ring all-reduce of each shard over the NIC
-    // fabric — rank i of host h talks to rank i of host h+1, L
-    // concurrent rank-rings, 2*(M-1) steps of bytes/(L*M). Always
-    // host-staged: the path crosses CPU, NIC and switch fabric.
-    {
-        FlowSimulator fsim(topo);
-        double xchunk = chunk / m;
-        for (int i = 0; i < per_host; ++i) {
-            for (int h = 0; h < m; ++h)
-                fsim.addFlow(orders[h][i], orders[(h + 1) % m][i],
-                             xchunk);
-        }
-        double step_s = fsim.run() / params.staged_bw_derate;
-        int steps = 2 * (m - 1);
-        seconds += phaseSeconds(step_s, steps, buckets,
-                                params.staged_step_overhead_us);
-        accountBytes(&res, fsim, steps);
-    }
-
-    res.seconds =
-        seconds * std::max(params.slowest_participant_scale, 1.0);
-    return res;
+    return hierarchicalAllReduce(topo, gpus, bytes, params, kRing2D,
+                                 "hierarchicalRingAllReduce");
 }
 
 AllReduceResult
@@ -389,118 +487,8 @@ hierarchicalTreeAllReduce(const Topology &topo,
                           const std::vector<NodeId> &gpus, double bytes,
                           const AllReduceParams &params)
 {
-    if (gpus.empty())
-        sim::fatal("hierarchicalTreeAllReduce: empty GPU set");
-    FabricShape shape = fabricShape(topo, gpus);
-    std::size_t hosts = shape.node_groups.size();
-    if (hosts <= 1 || !shape.uniform() || bytes <= 0.0)
-        return ringAllReduce(topo, gpus, bytes, params);
-    std::size_t racks = shape.rack_groups.size();
-    if (racks <= 1)
-        return hierarchicalRingAllReduce(topo, gpus, bytes, params);
-
-    int per_host = static_cast<int>(shape.node_groups[0].size());
-    int per_rack = static_cast<int>(shape.rack_groups[0].size());
-    int buckets = std::max(params.buckets, 1);
-
-    AllReduceResult res;
-    res.fabric = CollectiveFabric::HostStaged;
-
-    std::vector<std::vector<NodeId>> orders =
-        hostRingOrders(topo, shape, &res);
-
-    CollectiveFabric intra = worstIntraFabric(topo, shape);
-    bool intra_staged = intra == CollectiveFabric::HostStaged;
-    double intra_derate = intra_staged ? params.staged_bw_derate : 1.0;
-    double intra_lat_us = intra_staged ? params.staged_step_overhead_us
-                                       : params.step_overhead_us;
-
-    double chunk = bytes / per_host;
-    double seconds = 0.0;
-
-    // Phase 1 + 5: intra-node reduce-scatter and allgather.
-    if (per_host > 1) {
-        FlowSimulator fsim(topo);
-        for (const auto &order : orders) {
-            for (int i = 0; i < per_host; ++i)
-                fsim.addFlow(order[i], order[(i + 1) % per_host],
-                             chunk);
-        }
-        double step_s = fsim.run() / intra_derate;
-        int steps = 2 * (per_host - 1);
-        seconds += phaseSeconds(step_s, steps, buckets, intra_lat_us);
-        accountBytes(&res, fsim, steps);
-    }
-
-    // Phase 2: intra-rack cross-node ring all-reduce of each shard,
-    // every rack concurrently, 2*(Mr-1) steps of bytes/(L*Mr).
-    if (per_rack > 1) {
-        FlowSimulator fsim(topo);
-        double xchunk = chunk / per_rack;
-        for (const auto &rack : shape.rack_groups) {
-            for (int i = 0; i < per_host; ++i) {
-                for (int j = 0; j < per_rack; ++j)
-                    fsim.addFlow(orders[rack[j]][i],
-                                 orders[rack[(j + 1) % per_rack]][i],
-                                 xchunk);
-            }
-        }
-        double step_s = fsim.run() / params.staged_bw_derate;
-        int steps = 2 * (per_rack - 1);
-        seconds += phaseSeconds(step_s, steps, buckets,
-                                params.staged_step_overhead_us);
-        accountBytes(&res, fsim, steps);
-    }
-
-    // Phase 3: binary-tree reduce + mirrored broadcast of each shard
-    // across rack leaders (host 0 of each rack) over the spine —
-    // 2*ceil(log2 R) rounds each moving bytes/L.
-    {
-        double reduce_s = 0.0;
-        int rounds = 0;
-        for (std::size_t stride = 1; stride < racks;
-             stride *= 2, ++rounds) {
-            FlowSimulator fsim(topo);
-            bool any = false;
-            for (std::size_t r = 0; r + stride < racks;
-                 r += 2 * stride) {
-                int lo = shape.rack_groups[r][0];
-                int hi = shape.rack_groups[r + stride][0];
-                for (int i = 0; i < per_host; ++i)
-                    fsim.addFlow(orders[hi][i], orders[lo][i], chunk);
-                any = true;
-            }
-            if (any)
-                reduce_s += fsim.run() / params.staged_bw_derate;
-            accountBytes(&res, fsim, 2.0);
-        }
-        seconds += 2.0 * reduce_s +
-                   static_cast<double>(buckets) * 2.0 * rounds *
-                       params.staged_step_overhead_us * 1e-6;
-    }
-
-    // Phase 4: pipelined re-broadcast of the tree result down each
-    // rack's host chain (the whole chain streams concurrently; the
-    // Mr-1 hop handoffs surface as per-hop overheads).
-    if (per_rack > 1) {
-        FlowSimulator fsim(topo);
-        for (const auto &rack : shape.rack_groups) {
-            for (int i = 0; i < per_host; ++i) {
-                for (int j = 0; j + 1 < per_rack; ++j)
-                    fsim.addFlow(orders[rack[j]][i],
-                                 orders[rack[j + 1]][i], chunk);
-            }
-        }
-        double step_s = fsim.run() / params.staged_bw_derate;
-        seconds += step_s + static_cast<double>(buckets) *
-                                (per_rack - 1) *
-                                params.staged_step_overhead_us * 1e-6;
-        accountBytes(&res, fsim, 1.0);
-    }
-
-    res.seconds =
-        seconds * std::max(params.slowest_participant_scale, 1.0);
-    return res;
+    return hierarchicalAllReduce(topo, gpus, bytes, params, kTree,
+                                 "hierarchicalTreeAllReduce");
 }
 
 AllReduceResult
@@ -508,20 +496,9 @@ autoHierarchicalAllReduce(const Topology &topo,
                           const std::vector<NodeId> &gpus, double bytes,
                           const AllReduceParams &params)
 {
-    if (gpus.empty())
-        sim::fatal("autoHierarchicalAllReduce: empty GPU set");
-    FabricShape shape = fabricShape(topo, gpus);
-    // Single host (every Table III box): the flat fault-aware ring,
-    // bit for bit.
-    if (shape.node_groups.size() <= 1 || !shape.uniform())
-        return ringAllReduce(topo, gpus, bytes, params);
-    if (shape.rack_groups.size() <= 1)
-        return hierarchicalRingAllReduce(topo, gpus, bytes, params);
-    AllReduceResult ring2d =
-        hierarchicalRingAllReduce(topo, gpus, bytes, params);
-    AllReduceResult tree =
-        hierarchicalTreeAllReduce(topo, gpus, bytes, params);
-    return ring2d.seconds <= tree.seconds ? ring2d : tree;
+    return hierarchicalAllReduce(topo, gpus, bytes, params,
+                                 kRing2D | kTree,
+                                 "autoHierarchicalAllReduce");
 }
 
 } // namespace mlps::net

@@ -8,7 +8,9 @@
  * flow level over the machine topology, so the fabric choice (NVLink,
  * PCIe P2P, or staged through host DRAM/UPI) and its contention fall
  * out of the graph rather than being hard-coded — this is what drives
- * the paper's Figure 5 and the NVLink columns of Table V.
+ * the paper's Figure 5 and the NVLink columns of Table V. Each
+ * algorithm (flat ring; on pods the 2D ring and cross-rack tree) only
+ * builds a plan of phases, and one evaluator prices every plan.
  */
 
 #ifndef MLPSIM_NET_ALLREDUCE_H
@@ -95,7 +97,8 @@ std::vector<NodeId> survivingRingOrder(const Topology &topo,
  * Ring all-reduce of 'bytes' per GPU across the given GPU set.
  *
  * @param topo  machine topology.
- * @param gpus  participating GPU node ids (ring order = given order).
+ * @param gpus  participating GPU node ids (ring order = given order,
+ *              re-chained by survivingRingOrder when links are down).
  * @param bytes gradient payload per GPU, bytes.
  * @param params model tunables.
  */
@@ -126,15 +129,13 @@ FabricShape fabricShape(const Topology &topo,
                         const std::vector<NodeId> &gpus);
 
 /**
- * 2D-ring hierarchical all-reduce: intra-node reduce-scatter (ring,
- * L-1 steps of bytes/L), cross-node ring all-reduce of each shard
- * over the NIC fabric (2*(M-1) steps of bytes/(L*M), L concurrent
- * rank-rings), intra-node allgather (L-1 steps). Each tier picks its
- * own fallback: intra-node phases use the worst per-host fabric
- * (NVLink -> PCIe P2P -> host-staged as links fail), cross-node
- * phases are always host-staged. Delegates to ringAllReduce verbatim
- * when the set occupies a single host (or groups are non-uniform), so
- * a degenerate pod is bit-identical to the flat ring.
+ * 2D-ring hierarchical all-reduce: intra-node reduce-scatter, a
+ * cross-node ring all-reduce of each shard over the NIC fabric (L
+ * concurrent rank-rings), intra-node allgather. Intra-node phases run
+ * over the worst host's fabric (NVLink -> PCIe P2P -> host-staged as
+ * links fail), cross-node phases always host-staged. Single-host,
+ * non-uniform and empty-payload sets run ringAllReduce verbatim, so a
+ * degenerate pod is bit-identical to the flat ring.
  */
 AllReduceResult hierarchicalRingAllReduce(
     const Topology &topo, const std::vector<NodeId> &gpus, double bytes,
@@ -142,12 +143,11 @@ AllReduceResult hierarchicalRingAllReduce(
 
 /**
  * Cross-rack tree hierarchical all-reduce: intra-node reduce-scatter,
- * intra-rack cross-node ring all-reduce, binary-tree reduce+broadcast
- * of each shard across rack leaders, intra-rack re-broadcast,
- * intra-node allgather. Latency-optimal across racks — 2*ceil(log2 R)
- * rounds instead of the 2D ring's 2*(R*Mr-1) — so it wins for small
- * payloads or many racks. Falls back to hierarchicalRingAllReduce on
- * single-rack sets.
+ * intra-rack ring all-reduce, binary-tree reduce+broadcast of each
+ * shard across rack leaders, intra-rack re-broadcast, intra-node
+ * allgather. 2*ceil(log2 R) cross-rack rounds instead of the 2D
+ * ring's 2*(R*Mr-1), so it wins for small payloads or many racks.
+ * Falls back like the 2D ring, and to the 2D ring on a single rack.
  */
 AllReduceResult hierarchicalTreeAllReduce(
     const Topology &topo, const std::vector<NodeId> &gpus, double bytes,
@@ -156,7 +156,8 @@ AllReduceResult hierarchicalTreeAllReduce(
 /**
  * Shape-aware automatic choice: single-host sets delegate exactly to
  * ringAllReduce, single-rack multi-host sets run the 2D ring, and
- * multi-rack sets take the faster of 2D ring and cross-rack tree.
+ * multi-rack sets take the faster of 2D ring and cross-rack tree
+ * (the intra-node phase they share is priced once).
  */
 AllReduceResult autoHierarchicalAllReduce(
     const Topology &topo, const std::vector<NodeId> &gpus, double bytes,

@@ -258,8 +258,9 @@ TEST(DegradedLinks, MultipleItemsCompose)
     sys::applyDegradedLinks(s, "GPU0-GPU1:down,pcie:0.25");
     bool any_down = false;
     for (int e = 0; e < s.topo.edgeCount(); ++e) {
-        if (s.topo.link(e).kind == net::LinkKind::Pcie3)
+        if (s.topo.link(e).kind == net::LinkKind::Pcie3) {
             EXPECT_DOUBLE_EQ(s.topo.linkBandwidthScale(e), 0.25);
+        }
         any_down = any_down || s.topo.linkDown(e);
     }
     EXPECT_TRUE(any_down);
