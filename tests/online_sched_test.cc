@@ -6,10 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <set>
+#include <tuple>
 
 #include "sched/online.h"
+#include "sched_reference.h"
 #include "sim/logger.h"
+#include "sim/rng.h"
 #include "sys/machines.h"
 
 namespace {
@@ -443,6 +447,191 @@ TEST(ElasticSched, ErrorsOnMisuse)
     EXPECT_THROW(simulateElastic(jobs, 4, OnlinePolicy::FifoBestWidth,
                                  {}, RecoveryPolicy::Requeue, -1.0),
                  FatalError);
+}
+
+// ------------------------------------------- differential reference
+
+/**
+ * A random job catalogue: Amdahl profiles, some with per-width noise
+ * (non-monotone efficiency, the odd superlinear width) and some with
+ * times rounded to whole minutes so completions coincide.
+ */
+std::vector<JobSpec>
+randomCatalogue(mlps::sim::Rng &rng, int gpus)
+{
+    std::vector<JobSpec> catalogue;
+    int kinds = 1 + static_cast<int>(rng.below(6));
+    bool minutes = rng.chance(0.5);
+    for (int k = 0; k < kinds; ++k) {
+        JobSpec j;
+        j.name = "k" + std::to_string(k);
+        double hours = rng.uniform(0.05, 4.0);
+        double parallel = rng.uniform();
+        bool noisy = rng.chance(0.4);
+        for (int w = 1; w <= gpus; w *= 2) {
+            double t = hours * 3600.0 * ((1.0 - parallel) + parallel / w);
+            if (noisy)
+                t *= rng.uniform(0.7, 1.3);
+            if (minutes)
+                t = std::max(60.0, std::round(t / 60.0) * 60.0);
+            j.seconds_at_width[w] = t;
+        }
+        catalogue.push_back(std::move(j));
+    }
+    return catalogue;
+}
+
+/** A random stream; arrivals are sometimes rounded to whole minutes
+ *  so jobs arrive together and on completions. */
+std::vector<OnlineJob>
+randomStream(mlps::sim::Rng &rng, int gpus, std::uint64_t seed)
+{
+    static const double kGaps[] = {30.0, 300.0, 1800.0, 7200.0};
+    auto jobs = poissonJobStream(randomCatalogue(rng, gpus),
+                                 5 + static_cast<int>(rng.below(40)),
+                                 kGaps[rng.below(4)], seed);
+    if (rng.chance(0.5)) {
+        for (auto &j : jobs)
+            j.arrival_s = std::round(j.arrival_s / 60.0) * 60.0;
+    }
+    return jobs;
+}
+
+/** Random outages over the stream's horizon; at least one GPU is
+ *  never lost for good, so every stream can finish. */
+std::vector<GpuOutage>
+randomOutages(mlps::sim::Rng &rng, int gpus, double horizon_s)
+{
+    std::vector<GpuOutage> outages;
+    std::set<int> lost;
+    int count = static_cast<int>(rng.below(8));
+    for (int i = 0; i < count; ++i) {
+        GpuOutage o;
+        o.gpu = static_cast<int>(rng.below(gpus));
+        o.start_s = rng.uniform(0.0, horizon_s);
+        if (rng.chance(0.3))
+            o.start_s = std::round(o.start_s / 60.0) * 60.0;
+        if (rng.chance(0.2) &&
+            (lost.count(o.gpu) ||
+             static_cast<int>(lost.size()) < gpus - 1)) {
+            lost.insert(o.gpu);
+            o.duration_s = 0.0;
+        } else {
+            o.duration_s = rng.uniform(5.0, 7200.0);
+        }
+        outages.push_back(o);
+    }
+    return outages;
+}
+
+void
+expectSameSchedule(const Schedule &got, const Schedule &want)
+{
+    EXPECT_EQ(got.num_gpus, want.num_gpus);
+    ASSERT_EQ(got.placements.size(), want.placements.size());
+    for (std::size_t i = 0; i < got.placements.size(); ++i) {
+        const Placement &a = got.placements[i];
+        const Placement &b = want.placements[i];
+        SCOPED_TRACE("placement " + std::to_string(i));
+        EXPECT_EQ(a.job, b.job);
+        EXPECT_EQ(a.gpus, b.gpus);
+        EXPECT_EQ(a.start_s, b.start_s);
+        EXPECT_EQ(a.end_s, b.end_s);
+    }
+}
+
+Schedule
+sortedPlacements(Schedule s)
+{
+    std::sort(s.placements.begin(), s.placements.end(),
+              [](const Placement &a, const Placement &b) {
+                  return std::tie(a.job, a.start_s, a.end_s, a.gpus) <
+                         std::tie(b.job, b.start_s, b.end_s, b.gpus);
+              });
+    return s;
+}
+
+/** Equal up to floating-point summation order. */
+void
+expectNearlyEqual(double got, double want)
+{
+    EXPECT_LE(std::fabs(got - want), 1e-12 * std::fabs(want))
+        << got << " vs " << want;
+}
+
+constexpr int kReferenceStreams = 320;
+
+TEST(SchedReference, FaultFreeMatchesSimulateOnline)
+{
+    for (int seed = 0; seed < kReferenceStreams; ++seed) {
+        mlps::sim::Rng rng(1000 + seed);
+        int gpus = 2 << rng.below(4); // 2, 4, 8 or 16
+        auto jobs = randomStream(rng, gpus, 5000 + seed);
+        for (auto policy : {OnlinePolicy::FifoFullWidth,
+                            OnlinePolicy::FifoBestWidth,
+                            OnlinePolicy::Backfill}) {
+            SCOPED_TRACE("seed " + std::to_string(seed) + " " +
+                         toString(policy));
+            auto got = simulateOnline(jobs, gpus, policy);
+            auto want =
+                mlps::reference::simulateOnline(jobs, gpus, policy);
+            expectSameSchedule(got.schedule, want.schedule);
+            EXPECT_EQ(got.makespan_s, want.makespan_s);
+            EXPECT_EQ(got.avg_wait_s, want.avg_wait_s);
+            EXPECT_EQ(got.avg_turnaround_s, want.avg_turnaround_s);
+            EXPECT_EQ(got.max_wait_s, want.max_wait_s);
+            EXPECT_EQ(got.utilization, want.utilization);
+            if (HasFailure())
+                return;
+        }
+    }
+}
+
+TEST(SchedReference, FaultedMatchesSimulateElastic)
+{
+    static const double kCheckpoints[] = {60.0, 600.0, 3600.0};
+    static const double kRestarts[] = {0.0, 30.0, 120.0};
+    for (int seed = 0; seed < kReferenceStreams; ++seed) {
+        mlps::sim::Rng rng(9000 + seed);
+        int gpus = 2 << rng.below(4);
+        auto jobs = randomStream(rng, gpus, 7000 + seed);
+        double horizon = jobs.back().arrival_s + 4.0 * 3600.0;
+        auto outages = randomOutages(rng, gpus, horizon);
+        double checkpoint = kCheckpoints[rng.below(3)];
+        double restart = kRestarts[rng.below(3)];
+        for (auto policy : {OnlinePolicy::FifoFullWidth,
+                            OnlinePolicy::FifoBestWidth}) {
+            for (auto recovery :
+                 {RecoveryPolicy::Requeue, RecoveryPolicy::Shrink,
+                  RecoveryPolicy::Migrate}) {
+                SCOPED_TRACE("seed " + std::to_string(seed) + " " +
+                             toString(policy) + " " +
+                             toString(recovery));
+                auto got = simulateElastic(jobs, gpus, policy, outages,
+                                           recovery, checkpoint,
+                                           restart);
+                auto want = mlps::reference::simulateElastic(
+                    jobs, gpus, policy, outages, recovery, checkpoint,
+                    restart);
+                expectSameSchedule(sortedPlacements(got.online.schedule),
+                                   sortedPlacements(want.online.schedule));
+                EXPECT_EQ(got.online.makespan_s, want.online.makespan_s);
+                EXPECT_EQ(got.online.avg_wait_s, want.online.avg_wait_s);
+                EXPECT_EQ(got.online.avg_turnaround_s,
+                          want.online.avg_turnaround_s);
+                EXPECT_EQ(got.online.max_wait_s, want.online.max_wait_s);
+                expectNearlyEqual(got.online.utilization,
+                                  want.online.utilization);
+                EXPECT_EQ(got.lost_work_s, want.lost_work_s);
+                EXPECT_EQ(got.restart_s, want.restart_s);
+                expectNearlyEqual(got.goodput, want.goodput);
+                EXPECT_EQ(got.availability, want.availability);
+                EXPECT_EQ(got.interruptions, want.interruptions);
+                if (HasFailure())
+                    return;
+            }
+        }
+    }
 }
 
 } // namespace
