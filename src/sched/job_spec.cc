@@ -26,6 +26,17 @@ JobSpec::speedupAt(int width) const
     return timeAt(1) / timeAt(width);
 }
 
+int
+JobSpec::bestWidth(int max_width) const
+{
+    int best = 1;
+    for (int w = 2; w <= max_width; w *= 2) {
+        if (speedupAt(w) / w >= 0.75)
+            best = w;
+    }
+    return best;
+}
+
 void
 validateJobs(const std::vector<JobSpec> &jobs, int gpus)
 {

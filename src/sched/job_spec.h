@@ -28,6 +28,12 @@ struct JobSpec {
 
     /** Speedup of width w over one GPU. */
     double speedupAt(int width) const;
+
+    /**
+     * Widest power-of-two width up to max_width that keeps parallel
+     * efficiency >= 0.75 (the diminishing-returns cut-off).
+     */
+    int bestWidth(int max_width) const;
 };
 
 /** Validate a job list against a GPU count (powers of two up to G). */

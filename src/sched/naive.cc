@@ -33,32 +33,21 @@ Schedule
 greedySchedule(const std::vector<JobSpec> &jobs, int gpus)
 {
     validateJobs(jobs, gpus);
-    // Width choice: the widest width that still keeps parallel
-    // efficiency >= 0.75 (diminishing-returns cut-off).
-    auto chooseWidth = [&](const JobSpec &j) {
-        int best = 1;
-        for (int w = 2; w <= gpus; w *= 2) {
-            if (j.speedupAt(w) / w >= 0.75)
-                best = w;
-        }
-        return best;
-    };
-
     // Longest (at chosen width) first.
     std::vector<const JobSpec *> order;
     for (const auto &j : jobs)
         order.push_back(&j);
     std::sort(order.begin(), order.end(),
               [&](const JobSpec *a, const JobSpec *b) {
-                  return a->timeAt(chooseWidth(*a)) >
-                         b->timeAt(chooseWidth(*b));
+                  return a->timeAt(a->bestWidth(gpus)) >
+                         b->timeAt(b->bestWidth(gpus));
               });
 
     Schedule s;
     s.num_gpus = gpus;
     std::vector<double> free_at(gpus, 0.0);
     for (const JobSpec *j : order) {
-        int w = chooseWidth(*j);
+        int w = j->bestWidth(gpus);
         // Earliest-available w GPUs.
         std::vector<int> idx(gpus);
         std::iota(idx.begin(), idx.end(), 0);

@@ -20,7 +20,7 @@ Schedule naiveSchedule(const std::vector<JobSpec> &jobs, int gpus);
 
 /**
  * Greedy list schedule (longest-processing-time-first, each job at
- * its most efficient width, placed at the earliest gap). A practical
+ * JobSpec::bestWidth, placed at the earliest gap). A practical
  * mid-point between naive and the exact optimum; used by the
  * scheduling ablation bench.
  */

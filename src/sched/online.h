@@ -6,6 +6,12 @@
  * Section IV-D explicitly flags this as the problem data-center
  * administrators face; this module lets the policies be compared on
  * the measured scaling profiles.
+ *
+ * One event loop (simulateElastic) runs every stream, fault-free or
+ * faulted, over arrivals, segment completions and outage starts and
+ * ends; simulateOnline is that loop with no outages. Each placement
+ * is recorded when its segment starts, so a fault-free schedule lists
+ * placements in start order.
  */
 
 #ifndef MLPSIM_SCHED_ONLINE_H
@@ -33,12 +39,15 @@ enum class OnlinePolicy {
     /** FIFO; every job runs distributed across all GPUs (paper's
      *  naive policy, applied online). */
     FifoFullWidth,
-    /** FIFO; each job runs at its most parallel-efficient width on
-     *  the earliest-free GPUs. */
+    /** FIFO; each job runs at JobSpec::bestWidth on the
+     *  lowest-numbered idle GPUs. */
     FifoBestWidth,
-    /** FifoBestWidth plus conservative backfilling: jobs behind a
-     *  blocked head may start if they finish before the head's
-     *  reservation. */
+    /** FifoBestWidth plus conservative backfilling: a blocked head
+     *  reserves its width at the width-th earliest GPU free time (now
+     *  for an idle GPU, the running segment's end for a busy one),
+     *  and the first later job that fits the idle GPUs (at its width,
+     *  capped to the largest power of two idle) and finishes by then
+     *  starts at once. */
     Backfill,
 };
 
@@ -56,7 +65,8 @@ struct OnlineMetrics {
 };
 
 /**
- * Simulate a job stream against a policy.
+ * Simulate a job stream against a policy on a healthy machine:
+ * simulateElastic with no outages.
  *
  * @param jobs arriving jobs (any order; sorted internally).
  * @param gpus machine width (power of two).
@@ -121,9 +131,11 @@ struct ElasticMetrics {
  *
  * Jobs are checkpointed every checkpoint_every_s seconds, so an
  * interruption discards at most that much per-GPU progress and pays
- * restart_overhead_s before the job resumes anywhere. Dispatch is
- * width-aware FIFO (FifoFullWidth is honoured; Backfill degrades to
- * FifoBestWidth — reservations are not modeled under faults).
+ * restart_overhead_s before the job resumes anywhere. Every policy
+ * dispatches as in a fault-free run, with widths capped to the
+ * largest power of two of GPUs not permanently lost, except that a
+ * non-empty `outages` degrades Backfill to FifoBestWidth (with a
+ * warning): reservations are not modeled under faults.
  *
  * Deterministic: same inputs, same outcome.
  */
