@@ -8,7 +8,6 @@
 #include <unordered_map>
 
 #include "obs/span.h"
-#include "sim/logger.h"
 #include "train/trainer.h"
 
 namespace mlps::exec {
@@ -50,7 +49,7 @@ struct JobOutcome {
 
 /**
  * Evaluate one point under supervision: retry transients with
- * deterministic simulated backoff, flag deadline overruns, condense
+ * deterministic simulated backoff, capture deadline overruns, condense
  * an unrecovered failure into a RunError-bearing placeholder whose
  * train result carries the request identity (so degraded report rows
  * still name their point) and NaN totals.
@@ -80,34 +79,29 @@ supervised(const RunRequest &req, const Fingerprint &key,
             o.backoff_s = backoff;
             if (opts.run_deadline_s > 0.0 &&
                 o.result.wall_seconds > opts.run_deadline_s) {
+                // The caller asked for a bounded answer: the slow
+                // result becomes a structured error for this request
+                // only — never cached, never journaled.
                 o.result.deadline_flagged = true;
-                if (opts.deadline_policy == DeadlinePolicy::Capture) {
-                    // The caller asked for a bounded answer: the slow
-                    // result becomes a structured error for this
-                    // request only — never cached, never journaled —
-                    // instead of wedging a worker's output.
-                    auto err = std::make_shared<RunError>();
-                    err->key = key;
-                    err->workload = req.workload.abbrev;
-                    err->system = req.system.name;
-                    err->num_gpus = req.options.num_gpus;
-                    err->reason = "deadline";
-                    char what[128];
-                    std::snprintf(what, sizeof(what),
-                                  "run took %.3f s, past the %.3f s "
-                                  "deadline",
-                                  o.result.wall_seconds,
-                                  opts.run_deadline_s);
-                    err->what = what;
-                    err->attempts = attempt;
-                    err->backoff_s = backoff;
-                    o.result.error = err;
-                    // Under ErrorPolicy::Throw the publish phase
-                    // rethrows o.raw, so give it a real exception.
-                    o.raw = std::make_exception_ptr(
-                        std::runtime_error(err->what));
-                    o.error = std::move(err);
-                }
+                auto err = std::make_shared<RunError>();
+                err->key = key;
+                err->workload = req.workload.abbrev;
+                err->system = req.system.name;
+                err->num_gpus = req.options.num_gpus;
+                err->reason = "deadline";
+                char what[128];
+                std::snprintf(what, sizeof(what),
+                              "run took %.3f s, past the %.3f s deadline",
+                              o.result.wall_seconds, opts.run_deadline_s);
+                err->what = what;
+                err->attempts = attempt;
+                err->backoff_s = backoff;
+                o.result.error = err;
+                // Under ErrorPolicy::Throw the publish phase rethrows
+                // o.raw, so give it a real exception.
+                o.raw = std::make_exception_ptr(
+                    std::runtime_error(err->what));
+                o.error = std::move(err);
             }
             return o;
         } catch (...) {
@@ -287,15 +281,6 @@ Engine::runBatch(std::span<const RunRequest *const> requests,
                 degraded_.push_back(*o.error);
             }
             continue; // failures are never cached or persisted
-        }
-        if (o.result.deadline_flagged) {
-            deadline_flags_.add(1.0);
-            sim::warn("engine: run %s on %s (%d GPUs) took %.3f s, "
-                      "past the %.3f s deadline",
-                      o.result.train.workload.c_str(),
-                      o.result.train.system.c_str(),
-                      o.result.train.num_gpus, o.result.wall_seconds,
-                      opts_.run_deadline_s);
         }
         cache_.insert(job_key[j], o.result);
         if (journal_)

@@ -19,7 +19,8 @@
  *  - with ExecOptions::cache_dir set, the cache is durable: a CRC32-
  *    checked append-only journal replays on startup and records every
  *    fresh point, so warm reports survive process crashes;
- *  - a per-run deadline watchdog flags runaway simulations.
+ *  - a per-run deadline watchdog turns a run past its deadline into
+ *    a "deadline" RunError, never cached or journaled.
  *
  * Observability: cache hit/miss counters (sim::Counter inside
  * RunCache) plus a per-run wall-time sampler, retry/backoff/deadline

@@ -51,14 +51,13 @@ struct ExecOptions {
     /** Deterministic retry policy for transient run failures. */
     RetryPolicy retry;
     /**
-     * Per-run host wall-clock deadline, seconds; a run exceeding it is
-     * flagged (counter + warning) or captured as a RunError, per
-     * `deadline_policy`. Never killed mid-flight. 0 disables the
-     * watchdog.
+     * Per-run host wall-clock deadline, seconds. A run exceeding it
+     * becomes a structured RunError (reason "deadline") that is
+     * neither cached nor journaled, so a slow simulation degrades to
+     * a per-request error instead of entering the shared cache.
+     * Never killed mid-flight. 0 disables the watchdog.
      */
     double run_deadline_s = 0.0;
-    /** What a deadline overrun becomes (flag vs structured error). */
-    DeadlinePolicy deadline_policy = DeadlinePolicy::Flag;
     /**
      * RunCache entry budget; 0 = unbounded (the historical batch
      * behaviour). With a budget the cache evicts least-recently-used

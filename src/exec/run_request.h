@@ -58,7 +58,8 @@ struct RunResult {
     double wall_seconds = 0.0;
     /** Evaluation attempts consumed (> 1 after transient retries). */
     int attempts = 1;
-    /** Watchdog flag: wall time exceeded ExecOptions::run_deadline_s. */
+    /** Wall time exceeded ExecOptions::run_deadline_s; `error` then
+     *  holds the "deadline" RunError. */
     bool deadline_flagged = false;
     /**
      * Under ErrorPolicy::Capture, the failure that produced this

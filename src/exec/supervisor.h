@@ -30,27 +30,6 @@
 
 namespace mlps::exec {
 
-/**
- * What the engine does with a run whose host wall time exceeds the
- * configured deadline (ExecOptions::run_deadline_s).
- */
-enum class DeadlinePolicy {
-    /**
-     * Flag the overrun (counter + warning) but publish the result —
-     * the historical batch behaviour, where a slow point is still a
-     * valid point.
-     */
-    Flag,
-    /**
-     * Convert the overrun into a structured RunError (reason
-     * "deadline"). The result is neither cached nor journaled, so a
-     * wedged-worker simulation degrades to a per-request error
-     * instead of poisoning the shared cache — the serve tier's
-     * behaviour, where a client asked for a bounded answer.
-     */
-    Capture,
-};
-
 /** What the engine does with a run that still fails after retries. */
 enum class ErrorPolicy {
     /**

@@ -28,11 +28,10 @@ namespace {
 exec::ExecOptions
 serviceExecOptions(exec::ExecOptions opts)
 {
-    // A service answers per request: failures and deadline overruns
-    // must become structured per-request errors, never a throw that
-    // tears down the shared engine mid-batch.
+    // A service answers per request: failures (deadline overruns
+    // among them) must become structured per-request errors, never a
+    // throw that tears down the shared engine mid-batch.
     opts.on_error = exec::ErrorPolicy::Capture;
-    opts.deadline_policy = exec::DeadlinePolicy::Capture;
     return opts;
 }
 

@@ -461,14 +461,32 @@ TEST(Supervise, BackoffScheduleIsCappedExponential)
 
 TEST(Supervise, DeadlineWatchdogFlagsButNeverKills)
 {
-    exec::ExecOptions opts(1);
-    opts.run_deadline_s = 1e-12; // everything overruns
-    exec::Engine engine(opts);
-    auto r = engine.runOne(requestFor("MLPf_NCF_Py", 1));
-    EXPECT_TRUE(r.ok());
-    EXPECT_TRUE(r.deadline_flagged);
-    EXPECT_EQ(engine.stats().deadline_flags, 1u);
-    EXPECT_GT(r.train.total_seconds, 0.0);
+    // An overrun finishes its run, then becomes a "deadline" error
+    // that is neither cached nor journaled.
+    std::string dir = tempDir("deadline");
+    {
+        exec::ExecOptions opts = durableOpts(dir);
+        opts.on_error = exec::ErrorPolicy::Capture;
+        opts.run_deadline_s = 1e-12; // everything overruns
+        exec::Engine engine(opts);
+        auto r = engine.runOne(requestFor("MLPf_NCF_Py", 1));
+        ASSERT_FALSE(r.ok());
+        EXPECT_EQ(r.error->reason, "deadline");
+        EXPECT_TRUE(r.deadline_flagged);
+        EXPECT_EQ(engine.stats().deadline_flags, 1u);
+
+        // The rerun misses the cache and overruns again.
+        auto again = engine.runOne(requestFor("MLPf_NCF_Py", 1));
+        ASSERT_FALSE(again.ok());
+        EXPECT_EQ(again.error->reason, "deadline");
+        EXPECT_FALSE(again.cache_hit);
+        EXPECT_EQ(engine.stats().cache_hits, 0u);
+        EXPECT_EQ(engine.stats().deadline_flags, 2u);
+    }
+    exec::Engine reopened(durableOpts(dir));
+    EXPECT_EQ(reopened.stats().journal_loaded, 0u);
+    EXPECT_EQ(reopened.cache().size(), 0u);
+    std::filesystem::remove_all(dir);
 }
 
 /** Reduced study keeping runtimes small while touching two tables. */
