@@ -762,11 +762,27 @@ Topology::validate() const
 
     // Connectivity over *up* edges: one dead link must not strand a
     // node, or routing (and therefore every transfer) silently fails.
-    std::vector<bool> seen(nodes.size(), false);
-    std::deque<NodeId> frontier;
-    frontier.push_back(0);
+    std::vector<bool> seen = reachableOverUpLinks();
+    int reached = static_cast<int>(std::count(seen.begin(), seen.end(),
+                                              true));
+    for (NodeId n = 0; n < nodeCount(); ++n) {
+        if (!seen[n])
+            sim::fatal("Topology: node '%s' unreachable over up "
+                       "links (%d of %d nodes connected)",
+                       nodes[n].name.c_str(), reached, nodeCount());
+    }
+}
+
+std::vector<bool>
+Topology::reachableOverUpLinks() const
+{
+    std::vector<bool> seen(nodeCount(), false);
+    if (seen.empty())
+        return seen;
+    const std::vector<Node> &nodes = graph_->nodes;
+    const std::vector<Edge> &edges = graph_->edges;
+    std::deque<NodeId> frontier{0};
     seen[0] = true;
-    int reached = 1;
     while (!frontier.empty()) {
         NodeId n = frontier.front();
         frontier.pop_front();
@@ -777,18 +793,10 @@ Topology::validate() const
             if (seen[other])
                 continue;
             seen[other] = true;
-            ++reached;
             frontier.push_back(other);
         }
     }
-    if (reached != nodeCount()) {
-        for (NodeId n = 0; n < nodeCount(); ++n) {
-            if (!seen[n])
-                sim::fatal("Topology: node '%s' unreachable over up "
-                           "links (%d of %d nodes connected)",
-                           nodes[n].name.c_str(), reached, nodeCount());
-        }
-    }
+    return seen;
 }
 
 } // namespace mlps::net

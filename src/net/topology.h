@@ -231,6 +231,13 @@ class Topology
                           NodeLists lists) const;
 
     /**
+     * Nodes reachable from node 0 over up links, by node id (a
+     * breadth-first walk; empty for an empty topology). A false entry
+     * is a node a dead link stranded.
+     */
+    std::vector<bool> reachableOverUpLinks() const;
+
+    /**
      * Check structural and dynamic invariants: every edge endpoint
      * names a real node, every link has positive bandwidth/efficiency,
      * the graph is connected over *up* edges, and the hierarchy is

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <map>
 #include <sstream>
@@ -35,41 +34,6 @@ traceReplays()
     static auto reg = obs::MetricRegistry::global().registerCounter(
         "train.fabric.replays", &c);
     return c;
-}
-
-/** Non-fatal connectivity probe over up edges. */
-bool
-fullyConnectedUp(const net::Topology &topo)
-{
-    if (topo.nodeCount() == 0)
-        return false;
-    std::vector<bool> seen(topo.nodeCount(), false);
-    std::deque<net::NodeId> frontier;
-    frontier.push_back(0);
-    seen[0] = true;
-    int reached = 1;
-    while (!frontier.empty()) {
-        net::NodeId n = frontier.front();
-        frontier.pop_front();
-        for (int e = 0; e < topo.edgeCount(); ++e) {
-            if (topo.linkDown(e))
-                continue;
-            auto [a, b] = topo.endpoints(e);
-            net::NodeId other;
-            if (a == n)
-                other = b;
-            else if (b == n)
-                other = a;
-            else
-                continue;
-            if (!seen[other]) {
-                seen[other] = true;
-                ++reached;
-                frontier.push_back(other);
-            }
-        }
-    }
-    return reached == topo.nodeCount();
 }
 
 /** Canonical key of a degraded fabric state (for memoization). */
@@ -127,7 +91,9 @@ applyLinkFaultTrace(const sys::SystemConfig &system,
         stateModels().add(1.0);
         obs::Span span("train.fabric", "model_state");
         StateModel m;
-        if (!fullyConnectedUp(scratch.topo)) {
+        std::vector<bool> up = scratch.topo.reachableOverUpLinks();
+        if (up.empty() ||
+            std::find(up.begin(), up.end(), false) != up.end()) {
             // The fault stranded part of the machine: no route, no
             // progress until the window heals.
             m.rate = 0.0;
