@@ -12,7 +12,8 @@
  * historical behaviour — the lowest-submission-index error is
  * rethrown after the batch drains) or Capture (the error travels
  * inside the RunResult so reports can degrade per cell instead of
- * aborting).
+ * aborting). A run past ExecOptions::run_deadline_s is such a failure
+ * too, with reason "deadline".
  *
  * Determinism: the backoff is *simulated* — accounted in seconds but
  * never slept — and the retry count is bounded, so a batch containing
