@@ -22,6 +22,8 @@
 #include <deque>
 #include <functional>
 #include <limits>
+#include <optional>
+#include <thread>
 
 #include "fingerprint_reference.h"
 #include "net_reference.h"
@@ -35,6 +37,7 @@
 namespace {
 
 using namespace mlps::net;
+using mlps::reference::bfsRoute;
 
 /**
  * A random connected machine graph — CPUs, switches, GPUs — as the
@@ -435,63 +438,6 @@ TEST_P(RandomTopologyTest, FingerprintTopologyMutationStressMatchesReference)
 
 // ------------------------------------------------ reference algorithms
 
-/**
- * Reference min-hop BFS: NVLink edges first at every node via a copy
- * and stable sort of its edge list; an edge is usable when it is up
- * and, if 'allowed' is set, allowed(edge).
- */
-std::optional<Path>
-referenceBfs(const Topology &topo, NodeId from, NodeId to,
-             const std::function<bool(int)> *allowed = nullptr)
-{
-    if (from == to)
-        return Path{{from}, {}};
-    int n_nodes = topo.nodeCount();
-    std::vector<int> prev_edge(n_nodes, -1);
-    std::vector<NodeId> prev_node(n_nodes, -1);
-    std::vector<bool> seen(n_nodes, false);
-    std::deque<NodeId> frontier;
-    frontier.push_back(from);
-    seen[from] = true;
-    while (!frontier.empty()) {
-        NodeId n = frontier.front();
-        frontier.pop_front();
-        std::vector<int> order = topo.incidentEdges(n);
-        std::stable_sort(order.begin(), order.end(), [&](int e1, int e2) {
-            return (topo.link(e1).kind == LinkKind::NvLink) >
-                   (topo.link(e2).kind == LinkKind::NvLink);
-        });
-        for (int e : order) {
-            if (topo.linkDown(e))
-                continue;
-            if (allowed && !(*allowed)(e))
-                continue;
-            auto [a, b] = topo.endpoints(e);
-            NodeId other = a == n ? b : a;
-            if (seen[other])
-                continue;
-            seen[other] = true;
-            prev_edge[other] = e;
-            prev_node[other] = n;
-            if (other == to) {
-                Path p;
-                NodeId cur = to;
-                while (cur != from) {
-                    p.nodes.push_back(cur);
-                    p.edges.push_back(prev_edge[cur]);
-                    cur = prev_node[cur];
-                }
-                p.nodes.push_back(from);
-                std::reverse(p.nodes.begin(), p.nodes.end());
-                std::reverse(p.edges.begin(), p.edges.end());
-                return p;
-            }
-            frontier.push_back(other);
-        }
-    }
-    return std::nullopt;
-}
-
 /** Pairwise-BFS oracle for the fabric checks over one link state. */
 struct FabricOracle {
     std::vector<NodeId> gpus;
@@ -521,11 +467,11 @@ struct FabricOracle {
             for (std::size_t j = 0; j < n; ++j) {
                 if (i == j)
                     continue;
-                nvlink[i][j] = referenceBfs(topo, gpus[i], gpus[j],
-                                            &nvlink_only)
-                                   .has_value();
+                nvlink[i][j] =
+                    bfsRoute(topo, gpus[i], gpus[j], &nvlink_only)
+                        .has_value();
                 p2p[i][j] =
-                    referenceBfs(topo, gpus[i], gpus[j], &p2p_legal)
+                    bfsRoute(topo, gpus[i], gpus[j], &p2p_legal)
                         .has_value();
             }
         }
@@ -912,7 +858,7 @@ TEST_P(RandomTopologyTest, RouteMatchesReferenceBfs)
         for (NodeId a = 0; a < topo.nodeCount(); ++a) {
             for (NodeId b = 0; b < topo.nodeCount(); ++b) {
                 auto fast = topo.route(a, b);
-                auto ref = referenceBfs(topo, a, b);
+                auto ref = bfsRoute(topo, a, b);
                 ASSERT_EQ(fast.has_value(), ref.has_value()) << label;
                 if (!ref)
                     continue;
@@ -1337,6 +1283,236 @@ TEST(AllReduceReference, PodsMatchBitForBit)
     // comparison covered each.
     EXPECT_GT(branches.ring2d, 0);
     EXPECT_GT(branches.tree, 0);
+}
+
+// ------------------------------------------------ route composition
+
+using NodePairs = std::vector<std::pair<NodeId, NodeId>>;
+
+/** Expect route() to give the reference BFS's path, or nullopt with
+ *  it, for every pair. */
+void
+expectRoutesMatchReference(const Topology &topo, const NodePairs &pairs,
+                           const std::string &label)
+{
+    for (auto [a, b] : pairs) {
+        std::optional<Path> got = topo.route(a, b);
+        std::optional<Path> want = bfsRoute(topo, a, b);
+        const std::string where =
+            label + ": " + topo.name(a) + " -> " + topo.name(b);
+        ASSERT_EQ(got.has_value(), want.has_value()) << where;
+        if (!want)
+            continue;
+        ASSERT_EQ(got->nodes, want->nodes) << where;
+        ASSERT_EQ(got->edges, want->edges) << where;
+    }
+}
+
+NodePairs
+allPairs(const Topology &topo)
+{
+    NodePairs out;
+    for (NodeId a = 0; a < topo.nodeCount(); ++a) {
+        for (NodeId b = 0; b < topo.nodeCount(); ++b)
+            out.emplace_back(a, b);
+    }
+    return out;
+}
+
+/** 'count' seeded pairs: half between GPUs, half between any nodes. */
+NodePairs
+randomPairs(const Topology &topo, mlps::sim::Rng &rng, int count)
+{
+    const std::vector<NodeId> gpus = topo.gpus();
+    const std::vector<NodeId> nodes = allNodes(topo);
+    NodePairs out;
+    for (int i = 0; i < count; ++i) {
+        const std::vector<NodeId> &from = i % 2 ? nodes : gpus;
+        out.emplace_back(from[rng.below(from.size())],
+                         from[rng.below(from.size())]);
+    }
+    return out;
+}
+
+/**
+ * A pod wired by hand: racks x hosts hosts, each two CPUs joined by
+ * UPI with two GPUs per CPU (one NVLink pair per CPU), a NIC on CPU0
+ * and, on the hosts 'two_nics' accepts, a second NIC on CPU1; every
+ * NIC uplinks to its rack's ToR and every ToR to each spine.
+ */
+Topology
+handBuiltPod(int racks, int hosts, int spines,
+             const std::function<bool(int rack, int host)> &two_nics)
+{
+    Topology topo;
+    std::vector<NodeId> spine;
+    for (int s = 0; s < spines; ++s)
+        spine.push_back(topo.addSpineSwitch("spine" + std::to_string(s)));
+    for (int r = 0; r < racks; ++r) {
+        const std::string rack = "r" + std::to_string(r);
+        NodeId tor = topo.addTorSwitch("tor" + std::to_string(r));
+        for (NodeId s : spine)
+            topo.connect(tor, s, ethernet(100.0, FabricTier::CrossRack));
+        for (int h = 0; h < hosts; ++h) {
+            const std::string p = rack + "n" + std::to_string(h) + ".";
+            NodeId cpu[2] = {topo.addCpu(p + "CPU0"),
+                             topo.addCpu(p + "CPU1")};
+            topo.connect(cpu[0], cpu[1], upi());
+            for (int c = 0; c < 2; ++c) {
+                NodeId g0 = topo.addGpu(p + "GPU" + std::to_string(2 * c));
+                NodeId g1 =
+                    topo.addGpu(p + "GPU" + std::to_string(2 * c + 1));
+                topo.connect(g0, cpu[c], pcie3(16));
+                topo.connect(g1, cpu[c], pcie3(16));
+                topo.connect(g0, g1, nvlink(2));
+            }
+            for (int n = 0; n < (two_nics(r, h) ? 2 : 1); ++n) {
+                NodeId nic = topo.addNic(p + "NIC" + std::to_string(n));
+                topo.connect(cpu[n], nic, pcie3(16));
+                topo.connect(nic, tor,
+                             ethernet(100.0, FabricTier::IntraRack));
+            }
+        }
+    }
+    topo.validate();
+    return topo;
+}
+
+TEST(RouteReference, BoxesAllPairs)
+{
+    std::vector<mlps::sys::SystemConfig> boxes = mlps::sys::allMachines();
+    boxes.push_back(mlps::sys::dgx1());
+    for (const mlps::sys::SystemConfig &box : boxes)
+        expectRoutesMatchReference(box.topo, allPairs(box.topo), box.name);
+}
+
+TEST(RouteReference, SmallPodsAllPairs)
+{
+    for (const mlps::sys::SystemConfig &box : mlps::sys::allMachines()) {
+        for (auto [racks, hosts] : {std::pair{1, 4}, {4, 1}, {2, 4}}) {
+            mlps::sys::SystemConfig pod =
+                mlps::sys::withPod(box, racks, hosts);
+            expectRoutesMatchReference(pod.topo, allPairs(pod.topo),
+                                       pod.name);
+        }
+    }
+}
+
+TEST(RouteReference, FullPodsRandomPairs)
+{
+    mlps::sim::Rng rng(21000);
+    for (const mlps::sys::SystemConfig &box : mlps::sys::allMachines()) {
+        for (int spines : {1, 2}) {
+            mlps::sys::SystemConfig pod =
+                mlps::sys::withPod(box, 16, 8, spines);
+            expectRoutesMatchReference(
+                pod.topo, randomPairs(pod.topo, rng, 1500),
+                pod.name + " spines=" + std::to_string(spines));
+        }
+    }
+}
+
+// Downs need not be survivable: a host whose NIC uplink or CPU-NIC
+// link is down is stranded, and every route into it must be nullopt.
+TEST(RouteReference, DownLinksAndStrandedHosts)
+{
+    mlps::sim::Rng rng(22000);
+    for (const mlps::sys::SystemConfig &box :
+         {mlps::sys::c4140M(), mlps::sys::dss8440(), mlps::sys::t640()}) {
+        mlps::sys::SystemConfig pod = mlps::sys::withPod(box, 4, 4);
+        Topology &topo = pod.topo;
+        std::vector<int> host_links; // CPU-NIC and NIC-ToR edges
+        for (int e = 0; e < topo.edgeCount(); ++e) {
+            auto [a, b] = topo.endpoints(e);
+            if (topo.kind(a) == NodeKind::Nic ||
+                topo.kind(b) == NodeKind::Nic)
+                host_links.push_back(e);
+        }
+        for (int round = 0; round < 6; ++round) {
+            for (int e = 0; e < topo.edgeCount(); ++e) {
+                if (rng.chance(0.03))
+                    topo.setLinkDown(e, !topo.linkDown(e));
+            }
+            int strand = host_links[rng.below(host_links.size())];
+            topo.setLinkDown(strand, true);
+            const std::string label =
+                pod.name + " round " + std::to_string(round);
+            expectRoutesMatchReference(topo, randomPairs(topo, rng, 600),
+                                       label + " down");
+            // Every route into and out of the stranded host.
+            auto [a, b] = topo.endpoints(strand);
+            NodePairs stranded;
+            for (NodeId g : topo.gpus()) {
+                stranded.emplace_back(g, a);
+                stranded.emplace_back(b, g);
+            }
+            expectRoutesMatchReference(topo, stranded, label + " stranded");
+            topo.setLinkBandwidthScale(
+                static_cast<int>(rng.below(topo.edgeCount())),
+                rng.uniform(0.1, 0.9));
+            expectRoutesMatchReference(topo, randomPairs(topo, rng, 200),
+                                       label + " scaled");
+        }
+    }
+}
+
+// A host with two NICs has two exits, so its cell has no gateway and
+// its routes must come from plain BFS; its one-NIC neighbours still
+// compose.
+TEST(RouteReference, TwoNicHostFallsBackToBfs)
+{
+    for (int spines : {1, 2}) {
+        Topology topo = handBuiltPod(
+            3, 3, spines, [](int rack, int host) { return host == rack; });
+        const std::string label = "spines=" + std::to_string(spines);
+        expectRoutesMatchReference(topo, allPairs(topo), label);
+        // With a NIC down, the two-NIC host keeps one exit.
+        for (int e = 0; e < topo.edgeCount(); ++e) {
+            auto [a, b] = topo.endpoints(e);
+            if (topo.name(a) == "r1n1.CPU0" && topo.kind(b) == NodeKind::Nic)
+                topo.setLinkDown(e, true);
+        }
+        ASSERT_TRUE(topo.anyLinkDown());
+        expectRoutesMatchReference(topo, allPairs(topo),
+                                   label + " one NIC down");
+    }
+}
+
+// Copies of one freshly built graph route in parallel, so the first
+// route lookups on the shared graph race under the sanitizers.
+TEST(RouteReference, ThreadsRouteCopiesOfAFreshGraph)
+{
+    const Topology built =
+        handBuiltPod(3, 3, 2, [](int, int host) { return host == 2; });
+    const NodePairs pairs = allPairs(built);
+    constexpr int kThreads = 4;
+    std::vector<std::vector<std::optional<Path>>> got(kThreads);
+    std::vector<Topology> copies(kThreads, built);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            // Each thread walks the pairs from its own offset.
+            got[t].resize(pairs.size());
+            for (std::size_t i = 0; i < pairs.size(); ++i) {
+                std::size_t k = (i + t * pairs.size() / kThreads) %
+                                pairs.size();
+                got[t][k] = copies[t].route(pairs[k].first,
+                                            pairs[k].second);
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (std::size_t k = 0; k < pairs.size(); ++k) {
+        std::optional<Path> want =
+            bfsRoute(built, pairs[k].first, pairs[k].second);
+        ASSERT_TRUE(want.has_value());
+        for (int t = 0; t < kThreads; ++t) {
+            ASSERT_TRUE(got[t][k].has_value());
+            ASSERT_EQ(got[t][k]->nodes, want->nodes);
+            ASSERT_EQ(got[t][k]->edges, want->edges);
+        }
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomTopologyTest,

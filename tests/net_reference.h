@@ -11,7 +11,10 @@
 #define MLPSIM_TESTS_NET_REFERENCE_H
 
 #include <algorithm>
+#include <deque>
+#include <functional>
 #include <limits>
+#include <optional>
 #include <vector>
 
 #include "net/allreduce.h"
@@ -20,6 +23,66 @@
 #include "sim/logger.h"
 
 namespace mlps::reference {
+
+/**
+ * Minimum-hop route as Topology::route found it before routes were
+ * composed through gateways: one BFS from 'from', visiting each node's
+ * incident edges NVLink first (a stable sort of a copy, so each kind
+ * keeps connect order), skipping down edges and, when 'allowed' is
+ * set, edges it rejects. Reads the topology only through its public
+ * accessors. @return nullopt when 'to' is unreachable.
+ */
+inline std::optional<net::Path>
+bfsRoute(const net::Topology &topo, net::NodeId from, net::NodeId to,
+         const std::function<bool(int)> *allowed = nullptr)
+{
+    if (from == to)
+        return net::Path{{from}, {}};
+    int n_nodes = topo.nodeCount();
+    std::vector<int> prev_edge(n_nodes, -1);
+    std::vector<net::NodeId> prev_node(n_nodes, -1);
+    std::vector<bool> seen(n_nodes, false);
+    std::deque<net::NodeId> frontier;
+    frontier.push_back(from);
+    seen[from] = true;
+    while (!frontier.empty()) {
+        net::NodeId n = frontier.front();
+        frontier.pop_front();
+        std::vector<int> order = topo.incidentEdges(n);
+        std::stable_sort(order.begin(), order.end(), [&](int e1, int e2) {
+            return (topo.link(e1).kind == net::LinkKind::NvLink) >
+                   (topo.link(e2).kind == net::LinkKind::NvLink);
+        });
+        for (int e : order) {
+            if (topo.linkDown(e))
+                continue;
+            if (allowed && !(*allowed)(e))
+                continue;
+            auto [a, b] = topo.endpoints(e);
+            net::NodeId other = a == n ? b : a;
+            if (seen[other])
+                continue;
+            seen[other] = true;
+            prev_edge[other] = e;
+            prev_node[other] = n;
+            if (other == to) {
+                net::Path p;
+                net::NodeId cur = to;
+                while (cur != from) {
+                    p.nodes.push_back(cur);
+                    p.edges.push_back(prev_edge[cur]);
+                    cur = prev_node[cur];
+                }
+                p.nodes.push_back(from);
+                std::reverse(p.nodes.begin(), p.nodes.end());
+                std::reverse(p.edges.begin(), p.edges.end());
+                return p;
+            }
+            frontier.push_back(other);
+        }
+    }
+    return std::nullopt;
+}
 
 /**
  * Time to move 'bytes' alone over the route between two nodes
