@@ -374,7 +374,7 @@ survivingRingOrder(const Topology &topo, const std::vector<NodeId> &gpus)
             if (de >= 0) {
                 cost = topo.link(de).kind == LinkKind::NvLink ? 0 : 1;
             } else {
-                auto p = topo.route(cur, gpus[i]);
+                auto p = topo.sharedRoute(cur, gpus[i]);
                 // Disconnected pair: poison cost, picked only if
                 // nothing else remains (flow sim will then report it).
                 cost = p ? 10 + p->hops() : 1000000;

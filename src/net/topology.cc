@@ -127,6 +127,8 @@ Topology::mutableGraph()
     if (!graph_ || graph_mark_.shared.load(std::memory_order_relaxed)) {
         auto own = std::make_shared<Graph>();
         if (graph_) {
+            // A sharer may be writing the gateways.
+            std::lock_guard<std::mutex> lock(graph_->gateways_mu);
             own->nodes = graph_->nodes;
             own->edges = graph_->edges;
         }
@@ -135,9 +137,11 @@ Topology::mutableGraph()
     }
     cache_.clear();
     // This copy is the graph's only owner, and the graph was made
-    // non-const by make_shared. Its memo described the old shape.
+    // non-const by make_shared. Its memo and gateways described the
+    // old shape.
     Graph &g = const_cast<Graph &>(*graph_);
     g.memo.clear();
+    g.gateways_indexed.store(false, std::memory_order_relaxed);
     return g;
 }
 
@@ -145,7 +149,10 @@ NodeId
 Topology::addNode(NodeKind kind, const std::string &name)
 {
     Graph &g = mutableGraph();
-    g.nodes.push_back(Node{kind, name, {}, {}, 0});
+    Node node;
+    node.kind = kind;
+    node.name = name;
+    g.nodes.push_back(std::move(node));
     return static_cast<NodeId>(g.nodes.size()) - 1;
 }
 
@@ -257,7 +264,7 @@ Topology::Cache &
 Topology::freshCacheLocked() const
 {
     Cache &c = cache_.cache;
-    if (!c.primed || c.epoch != epoch_) {
+    if (!c.primed || c.down_epoch != down_epoch_) {
         c.routes.clear();
         c.host_cpu.clear();
         for (int k = 0; k < kNumNodeKinds; ++k) {
@@ -266,7 +273,7 @@ Topology::freshCacheLocked() const
         }
         c.nvlink_label.clear();
         c.p2p_label.clear();
-        c.epoch = epoch_;
+        c.down_epoch = down_epoch_;
         c.primed = true;
     }
     return c;
@@ -340,27 +347,137 @@ Topology::bfs(NodeId from, NodeId to) const
     return std::nullopt;
 }
 
-std::optional<Path>
-Topology::route(NodeId from, NodeId to) const
+const Topology::Graph &
+Topology::indexedGraph() const
 {
-    ensureCacheMetrics();
-    checkNode(from);
-    checkNode(to);
+    const Graph &g = *graph_;
+    if (g.gateways_indexed.load(std::memory_order_acquire))
+        return g;
+    std::lock_guard<std::mutex> lock(g.gateways_mu);
+    if (g.gateways_indexed.load(std::memory_order_relaxed))
+        return g;
+    // Per level, one walk per cell over the edges of that tier or
+    // below, down or up (a down link removes paths, never adds an
+    // exit), then the cell's exits: members with a higher-tier edge.
+    std::vector<bool> seen(g.nodes.size());
+    std::vector<NodeId> cell;
+    for (int level = 0; level < kGatewayLevels; ++level) {
+        auto inCell = [&g, level](int e) {
+            return static_cast<int>(g.edges[e].link.tier) <= level;
+        };
+        std::fill(seen.begin(), seen.end(), false);
+        for (NodeId root = 0; root < nodeCount(); ++root) {
+            if (seen[root])
+                continue;
+            seen[root] = true;
+            cell.assign(1, root);
+            NodeId gateway = -1;
+            int exits = 0;
+            for (std::size_t head = 0; head < cell.size(); ++head) {
+                NodeId n = cell[head];
+                bool exit = false;
+                for (auto [other, e] : g.nodes[n].adj) {
+                    if (!inCell(e)) {
+                        exit = true;
+                    } else if (!seen[other]) {
+                        seen[other] = true;
+                        cell.push_back(other);
+                    }
+                }
+                if (exit) {
+                    gateway = n;
+                    ++exits;
+                }
+            }
+            for (NodeId n : cell)
+                g.nodes[n].gateway[level] = exits == 1 ? gateway : -1;
+        }
+    }
+    g.gateways_indexed.store(true, std::memory_order_release);
+    return g;
+}
+
+std::shared_ptr<const Path>
+Topology::composeRoute(Cache &c, NodeId from, NodeId to) const
+{
+    const Graph &g = indexedGraph();
+    for (int level = 0; level < kGatewayLevels && from != to; ++level) {
+        NodeId a = g.nodes[from].gateway[level];
+        NodeId b = g.nodes[to].gateway[level];
+        // Same cell, an ungated cell, or the gateways themselves,
+        // which only a coarser level (or the search) joins.
+        if (a < 0 || b < 0 || a == b || (a == from && b == to))
+            continue;
+        // Every path leaves through a and enters through b, so a
+        // missing piece leaves 'to' unreachable.
+        const std::shared_ptr<const Path> &head = routeLocked(c, from, a);
+        if (!head)
+            return nullptr;
+        const std::shared_ptr<const Path> &mid = routeLocked(c, a, b);
+        if (!mid)
+            return nullptr;
+        const std::shared_ptr<const Path> &tail = routeLocked(c, b, to);
+        if (!tail)
+            return nullptr;
+        const int hops = head->hops() + mid->hops() + tail->hops();
+        auto joined = std::make_shared<Path>();
+        joined->nodes.reserve(hops + 1);
+        joined->edges.reserve(hops);
+        joined->nodes.push_back(from);
+        for (const Path *piece : {head.get(), mid.get(), tail.get()}) {
+            joined->nodes.insert(joined->nodes.end(),
+                                 piece->nodes.begin() + 1,
+                                 piece->nodes.end());
+            joined->edges.insert(joined->edges.end(),
+                                 piece->edges.begin(), piece->edges.end());
+        }
+        return joined;
+    }
+    std::optional<Path> p = bfs(from, to);
+    if (!p)
+        return nullptr;
+    return std::make_shared<const Path>(std::move(*p));
+}
+
+const std::shared_ptr<const Path> &
+Topology::routeLocked(Cache &c, NodeId from, NodeId to, bool *hit) const
+{
     std::uint64_t key =
         (static_cast<std::uint64_t>(static_cast<std::uint32_t>(from))
          << 32) |
         static_cast<std::uint32_t>(to);
-    std::lock_guard<std::mutex> lock(cache_.mu);
-    Cache &c = freshCacheLocked();
     auto it = c.routes.find(key);
-    if (it != c.routes.end()) {
-        g_route_cache_hits.fetch_add(1, std::memory_order_relaxed);
+    if (hit)
+        *hit = it != c.routes.end();
+    if (it != c.routes.end())
         return it->second;
-    }
-    g_route_cache_misses.fetch_add(1, std::memory_order_relaxed);
-    auto p = bfs(from, to);
-    c.routes.emplace(key, p);
+    // Composing stores the pieces first; the map's nodes stay put.
+    std::shared_ptr<const Path> p = composeRoute(c, from, to);
+    return c.routes.emplace(key, std::move(p)).first->second;
+}
+
+std::shared_ptr<const Path>
+Topology::sharedRoute(NodeId from, NodeId to) const
+{
+    ensureCacheMetrics();
+    checkNode(from);
+    checkNode(to);
+    std::lock_guard<std::mutex> lock(cache_.mu);
+    bool hit;
+    std::shared_ptr<const Path> p =
+        routeLocked(freshCacheLocked(), from, to, &hit);
+    (hit ? g_route_cache_hits : g_route_cache_misses)
+        .fetch_add(1, std::memory_order_relaxed);
     return p;
+}
+
+std::optional<Path>
+Topology::route(NodeId from, NodeId to) const
+{
+    std::shared_ptr<const Path> p = sharedRoute(from, to);
+    if (!p)
+        return std::nullopt;
+    return *p;
 }
 
 double
@@ -577,6 +694,7 @@ Topology::setLinkDown(int edge, bool down)
     link_state_[edge].down = down;
     down_links_.n += down ? 1 : -1;
     ++epoch_;
+    ++down_epoch_;
 }
 
 void
@@ -623,6 +741,8 @@ Topology::resetLinkState()
 {
     for (LinkState &state : link_state_) {
         if (!state.healthy()) {
+            if (state.down)
+                ++down_epoch_;
             state = LinkState{};
             ++epoch_;
         }

@@ -15,18 +15,25 @@
  * the current state: a down link is never routed over, and degraded
  * bandwidth flows into every path/flow computation. Each state
  * mutation bumps an epoch counter so cached per-topology derivations
- * know when to recompute.
+ * know when to recompute. Routes, host CPUs and fabric labels read
+ * only which links are down, so a bandwidth change keeps them.
  *
  * The graph (node kinds, names, incident lists, edge endpoints and
  * link specs) is immutable once shared: copies of a Topology share
  * it and own only their link state and route cache, so copying a
  * pod-scale machine costs its link state, not its structure. The
  * builders copy a shared graph before changing it.
+ *
+ * The graph also indexes, on first use, each node's gateway: the one
+ * node of its host (or rack) through which every path leaves it, as
+ * a NIC is for a pod host and a ToR switch for a rack. route() joins
+ * cached routes through the gateways instead of searching the pod.
  */
 
 #ifndef MLPSIM_NET_TOPOLOGY_H
 #define MLPSIM_NET_TOPOLOGY_H
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -145,13 +152,26 @@ class Topology
     std::vector<NodeId> gpus() const { return nodesOfKind(NodeKind::Gpu); }
 
     /**
-     * Minimum-hop path between two nodes (BFS; NVLink edges preferred
-     * on ties so GPU pairs use the fast fabric when both exist).
-     * Memoized per link-state epoch — pod-scale graphs ask for the
-     * same routes thousands of times per collective.
+     * Minimum-hop path between two nodes: the path a BFS from 'from'
+     * finds, visiting NVLink edges first at every node (so GPU pairs
+     * use the fast fabric when both exist) and never a down link.
+     * When the two nodes sit in different hosts (or racks) whose
+     * gateways are 'a' and 'b', the path is route(from, a) ++
+     * route(a, b) ++ route(b, to), each piece memoized: a gateway is
+     * a cut vertex, so the BFS reaches everything beyond it through
+     * it, in the order a BFS started at it would. Routes are memoized
+     * until a link goes down or comes back up; one call counts as one
+     * hit or one miss of net.topology.route_cache.
      * @return nullopt when disconnected.
      */
     std::optional<Path> route(NodeId from, NodeId to) const;
+
+    /**
+     * route() as the memoized path itself, shared rather than copied
+     * (null when disconnected). It stays valid after the topology
+     * changes or goes away.
+     */
+    std::shared_ptr<const Path> sharedRoute(NodeId from, NodeId to) const;
 
     /** Bottleneck effective bandwidth along a path, bytes/s. */
     double pathBandwidth(const Path &p) const;
@@ -248,16 +268,28 @@ class Topology
     void validate() const;
 
   private:
+    /**
+     * Levels of the gateway index: a level-L cell is a component over
+     * the edges of tier L or below (host: intra-node edges; rack:
+     * intra-node and intra-rack edges).
+     */
+    static constexpr int kGatewayLevels = kNumFabricTiers - 1;
+
     struct Node {
         NodeKind kind;
+        /** Number of NVLink entries leading adj. */
+        int nvlinks = 0;
         std::string name;
         /** Incident edge ids, in connect order. */
         std::vector<int> edges;
         /** (neighbour, edge) in the order bfs visits them: NVLink
          *  edges first, then the rest, each in connect order. */
         std::vector<std::pair<NodeId, int>> adj;
-        /** Number of NVLink entries leading adj. */
-        int nvlinks = 0;
+        /** Per level, the gateway of this node's cell: the cell's only
+         *  node with an edge of a higher tier, or -1 when it has none
+         *  or several. Counts every edge, down or up. Written once per
+         *  graph by indexedGraph(). */
+        mutable NodeId gateway[kGatewayLevels] = {-1, -1};
     };
 
     struct Edge {
@@ -284,11 +316,17 @@ class Topology
         Digest out;
     };
 
-    /** The structure copies share; never changed while shared. */
+    /** The structure copies share; never changed while shared, but
+     *  for the nodes' gateways, which the first route lookup writes. */
     struct Graph {
         std::vector<Node> nodes;
         std::vector<Edge> edges;
         sim::DigestMemo<DigestMemoEntry> memo;
+        /** Set (release) once the nodes' gateways are written. */
+        mutable std::atomic<bool> gateways_indexed{false};
+        /** Held while the gateways are written, and while a builder
+         *  copies the nodes. */
+        mutable std::mutex gateways_mu;
     };
 
     NodeId addNode(NodeKind kind, const std::string &name);
@@ -304,6 +342,24 @@ class Topology
      *  over each node's NVLink-first adjacency. */
     std::optional<Path> bfs(NodeId from, NodeId to) const;
 
+    /** The graph, with its nodes' gateways written. */
+    const Graph &indexedGraph() const;
+
+    struct Cache;
+
+    /** Caller holds cache_.mu; the memoized route, computed (and
+     *  stored) on a miss. Sets *hit, if given, to whether it was
+     *  stored already. */
+    const std::shared_ptr<const Path> &
+    routeLocked(Cache &c, NodeId from, NodeId to,
+                bool *hit = nullptr) const;
+
+    /** Caller holds cache_.mu; the route joined through the gateways
+     *  of the first level where 'from' and 'to' sit in different
+     *  gated cells, else bfs(). */
+    std::shared_ptr<const Path> composeRoute(Cache &c, NodeId from,
+                                             NodeId to) const;
+
     std::optional<NodeId> computeHostCpu(NodeId gpu) const;
 
     /**
@@ -315,16 +371,18 @@ class Topology
     std::vector<int> componentLabels(EdgePred usable) const;
 
     /**
-     * Memoized derivations of this copy, invalidated whenever the
-     * link-state epoch moves (and dropped by the builders). Guarded by
-     * a mutex so parallel report workers can share one topology; route
-     * and host-CPU hit/miss totals feed the
-     * net.topology.route_cache.* gauges in the obs registry.
+     * Memoized derivations of this copy, invalidated whenever a link
+     * goes down or comes back up (and dropped by the builders); none
+     * reads bandwidth. Guarded by a mutex so parallel report workers
+     * can share one topology; route and host-CPU hit/miss totals feed
+     * the net.topology.route_cache.* gauges in the obs registry.
      */
     struct Cache {
-        std::uint64_t epoch = 0;
+        std::uint64_t down_epoch = 0;
         bool primed = false;
-        std::unordered_map<std::uint64_t, std::optional<Path>> routes;
+        /** Null when disconnected. Flows share these paths. */
+        std::unordered_map<std::uint64_t, std::shared_ptr<const Path>>
+            routes;
         std::vector<NodeId> by_kind[kNumNodeKinds];
         bool by_kind_valid[kNumNodeKinds] = {};
         std::unordered_map<NodeId, std::optional<NodeId>> host_cpu;
@@ -358,7 +416,8 @@ class Topology
         mutable Cache cache;
     };
 
-    /** Caller holds cache_.mu; drops stale results on epoch moves. */
+    /** Caller holds cache_.mu; drops stale results when down_epoch_
+     *  has moved. */
     Cache &freshCacheLocked() const;
 
     /** Caller holds cache_.mu; the cache with both fabric labelings
@@ -387,6 +446,8 @@ class Topology
         }
     } down_links_;
     std::uint64_t epoch_ = 0;
+    /** Bumped with epoch_ when a link's down bit changes. */
+    std::uint64_t down_epoch_ = 0;
     CacheHolder cache_;
 };
 

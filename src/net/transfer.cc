@@ -65,27 +65,26 @@ FlowSimulator::addFlow(NodeId from, NodeId to, double bytes, double start_s)
         sim::fatal("FlowSimulator: negative flow size %g", bytes);
     if (start_s < 0.0)
         sim::fatal("FlowSimulator: negative start time %g", start_s);
-    auto path = topo_.route(from, to);
-    if (!path)
+    Flow f;
+    f.path = topo_.sharedRoute(from, to);
+    if (!f.path)
         sim::fatal("FlowSimulator: no route %s -> %s",
                    topo_.name(from).c_str(), topo_.name(to).c_str());
-    Flow f;
-    f.path = std::move(*path);
+    const Path &path = *f.path;
     // Encode each traversal as edge*2 + direction so that full-duplex
     // links expose independent capacity per direction.
     f.slot_begin = static_cast<int>(flow_slots_.size());
-    for (std::size_t i = 0; i < f.path.edges.size(); ++i) {
-        int e = f.path.edges[i];
+    for (std::size_t i = 0; i < path.edges.size(); ++i) {
+        int e = path.edges[i];
         auto [a, b] = topo_.endpoints(e);
-        int dir = (f.path.nodes[i] == a && f.path.nodes[i + 1] == b) ? 0
-                                                                       : 1;
+        int dir = (path.nodes[i] == a && path.nodes[i + 1] == b) ? 0 : 1;
         flow_slots_.push_back(e * 2 + dir);
     }
     f.slot_end = static_cast<int>(flow_slots_.size());
     f.bytes = bytes;
     f.remaining = bytes;
     f.start_s = start_s;
-    f.latency_s = topo_.pathLatency(f.path);
+    f.latency_s = topo_.pathLatency(path);
     flows_.push_back(std::move(f));
     return static_cast<FlowId>(flows_.size()) - 1;
 }
@@ -109,7 +108,7 @@ FlowSimulator::classify()
     };
     std::vector<int> edge_flow(topo_.edgeCount(), -1);
     for (int fi = 0; fi < n; ++fi) {
-        for (int e : flows_[fi].path.edges) {
+        for (int e : flows_[fi].path->edges) {
             if (edge_flow[e] < 0) {
                 edge_flow[e] = fi;
                 continue;
@@ -161,7 +160,7 @@ FlowSimulator::classify()
             key = mix(key, bits(f.bytes));
             key = mix(key, bits(f.start_s));
             key = mix(key, bits(f.latency_s));
-            key = mix(key, f.path.edges.size());
+            key = mix(key, f.path->edges.size());
         }
         keyed[c] = {key, c};
     }
@@ -220,7 +219,7 @@ FlowSimulator::sameClass(int r, int c, PairMaps &maps) const
         same = bits(a.bytes) == bits(b.bytes) &&
                bits(a.start_s) == bits(b.start_s) &&
                bits(a.latency_s) == bits(b.latency_s) &&
-               a.path.edges.size() == b.path.edges.size();
+               a.path->edges.size() == b.path->edges.size();
         std::span<const int> sa = slotsOf(rf[k]);
         std::span<const int> sb = slotsOf(cf[k]);
         for (std::size_t i = 0; i < sa.size() && same; ++i) {
@@ -430,7 +429,7 @@ FlowSimulator::simulate()
             double moved = rate_[fi] * dt;
             double used = std::min(moved, f.remaining);
             f.remaining -= used;
-            for (int e : f.path.edges)
+            for (int e : f.path->edges)
                 edge_bytes_[e] += used;
             if (f.remaining <= 1e-9) {
                 f.remaining = 0.0;
@@ -470,8 +469,8 @@ FlowSimulator::run()
         std::span<const int> cf = flowsOf(c);
         for (std::size_t k = 0; k < rf.size(); ++k) {
             reports_[cf[k]].finish_s = reports_[rf[k]].finish_s;
-            const std::vector<int> &re = flows_[rf[k]].path.edges;
-            const std::vector<int> &ce = flows_[cf[k]].path.edges;
+            const std::vector<int> &re = flows_[rf[k]].path->edges;
+            const std::vector<int> &ce = flows_[cf[k]].path->edges;
             for (std::size_t i = 0; i < re.size(); ++i)
                 edge_bytes_[ce[i]] = edge_bytes_[re[i]];
         }

@@ -27,6 +27,7 @@
 #define MLPSIM_NET_TRANSFER_H
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -63,7 +64,9 @@ class FlowSimulator
 
     /**
      * Add a flow of 'bytes' from node 'from' to node 'to', departing at
-     * time 'start_s' (seconds). The route is fixed at add time.
+     * time 'start_s' (seconds). The route is fixed at add time: the
+     * flow holds the topology's memoized path (Topology::sharedRoute),
+     * which every flow on that route shares, rather than a copy.
      * @return the flow id.
      */
     FlowId addFlow(NodeId from, NodeId to, double bytes,
@@ -89,7 +92,8 @@ class FlowSimulator
 
   private:
     struct Flow {
-        Path path;
+        /** The topology's memoized route, shared, not copied. */
+        std::shared_ptr<const Path> path;
         /** The path's slots: flow_slots_[slot_begin, slot_end). */
         int slot_begin = 0;
         int slot_end = 0;

@@ -1406,7 +1406,7 @@ TEST(RouteReference, FullPodsRandomPairs)
             mlps::sys::SystemConfig pod =
                 mlps::sys::withPod(box, 16, 8, spines);
             expectRoutesMatchReference(
-                pod.topo, randomPairs(pod.topo, rng, 1500),
+                pod.topo, randomPairs(pod.topo, rng, 600),
                 pod.name + " spines=" + std::to_string(spines));
         }
     }
@@ -1456,6 +1456,18 @@ TEST(RouteReference, DownLinksAndStrandedHosts)
     }
 }
 
+/** The node named 'name'. */
+NodeId
+nodeNamed(const Topology &topo, const std::string &name)
+{
+    for (NodeId n = 0; n < topo.nodeCount(); ++n) {
+        if (topo.name(n) == name)
+            return n;
+    }
+    ADD_FAILURE() << "no node " << name;
+    return 0;
+}
+
 // A host with two NICs has two exits, so its cell has no gateway and
 // its routes must come from plain BFS; its one-NIC neighbours still
 // compose.
@@ -1476,6 +1488,19 @@ TEST(RouteReference, TwoNicHostFallsBackToBfs)
         expectRoutesMatchReference(topo, allPairs(topo),
                                    label + " one NIC down");
     }
+}
+
+// Growing a topology after it routed must re-index its gateways: a
+// second NIC takes the host's gateway away.
+TEST(RouteReference, GrowingAfterRoutingReindexes)
+{
+    Topology topo = handBuiltPod(2, 2, 1, [](int, int) { return false; });
+    expectRoutesMatchReference(topo, allPairs(topo), "one NIC each");
+    NodeId nic = topo.addNic("r1n0.NIC1");
+    topo.connect(nodeNamed(topo, "r1n0.CPU1"), nic, pcie3(16));
+    topo.connect(nic, nodeNamed(topo, "tor1"),
+                 ethernet(100.0, FabricTier::IntraRack));
+    expectRoutesMatchReference(topo, allPairs(topo), "second NIC");
 }
 
 // Copies of one freshly built graph route in parallel, so the first

@@ -13,7 +13,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "exec/fingerprint.h"
@@ -439,6 +441,84 @@ TEST(RouteCache, HitCounterFeedsTheObsRegistry)
     EXPECT_GE(reg.value("net.topology.route_cache.misses"),
               misses_before + 1.0);
     pod.topo.resetLinkState();
+}
+
+/** Route-cache hits and misses so far. */
+std::pair<double, double>
+routeCacheCounts()
+{
+    obs::MetricRegistry &reg = obs::MetricRegistry::global();
+    return {reg.value("net.topology.route_cache.hits"),
+            reg.value("net.topology.route_cache.misses")};
+}
+
+// However a route is assembled, one public lookup is one hit or one
+// miss, so the hit ratio means the same across routing changes.
+TEST(RouteCache, OneLookupCountsOnce)
+{
+    sys::SystemConfig pod = sys::withPod(sys::c4140M(), 4, 2);
+    net::Topology topo = pod.topo; // a copy starts with no routes
+    const std::vector<net::NodeId> &gpus = pod.gpu_nodes;
+    ASSERT_TRUE(topo.route(gpus[0], gpus[1]).has_value()); // registers
+    for (std::size_t i = 0; i + 1 < gpus.size(); i += 3) {
+        const net::NodeId a = gpus[i], b = gpus[gpus.size() - 1 - i];
+        for (int lookup = 0; lookup < 2; ++lookup) {
+            auto [hits, misses] = routeCacheCounts();
+            ASSERT_TRUE(topo.route(a, b).has_value());
+            auto [hits_after, misses_after] = routeCacheCounts();
+            EXPECT_EQ(hits_after - hits, lookup == 0 ? 0.0 : 1.0)
+                << topo.name(a) << " -> " << topo.name(b);
+            EXPECT_EQ(misses_after - misses, lookup == 0 ? 1.0 : 0.0)
+                << topo.name(a) << " -> " << topo.name(b);
+        }
+    }
+}
+
+// Routes read only which links are down: scaling a link's bandwidth
+// keeps every cached route, taking one down does not.
+TEST(RouteCache, BandwidthScaleKeepsRoutes)
+{
+    sys::SystemConfig pod = sys::withPod(sys::c4140M(), 2, 2);
+    net::Topology warm = pod.topo;
+    const std::vector<net::NodeId> &gpus = pod.gpu_nodes;
+    auto routeAll = [&gpus](const net::Topology &topo) {
+        std::vector<std::optional<net::Path>> out;
+        for (net::NodeId a : gpus) {
+            for (net::NodeId b : gpus)
+                out.push_back(topo.route(a, b));
+        }
+        return out;
+    };
+    auto same = [](const std::vector<std::optional<net::Path>> &x,
+                   const std::vector<std::optional<net::Path>> &y) {
+        if (x.size() != y.size())
+            return false;
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            if (x[i].has_value() != y[i].has_value() ||
+                (x[i] && (x[i]->nodes != y[i]->nodes ||
+                          x[i]->edges != y[i]->edges)))
+                return false;
+        }
+        return true;
+    };
+    routeAll(warm);
+
+    const auto route = warm.route(gpus.front(), gpus.back());
+    ASSERT_TRUE(route.has_value());
+    const int spine_edge = route->edges[route->edges.size() / 2];
+    const std::uint64_t epoch = warm.epoch();
+    const double misses = routeCacheCounts().second;
+    warm.setLinkBandwidthScale(spine_edge, 0.25);
+    EXPECT_GT(warm.epoch(), epoch);
+    const auto scaled = routeAll(warm);
+    EXPECT_EQ(routeCacheCounts().second, misses);
+    EXPECT_TRUE(same(scaled, routeAll(net::Topology(warm))));
+
+    warm.setLinkDown(spine_edge, true);
+    const auto rerouted = routeAll(warm);
+    EXPECT_GT(routeCacheCounts().second, misses);
+    EXPECT_TRUE(same(rerouted, routeAll(net::Topology(warm))));
+    EXPECT_FALSE(same(rerouted, scaled));
 }
 
 // ------------------------------------------- scale-out on pods
