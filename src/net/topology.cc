@@ -149,10 +149,7 @@ NodeId
 Topology::addNode(NodeKind kind, const std::string &name)
 {
     Graph &g = mutableGraph();
-    Node node;
-    node.kind = kind;
-    node.name = name;
-    g.nodes.push_back(std::move(node));
+    g.nodes.push_back(Node{kind, 0, name, {}, {}, {-1, -1}});
     return static_cast<NodeId>(g.nodes.size()) - 1;
 }
 
@@ -409,22 +406,24 @@ Topology::composeRoute(Cache &c, NodeId from, NodeId to) const
         if (a < 0 || b < 0 || a == b || (a == from && b == to))
             continue;
         // Every path leaves through a and enters through b, so a
-        // missing piece leaves 'to' unreachable.
-        const std::shared_ptr<const Path> &head = routeLocked(c, from, a);
-        if (!head)
-            return nullptr;
-        const std::shared_ptr<const Path> &mid = routeLocked(c, a, b);
-        if (!mid)
-            return nullptr;
-        const std::shared_ptr<const Path> &tail = routeLocked(c, b, to);
-        if (!tail)
-            return nullptr;
-        const int hops = head->hops() + mid->hops() + tail->hops();
+        // missing piece leaves 'to' unreachable. The cache keeps the
+        // pieces alive.
+        const NodeId ends[] = {from, a, b, to};
+        const Path *pieces[3];
+        int hops = 0;
+        for (int i = 0; i < 3; ++i) {
+            const std::shared_ptr<const Path> &piece =
+                routeLocked(c, ends[i], ends[i + 1]);
+            if (!piece)
+                return nullptr;
+            pieces[i] = piece.get();
+            hops += piece->hops();
+        }
         auto joined = std::make_shared<Path>();
         joined->nodes.reserve(hops + 1);
         joined->edges.reserve(hops);
         joined->nodes.push_back(from);
-        for (const Path *piece : {head.get(), mid.get(), tail.get()}) {
+        for (const Path *piece : pieces) {
             joined->nodes.insert(joined->nodes.end(),
                                  piece->nodes.begin() + 1,
                                  piece->nodes.end());
