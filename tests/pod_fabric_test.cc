@@ -3,8 +3,9 @@
  * Hierarchical datacenter fabric tests: pod composition and
  * validation, hierarchical collectives (per-tier byte conservation,
  * exact degenerate delegation, emergent degradation ordering), the
- * pod-scale fault classes, the pod spec grammar shared by the CLI
- * and serve, request-fingerprint coverage of the hierarchy,
+ * pod-scale fault classes, the pod spec grammar and machine
+ * vocabulary shared by the CLI and serve, request-fingerprint
+ * coverage of the hierarchy,
  * multi-node training on N x 1 pods of DSS 8440 hosts, and a
  * 128-GPU link-state mutation stress with seeded-replay determinism.
  */
@@ -13,8 +14,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <fstream>
 #include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -374,6 +377,120 @@ TEST(PodGrammar, ServeCatalogSharesTheCliVocabulary)
     // Cached: the same spec resolves to the same object.
     EXPECT_EQ(catalog.findMachine("pod(C4140 (M),2x2)", nullptr),
               pod);
+}
+
+// ---------------------------------------------- machine vocabulary
+
+/** The "<spec>\t<error>" lines of tests/golden/vocabulary_errors.txt. */
+std::vector<std::pair<std::string, std::string>>
+vocabularyErrors()
+{
+    std::ifstream in(std::string(MLPSIM_GOLDEN_DIR) +
+                     "/vocabulary_errors.txt");
+    std::vector<std::pair<std::string, std::string>> cases;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::size_t tab = line.find('\t');
+        if (tab == std::string::npos) {
+            ADD_FAILURE() << "golden line without a tab: " << line;
+            continue;
+        }
+        cases.emplace_back(line.substr(0, tab), line.substr(tab + 1));
+    }
+    return cases;
+}
+
+TEST(MachineVocabulary, ErrorsMatchTheGoldenFromCliAndServe)
+{
+    const auto cases = vocabularyErrors();
+    ASSERT_EQ(cases.size(), 4u);
+    serve::Catalog catalog;
+    for (const auto &[spec, want] : cases) {
+        sys::SystemConfig out;
+        std::string cli_error;
+        EXPECT_FALSE(sys::systemFromSpec(spec, &out, &cli_error)) << spec;
+        EXPECT_EQ(cli_error, want) << spec;
+        std::string serve_error;
+        EXPECT_EQ(catalog.findMachine(spec, &serve_error), nullptr)
+            << spec;
+        EXPECT_EQ(serve_error, want) << spec;
+    }
+}
+
+TEST(MachineVocabulary, EveryNameBuildsTheMachineItNames)
+{
+    const std::vector<std::string> table_iii = {
+        "T640", "C4140 (B)", "C4140 (K)", "C4140 (M)", "R940xa",
+        "DSS 8440"};
+    std::vector<std::string> listed;
+    for (const sys::SystemConfig &m : sys::allMachines())
+        listed.push_back(m.name);
+    EXPECT_EQ(listed, table_iii);
+
+    std::vector<std::string> names = table_iii;
+    names.push_back(sys::mlperfReference().name);
+    for (const std::string &name : names) {
+        sys::SystemConfig out;
+        std::string error;
+        ASSERT_TRUE(sys::systemFromSpec(name, &out, &error)) << error;
+        EXPECT_EQ(out.name, name);
+    }
+}
+
+TEST(MachineVocabulary, BothReferenceNamesResolveToTheReference)
+{
+    const exec::Fingerprint want =
+        exec::fingerprintOf(sys::mlperfReference());
+    serve::Catalog catalog;
+    for (const std::string name : {"reference", "MLPerf reference (P100)"}) {
+        sys::SystemConfig out;
+        std::string error;
+        ASSERT_TRUE(sys::systemFromSpec(name, &out, &error)) << error;
+        EXPECT_TRUE(exec::fingerprintOf(out) == want) << name;
+        const sys::SystemConfig *served = catalog.findMachine(name, &error);
+        ASSERT_NE(served, nullptr) << error;
+        EXPECT_TRUE(exec::fingerprintOf(*served) == want) << name;
+    }
+}
+
+TEST(MachineVocabulary, ConcurrentLookupsShareOneMachinePerSpec)
+{
+    const std::vector<std::string> specs = {
+        "DSS 8440", "pod(C4140 (M),2x2)", "reference", "C4140 (K)",
+        "pod(T640,1x2)"};
+    serve::Catalog catalog;
+    constexpr int kThreads = 4;
+    // Each thread's pointer per spec; null if a repeat lookup moved.
+    std::vector<std::vector<const sys::SystemConfig *>> seen(
+        kThreads,
+        std::vector<const sys::SystemConfig *>(specs.size(), nullptr));
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (int round = 0; round < 4; ++round) {
+                for (std::size_t k = 0; k < specs.size(); ++k) {
+                    std::size_t i = (k + t) % specs.size();
+                    const sys::SystemConfig *m =
+                        catalog.findMachine(specs[i], nullptr);
+                    if (round == 0)
+                        seen[t][i] = m;
+                    else if (m != seen[t][i])
+                        seen[t][i] = nullptr;
+                }
+            }
+        });
+    for (std::thread &th : threads)
+        th.join();
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        ASSERT_NE(seen[0][i], nullptr) << specs[i];
+        for (int t = 1; t < kThreads; ++t)
+            EXPECT_EQ(seen[t][i], seen[0][i]) << specs[i];
+    }
+    EXPECT_EQ(seen[0][1]->name, "C4140 (M) pod 2x2");
+    EXPECT_EQ(seen[0][2]->name, sys::mlperfReference().name);
+    EXPECT_EQ(seen[0][4]->name, "T640 pod 1x2");
 }
 
 // -------------------------------------------------- fingerprints
