@@ -334,8 +334,11 @@ runSoak(const SoakOptions &opts)
                 processDrops();
             }
 
+            // A captured deadline overrun counts in both unique_runs
+            // and degraded.
             exec::EngineStats es = core->engine().stats();
-            if (es.cache_hits + es.unique_runs + es.degraded !=
+            if (es.cache_hits + es.unique_runs + es.degraded -
+                        es.deadline_flags !=
                     es.requests ||
                 core->engine().cache().size() >
                     es.journal_loaded + es.unique_runs)

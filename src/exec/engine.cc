@@ -266,6 +266,10 @@ Engine::runBatch(std::span<const RunRequest *const> requests,
     std::exception_ptr first_error;
     for (std::size_t j = 0; j < job_out.size(); ++j) {
         JobOutcome &o = job_out[j];
+        // A run counts once it is evaluated, published or not: a
+        // deadline overrun simulated the point as fully as a success.
+        if (!o.error || o.result.deadline_flagged)
+            run_wall_.record(o.result.wall_seconds);
         // Count only real retries: cold and warm runs must tally alike.
         if (o.result.attempts > 1) {
             retries_.add(static_cast<double>(o.result.attempts - 1));
@@ -285,7 +289,6 @@ Engine::runBatch(std::span<const RunRequest *const> requests,
         cache_.insert(job_key[j], o.result);
         if (journal_)
             journal_->append(job_key[j], o.result);
-        run_wall_.record(o.result.wall_seconds);
     }
     // Compaction: once a bounded cache has evicted enough that the
     // journal is mostly cold (live/total below the threshold), write
@@ -328,7 +331,7 @@ Engine::stats() const
     EngineStats s;
     s.requests = static_cast<std::uint64_t>(requests_.total());
     s.cache_hits = cache_.hits();
-    s.unique_runs = cache_.misses();
+    s.unique_runs = run_wall_.count(); // one sample per evaluated run
     s.sim_seconds = run_wall_.sum();
     s.jobs = executor_.jobs();
     s.journal_loaded = cache_.preloaded();

@@ -264,10 +264,6 @@ Topology::freshCacheLocked() const
     if (!c.primed || c.down_epoch != down_epoch_) {
         c.routes.clear();
         c.host_cpu.clear();
-        for (int k = 0; k < kNumNodeKinds; ++k) {
-            c.by_kind[k].clear();
-            c.by_kind_valid[k] = false;
-        }
         c.nvlink_label.clear();
         c.p2p_label.clear();
         c.down_epoch = down_epoch_;
@@ -279,22 +275,11 @@ Topology::freshCacheLocked() const
 std::vector<NodeId>
 Topology::nodesOfKind(NodeKind k) const
 {
-    ensureCacheMetrics();
-    int ki = static_cast<int>(k);
-    std::lock_guard<std::mutex> lock(cache_.mu);
-    Cache &c = freshCacheLocked();
-    if (c.by_kind_valid[ki]) {
-        g_route_cache_hits.fetch_add(1, std::memory_order_relaxed);
-        return c.by_kind[ki];
-    }
-    g_route_cache_misses.fetch_add(1, std::memory_order_relaxed);
     std::vector<NodeId> out;
     for (NodeId n = 0; n < nodeCount(); ++n) {
         if (graph_->nodes[n].kind == k)
             out.push_back(n);
     }
-    c.by_kind[ki] = out;
-    c.by_kind_valid[ki] = true;
     return out;
 }
 

@@ -62,9 +62,6 @@ enum class NodeKind {
     SpineSwitch, ///< pod spine Ethernet switch
 };
 
-/** Number of NodeKind values (for per-kind caches). */
-inline constexpr int kNumNodeKinds = 6;
-
 /** Human-readable name of a node kind. */
 std::string toString(NodeKind kind);
 
@@ -383,8 +380,6 @@ class Topology
         /** Null when disconnected. Flows share these paths. */
         std::unordered_map<std::uint64_t, std::shared_ptr<const Path>>
             routes;
-        std::vector<NodeId> by_kind[kNumNodeKinds];
-        bool by_kind_valid[kNumNodeKinds] = {};
         std::unordered_map<NodeId, std::optional<NodeId>> host_cpu;
         /** Components over up NVLink edges and over up P2P-legal
          *  edges; empty until a fabric check asks. */

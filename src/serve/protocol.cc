@@ -169,30 +169,13 @@ decodeTrainResult(const Json &r, train::TrainResult *t, std::string *bad)
 
 // ---- Catalog --------------------------------------------------------
 
-Catalog::Catalog() : machines(sys::allMachines())
-{
-    // Same alias the CLI accepts; the config itself (and hence the
-    // fingerprint) is exactly sys::mlperfReference().
-    machines.push_back(sys::mlperfReference());
-}
-
 const sys::SystemConfig *
 Catalog::findMachine(const std::string &name, std::string *error) const
 {
-    for (const auto &m : machines) {
-        if (m.name == name)
-            return &m;
-    }
-    if (name == "reference")
-        return &machines.back(); // the mlperfReference() slot
-
-    // Everything else — pod grammar or a typo — goes through the
-    // shared resolver, so this error text is byte-identical to the
-    // CLI's. Built pods are big; cache them per spec string
-    // (std::map nodes are pointer-stable across inserts).
-    std::lock_guard<std::mutex> lock(pods_mu_);
-    auto it = pods_.find(name);
-    if (it != pods_.end())
+    // std::map nodes are pointer-stable across inserts.
+    std::lock_guard<std::mutex> lock(machines_mu_);
+    auto it = machines_.find(name);
+    if (it != machines_.end())
         return &it->second;
     sys::SystemConfig built;
     std::string err;
@@ -201,7 +184,7 @@ Catalog::findMachine(const std::string &name, std::string *error) const
             *error = err;
         return nullptr;
     }
-    return &pods_.emplace(name, std::move(built)).first->second;
+    return &machines_.emplace(name, std::move(built)).first->second;
 }
 
 // ---- requests -------------------------------------------------------

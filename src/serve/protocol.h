@@ -53,7 +53,6 @@
 #include <mutex>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "core/registry.h"
 #include "exec/run_request.h"
@@ -89,27 +88,26 @@ using sim::jsonDouble;
 
 /**
  * Validation context, built once per server: the workload registry
- * and machine list every run request is resolved against.
+ * every run request is resolved against, and the machines requests
+ * have named so far. It builds no machine up front.
  */
 struct Catalog {
-    Catalog();
-
     core::Registry registry;
-    std::vector<sys::SystemConfig> machines; ///< incl. the reference box
 
     /**
-     * Machine by name — a Table III name, "reference", or the pod
-     * grammar `pod(<box>,<racks>x<nodes>[,spines=S])` (resolved by
-     * sys::systemFromSpec, so the error vocabulary matches the CLI);
-     * null + did-you-mean error when unknown. Built pods are cached
-     * per spec string; safe to call from concurrent connections.
+     * Machine by spec — a Table III name, "reference", or the pod
+     * grammar `pod(<box>,<racks>x<nodes>[,spines=S])`, all resolved
+     * by sys::systemFromSpec, so the error vocabulary matches the
+     * CLI; null + did-you-mean error when unknown. Each spec is built
+     * once and cached, so repeat lookups return the same pointer;
+     * safe to call from concurrent connections.
      */
     const sys::SystemConfig *findMachine(const std::string &name,
                                          std::string *error) const;
 
   private:
-    mutable std::mutex pods_mu_;
-    mutable std::map<std::string, sys::SystemConfig> pods_;
+    mutable std::mutex machines_mu_;
+    mutable std::map<std::string, sys::SystemConfig> machines_;
 };
 
 /** One parsed-and-validated client request. */

@@ -1,7 +1,9 @@
 #include "sys/machines.h"
 
 #include <cstdlib>
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include "net/fabric.h"
 #include "net/link.h"
@@ -293,12 +295,6 @@ figure5Systems()
     return {c4140M(), c4140K(), c4140B(), t640(), r940xa()};
 }
 
-std::vector<SystemConfig>
-allMachines()
-{
-    return {t640(), c4140B(), c4140K(), c4140M(), r940xa(), dss8440()};
-}
-
 SystemConfig
 withNvlinkEdgeDown(const SystemConfig &base, int which)
 {
@@ -463,20 +459,41 @@ withTorDegraded(const SystemConfig &base, int rack, double scale)
 
 namespace {
 
-/** Exact machine-name lookup over the CLI/serve vocabulary. */
+/** One machine of the CLI and serve vocabulary. */
+struct Machine {
+    std::string_view name;  ///< the built config's name
+    std::string_view alias; ///< the name offered instead, if any
+    SystemConfig (*build)();
+
+    /** The name did-you-mean hints offer. */
+    std::string_view offered() const {
+        return alias.empty() ? name : alias;
+    }
+};
+
+/**
+ * The machine vocabulary: the Table III boxes in allMachines() order,
+ * then the reference machine, which also answers to "reference".
+ */
+constexpr Machine kMachines[] = {
+    {"T640", "", t640},
+    {"C4140 (B)", "", c4140B},
+    {"C4140 (K)", "", c4140K},
+    {"C4140 (M)", "", c4140M},
+    {"R940xa", "", r940xa},
+    {"DSS 8440", "", dss8440},
+    {"MLPerf reference (P100)", "reference", mlperfReference},
+};
+
+/** Build the machine 'name' calls, and nothing else. */
 bool
-boxByName(const std::string &name, SystemConfig *out)
+boxByName(std::string_view name, SystemConfig *out)
 {
-    for (SystemConfig &m : allMachines()) {
-        if (m.name == name) {
-            *out = std::move(m);
+    for (const Machine &m : kMachines) {
+        if (name == m.name || name == m.offered()) {
+            *out = m.build();
             return true;
         }
-    }
-    SystemConfig ref = mlperfReference();
-    if (name == "reference" || name == ref.name) {
-        *out = std::move(ref);
-        return true;
     }
     return false;
 }
@@ -486,21 +503,28 @@ std::vector<std::string>
 knownSystemNames()
 {
     std::vector<std::string> names;
-    for (const SystemConfig &m : allMachines())
-        names.push_back(m.name);
-    names.push_back("reference");
+    for (const Machine &m : kMachines)
+        names.emplace_back(m.offered());
     return names;
 }
 
 } // namespace
 
+std::vector<SystemConfig>
+allMachines()
+{
+    // Every entry but the last, the reference machine.
+    std::vector<SystemConfig> boxes;
+    for (const Machine &m :
+         std::span(kMachines).first(std::size(kMachines) - 1))
+        boxes.push_back(m.build());
+    return boxes;
+}
+
 bool
 systemFromSpec(const std::string &spec, SystemConfig *out,
                std::string *error)
 {
-    if (boxByName(spec, out))
-        return true;
-
     if (spec.rfind("pod(", 0) == 0 && spec.back() == ')') {
         std::string inner = spec.substr(4, spec.size() - 5);
         std::vector<std::string> parts;
@@ -566,6 +590,8 @@ systemFromSpec(const std::string &spec, SystemConfig *out,
         return true;
     }
 
+    if (boxByName(spec, out))
+        return true;
     *error = "unknown system '" + spec + "'" +
              sim::didYouMean(spec, knownSystemNames()) +
              "; or use pod(<box>,<racks>x<nodes>[,spines=S])";

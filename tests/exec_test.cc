@@ -230,6 +230,31 @@ TEST(Engine, ErrorsPropagateFromParallelRuns)
     EXPECT_GT(ok[0].train.total_seconds, 0.0);
 }
 
+TEST(Engine, DeadlineOverrunsCountAsSimulated)
+{
+    exec::ExecOptions opts{1};
+    opts.on_error = exec::ErrorPolicy::Capture;
+    opts.run_deadline_s = 1e-9; // every run overruns
+    exec::Engine engine(opts);
+    const exec::RunRequest req = requestFor("MLPf_NCF_Py", 1);
+    // Never cached, so the second call simulates the point again.
+    for (int call = 0; call < 2; ++call) {
+        const exec::RunResult r = engine.runOne(req);
+        ASSERT_NE(r.error, nullptr);
+        EXPECT_EQ(r.error->reason, "deadline");
+    }
+
+    const exec::EngineStats s = engine.stats();
+    EXPECT_EQ(s.unique_runs, 2u);
+    EXPECT_GT(s.sim_seconds, 0.0);
+    EXPECT_EQ(s.cache_hits, 0u);
+    EXPECT_EQ(s.deadline_flags, 2u);
+    EXPECT_EQ(s.degraded, 2u);
+    // The soak's accounting identity, with overruns in both counts.
+    EXPECT_EQ(s.cache_hits + s.unique_runs + s.degraded - s.deadline_flags,
+              s.requests);
+}
+
 TEST(Executor, ForEachCoversEveryIndexOnce)
 {
     for (int jobs : {1, 4}) {

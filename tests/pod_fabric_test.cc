@@ -5,9 +5,9 @@
  * exact degenerate delegation, emergent degradation ordering), the
  * pod-scale fault classes, the pod spec grammar and machine
  * vocabulary shared by the CLI and serve, request-fingerprint
- * coverage of the hierarchy,
- * multi-node training on N x 1 pods of DSS 8440 hosts, and a
- * 128-GPU link-state mutation stress with seeded-replay determinism.
+ * coverage of the hierarchy, multi-node training on N x 1 pods of
+ * DSS 8440 hosts, and a 128-GPU link-state mutation stress with
+ * seeded-replay determinism.
  */
 
 #include <gtest/gtest.h>
@@ -337,25 +337,42 @@ TEST(PodGrammar, ParsesPodSpecsAndAliases)
     EXPECT_EQ(out.name, "DSS 8440");
 }
 
+/** The "<spec>\t<error>" lines of tests/golden/vocabulary_errors.txt. */
+std::vector<std::pair<std::string, std::string>>
+vocabularyErrors()
+{
+    std::ifstream in(std::string(MLPSIM_GOLDEN_DIR) +
+                     "/vocabulary_errors.txt");
+    std::vector<std::pair<std::string, std::string>> cases;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::size_t tab = line.find('\t');
+        if (tab == std::string::npos) {
+            ADD_FAILURE() << "golden line without a tab: " << line;
+            continue;
+        }
+        cases.emplace_back(line.substr(0, tab), line.substr(tab + 1));
+    }
+    return cases;
+}
+
 TEST(PodGrammar, RejectsWithDidYouMean)
 {
-    sys::SystemConfig out;
-    std::string error;
-    EXPECT_FALSE(sys::systemFromSpec("DSS 8441", &out, &error));
-    EXPECT_NE(error.find("did you mean"), std::string::npos);
-    EXPECT_NE(error.find("pod(<box>"), std::string::npos);
-
-    EXPECT_FALSE(
-        sys::systemFromSpec("pod(C4140 (Z),2x2)", &out, &error));
-    EXPECT_NE(error.find("did you mean"), std::string::npos);
-
-    EXPECT_FALSE(sys::systemFromSpec("pod(C4140 (M),2x2,spine=4)",
-                                     &out, &error));
-    EXPECT_NE(error.find("spines"), std::string::npos);
-
-    EXPECT_FALSE(
-        sys::systemFromSpec("pod(C4140 (M),0x4)", &out, &error));
-    EXPECT_FALSE(error.empty());
+    const auto cases = vocabularyErrors();
+    ASSERT_EQ(cases.size(), 4u);
+    serve::Catalog catalog;
+    for (const auto &[spec, want] : cases) {
+        sys::SystemConfig out;
+        std::string cli_error;
+        EXPECT_FALSE(sys::systemFromSpec(spec, &out, &cli_error)) << spec;
+        EXPECT_EQ(cli_error, want) << spec;
+        std::string serve_error;
+        EXPECT_EQ(catalog.findMachine(spec, &serve_error), nullptr)
+            << spec;
+        EXPECT_EQ(serve_error, want) << spec;
+    }
 }
 
 TEST(PodGrammar, ServeCatalogSharesTheCliVocabulary)
@@ -380,44 +397,6 @@ TEST(PodGrammar, ServeCatalogSharesTheCliVocabulary)
 }
 
 // ---------------------------------------------- machine vocabulary
-
-/** The "<spec>\t<error>" lines of tests/golden/vocabulary_errors.txt. */
-std::vector<std::pair<std::string, std::string>>
-vocabularyErrors()
-{
-    std::ifstream in(std::string(MLPSIM_GOLDEN_DIR) +
-                     "/vocabulary_errors.txt");
-    std::vector<std::pair<std::string, std::string>> cases;
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        std::size_t tab = line.find('\t');
-        if (tab == std::string::npos) {
-            ADD_FAILURE() << "golden line without a tab: " << line;
-            continue;
-        }
-        cases.emplace_back(line.substr(0, tab), line.substr(tab + 1));
-    }
-    return cases;
-}
-
-TEST(MachineVocabulary, ErrorsMatchTheGoldenFromCliAndServe)
-{
-    const auto cases = vocabularyErrors();
-    ASSERT_EQ(cases.size(), 4u);
-    serve::Catalog catalog;
-    for (const auto &[spec, want] : cases) {
-        sys::SystemConfig out;
-        std::string cli_error;
-        EXPECT_FALSE(sys::systemFromSpec(spec, &out, &cli_error)) << spec;
-        EXPECT_EQ(cli_error, want) << spec;
-        std::string serve_error;
-        EXPECT_EQ(catalog.findMachine(spec, &serve_error), nullptr)
-            << spec;
-        EXPECT_EQ(serve_error, want) << spec;
-    }
-}
 
 TEST(MachineVocabulary, EveryNameBuildsTheMachineItNames)
 {
