@@ -22,22 +22,27 @@
 #include <deque>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <thread>
 
 #include "fingerprint_reference.h"
 #include "net_reference.h"
+#include "models/zoo.h"
 #include "net/allreduce.h"
+#include "net/fabric.h"
 #include "net/topology.h"
 #include "net/transfer.h"
 #include "sim/logger.h"
 #include "sim/rng.h"
 #include "sys/machines.h"
+#include "train/trainer.h"
 
 namespace {
 
 using namespace mlps::net;
 using mlps::reference::bfsRoute;
+using mlps::reference::ReferenceFlowSim;
 
 /**
  * A random connected machine graph — CPUs, switches, GPUs — as the
@@ -550,196 +555,6 @@ expectFabricChecksMatchOracle(const Topology &topo, bool all_subsets,
             check(members);
     }
 }
-
-/**
- * Reference flow simulator: progressive filling that scans every
- * directed slot for the bottleneck in each round, re-run from scratch
- * at every completion event.
- */
-class ReferenceFlowSim
-{
-  public:
-    explicit ReferenceFlowSim(const Topology &topo)
-        : topo_(topo), edge_bytes_(topo.edgeCount(), 0.0)
-    {
-    }
-
-    void addFlow(NodeId from, NodeId to, double bytes, double start_s)
-    {
-        Flow f;
-        f.path = *topo_.route(from, to);
-        f.bytes = bytes;
-        f.remaining = bytes;
-        f.start_s = start_s;
-        f.latency_s = topo_.pathLatency(f.path);
-        flows_.push_back(std::move(f));
-    }
-
-    const std::vector<FlowReport> &reports() const { return reports_; }
-    const std::vector<double> &edgeBytes() const { return edge_bytes_; }
-
-    double run()
-    {
-        reports_.assign(flows_.size(), FlowReport{});
-        for (std::size_t i = 0; i < flows_.size(); ++i) {
-            reports_[i].id = static_cast<FlowId>(i);
-            reports_[i].bytes = flows_[i].bytes;
-            reports_[i].start_s = flows_[i].start_s;
-        }
-        if (flows_.empty())
-            return 0.0;
-
-        double now = 0.0;
-        for (;;) {
-            std::vector<int> active;
-            double next_start = std::numeric_limits<double>::infinity();
-            bool any_pending = false;
-            for (std::size_t i = 0; i < flows_.size(); ++i) {
-                Flow &f = flows_[i];
-                if (f.done)
-                    continue;
-                double effective_start = f.start_s + f.latency_s;
-                if (now + 1e-15 >= effective_start) {
-                    active.push_back(static_cast<int>(i));
-                } else {
-                    any_pending = true;
-                    next_start = std::min(next_start, effective_start);
-                }
-            }
-            if (active.empty()) {
-                if (!any_pending)
-                    break;
-                now = next_start;
-                continue;
-            }
-
-            bool completed_zero = false;
-            for (int fi : active) {
-                Flow &f = flows_[fi];
-                if (f.remaining <= 0.0) {
-                    f.done = true;
-                    reports_[fi].finish_s = now;
-                    completed_zero = true;
-                }
-            }
-            if (completed_zero)
-                continue;
-
-            std::vector<double> rate = fairShare(active);
-
-            double dt = std::numeric_limits<double>::infinity();
-            for (int fi : active) {
-                if (rate[fi] > 0.0)
-                    dt = std::min(dt, flows_[fi].remaining / rate[fi]);
-            }
-            if (any_pending)
-                dt = std::min(dt, next_start - now);
-
-            for (int fi : active) {
-                Flow &f = flows_[fi];
-                double moved = rate[fi] * dt;
-                double used = std::min(moved, f.remaining);
-                f.remaining -= used;
-                for (int e : f.path.edges)
-                    edge_bytes_[e] += used;
-                if (f.remaining <= 1e-9) {
-                    f.remaining = 0.0;
-                    f.done = true;
-                    reports_[fi].finish_s = now + dt;
-                }
-            }
-            now += dt;
-        }
-        double makespan = 0.0;
-        for (const auto &r : reports_)
-            makespan = std::max(makespan, r.finish_s);
-        return makespan;
-    }
-
-  private:
-    struct Flow {
-        Path path;
-        double bytes;
-        double remaining;
-        double start_s;
-        double latency_s;
-        bool done = false;
-    };
-
-    std::vector<int> directedEdges(const Path &path) const
-    {
-        std::vector<int> out;
-        for (std::size_t i = 0; i < path.edges.size(); ++i) {
-            int e = path.edges[i];
-            auto [a, b] = topo_.endpoints(e);
-            int dir = (path.nodes[i] == a && path.nodes[i + 1] == b) ? 0
-                                                                     : 1;
-            out.push_back(e * 2 + dir);
-        }
-        return out;
-    }
-
-    std::vector<double> fairShare(const std::vector<int> &active) const
-    {
-        std::vector<double> rate(flows_.size(), 0.0);
-        int slots = topo_.edgeCount() * 2;
-        std::vector<double> cap(slots);
-        for (int e = 0; e < topo_.edgeCount(); ++e) {
-            cap[e * 2] = topo_.effectiveLinkBytesPerSec(e);
-            cap[e * 2 + 1] = cap[e * 2];
-        }
-        std::vector<std::vector<int>> fedges(flows_.size());
-        for (int fi : active)
-            fedges[fi] = directedEdges(flows_[fi].path);
-
-        std::vector<int> unfrozen = active;
-        while (!unfrozen.empty()) {
-            std::vector<int> users(slots, 0);
-            for (int fi : unfrozen) {
-                for (int de : fedges[fi])
-                    ++users[de];
-            }
-            double best_share = std::numeric_limits<double>::infinity();
-            int best_slot = -1;
-            for (int s = 0; s < slots; ++s) {
-                if (users[s] == 0)
-                    continue;
-                double share = cap[s] / users[s];
-                if (share < best_share) {
-                    best_share = share;
-                    best_slot = s;
-                }
-            }
-            if (best_slot < 0) {
-                for (int fi : unfrozen)
-                    rate[fi] = 1e18;
-                break;
-            }
-            std::vector<int> still;
-            for (int fi : unfrozen) {
-                const auto &des = fedges[fi];
-                bool crosses = std::find(des.begin(), des.end(),
-                                         best_slot) != des.end();
-                if (crosses) {
-                    rate[fi] = best_share;
-                    for (int de : des)
-                        cap[de] -= best_share;
-                } else {
-                    still.push_back(fi);
-                }
-            }
-            for (double &c : cap)
-                c = std::max(c, 0.0);
-            unfrozen = std::move(still);
-        }
-        return rate;
-    }
-
-    const Topology &topo_;
-    std::vector<Flow> flows_;
-    std::vector<FlowReport> reports_;
-    std::vector<double> edge_bytes_;
-};
 
 std::uint64_t
 bits(double x)
@@ -1536,6 +1351,423 @@ TEST(RouteReference, ThreadsRouteCopiesOfAFreshGraph)
             ASSERT_TRUE(got[t][k].has_value());
             ASSERT_EQ(got[t][k]->nodes, want->nodes);
             ASSERT_EQ(got[t][k]->edges, want->edges);
+        }
+    }
+}
+
+// ------------------------------------------------ pod host copies
+//
+// Every host of a pod is a copy of the first, so it carries the same
+// traffic. The tests below price pods whose hosts are copies and pods
+// where one thing breaks the copy, and compare every result with the
+// oracles, which simulate every flow.
+
+using mlps::sys::SystemConfig;
+
+/** The boxes the pod grammar composes: every Table III box and the
+ *  reference machine. */
+std::vector<SystemConfig>
+podBoxes()
+{
+    std::vector<SystemConfig> boxes = mlps::sys::allMachines();
+    boxes.push_back(mlps::sys::mlperfReference());
+    return boxes;
+}
+
+/** A racks x hosts pod of 'box': healthy, spine-scaled, ToR-scaled. */
+std::vector<SystemConfig>
+podFabrics(const SystemConfig &box, int racks, int hosts)
+{
+    SystemConfig pod = mlps::sys::withPod(box, racks, hosts);
+    return {pod, mlps::sys::withSpineDegraded(pod, 0.25),
+            mlps::sys::withTorDegraded(pod, 1, 0.5)};
+}
+
+/** Each host's nodes, in id order: the nodes named "r<R>n<N>.*",
+ *  hosts in rack-major order. */
+std::vector<std::vector<NodeId>>
+podHostNodes(const Topology &topo)
+{
+    std::vector<std::vector<NodeId>> hosts;
+    std::string current;
+    for (NodeId n = 0; n < topo.nodeCount(); ++n) {
+        const std::string &name = topo.name(n);
+        std::size_t dot = name.find('.');
+        if (name[0] != 'r' || dot == std::string::npos)
+            continue;
+        if (hosts.empty() || name.compare(0, dot + 1, current) != 0) {
+            current = name.substr(0, dot + 1);
+            hosts.emplace_back();
+        }
+        hosts.back().push_back(n);
+    }
+    return hosts;
+}
+
+/** First edge of 'kind' with both ends among 'nodes', or -1. */
+int
+edgeInside(const Topology &topo, const std::vector<NodeId> &nodes,
+           LinkKind kind)
+{
+    for (int e = 0; e < topo.edgeCount(); ++e) {
+        auto [a, b] = topo.endpoints(e);
+        if (topo.link(e).kind == kind &&
+            std::find(nodes.begin(), nodes.end(), a) != nodes.end() &&
+            std::find(nodes.begin(), nodes.end(), b) != nodes.end())
+            return e;
+    }
+    return -1;
+}
+
+/**
+ * Leaf of a hand-built pod host: two CPUs joined by UPI, two GPUs per
+ * CPU (an NVLink pair on each), and, when 'two_nics' accepts the host,
+ * a second NIC on CPU1 uplinked to its rack's ToR. The pod builder
+ * adds the first NIC.
+ */
+LeafBuilder
+twoSocketLeaf(const std::function<bool(const std::string &prefix)> &two_nics)
+{
+    return [two_nics](Topology &topo, const std::string &p) {
+        LeafNodes leaf;
+        leaf.cpus = {topo.addCpu(p + "CPU0"), topo.addCpu(p + "CPU1")};
+        topo.connect(leaf.cpus[0], leaf.cpus[1], upi());
+        for (int c = 0; c < 2; ++c) {
+            NodeId g0 = topo.addGpu(p + "GPU" + std::to_string(2 * c));
+            NodeId g1 = topo.addGpu(p + "GPU" + std::to_string(2 * c + 1));
+            topo.connect(g0, leaf.cpus[c], pcie3(16));
+            topo.connect(g1, leaf.cpus[c], pcie3(16));
+            topo.connect(g0, g1, nvlink(2));
+            leaf.gpus.push_back(g0);
+            leaf.gpus.push_back(g1);
+        }
+        if (two_nics(p)) {
+            // "r<R>n<N>." sits in rack R, under "tor<R>".
+            const std::string tor =
+                "tor" + p.substr(1, p.find('n') - 1);
+            NodeId nic = topo.addNic(p + "NIC1");
+            topo.connect(leaf.cpus[1], nic, pcie3(16));
+            for (NodeId n = 0; n < topo.nodeCount(); ++n) {
+                if (topo.name(n) == tor)
+                    topo.connect(nic, n,
+                                 ethernet(100.0, FabricTier::IntraRack));
+            }
+        }
+        return leaf;
+    };
+}
+
+/** A racks x hosts pod of twoSocketLeaf() hosts as a system. */
+SystemConfig
+twoSocketPod(int racks, int hosts,
+             const std::function<bool(const std::string &)> &two_nics)
+{
+    PodShape shape;
+    shape.racks = racks;
+    shape.nodes_per_rack = hosts;
+    PodTopology pod = buildPodTopology(shape, twoSocketLeaf(two_nics));
+    SystemConfig s = mlps::sys::c4140M();
+    s.name = "two-socket pod " + std::to_string(racks) + "x" +
+             std::to_string(hosts);
+    s.topo = std::move(pod.topo);
+    s.cpu_nodes.clear();
+    s.gpu_nodes = pod.gpus;
+    s.switch_nodes.clear();
+    for (const PodHost &host : pod.hosts)
+        s.cpu_nodes.insert(s.cpu_nodes.end(), host.cpus.begin(),
+                           host.cpus.end());
+    s.num_cpus = static_cast<int>(s.cpu_nodes.size());
+    s.num_gpus = static_cast<int>(s.gpu_nodes.size());
+    s.validate();
+    return s;
+}
+
+/** A system and the GPU count to price on it (0 = every GPU). */
+struct PodCase {
+    SystemConfig system;
+    int gpus = 0;
+    std::string label;
+};
+
+/**
+ * Pods where some host is not a copy of the first: a link down or a
+ * bandwidth scale inside one host, a GPU set that ends inside a host,
+ * and hand-built pods with a two-NIC host or only two-NIC hosts.
+ */
+std::vector<PodCase>
+templateBreakers()
+{
+    namespace sys = mlps::sys;
+    std::vector<PodCase> cases;
+    for (auto [racks, hosts] : {std::pair{4, 4}, {16, 8}}) {
+        const std::string shape =
+            std::to_string(racks) + "x" + std::to_string(hosts);
+        for (const SystemConfig &box : {sys::c4140M(), sys::c4140K()}) {
+            SystemConfig pod = sys::withPod(box, racks, hosts);
+            sys::applyDegradedLinks(pod, "r0n3.GPU0-r0n3.GPU1:down");
+            cases.push_back({pod, 0, box.name + " " + shape +
+                                         " NVLink down in host 3"});
+        }
+        for (const SystemConfig &box : {sys::c4140M(), sys::t640(),
+                                        sys::dss8440()}) {
+            SystemConfig pod = sys::withPod(box, racks, hosts);
+            int e = edgeInside(pod.topo, podHostNodes(pod.topo)[5],
+                               LinkKind::Pcie3);
+            pod.topo.setLinkBandwidthScale(e, 0.5);
+            cases.push_back(
+                {pod, 0, box.name + " " + shape + " PCIe x0.5 in host 5"});
+        }
+        SystemConfig pod = sys::withPod(sys::c4140M(), racks, hosts);
+        for (int gpus : {6, 4 * 9 + 2})
+            cases.push_back({pod, gpus,
+                             "C4140 (M) " + shape + " first " +
+                                 std::to_string(gpus) + " GPUs"});
+    }
+    cases.push_back({twoSocketPod(3, 3,
+                                  [](const std::string &p) {
+                                      return p == "r1n1.";
+                                  }),
+                     0, "two-socket 3x3, host r1n1 with two NICs"});
+    cases.push_back({twoSocketPod(3, 3,
+                                  [](const std::string &p) {
+                                      return p == "r0n0.";
+                                  }),
+                     0, "two-socket 3x3, host r0n0 with two NICs"});
+    cases.push_back(
+        {twoSocketPod(3, 3, [](const std::string &) { return true; }), 0,
+         "two-socket 3x3, every host with two NICs"});
+    cases.push_back(
+        {twoSocketPod(3, 3, [](const std::string &) { return false; }), 0,
+         "two-socket 3x3"});
+    return cases;
+}
+
+/** Payloads for the pods: one the cross-rack tree wins, one the 2D
+ *  ring wins. */
+const std::vector<double> kPodPayloads = {64.0 * 1024, 256.0 * 1024 * 1024};
+
+TEST(AllReduceReference, PodsOfEveryBox)
+{
+    for (const SystemConfig &box : podBoxes()) {
+        for (auto [racks, hosts] : {std::pair{4, 4}, {16, 8}}) {
+            for (const SystemConfig &pod : podFabrics(box, racks, hosts))
+                expectAllReduceMatchesReference(
+                    pod.topo, pod.gpu_nodes,
+                    racks == 4 ? kAllReducePayloads : kPodPayloads,
+                    pod.name);
+        }
+    }
+}
+
+TEST(AllReduceReference, HostsThatAreNotCopies)
+{
+    for (const PodCase &c : templateBreakers()) {
+        expectAllReduceMatchesReference(
+            c.system.topo,
+            c.gpus ? c.system.gpuSubset(c.gpus) : c.system.gpu_nodes,
+            kPodPayloads, c.label);
+    }
+}
+
+/** The trainer's input staging time (h2d_s) of a Res50 run on the
+ *  first 'gpus' GPUs (0 = every GPU), against the staging oracle. */
+void
+expectStagingMatchesReference(const SystemConfig &system, int gpus,
+                              const std::string &label)
+{
+    static const mlps::wl::WorkloadSpec spec =
+        *mlps::models::findWorkload("MLPf_Res50_MX");
+    mlps::train::RunOptions opts;
+    opts.num_gpus = gpus ? gpus : system.num_gpus;
+    mlps::train::TrainResult res =
+        mlps::train::Trainer(system).run(spec, opts);
+    double bytes =
+        res.per_gpu_batch * spec.dataset.input_bytes_per_sample;
+    ASSERT_GT(res.iter.h2d_s, 0.0) << label;
+    double want = mlps::reference::inputStagingSeconds(
+        system.topo, system.gpuSubset(opts.num_gpus), bytes);
+    EXPECT_EQ(bits(res.iter.h2d_s), bits(want))
+        << label << ": h2d " << res.iter.h2d_s << " vs " << want;
+}
+
+TEST(StagingReference, PodsOfEveryBox)
+{
+    for (const SystemConfig &box : podBoxes()) {
+        expectStagingMatchesReference(box, 0, box.name);
+        for (auto [racks, hosts] : {std::pair{4, 4}, {16, 8}}) {
+            for (const SystemConfig &pod : podFabrics(box, racks, hosts))
+                expectStagingMatchesReference(pod, 0, pod.name);
+        }
+    }
+}
+
+TEST(StagingReference, HostsThatAreNotCopies)
+{
+    for (const PodCase &c : templateBreakers())
+        expectStagingMatchesReference(c.system, c.gpus, c.label);
+}
+
+// Copies of one freshly built pod price collectives and input staging
+// in parallel, so whatever the first pricing writes to the shared
+// graph races under the sanitizers.
+TEST(StagingReference, ThreadsPriceCopiesOfAFreshPod)
+{
+    const SystemConfig built = mlps::sys::withPod(mlps::sys::c4140M(), 4, 4);
+    const mlps::wl::WorkloadSpec spec =
+        *mlps::models::findWorkload("MLPf_Res50_MX");
+    mlps::train::RunOptions opts;
+    opts.num_gpus = built.num_gpus;
+    constexpr int kThreads = 4;
+    std::vector<mlps::train::TrainResult> got(kThreads);
+    std::vector<AllReduceResult> reduced(kThreads);
+    std::vector<SystemConfig> copies(kThreads, built);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            reduced[t] = autoHierarchicalAllReduce(
+                copies[t].topo, copies[t].gpu_nodes, 64.0 * 1024 * 1024);
+            got[t] = mlps::train::Trainer(copies[t]).run(spec, opts);
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    AllReduceResult want = mlps::reference::autoHierarchicalAllReduce(
+        built.topo, built.gpu_nodes, 64.0 * 1024 * 1024);
+    double bytes =
+        got[0].per_gpu_batch * spec.dataset.input_bytes_per_sample;
+    double h2d = mlps::reference::inputStagingSeconds(
+        built.topo, built.gpu_nodes, bytes);
+    for (int t = 0; t < kThreads; ++t) {
+        expectSameAllReduce(reduced[t], want,
+                            "thread " + std::to_string(t));
+        EXPECT_EQ(bits(got[t].iter.h2d_s), bits(h2d)) << "thread " << t;
+        EXPECT_EQ(bits(got[t].iter.comm_s), bits(got[0].iter.comm_s))
+            << "thread " << t;
+    }
+}
+
+// Every host of a pod carries a copy of one flow set, host after host
+// or flow k of every host in turn. In every case but the first, one
+// host breaks the copy in one way; the simulator must still match the
+// reference, which prices every flow, bit for bit.
+TEST(FlowSimulatorReference, PodHostCopiesMatchBitForBit)
+{
+    enum class Odd {
+        None,
+        MissingFlow,
+        ExtraFlow,
+        Bytes,
+        Start,
+        Reordered,
+        ScaledLink,
+        DownLink,
+        LeavesHost,
+        BeforeFirstHost,
+    };
+    const std::pair<Odd, const char *> cases[] = {
+        {Odd::None, "copies"},
+        {Odd::MissingFlow, "host short of a flow"},
+        {Odd::ExtraFlow, "host with an extra flow"},
+        {Odd::Bytes, "different bytes"},
+        {Odd::Start, "different start"},
+        {Odd::Reordered, "flows in reverse order"},
+        {Odd::ScaledLink, "scaled link in a host"},
+        {Odd::DownLink, "down link in a host"},
+        {Odd::LeavesHost, "flow to another host"},
+        {Odd::BeforeFirstHost, "host added before the first"},
+    };
+    const std::vector<SystemConfig> boxes = podBoxes();
+    for (int seed = 0; seed < 28; ++seed) {
+        for (const auto &[odd, name] : cases) {
+            mlps::sim::Rng rng(23000 + seed);
+            const SystemConfig &box = boxes[seed % boxes.size()];
+            int racks = 1 + static_cast<int>(rng.below(3));
+            int per_rack = 1 + static_cast<int>(rng.below(3));
+            SystemConfig pod = mlps::sys::withPod(box, racks, per_rack);
+            Topology &topo = pod.topo;
+            const std::vector<std::vector<NodeId>> hosts =
+                podHostNodes(topo);
+            const int n_hosts = static_cast<int>(hosts.size());
+            const int n = static_cast<int>(hosts[0].size());
+            int odd_host = static_cast<int>(rng.below(n_hosts));
+
+            struct Local {
+                int from;
+                int to;
+                double bytes;
+                double start_s;
+            };
+            std::vector<Local> flows;
+            bool staggered = rng.chance(0.5);
+            int count = 1 + static_cast<int>(rng.below(10));
+            for (int i = 0; i < count; ++i) {
+                Local f;
+                f.from = static_cast<int>(rng.below(n));
+                f.to = rng.chance(0.1) ? f.from
+                                       : static_cast<int>(rng.below(n));
+                f.bytes = rng.chance(0.1) ? 0.0 : rng.uniform(1e5, 5e8);
+                f.start_s = staggered ? rng.uniform(0.0, 0.02) : 0.0;
+                flows.push_back(f);
+            }
+            int odd_flow = static_cast<int>(rng.below(flows.size()));
+            if (odd == Odd::ScaledLink || odd == Odd::DownLink) {
+                std::vector<int> inside;
+                for (int e = 0; e < topo.edgeCount(); ++e) {
+                    auto [a, b] = topo.endpoints(e);
+                    const std::vector<NodeId> &h = hosts[odd_host];
+                    if (std::find(h.begin(), h.end(), a) != h.end() &&
+                        std::find(h.begin(), h.end(), b) != h.end())
+                        inside.push_back(e);
+                }
+                int e = inside[rng.below(inside.size())];
+                if (odd == Odd::ScaledLink)
+                    topo.setLinkBandwidthScale(e, 0.5);
+                else if (!downIfSurvivable(topo, e))
+                    topo.setLinkBandwidthScale(e, 0.25);
+            }
+
+            std::vector<FlowWant> wants;
+            auto want = [&](int h, int k) {
+                Local f = flows[k];
+                if (h == odd_host && k == odd_flow) {
+                    if (odd == Odd::MissingFlow)
+                        return;
+                    if (odd == Odd::Bytes)
+                        f.bytes = f.bytes * 1.5 + 1e5;
+                    if (odd == Odd::Start)
+                        f.start_s += 1e-3;
+                }
+                wants.push_back({hosts[h][f.from], hosts[h][f.to],
+                                 f.bytes, f.start_s});
+                if (h == odd_host && k == odd_flow) {
+                    if (odd == Odd::ExtraFlow)
+                        wants.push_back(wants.back());
+                    if (odd == Odd::LeavesHost)
+                        wants.push_back(
+                            {hosts[h][f.from],
+                             hosts[(h + 1) % n_hosts][f.to], f.bytes,
+                             f.start_s});
+                }
+            };
+            // Hosts in order, but the odd one first when it must come
+            // before the first host.
+            std::vector<int> order(n_hosts);
+            std::iota(order.begin(), order.end(), 0);
+            if (odd == Odd::BeforeFirstHost)
+                std::rotate(order.begin(), order.begin() + odd_host,
+                            order.begin() + odd_host + 1);
+            const int per = static_cast<int>(flows.size());
+            bool interleaved = rng.chance(0.5);
+            for (int i = 0; i < n_hosts * per; ++i) {
+                int h = order[interleaved ? i % n_hosts : i / per];
+                int k = interleaved ? i / n_hosts : i % per;
+                if (odd == Odd::Reordered && h == odd_host)
+                    k = per - 1 - k;
+                want(h, k);
+            }
+            expectFlowSimMatchesReference(
+                topo, wants,
+                pod.name + ", " + name + ", seed " + std::to_string(seed));
         }
     }
 }

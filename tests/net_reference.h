@@ -2,9 +2,13 @@
  * @file
  * Network oracles the flow-level model is checked against.
  * Production prices every transfer with net::FlowSimulator and the
- * all-reduce models. The closed-form estimates only cross-check them
- * on contention-free cases; the per-algorithm all-reduce copies at
- * the end are the bit-exact oracle of the collective plans.
+ * all-reduce models. ReferenceFlowSim simulates every flow, with no
+ * shortcut, and is the bit-exact oracle of the production simulator.
+ * The closed-form estimates only cross-check them on contention-free
+ * cases; the per-algorithm all-reduce copies at the end, priced with
+ * ReferenceFlowSim, are the bit-exact oracle of the collective plans,
+ * and referenceHostCpu() with inputStagingSeconds() that of the
+ * trainer's input staging.
  */
 
 #ifndef MLPSIM_TESTS_NET_REFERENCE_H
@@ -85,6 +89,280 @@ bfsRoute(const net::Topology &topo, net::NodeId from, net::NodeId to,
 }
 
 /**
+ * Reference flow simulator: progressive filling that scans every
+ * directed slot for the bottleneck in each round, re-run from scratch
+ * at every completion event. Routes come from Topology::route(),
+ * which RouteReference pins to bfsRoute(); everything else reads the
+ * topology through its public accessors. The all-reduce oracle copies
+ * below and the staging oracle price with it, so no production flow
+ * grouping (classes, host translation) stands in any oracle.
+ */
+class ReferenceFlowSim
+{
+  public:
+    explicit ReferenceFlowSim(const net::Topology &topo)
+        : topo_(topo), edge_bytes_(topo.edgeCount(), 0.0)
+    {
+    }
+
+    void addFlow(net::NodeId from, net::NodeId to, double bytes,
+                 double start_s = 0.0)
+    {
+        Flow f;
+        f.path = *topo_.route(from, to);
+        f.bytes = bytes;
+        f.remaining = bytes;
+        f.start_s = start_s;
+        f.latency_s = topo_.pathLatency(f.path);
+        flows_.push_back(std::move(f));
+    }
+
+    const std::vector<net::FlowReport> &reports() const { return reports_; }
+    const std::vector<double> &edgeBytes() const { return edge_bytes_; }
+
+    /** Bytes over links of 'kind', summed over every edge in id
+     *  order. */
+    double bytesOnKind(net::LinkKind kind) const
+    {
+        double total = 0.0;
+        for (int e = 0; e < topo_.edgeCount(); ++e) {
+            if (topo_.link(e).kind == kind)
+                total += edge_bytes_[e];
+        }
+        return total;
+    }
+
+    /** Bytes over links of 'tier', summed over every edge in id
+     *  order. */
+    double bytesOnTier(net::FabricTier tier) const
+    {
+        double total = 0.0;
+        for (int e = 0; e < topo_.edgeCount(); ++e) {
+            if (topo_.link(e).tier == tier)
+                total += edge_bytes_[e];
+        }
+        return total;
+    }
+
+    double run()
+    {
+        reports_.assign(flows_.size(), net::FlowReport{});
+        for (std::size_t i = 0; i < flows_.size(); ++i) {
+            reports_[i].id = static_cast<net::FlowId>(i);
+            reports_[i].bytes = flows_[i].bytes;
+            reports_[i].start_s = flows_[i].start_s;
+        }
+        if (flows_.empty())
+            return 0.0;
+
+        double now = 0.0;
+        for (;;) {
+            std::vector<int> active;
+            double next_start = std::numeric_limits<double>::infinity();
+            bool any_pending = false;
+            for (std::size_t i = 0; i < flows_.size(); ++i) {
+                Flow &f = flows_[i];
+                if (f.done)
+                    continue;
+                double effective_start = f.start_s + f.latency_s;
+                if (now + 1e-15 >= effective_start) {
+                    active.push_back(static_cast<int>(i));
+                } else {
+                    any_pending = true;
+                    next_start = std::min(next_start, effective_start);
+                }
+            }
+            if (active.empty()) {
+                if (!any_pending)
+                    break;
+                now = next_start;
+                continue;
+            }
+
+            bool completed_zero = false;
+            for (int fi : active) {
+                Flow &f = flows_[fi];
+                if (f.remaining <= 0.0) {
+                    f.done = true;
+                    reports_[fi].finish_s = now;
+                    completed_zero = true;
+                }
+            }
+            if (completed_zero)
+                continue;
+
+            std::vector<double> rate = fairShare(active);
+
+            double dt = std::numeric_limits<double>::infinity();
+            for (int fi : active) {
+                if (rate[fi] > 0.0)
+                    dt = std::min(dt, flows_[fi].remaining / rate[fi]);
+            }
+            if (any_pending)
+                dt = std::min(dt, next_start - now);
+
+            for (int fi : active) {
+                Flow &f = flows_[fi];
+                double moved = rate[fi] * dt;
+                double used = std::min(moved, f.remaining);
+                f.remaining -= used;
+                for (int e : f.path.edges)
+                    edge_bytes_[e] += used;
+                if (f.remaining <= 1e-9) {
+                    f.remaining = 0.0;
+                    f.done = true;
+                    reports_[fi].finish_s = now + dt;
+                }
+            }
+            now += dt;
+        }
+        double makespan = 0.0;
+        for (const auto &r : reports_)
+            makespan = std::max(makespan, r.finish_s);
+        return makespan;
+    }
+
+  private:
+    struct Flow {
+        net::Path path;
+        double bytes;
+        double remaining;
+        double start_s;
+        double latency_s;
+        bool done = false;
+    };
+
+    std::vector<int> directedEdges(const net::Path &path) const
+    {
+        std::vector<int> out;
+        for (std::size_t i = 0; i < path.edges.size(); ++i) {
+            int e = path.edges[i];
+            auto [a, b] = topo_.endpoints(e);
+            int dir = (path.nodes[i] == a && path.nodes[i + 1] == b) ? 0
+                                                                     : 1;
+            out.push_back(e * 2 + dir);
+        }
+        return out;
+    }
+
+    std::vector<double> fairShare(const std::vector<int> &active) const
+    {
+        std::vector<double> rate(flows_.size(), 0.0);
+        int slots = topo_.edgeCount() * 2;
+        std::vector<double> cap(slots);
+        for (int e = 0; e < topo_.edgeCount(); ++e) {
+            cap[e * 2] = topo_.effectiveLinkBytesPerSec(e);
+            cap[e * 2 + 1] = cap[e * 2];
+        }
+        std::vector<std::vector<int>> fedges(flows_.size());
+        for (int fi : active)
+            fedges[fi] = directedEdges(flows_[fi].path);
+
+        std::vector<int> unfrozen = active;
+        while (!unfrozen.empty()) {
+            std::vector<int> users(slots, 0);
+            for (int fi : unfrozen) {
+                for (int de : fedges[fi])
+                    ++users[de];
+            }
+            double best_share = std::numeric_limits<double>::infinity();
+            int best_slot = -1;
+            for (int s = 0; s < slots; ++s) {
+                if (users[s] == 0)
+                    continue;
+                double share = cap[s] / users[s];
+                if (share < best_share) {
+                    best_share = share;
+                    best_slot = s;
+                }
+            }
+            if (best_slot < 0) {
+                for (int fi : unfrozen)
+                    rate[fi] = 1e18;
+                break;
+            }
+            std::vector<int> still;
+            for (int fi : unfrozen) {
+                const auto &des = fedges[fi];
+                bool crosses = std::find(des.begin(), des.end(),
+                                         best_slot) != des.end();
+                if (crosses) {
+                    rate[fi] = best_share;
+                    for (int de : des)
+                        cap[de] -= best_share;
+                } else {
+                    still.push_back(fi);
+                }
+            }
+            for (double &c : cap)
+                c = std::max(c, 0.0);
+            unfrozen = std::move(still);
+        }
+        return rate;
+    }
+
+    const net::Topology &topo_;
+    std::vector<Flow> flows_;
+    std::vector<net::FlowReport> reports_;
+    std::vector<double> edge_bytes_;
+};
+
+/**
+ * The CPU whose root complex hosts 'gpu': of the CPUs a BFS over up
+ * links reaches from it, one at the fewest hops, the lowest id among
+ * equals. Walks the whole graph; nullopt when no CPU is reachable.
+ */
+inline std::optional<net::NodeId>
+referenceHostCpu(const net::Topology &topo, net::NodeId gpu)
+{
+    std::vector<int> depth(topo.nodeCount(), -1);
+    std::deque<net::NodeId> frontier{gpu};
+    depth[gpu] = 0;
+    while (!frontier.empty()) {
+        net::NodeId n = frontier.front();
+        frontier.pop_front();
+        for (int e : topo.incidentEdges(n)) {
+            if (topo.linkDown(e))
+                continue;
+            auto [a, b] = topo.endpoints(e);
+            net::NodeId other = a == n ? b : a;
+            if (depth[other] >= 0)
+                continue;
+            depth[other] = depth[n] + 1;
+            frontier.push_back(other);
+        }
+    }
+    std::optional<net::NodeId> best;
+    for (net::NodeId n = 0; n < topo.nodeCount(); ++n) {
+        if (topo.kind(n) == net::NodeKind::Cpu && depth[n] >= 0 &&
+            (!best || depth[n] < depth[*best]))
+            best = n;
+    }
+    return best;
+}
+
+/**
+ * One iteration's input staging as the trainer prices it: a flow of
+ * 'bytes' from each GPU's host CPU to the GPU, all departing at once,
+ * simulated together. @return the makespan, seconds.
+ */
+inline double
+inputStagingSeconds(const net::Topology &topo,
+                    const std::vector<net::NodeId> &gpus, double bytes)
+{
+    if (bytes <= 0.0)
+        return 0.0;
+    ReferenceFlowSim fsim(topo);
+    for (net::NodeId gpu : gpus) {
+        std::optional<net::NodeId> cpu = referenceHostCpu(topo, gpu);
+        if (!cpu)
+            sim::fatal("inputStagingSeconds: GPU %d has no host CPU", gpu);
+        fsim.addFlow(*cpu, gpu, bytes);
+    }
+    return fsim.run();
+}
+
+/**
  * Time to move 'bytes' alone over the route between two nodes
  * (bandwidth bottleneck plus per-hop latency); +inf when disconnected.
  */
@@ -152,9 +430,10 @@ linkTraffic(const net::FlowSimulator &fsim, const net::Topology &topo)
 /*
  * The all-reduce models as they stood when each algorithm priced its
  * own phases: one function per algorithm, each building and running
- * its own flow simulations. Production now builds phase plans and
- * prices them in one evaluator; these copies are the oracle its
- * results must equal bit for bit (AllReduceReference tests).
+ * its own flow simulations, here with ReferenceFlowSim. Production
+ * now builds phase plans and prices them in one evaluator; these
+ * copies are the oracle its results must equal bit for bit
+ * (AllReduceReference tests).
  */
 
 namespace detail {
@@ -164,7 +443,6 @@ using net::AllReduceResult;
 using net::CollectiveFabric;
 using net::FabricShape;
 using net::FabricTier;
-using net::FlowSimulator;
 using net::LinkKind;
 using net::NodeId;
 using net::NodeKind;
@@ -174,7 +452,8 @@ using net::kNumFabricTiers;
 /** Accumulate a simulated phase's per-kind/per-tier bytes, scaled by
  *  the number of identical steps the simulation stands for. */
 inline void
-accountBytes(AllReduceResult *res, const FlowSimulator &fsim, double mult)
+accountBytes(AllReduceResult *res, const ReferenceFlowSim &fsim,
+             double mult)
 {
     res->nvlink_bytes += mult * fsim.bytesOnKind(LinkKind::NvLink);
     res->pcie_bytes += mult * fsim.bytesOnKind(LinkKind::Pcie3);
@@ -313,7 +592,7 @@ ringAllReduce(const net::Topology &topo,
     // to its successor), so simulate one step and multiply. Bucketing
     // does not change the bandwidth term (same total bytes) but pays
     // the per-step latency once per bucket.
-    FlowSimulator fsim(topo);
+    ReferenceFlowSim fsim(topo);
     for (int i = 0; i < n; ++i)
         fsim.addFlow(order[i], order[(i + 1) % n], chunk);
     double step_s = fsim.run() / derate;
@@ -366,7 +645,7 @@ hierarchicalRingAllReduce(const net::Topology &topo,
     // Phase 1 + 3: intra-node reduce-scatter and allgather, rings in
     // every host concurrently, (L-1) steps of bytes/L each way.
     if (per_host > 1) {
-        FlowSimulator fsim(topo);
+        ReferenceFlowSim fsim(topo);
         for (const auto &order : orders) {
             for (int i = 0; i < per_host; ++i)
                 fsim.addFlow(order[i], order[(i + 1) % per_host],
@@ -383,7 +662,7 @@ hierarchicalRingAllReduce(const net::Topology &topo,
     // concurrent rank-rings, 2*(M-1) steps of bytes/(L*M). Always
     // host-staged: the path crosses CPU, NIC and switch fabric.
     {
-        FlowSimulator fsim(topo);
+        ReferenceFlowSim fsim(topo);
         double xchunk = chunk / m;
         for (int i = 0; i < per_host; ++i) {
             for (int h = 0; h < m; ++h)
@@ -443,7 +722,7 @@ hierarchicalTreeAllReduce(const net::Topology &topo,
 
     // Phase 1 + 5: intra-node reduce-scatter and allgather.
     if (per_host > 1) {
-        FlowSimulator fsim(topo);
+        ReferenceFlowSim fsim(topo);
         for (const auto &order : orders) {
             for (int i = 0; i < per_host; ++i)
                 fsim.addFlow(order[i], order[(i + 1) % per_host],
@@ -458,7 +737,7 @@ hierarchicalTreeAllReduce(const net::Topology &topo,
     // Phase 2: intra-rack cross-node ring all-reduce of each shard,
     // every rack concurrently, 2*(Mr-1) steps of bytes/(L*Mr).
     if (per_rack > 1) {
-        FlowSimulator fsim(topo);
+        ReferenceFlowSim fsim(topo);
         double xchunk = chunk / per_rack;
         for (const auto &rack : shape.rack_groups) {
             for (int i = 0; i < per_host; ++i) {
@@ -483,7 +762,7 @@ hierarchicalTreeAllReduce(const net::Topology &topo,
         int rounds = 0;
         for (std::size_t stride = 1; stride < racks;
              stride *= 2, ++rounds) {
-            FlowSimulator fsim(topo);
+            ReferenceFlowSim fsim(topo);
             bool any = false;
             for (std::size_t r = 0; r + stride < racks;
                  r += 2 * stride) {
@@ -506,7 +785,7 @@ hierarchicalTreeAllReduce(const net::Topology &topo,
     // rack's host chain (the whole chain streams concurrently; the
     // Mr-1 hop handoffs surface as per-hop overheads).
     if (per_rack > 1) {
-        FlowSimulator fsim(topo);
+        ReferenceFlowSim fsim(topo);
         for (const auto &rack : shape.rack_groups) {
             for (int i = 0; i < per_host; ++i) {
                 for (int j = 0; j + 1 < per_rack; ++j)
