@@ -459,22 +459,8 @@ withTorDegraded(const SystemConfig &base, int rack, double scale)
 
 namespace {
 
-/** One machine of the CLI and serve vocabulary. */
-struct Machine {
-    std::string_view name;  ///< the built config's name
-    std::string_view alias; ///< the name offered instead, if any
-    SystemConfig (*build)();
-
-    /** The name did-you-mean hints offer. */
-    std::string_view offered() const {
-        return alias.empty() ? name : alias;
-    }
-};
-
-/**
- * The machine vocabulary: the Table III boxes in allMachines() order,
- * then the reference machine, which also answers to "reference".
- */
+/** machineCatalogue(); the reference machine also answers to its
+ *  built name. */
 constexpr Machine kMachines[] = {
     {"T640", "", t640},
     {"C4140 (B)", "", c4140B},
@@ -509,6 +495,12 @@ knownSystemNames()
 }
 
 } // namespace
+
+std::span<const Machine>
+machineCatalogue()
+{
+    return kMachines;
+}
 
 std::vector<SystemConfig>
 allMachines()

@@ -19,6 +19,8 @@
 #ifndef MLPSIM_SYS_MACHINES_H
 #define MLPSIM_SYS_MACHINES_H
 
+#include <span>
+#include <string_view>
 #include <vector>
 
 #include "sys/system_config.h"
@@ -112,6 +114,24 @@ bool systemFromSpec(const std::string &spec, SystemConfig *out,
 
 /** Every Table III machine. */
 std::vector<SystemConfig> allMachines();
+
+/** One machine of the CLI and serve vocabulary. */
+struct Machine {
+    std::string_view name;  ///< the built config's name
+    std::string_view alias; ///< the name offered instead, if any
+    SystemConfig (*build)();
+
+    /** The name `mlpsim list` and did-you-mean hints offer. */
+    std::string_view offered() const {
+        return alias.empty() ? name : alias;
+    }
+};
+
+/**
+ * The machine vocabulary: the Table III boxes in allMachines() order,
+ * then the reference machine, which is offered as "reference".
+ */
+std::span<const Machine> machineCatalogue();
 
 } // namespace mlps::sys
 

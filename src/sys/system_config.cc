@@ -103,13 +103,11 @@ SystemConfig::validate() const
         if (topo.kind(n) != net::NodeKind::Gpu)
             sim::fatal("SystemConfig '%s': node %d not a GPU",
                        name.c_str(), n);
-        // Every GPU must be reachable from some CPU (for H2D staging).
-        if (!topo.hostCpu(n))
-            sim::fatal("SystemConfig '%s': GPU %d unreachable from CPUs",
-                       name.c_str(), n);
     }
     // Structural graph invariants: dangling endpoints, non-positive
-    // bandwidths, disconnection over up links.
+    // bandwidths, disconnection over up links. A connected graph with
+    // at least one CPU node gives every GPU a host CPU (for H2D
+    // staging), and a stranded GPU fails here by its node's name.
     topo.validate();
 }
 

@@ -344,4 +344,25 @@ TEST(SystemValidate, CatchesDisconnectedTopology)
     EXPECT_THROW(s.validate(), FatalError);
 }
 
+// A GPU cut off from every CPU is a config error that names the GPU's
+// node, in a box and in a pod host.
+TEST(SystemValidate, StrandedGpuIsNamed)
+{
+    for (sys::SystemConfig s :
+         {sys::c4140M(), sys::withPod(sys::t640(), 2, 3)}) {
+        net::NodeId gpu = s.gpu_nodes[s.num_gpus / 2 + 1];
+        for (int e : s.topo.incidentEdges(gpu))
+            s.topo.setLinkDown(e, true);
+        try {
+            s.validate();
+            ADD_FAILURE() << s.name << ": stranded GPU accepted";
+        } catch (const FatalError &err) {
+            std::string want = "'" + s.topo.name(gpu) + "' unreachable";
+            EXPECT_NE(std::string(err.what()).find(want),
+                      std::string::npos)
+                << s.name << ": " << err.what();
+        }
+    }
+}
+
 } // namespace

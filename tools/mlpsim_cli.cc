@@ -360,12 +360,18 @@ cmdList(const Args &)
     for (const auto &b : reg.all())
         std::printf("  %s\n", b.statsRow().c_str());
     std::printf("\nSystems:\n");
-    for (const auto &s : sys::allMachines())
-        std::printf("  %-11s %d x %s, %d x %s\n", s.name.c_str(),
-                    s.num_cpus, s.cpu.name.c_str(), s.num_gpus,
-                    s.gpu.name.c_str());
-    std::printf("  %-11s 1 x %s (v0.5 reference)\n", "reference",
-                sys::mlperfReference().gpu.name.c_str());
+    for (const sys::Machine &m : sys::machineCatalogue()) {
+        const sys::SystemConfig s = m.build();
+        const std::string offered(m.offered());
+        // The reference machine goes by its alias and shows its GPUs.
+        if (m.alias.empty())
+            std::printf("  %-11s %d x %s, %d x %s\n", offered.c_str(),
+                        s.num_cpus, s.cpu.name.c_str(), s.num_gpus,
+                        s.gpu.name.c_str());
+        else
+            std::printf("  %-11s %d x %s (v0.5 reference)\n",
+                        offered.c_str(), s.num_gpus, s.gpu.name.c_str());
+    }
     std::printf("\nAny --system flag also accepts the pod grammar\n"
                 "  pod(<box>,<racks>x<nodes>[,spines=S])\n"
                 "e.g. \"pod(C4140 (M),4x4)\" — racks of <box> hosts "
