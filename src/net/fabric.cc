@@ -54,6 +54,10 @@ buildPodTopology(const PodShape &shape, const LeafBuilder &leaf)
         for (int n = 0; n < shape.nodes_per_rack; ++n) {
             std::ostringstream prefix;
             prefix << "r" << r << "n" << n << ".";
+            // Each host is one block of nodes and edges: the leaf's,
+            // then its NIC's.
+            const NodeId first_node = pod.topo.nodeCount();
+            const int first_edge = pod.topo.edgeCount();
             LeafNodes nodes = leaf(pod.topo, prefix.str());
             if (nodes.cpus.empty())
                 sim::fatal("buildPodTopology: leaf builder for host "
@@ -69,6 +73,7 @@ buildPodTopology(const PodShape &shape, const LeafBuilder &leaf)
             host.nic = pod.topo.addNic(prefix.str() + "NIC0");
             pod.topo.connect(nodes.cpus[0], host.nic, shape.nic_link);
             pod.topo.connect(host.nic, tor, shape.tor_uplink);
+            pod.topo.recordHost(first_node, first_edge);
 
             for (NodeId g : host.gpus)
                 pod.gpus.push_back(g);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <deque>
 #include <limits>
 #include <sstream>
@@ -53,12 +54,14 @@ struct SearchScratch {
     std::uint32_t stamp = 0;
 };
 
+thread_local SearchScratch t_scratch;
+
 /** This thread's scratch, sized for 'nodes', with a fresh stamp and an
  *  empty frontier. */
 SearchScratch &
 searchScratch(std::size_t nodes)
 {
-    thread_local SearchScratch s;
+    SearchScratch &s = t_scratch;
     if (s.seen.size() < nodes) {
         s.seen.assign(nodes, 0);
         s.prev_node.resize(nodes);
@@ -72,6 +75,29 @@ searchScratch(std::size_t nodes)
     }
     s.frontier.clear();
     return s;
+}
+
+/** Hops from the start of this thread's last host-CPU search to 'n',
+ *  or INT_MAX when that search stopped before reaching it. */
+int
+lastSearchDepth(NodeId n)
+{
+    const SearchScratch &s = t_scratch;
+    return s.seen[n] == s.stamp ? s.depth[n]
+                                : std::numeric_limits<int>::max();
+}
+
+/** Equal links, bit for bit. */
+bool
+sameLink(const LinkSpec &x, const LinkSpec &y)
+{
+    return x.kind == y.kind && x.tier == y.tier &&
+           std::bit_cast<std::uint64_t>(x.gbps) ==
+               std::bit_cast<std::uint64_t>(y.gbps) &&
+           std::bit_cast<std::uint64_t>(x.latency_us) ==
+               std::bit_cast<std::uint64_t>(y.latency_us) &&
+           std::bit_cast<std::uint64_t>(x.efficiency) ==
+               std::bit_cast<std::uint64_t>(y.efficiency);
 }
 
 /** Nodes a GPUDirect P2P path may not pass through: CPU root
@@ -131,18 +157,35 @@ Topology::mutableGraph()
             std::lock_guard<std::mutex> lock(graph_->gateways_mu);
             own->nodes = graph_->nodes;
             own->edges = graph_->edges;
+            own->hosts = graph_->hosts;
         }
         graph_ = std::move(own);
         graph_mark_.shared.store(false, std::memory_order_relaxed);
     }
     cache_.clear();
     // This copy is the graph's only owner, and the graph was made
-    // non-const by make_shared. Its memo and gateways described the
-    // old shape.
+    // non-const by make_shared. Its memo and index described the old
+    // shape.
     Graph &g = const_cast<Graph &>(*graph_);
     g.memo.clear();
     g.gateways_indexed.store(false, std::memory_order_relaxed);
+    g.copies.reset();
+    g.host_cpu.clear();
+    g.gate_routes.clear();
     return g;
+}
+
+void
+Topology::recordHost(NodeId first_node, int first_edge)
+{
+    if (first_node < 0 || first_node > nodeCount() || first_edge < 0 ||
+        first_edge > edgeCount())
+        sim::fatal("Topology::recordHost: host from node %d, edge %d "
+                   "outside [0,%d] nodes, [0,%d] edges",
+                   first_node, first_edge, nodeCount(), edgeCount());
+    NodeId nodes = nodeCount() - first_node;
+    int edges = edgeCount() - first_edge;
+    mutableGraph().hosts.push_back({first_node, nodes, first_edge, edges});
 }
 
 NodeId
@@ -263,7 +306,6 @@ Topology::freshCacheLocked() const
     Cache &c = cache_.cache;
     if (!c.primed || c.down_epoch != down_epoch_) {
         c.routes.clear();
-        c.host_cpu.clear();
         c.nvlink_label.clear();
         c.p2p_label.clear();
         c.down_epoch = down_epoch_;
@@ -284,7 +326,7 @@ Topology::nodesOfKind(NodeKind k) const
 }
 
 std::optional<Path>
-Topology::bfs(NodeId from, NodeId to) const
+Topology::bfs(NodeId from, NodeId to, bool all_links) const
 {
     checkNode(from);
     checkNode(to);
@@ -300,7 +342,7 @@ Topology::bfs(NodeId from, NodeId to) const
     // edges gives — so equal-hop NVLink routes win ties
     // deterministically. A fabric with no down link skips the
     // per-edge state.
-    const bool any_down = anyLinkDown();
+    const bool any_down = !all_links && anyLinkDown();
     for (std::size_t head = 0; head < s.frontier.size(); ++head) {
         NodeId n = s.frontier[head];
         for (auto [other, e] : g.nodes[n].adj) {
@@ -375,8 +417,173 @@ Topology::indexedGraph() const
                 g.nodes[n].gateway[level] = exits == 1 ? gateway : -1;
         }
     }
+    g.copies = checkHostCopies(g);
     g.gateways_indexed.store(true, std::memory_order_release);
     return g;
+}
+
+std::unique_ptr<const Topology::HostCopies>
+Topology::checkHostCopies(const Graph &g) const
+{
+    auto c = std::make_unique<HostCopies>();
+    auto copies = [&]() {
+        if (g.hosts.empty())
+            return false;
+        const HostRecord &first = g.hosts[0];
+        c->nodes = first.nodes;
+        c->edges = first.edges;
+        c->first_node = first.first_node;
+        c->first_edge = first.first_edge;
+        c->host_of.assign(g.nodes.size(), -1);
+        for (std::size_t k = 0; k < g.hosts.size(); ++k) {
+            const HostRecord &h = g.hosts[k];
+            if (h.nodes != first.nodes || h.edges != first.edges)
+                return false;
+            for (NodeId n = h.first_node; n < h.first_node + h.nodes; ++n) {
+                if (c->host_of[n] >= 0)
+                    return false;
+                c->host_of[n] = static_cast<int>(k);
+            }
+            c->node_offset.push_back(h.first_node - first.first_node);
+            c->edge_offset.push_back(h.first_edge - first.first_edge);
+        }
+        const NodeId gate =
+            c->nodes > 0 ? g.nodes[c->first_node].gateway[0] : -1;
+        if (gate < 0 || c->host_of[gate] != 0)
+            return false;
+        auto inBlock = [&](int e, int k) {
+            int i = e - c->first_edge - c->edge_offset[k];
+            return i >= 0 && i < c->edges;
+        };
+        // Every edge of the first host's block touches the host, and
+        // every edge of its nodes outside the block leaves the host
+        // over a tier above the host's, so that the host is its own
+        // level-0 cell.
+        for (int e = c->first_edge; e < c->first_edge + c->edges; ++e) {
+            if (c->host_of[g.edges[e].a] != 0 &&
+                c->host_of[g.edges[e].b] != 0)
+                return false;
+        }
+        for (std::size_t k = 0; k < g.hosts.size(); ++k) {
+            const NodeId dn = c->node_offset[k];
+            const int de = c->edge_offset[k];
+            const int host = static_cast<int>(k);
+            // n0 of the first host and nk of host k correspond.
+            auto same = [&](NodeId n0, NodeId nk) {
+                return c->host_of[n0] == 0 ? nk == n0 + dn
+                                           : c->host_of[nk] != host;
+            };
+            for (NodeId n0 = c->first_node; n0 < c->first_node + c->nodes;
+                 ++n0) {
+                const Node &a = g.nodes[n0];
+                const Node &b = g.nodes[n0 + dn];
+                if (a.kind != b.kind || a.gateway[0] != gate ||
+                    b.gateway[0] != gate + dn ||
+                    a.edges.size() != b.edges.size())
+                    return false;
+                for (std::size_t j = 0; j < a.edges.size(); ++j) {
+                    int e0 = a.edges[j];
+                    int ek = b.edges[j];
+                    const Edge &x = g.edges[e0];
+                    const Edge &y = g.edges[ek];
+                    bool inside = c->host_of[x.a] == 0 &&
+                                  c->host_of[x.b] == 0;
+                    bool in_block = inBlock(e0, 0);
+                    if (in_block ? ek != e0 + de : inBlock(ek, host))
+                        return false;
+                    if (!in_block && inside)
+                        return false;
+                    if (!inside && x.link.tier == FabricTier::IntraNode)
+                        return false;
+                    if (!same(x.a, y.a) || !same(x.b, y.b) ||
+                        !sameLink(x.link, y.link))
+                        return false;
+                }
+            }
+        }
+        // The first host's routes to and from its gateway, which
+        // stay inside the host.
+        g.gate_routes.clear();
+        for (bool out : {true, false}) {
+            for (NodeId n = c->first_node; n < c->first_node + c->nodes;
+                 ++n) {
+                std::optional<Path> p =
+                    out ? bfs(n, gate, true) : bfs(gate, n, true);
+                if (!p)
+                    return false;
+                g.gate_routes.push_back(std::move(*p));
+            }
+        }
+        // The first host's host-CPU table. A path out of the host
+        // leaves through the gateway, so a CPU in the host no farther
+        // than the gateway is nearer than any outside, in every copy.
+        g.host_cpu.assign(c->nodes, -1);
+        for (int i = 0; i < c->nodes; ++i) {
+            NodeId n = c->first_node + i;
+            if (g.nodes[n].kind != NodeKind::Gpu)
+                continue;
+            std::optional<NodeId> cpu = computeHostCpu(n, true);
+            if (!cpu || c->host_of[*cpu] != 0 ||
+                lastSearchDepth(gate) < lastSearchDepth(*cpu))
+                return false;
+            g.host_cpu[i] = *cpu;
+        }
+        return true;
+    };
+    if (copies())
+        return c;
+    g.gate_routes.clear();
+    g.host_cpu.assign(g.nodes.size(), -1);
+    for (NodeId n = 0; n < static_cast<NodeId>(g.nodes.size()); ++n) {
+        if (g.nodes[n].kind == NodeKind::Gpu)
+            g.host_cpu[n] = computeHostCpu(n, true).value_or(-1);
+    }
+    return nullptr;
+}
+
+const Topology::HostCopies *
+Topology::hostCopies() const
+{
+    return graph_ ? indexedGraph().copies.get() : nullptr;
+}
+
+bool
+Topology::hostLinksUp(const HostCopies &copies, int k) const
+{
+    if (!anyLinkDown())
+        return true;
+    int first = copies.first_edge + copies.edge_offset[k];
+    for (int e = first; e < first + copies.edges; ++e) {
+        if (link_state_[e].down)
+            return false;
+    }
+    return true;
+}
+
+bool
+Topology::hostMatchesFirst(int k) const
+{
+    const HostCopies *copies = hostCopies();
+    if (!copies || k < 0 ||
+        k >= static_cast<int>(copies->node_offset.size()))
+        sim::fatal("hostMatchesFirst: no host %d", k);
+    std::lock_guard<std::mutex> lock(cache_.mu);
+    Cache &c = cache_.cache;
+    if (c.host_matches.empty() || c.match_epoch != epoch_) {
+        // Primed, so that a builder or an assignment drops it.
+        c.primed = true;
+        c.match_epoch = epoch_;
+        c.host_matches.assign(copies->node_offset.size(), 1);
+        if (degraded()) {
+            for (std::size_t h = 1; h < c.host_matches.size(); ++h) {
+                const LinkState *first = &link_state_[copies->first_edge];
+                const LinkState *host = first + copies->edge_offset[h];
+                c.host_matches[h] =
+                    std::equal(first, first + copies->edges, host);
+            }
+        }
+    }
+    return c.host_matches[k];
 }
 
 std::shared_ptr<const Path>
@@ -391,29 +598,46 @@ Topology::composeRoute(Cache &c, NodeId from, NodeId to) const
         if (a < 0 || b < 0 || a == b || (a == from && b == to))
             continue;
         // Every path leaves through a and enters through b, so a
-        // missing piece leaves 'to' unreachable. The cache keeps the
-        // pieces alive.
+        // missing piece leaves 'to' unreachable. The cache and the
+        // graph keep the pieces alive.
         const NodeId ends[] = {from, a, b, to};
-        const Path *pieces[3];
+        struct Piece {
+            const Path *path;
+            NodeId dn = 0; ///< shift of a first-host piece
+            int de = 0;
+        } pieces[3];
         int hops = 0;
         for (int i = 0; i < 3; ++i) {
-            const std::shared_ptr<const Path> &piece =
-                routeLocked(c, ends[i], ends[i + 1]);
-            if (!piece)
-                return nullptr;
-            pieces[i] = piece.get();
-            hops += piece->hops();
+            const HostCopies *copies = g.copies.get();
+            const NodeId inner = i == 0 ? from : to;
+            const int k =
+                level == 0 && i != 1 && copies ? copies->host_of[inner]
+                                               : -1;
+            if (k >= 0 && hostLinksUp(*copies, k)) {
+                const NodeId dn = copies->node_offset[k];
+                const int local = inner - dn - copies->first_node +
+                                  (i == 0 ? 0 : copies->nodes);
+                pieces[i] = {&g.gate_routes[local], dn,
+                             copies->edge_offset[k]};
+            } else {
+                const std::shared_ptr<const Path> &piece =
+                    routeLocked(c, ends[i], ends[i + 1]);
+                if (!piece)
+                    return nullptr;
+                pieces[i] = {piece.get()};
+            }
+            hops += pieces[i].path->hops();
         }
         auto joined = std::make_shared<Path>();
         joined->nodes.reserve(hops + 1);
         joined->edges.reserve(hops);
         joined->nodes.push_back(from);
-        for (const Path *piece : pieces) {
-            joined->nodes.insert(joined->nodes.end(),
-                                 piece->nodes.begin() + 1,
-                                 piece->nodes.end());
-            joined->edges.insert(joined->edges.end(),
-                                 piece->edges.begin(), piece->edges.end());
+        for (const Piece &piece : pieces) {
+            const Path &p = *piece.path;
+            for (auto n = p.nodes.begin() + 1; n != p.nodes.end(); ++n)
+                joined->nodes.push_back(*n + piece.dn);
+            for (int e : p.edges)
+                joined->edges.push_back(e + piece.de);
         }
         return joined;
     }
@@ -588,7 +812,7 @@ Topology::collectiveFabric(const std::vector<NodeId> &gpus) const
 }
 
 std::optional<NodeId>
-Topology::computeHostCpu(NodeId gpu) const
+Topology::computeHostCpu(NodeId gpu, bool all_links) const
 {
     // One BFS over up links; the nearest CPU at minimum depth with the
     // lowest node id wins — identical to probing every CPU with
@@ -599,7 +823,7 @@ Topology::computeHostCpu(NodeId gpu) const
     s.frontier.push_back(gpu);
     s.seen[gpu] = s.stamp;
     s.depth[gpu] = 0;
-    const bool any_down = anyLinkDown();
+    const bool any_down = !all_links && anyLinkDown();
     std::optional<NodeId> best;
     int best_depth = std::numeric_limits<int>::max();
     for (std::size_t head = 0; head < s.frontier.size(); ++head) {
@@ -626,20 +850,20 @@ Topology::computeHostCpu(NodeId gpu) const
 std::optional<NodeId>
 Topology::hostCpu(NodeId gpu) const
 {
-    ensureCacheMetrics();
     if (kind(gpu) != NodeKind::Gpu)
         sim::fatal("hostCpu: node %d is not a GPU", gpu);
-    std::lock_guard<std::mutex> lock(cache_.mu);
-    Cache &c = freshCacheLocked();
-    auto it = c.host_cpu.find(gpu);
-    if (it != c.host_cpu.end()) {
-        g_route_cache_hits.fetch_add(1, std::memory_order_relaxed);
-        return it->second;
+    const Graph &g = indexedGraph();
+    if (const HostCopies *copies = g.copies.get()) {
+        int k = copies->host_of[gpu];
+        if (k >= 0 && hostLinksUp(*copies, k)) {
+            NodeId shift = copies->node_offset[k];
+            return g.host_cpu[gpu - shift - copies->first_node] + shift;
+        }
+    } else if (!anyLinkDown()) {
+        NodeId cpu = g.host_cpu[gpu];
+        return cpu >= 0 ? std::optional<NodeId>(cpu) : std::nullopt;
     }
-    g_route_cache_misses.fetch_add(1, std::memory_order_relaxed);
-    auto best = computeHostCpu(gpu);
-    c.host_cpu.emplace(gpu, best);
-    return best;
+    return computeHostCpu(gpu);
 }
 
 std::string

@@ -28,6 +28,17 @@
  * node of its host (or rack) through which every path leaves it, as
  * a NIC is for a pod host and a ToR switch for a rack. route() joins
  * cached routes through the gateways instead of searching the pod.
+ *
+ * A pod builder records each host it stamps (recordHost()). With the
+ * gateways, the graph checks once whether every host is the first
+ * host shifted by a node and an edge offset, with equal link specs,
+ * and a cell of its own behind one gateway (hostCopies()). A path
+ * between two nodes of such a host never leaves it, so host k's
+ * routes, and the flows on them, are the first host's shifted
+ * wherever host k's link state equals the first host's: the flow
+ * simulator adds such flows without routing them, route() joins a
+ * host's way to its gateway from the first host's, and hostCpu()
+ * answers from one table of the first host's host CPUs.
  */
 
 #ifndef MLPSIM_NET_TOPOLOGY_H
@@ -125,6 +136,48 @@ class Topology
     /** Connect two nodes with a link. @return the edge id. */
     int connect(NodeId a, NodeId b, const LinkSpec &link);
 
+    /**
+     * Record nodes [first_node, nodeCount()) and edges [first_edge,
+     * edgeCount()) as one host of a pod, meant as a copy of the first
+     * host recorded. hostCopies() checks that it is.
+     */
+    void recordHost(NodeId first_node, int first_edge);
+
+    /**
+     * The recorded hosts, when each is an exact copy of the first:
+     * host k's nodes and edges are the first host's shifted by k's
+     * offsets (kinds, endpoints, link specs and incident-edge order),
+     * and every node of host k sits in one gated host cell (level 0
+     * of the gateway index) that is exactly the host's nodes.
+     */
+    struct HostCopies {
+        int nodes = 0; ///< nodes per host
+        int edges = 0; ///< edges per host
+        /** Per host: its first node and first edge, less the first
+         *  host's. */
+        std::vector<NodeId> node_offset;
+        std::vector<int> edge_offset;
+        /** Per node: its host, or -1 outside every host. */
+        std::vector<int> host_of;
+        NodeId first_node = 0; ///< the first host's first node
+        int first_edge = 0;    ///< the first host's first edge
+    };
+
+    /**
+     * The graph's host copies, checked on first use and shared by its
+     * copies; null when no host was recorded or one is not an exact
+     * copy of the first.
+     */
+    const HostCopies *hostCopies() const;
+
+    /**
+     * True when host k's edges are in the link state (down bits and
+     * bandwidth scales) of the first host's, so that host k prices as
+     * the first host shifted. Requires hostCopies(). Memoized per
+     * epoch.
+     */
+    bool hostMatchesFirst(int k) const;
+
     int nodeCount() const {
         return graph_ ? static_cast<int>(graph_->nodes.size()) : 0;
     }
@@ -193,7 +246,13 @@ class Topology
      */
     CollectiveFabric collectiveFabric(const std::vector<NodeId> &gpus) const;
 
-    /** The CPU whose root complex hosts this GPU (min-hop CPU). */
+    /**
+     * The CPU whose root complex hosts this GPU: the min-hop CPU over
+     * up links, the lowest id among equals. A GPU whose host (or, off
+     * any recorded host, whose whole graph) has no link down answers
+     * from the graph's table of the first host's (or every GPU's)
+     * healthy answers, shifted to its host; any other GPU searches.
+     */
     std::optional<NodeId> hostCpu(NodeId gpu) const;
 
     /** Render an adjacency summary (for Table III dumps). */
@@ -313,15 +372,36 @@ class Topology
         Digest out;
     };
 
+    /** One recordHost() call. */
+    struct HostRecord {
+        NodeId first_node;
+        int nodes;
+        int first_edge;
+        int edges;
+    };
+
     /** The structure copies share; never changed while shared, but
-     *  for the nodes' gateways, which the first route lookup writes. */
+     *  for what the first route or host-CPU lookup indexes: the
+     *  nodes' gateways, the host copies and the host-CPU table. */
     struct Graph {
         std::vector<Node> nodes;
         std::vector<Edge> edges;
+        std::vector<HostRecord> hosts;
         sim::DigestMemo<DigestMemoEntry> memo;
-        /** Set (release) once the nodes' gateways are written. */
+        /** Written with the gateways: the hosts, when they are exact
+         *  copies of the first. */
+        mutable std::unique_ptr<const HostCopies> copies;
+        /** Written with the gateways: with host copies, each node of
+         *  the first host's CPU in a healthy graph; else each node's.
+         *  -1 for a node that is no GPU or reaches no CPU. */
+        mutable std::vector<NodeId> host_cpu;
+        /** Written with the gateways, with host copies: the route from
+         *  each node of the first host to its gateway, then from the
+         *  gateway to each node, in a healthy graph. */
+        mutable std::vector<Path> gate_routes;
+        /** Set (release) once the index above is written. */
         mutable std::atomic<bool> gateways_indexed{false};
-        /** Held while the gateways are written, and while a builder
+        /** Held while the index is written, and while a builder
          *  copies the nodes. */
         mutable std::mutex gateways_mu;
     };
@@ -335,12 +415,23 @@ class Topology
      *  cold. */
     Graph &mutableGraph();
 
-    /** Minimum-hop BFS from 'from' to 'to' over up edges, one pass
-     *  over each node's NVLink-first adjacency. */
-    std::optional<Path> bfs(NodeId from, NodeId to) const;
+    /** Minimum-hop BFS from 'from' to 'to' over up edges (every
+     *  edge when 'all_links'), one pass over each node's NVLink-first
+     *  adjacency. */
+    std::optional<Path> bfs(NodeId from, NodeId to,
+                            bool all_links = false) const;
 
-    /** The graph, with its nodes' gateways written. */
+    /** The graph, with its nodes' gateways, host copies and host-CPU
+     *  table written. */
     const Graph &indexedGraph() const;
+
+    /** Caller holds g.gateways_mu, with the gateways of g, this
+     *  copy's graph, written; the recorded hosts if they are exact
+     *  copies of the first (else null), and g.host_cpu for them. */
+    std::unique_ptr<const HostCopies> checkHostCopies(const Graph &g) const;
+
+    /** True when no edge of host k (of 'copies') is down. */
+    bool hostLinksUp(const HostCopies &copies, int k) const;
 
     struct Cache;
 
@@ -353,11 +444,16 @@ class Topology
 
     /** Caller holds cache_.mu; the route joined through the gateways
      *  of the first level where 'from' and 'to' sit in different
-     *  gated cells, else bfs(). */
+     *  gated cells, else bfs(). At the host level, the way out of
+     *  (or into) a host copy with no link down is the first host's,
+     *  shifted. */
     std::shared_ptr<const Path> composeRoute(Cache &c, NodeId from,
                                              NodeId to) const;
 
-    std::optional<NodeId> computeHostCpu(NodeId gpu) const;
+    /** One BFS from 'gpu' over up links (every link when
+     *  'all_links'): the nearest CPU, the lowest id among equals. */
+    std::optional<NodeId> computeHostCpu(NodeId gpu,
+                                         bool all_links = false) const;
 
     /**
      * Component label of every node over the up edges that satisfy
@@ -370,9 +466,9 @@ class Topology
     /**
      * Memoized derivations of this copy, invalidated whenever a link
      * goes down or comes back up (and dropped by the builders); none
-     * reads bandwidth. Guarded by a mutex so parallel report workers
-     * can share one topology; route and host-CPU hit/miss totals feed
-     * the net.topology.route_cache.* gauges in the obs registry.
+     * but host_matches reads bandwidth. Guarded by a mutex so parallel
+     * report workers can share one topology; route hit/miss totals
+     * feed the net.topology.route_cache.* gauges in the obs registry.
      */
     struct Cache {
         std::uint64_t down_epoch = 0;
@@ -380,11 +476,14 @@ class Topology
         /** Null when disconnected. Flows share these paths. */
         std::unordered_map<std::uint64_t, std::shared_ptr<const Path>>
             routes;
-        std::unordered_map<NodeId, std::optional<NodeId>> host_cpu;
         /** Components over up NVLink edges and over up P2P-legal
          *  edges; empty until a fabric check asks. */
         std::vector<int> nvlink_label;
         std::vector<int> p2p_label;
+        /** Per host, hostMatchesFirst(); valid at epoch match_epoch,
+         *  empty until asked. */
+        std::vector<char> host_matches;
+        std::uint64_t match_epoch = 0;
     };
 
     /**

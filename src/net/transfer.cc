@@ -52,7 +52,8 @@ struct FlowSimulator::PairMaps {
 };
 
 FlowSimulator::FlowSimulator(const Topology &topo)
-    : topo_(topo), edge_bytes_(topo.edgeCount(), 0.0)
+    : topo_(topo), hosts_(topo.hostCopies()),
+      edge_bytes_(topo.edgeCount(), 0.0)
 {
 }
 
@@ -66,6 +67,15 @@ FlowSimulator::addFlow(NodeId from, NodeId to, double bytes, double start_s)
     if (start_s < 0.0)
         sim::fatal("FlowSimulator: negative start time %g", start_s);
     Flow f;
+    f.from = from;
+    f.to = to;
+    f.bytes = bytes;
+    f.remaining = bytes;
+    f.start_s = start_s;
+    if (hosts_ && addCopy(f)) {
+        flows_.push_back(std::move(f));
+        return static_cast<FlowId>(flows_.size()) - 1;
+    }
     f.path = topo_.sharedRoute(from, to);
     if (!f.path)
         sim::fatal("FlowSimulator: no route %s -> %s",
@@ -81,12 +91,88 @@ FlowSimulator::addFlow(NodeId from, NodeId to, double bytes, double start_s)
         flow_slots_.push_back(e * 2 + dir);
     }
     f.slot_end = static_cast<int>(flow_slots_.size());
-    f.bytes = bytes;
-    f.remaining = bytes;
-    f.start_s = start_s;
     f.latency_s = topo_.pathLatency(path);
     flows_.push_back(std::move(f));
     return static_cast<FlowId>(flows_.size()) - 1;
+}
+
+bool
+FlowSimulator::addCopy(Flow &f)
+{
+    const int nodes = static_cast<int>(hosts_->host_of.size());
+    if (f.from < 0 || f.from >= nodes || f.to < 0 || f.to >= nodes)
+        return false; // routing rejects it
+    const int a = hosts_->host_of[f.from];
+    const int b = hosts_->host_of[f.to];
+    if (a < 0 && b < 0)
+        return false; // a path between two outside nodes enters no host
+    if (host_state_.empty())
+        host_state_.resize(hosts_->node_offset.size());
+    if (a != b) {
+        // Its path crosses links of both hosts.
+        for (int k : {a, b}) {
+            if (k >= 0)
+                host_state_[k].broken = true;
+        }
+        return false;
+    }
+    if (a == 0) {
+        first_host_flows_.push_back(static_cast<int>(flows_.size()));
+        return false;
+    }
+    HostState &h = host_state_[a];
+    if (h.broken)
+        return false;
+    const NodeId shift = hosts_->node_offset[a];
+    if (h.copies < static_cast<int>(first_host_flows_.size())) {
+        const int twin = first_host_flows_[h.copies];
+        const Flow &t = flows_[twin];
+        if (h.matches < 0)
+            h.matches = topo_.hostMatchesFirst(a);
+        if (h.matches && t.from + shift == f.from && t.to + shift == f.to &&
+            bits(t.bytes) == bits(f.bytes) &&
+            bits(t.start_s) == bits(f.start_s)) {
+            if (copies_++ == 0)
+                copy_epoch_ = topo_.epoch();
+            ++h.copies;
+            f.twin = twin;
+            f.host = a;
+            return true;
+        }
+    }
+    h.broken = true;
+    return false;
+}
+
+bool
+FlowSimulator::copiesHold(int k) const
+{
+    const HostState &h = host_state_[k];
+    return !host_state_[0].broken && !h.broken &&
+           h.copies == static_cast<int>(first_host_flows_.size()) &&
+           topo_.epoch() == copy_epoch_;
+}
+
+void
+FlowSimulator::routeCopy(int fi)
+{
+    Flow &f = flows_[fi];
+    const Flow &t = flows_[f.twin];
+    const NodeId dn = hosts_->node_offset[f.host];
+    const int de = hosts_->edge_offset[f.host];
+    auto path = std::make_shared<Path>(*t.path);
+    for (NodeId &n : path->nodes)
+        n += dn;
+    for (int &e : path->edges)
+        e += de;
+    f.path = std::move(path);
+    f.slot_begin = static_cast<int>(flow_slots_.size());
+    for (int k = t.slot_begin; k < t.slot_end; ++k)
+        flow_slots_.push_back(flow_slots_[k] + 2 * de);
+    f.slot_end = static_cast<int>(flow_slots_.size());
+    f.latency_s = t.latency_s;
+    f.twin = -1;
+    f.host = -1;
 }
 
 void
@@ -108,7 +194,15 @@ FlowSimulator::classify()
     };
     std::vector<int> edge_flow(topo_.edgeCount(), -1);
     for (int fi = 0; fi < n; ++fi) {
-        for (int e : flows_[fi].path->edges) {
+        const Flow &f = flows_[fi];
+        if (f.twin >= 0) {
+            // A copy is in no component; its twin's are.
+            const int de = hosts_->edge_offset[f.host];
+            for (int e : flows_[f.twin].path->edges)
+                edge_flow[e + de] = fi;
+            continue;
+        }
+        for (int e : f.path->edges) {
             if (edge_flow[e] < 0) {
                 edge_flow[e] = fi;
                 continue;
@@ -124,8 +218,12 @@ FlowSimulator::classify()
     }
 
     // Number components by their lowest flow and group flows (CSR).
-    std::vector<int> component_of(n);
+    std::vector<int> component_of(n, -1);
+    int routed = 0;
     for (int fi = 0; fi < n; ++fi) {
+        if (flows_[fi].twin >= 0)
+            continue;
+        ++routed;
         int r = find(fi);
         if (r != fi) {
             component_of[fi] = component_of[r];
@@ -136,16 +234,20 @@ FlowSimulator::classify()
     }
     int components = static_cast<int>(rep_of_.size());
     component_begin_.assign(components + 1, 0);
-    for (int c : component_of)
-        ++component_begin_[c + 1];
+    for (int c : component_of) {
+        if (c >= 0)
+            ++component_begin_[c + 1];
+    }
     for (int c = 0; c < components; ++c)
         component_begin_[c + 1] += component_begin_[c];
-    component_flows_.resize(n);
+    component_flows_.resize(routed);
     {
         std::vector<int> fill(component_begin_.begin(),
                               component_begin_.end() - 1);
-        for (int fi = 0; fi < n; ++fi)
-            component_flows_[fill[component_of[fi]]++] = fi;
+        for (int fi = 0; fi < n; ++fi) {
+            if (component_of[fi] >= 0)
+                component_flows_[fill[component_of[fi]]++] = fi;
+        }
     }
 
     // Classes: a component joins the first representative it copies
@@ -181,7 +283,8 @@ FlowSimulator::classify()
         }
     }
     for (int fi = 0; fi < n; ++fi) {
-        if (rep_of_[component_of[fi]] == component_of[fi])
+        int c = component_of[fi];
+        if (c >= 0 && rep_of_[c] == c)
             simulated_.push_back(fi);
     }
 }
@@ -456,6 +559,16 @@ FlowSimulator::run()
     if (flows_.empty())
         return 0.0;
 
+    // A host's copies stay unrouted only if the host copied the
+    // first host's flows exactly and nothing else touched either.
+    if (copies_ > 0) {
+        for (int fi = 0; fi < static_cast<int>(flows_.size()); ++fi) {
+            if (flows_[fi].twin >= 0 && !copiesHold(flows_[fi].host)) {
+                routeCopy(fi);
+                --copies_;
+            }
+        }
+    }
     classify();
     prepareFairShare();
     simulate();
@@ -473,6 +586,18 @@ FlowSimulator::run()
             const std::vector<int> &ce = flows_[cf[k]].path->edges;
             for (std::size_t i = 0; i < re.size(); ++i)
                 edge_bytes_[ce[i]] = edge_bytes_[re[i]];
+        }
+    }
+    // Each copy ends as its twin did, its links shifted.
+    if (copies_ > 0) {
+        for (FlowReport &r : reports_) {
+            const Flow &f = flows_[r.id];
+            if (f.twin < 0)
+                continue;
+            r.finish_s = reports_[f.twin].finish_s;
+            const int de = hosts_->edge_offset[f.host];
+            for (int e : flows_[f.twin].path->edges)
+                edge_bytes_[e + de] = edge_bytes_[e];
         }
     }
     double makespan = 0.0;

@@ -21,6 +21,19 @@
  * with all flows present — and copies the representative's finish
  * times and link bytes to the other members. Results are bit-identical
  * to simulating every flow.
+ *
+ * On a pod whose hosts are copies (Topology::hostCopies()), a class is
+ * known before any flow is routed. A flow inside host k, whose link
+ * state equals the first host's, is the first host's flow of the same
+ * bytes and start between the shifted endpoints: its route is that
+ * flow's, shifted, and never leaves the host. addFlow() records it as
+ * a shifted copy of that twin, unrouted, when host k's flows so far
+ * are the first host's in the same order. run() keeps the copies of
+ * a host whose flows are all the first host's, in order, when no flow
+ * into or out of either host shares their links, and copies the
+ * twins' finish times and link bytes through the offsets, as it does
+ * for class members; any other copy gets its twin's route, shifted,
+ * and prices as a routed flow.
  */
 
 #ifndef MLPSIM_NET_TRANSFER_H
@@ -92,8 +105,14 @@ class FlowSimulator
 
   private:
     struct Flow {
-        /** The topology's memoized route, shared, not copied. */
+        /** The topology's memoized route, shared, not copied; null
+         *  for a copy of a first-host flow. */
         std::shared_ptr<const Path> path;
+        NodeId from; ///< as added
+        NodeId to;
+        /** A copy's first-host twin and host, else -1. */
+        int twin = -1;
+        int host = -1;
         /** The path's slots: flow_slots_[slot_begin, slot_end). */
         int slot_begin = 0;
         int slot_end = 0;
@@ -122,6 +141,26 @@ class FlowSimulator
     /** sameClass()'s scratch maps, defined in transfer.cc. */
     struct PairMaps;
 
+    /** What addFlow() knows of one host of the topology's copies. */
+    struct HostState {
+        /** hostMatchesFirst(), or -1 until asked. */
+        signed char matches = -1;
+        /** A flow into or out of the host, or one not its copy. */
+        bool broken = false;
+        /** Its flows so far, all copies of the first host's. */
+        int copies = 0;
+    };
+
+    /** Make 'f' a copy of a first-host flow when it is the next flow
+     *  its host's copy needs; else note what it breaks. */
+    bool addCopy(Flow &f);
+
+    /** True when the copies of host 'k' may stay unrouted. */
+    bool copiesHold(int k) const;
+
+    /** Give flow 'fi', a copy, its twin's route shifted to its host. */
+    void routeCopy(int fi);
+
     /** Split the flows into components that share no undirected edge,
      *  map each to the representative of its symmetry class, and list
      *  the representatives' flows in simulated_. */
@@ -142,7 +181,16 @@ class FlowSimulator
     void fairShare(const std::vector<int> &active);
 
     const Topology &topo_;
+    /** The topology's host copies, or null. */
+    const Topology::HostCopies *hosts_;
     std::vector<Flow> flows_;
+    /** Per host, once a flow touches a host. */
+    std::vector<HostState> host_state_;
+    /** Flows inside the first host, in add order. */
+    std::vector<int> first_host_flows_;
+    /** Flows added as copies, and the link-state epoch they saw. */
+    int copies_ = 0;
+    std::uint64_t copy_epoch_ = 0;
     std::vector<FlowReport> reports_;
     std::vector<double> edge_bytes_;
     bool ran_ = false;

@@ -569,12 +569,14 @@ struct FlowWant {
     double start_s;
 };
 
-/** Run the flow set through FlowSimulator and the reference; every
- *  double they report must be bit-identical. */
+/** Run the flow set through FlowSimulator and the reference, calling
+ *  'before_run', if set, between adding the flows and running them;
+ *  every double they report must be bit-identical. */
 void
 expectFlowSimMatchesReference(const Topology &topo,
                               const std::vector<FlowWant> &wants,
-                              const std::string &label)
+                              const std::string &label,
+                              const std::function<void()> &before_run = {})
 {
     FlowSimulator fast(topo);
     ReferenceFlowSim ref(topo);
@@ -582,6 +584,8 @@ expectFlowSimMatchesReference(const Topology &topo,
         fast.addFlow(w.from, w.to, w.bytes, w.start_s);
         ref.addFlow(w.from, w.to, w.bytes, w.start_s);
     }
+    if (before_run)
+        before_run();
     double fast_makespan = fast.run();
     double ref_makespan = ref.run();
     ASSERT_EQ(bits(fast_makespan), bits(ref_makespan))
@@ -1768,6 +1772,219 @@ TEST(FlowSimulatorReference, PodHostCopiesMatchBitForBit)
             expectFlowSimMatchesReference(
                 topo, wants,
                 pod.name + ", " + name + ", seed " + std::to_string(seed));
+        }
+    }
+}
+
+// A pod built by the pod builder records hosts that are exact copies
+// of the first; the graph refuses them when one is not.
+TEST(HostCopies, PodsOfEveryBoxAreCopies)
+{
+    for (const SystemConfig &box : podBoxes()) {
+        for (auto [racks, hosts] : {std::pair{1, 1}, {2, 3}, {16, 8}}) {
+            SystemConfig pod = mlps::sys::withPod(box, racks, hosts);
+            const Topology &topo = pod.topo;
+            const Topology::HostCopies *copies = topo.hostCopies();
+            ASSERT_NE(copies, nullptr) << pod.name;
+            const std::vector<std::vector<NodeId>> nodes =
+                podHostNodes(topo);
+            ASSERT_EQ(copies->node_offset.size(), nodes.size());
+            for (std::size_t k = 0; k < nodes.size(); ++k) {
+                ASSERT_EQ(static_cast<int>(nodes[k].size()),
+                          copies->nodes);
+                EXPECT_EQ(nodes[k][0],
+                          copies->first_node + copies->node_offset[k]);
+                for (NodeId n : nodes[k])
+                    EXPECT_EQ(copies->host_of[n], static_cast<int>(k));
+                EXPECT_TRUE(topo.hostMatchesFirst(static_cast<int>(k)));
+            }
+            for (NodeId n = 0; n < topo.nodeCount(); ++n) {
+                if (topo.kind(n) == NodeKind::TorSwitch ||
+                    topo.kind(n) == NodeKind::SpineSwitch)
+                    EXPECT_EQ(copies->host_of[n], -1);
+            }
+            // Copies of the topology share the graph's host copies.
+            EXPECT_EQ(Topology(topo).hostCopies(), copies);
+        }
+    }
+}
+
+TEST(HostCopies, RefusedUnlessEveryHostIsACopy)
+{
+    auto two_nics = [](const std::string &host) {
+        return [host](const std::string &p) { return p == host; };
+    };
+    EXPECT_NE(twoSocketPod(3, 3, two_nics("")).topo.hostCopies(), nullptr);
+    // A host unlike the first, or a first host unlike the rest.
+    EXPECT_EQ(twoSocketPod(3, 3, two_nics("r1n1.")).topo.hostCopies(),
+              nullptr);
+    EXPECT_EQ(twoSocketPod(3, 3, two_nics("r0n0.")).topo.hostCopies(),
+              nullptr);
+    // Hosts alike, but each with two exits.
+    EXPECT_EQ(twoSocketPod(2, 2, [](const std::string &) { return true; })
+                  .topo.hostCopies(),
+              nullptr);
+    // A graph with no recorded host.
+    EXPECT_EQ(mlps::sys::c4140M().topo.hostCopies(), nullptr);
+    EXPECT_EQ(handBuiltPod(2, 2, 1, [](int, int) { return false; })
+                  .hostCopies(),
+              nullptr);
+    // Grown after pricing: a node wired into one host.
+    SystemConfig pod = mlps::sys::withPod(mlps::sys::c4140M(), 2, 2);
+    ASSERT_NE(pod.topo.hostCopies(), nullptr);
+    NodeId gpu = pod.topo.addGpu("r1n0.GPU4");
+    pod.topo.connect(gpu, nodeNamed(pod.topo, "r1n0.CPU1"), pcie3(16));
+    EXPECT_EQ(pod.topo.hostCopies(), nullptr);
+    // The same link added inside every host, after the hosts were
+    // recorded.
+    SystemConfig grown = mlps::sys::withPod(mlps::sys::t640(), 2, 2);
+    for (const std::vector<NodeId> &host : podHostNodes(grown.topo)) {
+        std::vector<NodeId> gpus;
+        for (NodeId n : host) {
+            if (grown.topo.kind(n) == NodeKind::Gpu)
+                gpus.push_back(n);
+        }
+        grown.topo.connect(gpus[0], gpus[3], nvlink(1));
+    }
+    EXPECT_EQ(grown.topo.hostCopies(), nullptr);
+}
+
+// A host of two halves, each a CPU with two GPUs behind its own NIC,
+// is two cells: a flow between its halves leaves the host, so it is
+// no host copy, and flows between halves price as routed.
+TEST(HostCopies, HostOfTwoCellsIsRefused)
+{
+    LeafBuilder halves = [](Topology &topo, const std::string &p) {
+        LeafNodes leaf;
+        for (int c = 0; c < 2; ++c) {
+            NodeId cpu = topo.addCpu(p + "CPU" + std::to_string(c));
+            leaf.cpus.push_back(cpu);
+            for (int g = 0; g < 2; ++g) {
+                NodeId gpu =
+                    topo.addGpu(p + "GPU" + std::to_string(2 * c + g));
+                topo.connect(gpu, cpu, pcie3(16));
+                leaf.gpus.push_back(gpu);
+            }
+        }
+        NodeId nic = topo.addNic(p + "NIC1");
+        topo.connect(leaf.cpus[1], nic, pcie3(16));
+        const std::string tor = "tor" + p.substr(1, p.find('n') - 1);
+        topo.connect(nic, nodeNamed(topo, tor),
+                     ethernet(100.0, FabricTier::IntraRack));
+        return leaf;
+    };
+    PodShape shape;
+    shape.racks = 2;
+    shape.nodes_per_rack = 2;
+    PodTopology pod = buildPodTopology(shape, halves);
+    EXPECT_EQ(pod.topo.hostCopies(), nullptr);
+    std::vector<FlowWant> wants;
+    for (const PodHost &host : pod.hosts) {
+        wants.push_back({host.cpus[0], host.gpus[3], 3e8, 0.0});
+        wants.push_back({host.gpus[0], host.gpus[1], 2e8, 0.0});
+    }
+    // One host's uplinks slower, so a wrong copy shows.
+    for (int e : pod.topo.incidentEdges(pod.tors[1])) {
+        if (pod.topo.link(e).tier == FabricTier::IntraRack)
+            pod.topo.setLinkBandwidthScale(e, 0.25);
+    }
+    expectFlowSimMatchesReference(pod.topo, wants, "two-cell hosts");
+}
+
+// The simulator reads link capacities when it runs, not when flows
+// are added: a host that matched the first host when its flows were
+// added and does not when they run prices on its own.
+TEST(FlowSimulatorReference, LinkStateChangedBeforeRun)
+{
+    for (int host : {2, 0}) {
+        SystemConfig pod = mlps::sys::withPod(mlps::sys::c4140M(), 2, 2);
+        Topology &topo = pod.topo;
+        const std::vector<std::vector<NodeId>> hosts = podHostNodes(topo);
+        std::vector<FlowWant> wants;
+        for (const std::vector<NodeId> &host : hosts) {
+            std::vector<NodeId> gpus;
+            for (NodeId n : host) {
+                if (topo.kind(n) == NodeKind::Gpu)
+                    gpus.push_back(n);
+            }
+            for (std::size_t i = 0; i < gpus.size(); ++i)
+                wants.push_back(
+                    {gpus[i], gpus[(i + 1) % gpus.size()], 1e8, 0.0});
+        }
+        const int e = edgeInside(topo, hosts[host], LinkKind::NvLink);
+        expectFlowSimMatchesReference(
+            topo, wants, "NVLink scaled in host " + std::to_string(host),
+            [&] { topo.setLinkBandwidthScale(e, 0.25); });
+    }
+}
+
+// Host k matches the first host while its links are in the first
+// host's state, down bits and bandwidth scales alike.
+TEST(HostCopies, MatchFollowsLinkState)
+{
+    SystemConfig pod = mlps::sys::withPod(mlps::sys::c4140M(), 2, 3);
+    Topology &topo = pod.topo;
+    const std::vector<std::vector<NodeId>> hosts = podHostNodes(topo);
+    const int hosts_n = static_cast<int>(hosts.size());
+    auto matching = [&] {
+        std::vector<bool> out;
+        for (int k = 0; k < hosts_n; ++k)
+            out.push_back(topo.hostMatchesFirst(k));
+        return out;
+    };
+    std::vector<bool> all(hosts_n, true);
+    std::vector<bool> but4 = all;
+    but4[4] = false;
+    const int e4 = edgeInside(topo, hosts[4], LinkKind::NvLink);
+    const int e0 = edgeInside(topo, hosts[0], LinkKind::NvLink);
+    EXPECT_EQ(matching(), all);
+    topo.setLinkBandwidthScale(e4, 0.5);
+    EXPECT_EQ(matching(), but4);
+    topo.setLinkBandwidthScale(e4, 1.0);
+    EXPECT_EQ(matching(), all);
+    topo.setLinkDown(e4, true);
+    EXPECT_EQ(matching(), but4);
+    // The same state in the first host makes host 4 match again.
+    topo.setLinkDown(e0, true);
+    std::vector<bool> only4(hosts_n, false);
+    only4[0] = only4[4] = true;
+    EXPECT_EQ(matching(), only4);
+    topo.resetLinkState();
+    EXPECT_EQ(matching(), all);
+    // Links outside every host do not count.
+    for (int e = 0; e < topo.edgeCount(); ++e) {
+        if (topo.link(e).tier == FabricTier::CrossRack)
+            topo.setLinkBandwidthScale(e, 0.25);
+    }
+    EXPECT_EQ(matching(), all);
+}
+
+// hostCpu() answers from the graph's table where it may and searches
+// elsewhere; both must give the plain search's CPU, on boxes and
+// pods, healthy, with a link down in a host, and for a stranded GPU.
+TEST(StagingReference, HostCpuMatchesReference)
+{
+    using mlps::reference::referenceHostCpu;
+    std::vector<SystemConfig> systems = podBoxes();
+    for (const SystemConfig &box : podBoxes())
+        systems.push_back(mlps::sys::withPod(box, 2, 3));
+    systems.push_back(twoSocketPod(2, 2, [](const std::string &p) {
+        return p == "r1n0.";
+    }));
+    mlps::sim::Rng rng(24000);
+    for (SystemConfig &s : systems) {
+        Topology &topo = s.topo;
+        for (int round = 0; round < 8; ++round) {
+            for (NodeId g : s.gpu_nodes)
+                ASSERT_EQ(topo.hostCpu(g), referenceHostCpu(topo, g))
+                    << s.name << " round " << round << ", "
+                    << topo.name(g);
+            // Toggle a random GPU's links, stranding it at times.
+            NodeId g = s.gpu_nodes[rng.below(s.gpu_nodes.size())];
+            for (int e : topo.incidentEdges(g)) {
+                if (rng.chance(0.5))
+                    topo.setLinkDown(e, !topo.linkDown(e));
+            }
         }
     }
 }
