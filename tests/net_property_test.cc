@@ -1794,14 +1794,16 @@ TEST(HostCopies, PodsOfEveryBoxAreCopies)
                           copies->nodes);
                 EXPECT_EQ(nodes[k][0],
                           copies->first_node + copies->node_offset[k]);
-                for (NodeId n : nodes[k])
+                for (NodeId n : nodes[k]) {
                     EXPECT_EQ(copies->host_of[n], static_cast<int>(k));
+                }
                 EXPECT_TRUE(topo.hostMatchesFirst(static_cast<int>(k)));
             }
             for (NodeId n = 0; n < topo.nodeCount(); ++n) {
                 if (topo.kind(n) == NodeKind::TorSwitch ||
-                    topo.kind(n) == NodeKind::SpineSwitch)
+                    topo.kind(n) == NodeKind::SpineSwitch) {
                     EXPECT_EQ(copies->host_of[n], -1);
+                }
             }
             // Copies of the topology share the graph's host copies.
             EXPECT_EQ(Topology(topo).hostCopies(), copies);
