@@ -58,6 +58,8 @@ struct LinkSpec {
 
     /** Effective unidirectional bandwidth in bytes/s. */
     double effectiveBytesPerSec() const { return gbps * 1e9 * efficiency; }
+
+    bool operator==(const LinkSpec &) const = default;
 };
 
 /** PCIe 3.0 link of the given lane count (15.8 GB/s at x16). */

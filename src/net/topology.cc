@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
 #include <deque>
 #include <limits>
 #include <sstream>
@@ -85,19 +84,6 @@ lastSearchDepth(NodeId n)
     const SearchScratch &s = t_scratch;
     return s.seen[n] == s.stamp ? s.depth[n]
                                 : std::numeric_limits<int>::max();
-}
-
-/** Equal links, bit for bit. */
-bool
-sameLink(const LinkSpec &x, const LinkSpec &y)
-{
-    return x.kind == y.kind && x.tier == y.tier &&
-           std::bit_cast<std::uint64_t>(x.gbps) ==
-               std::bit_cast<std::uint64_t>(y.gbps) &&
-           std::bit_cast<std::uint64_t>(x.latency_us) ==
-               std::bit_cast<std::uint64_t>(y.latency_us) &&
-           std::bit_cast<std::uint64_t>(x.efficiency) ==
-               std::bit_cast<std::uint64_t>(y.efficiency);
 }
 
 /** Nodes a GPUDirect P2P path may not pass through: CPU root
@@ -496,7 +482,7 @@ Topology::checkHostCopies(const Graph &g) const
                     if (!inside && x.link.tier == FabricTier::IntraNode)
                         return false;
                     if (!same(x.a, y.a) || !same(x.b, y.b) ||
-                        !sameLink(x.link, y.link))
+                        x.link != y.link)
                         return false;
                 }
             }
@@ -567,23 +553,9 @@ Topology::hostMatchesFirst(int k) const
     if (!copies || k < 0 ||
         k >= static_cast<int>(copies->node_offset.size()))
         sim::fatal("hostMatchesFirst: no host %d", k);
-    std::lock_guard<std::mutex> lock(cache_.mu);
-    Cache &c = cache_.cache;
-    if (c.host_matches.empty() || c.match_epoch != epoch_) {
-        // Primed, so that a builder or an assignment drops it.
-        c.primed = true;
-        c.match_epoch = epoch_;
-        c.host_matches.assign(copies->node_offset.size(), 1);
-        if (degraded()) {
-            for (std::size_t h = 1; h < c.host_matches.size(); ++h) {
-                const LinkState *first = &link_state_[copies->first_edge];
-                const LinkState *host = first + copies->edge_offset[h];
-                c.host_matches[h] =
-                    std::equal(first, first + copies->edges, host);
-            }
-        }
-    }
-    return c.host_matches[k];
+    auto first = link_state_.begin() + copies->first_edge;
+    return std::equal(first, first + copies->edges,
+                      first + copies->edge_offset[k]);
 }
 
 std::shared_ptr<const Path>

@@ -173,8 +173,8 @@ class Topology
     /**
      * True when host k's edges are in the link state (down bits and
      * bandwidth scales) of the first host's, so that host k prices as
-     * the first host shifted. Requires hostCopies(). Memoized per
-     * epoch.
+     * the first host shifted until the next link-state change (the
+     * next epoch()). Requires hostCopies().
      */
     bool hostMatchesFirst(int k) const;
 
@@ -466,9 +466,9 @@ class Topology
     /**
      * Memoized derivations of this copy, invalidated whenever a link
      * goes down or comes back up (and dropped by the builders); none
-     * but host_matches reads bandwidth. Guarded by a mutex so parallel
-     * report workers can share one topology; route hit/miss totals
-     * feed the net.topology.route_cache.* gauges in the obs registry.
+     * reads bandwidth. Guarded by a mutex so parallel report workers
+     * can share one topology; route hit/miss totals feed the
+     * net.topology.route_cache.* gauges in the obs registry.
      */
     struct Cache {
         std::uint64_t down_epoch = 0;
@@ -480,10 +480,6 @@ class Topology
          *  edges; empty until a fabric check asks. */
         std::vector<int> nvlink_label;
         std::vector<int> p2p_label;
-        /** Per host, hostMatchesFirst(); valid at epoch match_epoch,
-         *  empty until asked. */
-        std::vector<char> host_matches;
-        std::uint64_t match_epoch = 0;
     };
 
     /**
