@@ -579,12 +579,11 @@ Topology::composeRoute(Cache &c, NodeId from, NodeId to) const
             int de = 0;
         } pieces[3];
         int hops = 0;
+        const HostCopies *copies = level == 0 ? g.copies.get() : nullptr;
         for (int i = 0; i < 3; ++i) {
-            const HostCopies *copies = g.copies.get();
+            // A way out of a host, or into one, is the first host's.
             const NodeId inner = i == 0 ? from : to;
-            const int k =
-                level == 0 && i != 1 && copies ? copies->host_of[inner]
-                                               : -1;
+            const int k = copies && i != 1 ? copies->host_of[inner] : -1;
             if (k >= 0 && hostLinksUp(*copies, k)) {
                 const NodeId dn = copies->node_offset[k];
                 const int local = inner - dn - copies->first_node +
