@@ -519,11 +519,7 @@ Topology::checkHostCopies(const Graph &g) const
     if (copies())
         return c;
     g.gate_routes.clear();
-    g.host_cpu.assign(g.nodes.size(), -1);
-    for (NodeId n = 0; n < static_cast<NodeId>(g.nodes.size()); ++n) {
-        if (g.nodes[n].kind == NodeKind::Gpu)
-            g.host_cpu[n] = computeHostCpu(n, true).value_or(-1);
-    }
+    g.host_cpu.clear();
     return nullptr;
 }
 
@@ -830,9 +826,6 @@ Topology::hostCpu(NodeId gpu) const
             NodeId shift = copies->node_offset[k];
             return g.host_cpu[gpu - shift - copies->first_node] + shift;
         }
-    } else if (!anyLinkDown()) {
-        NodeId cpu = g.host_cpu[gpu];
-        return cpu >= 0 ? std::optional<NodeId>(cpu) : std::nullopt;
     }
     return computeHostCpu(gpu);
 }

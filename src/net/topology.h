@@ -248,9 +248,8 @@ class Topology
 
     /**
      * The CPU whose root complex hosts this GPU: the min-hop CPU over
-     * up links, the lowest id among equals. A GPU whose host (or, off
-     * any recorded host, whose whole graph) has no link down answers
-     * from the graph's table of the first host's (or every GPU's)
+     * up links, the lowest id among equals. A GPU of a host copy with
+     * no link down answers from the graph's table of the first host's
      * healthy answers, shifted to its host; any other GPU searches.
      */
     std::optional<NodeId> hostCpu(NodeId gpu) const;
@@ -391,9 +390,9 @@ class Topology
         /** Written with the gateways: the hosts, when they are exact
          *  copies of the first. */
         mutable std::unique_ptr<const HostCopies> copies;
-        /** Written with the gateways: with host copies, each node of
-         *  the first host's CPU in a healthy graph; else each node's.
-         *  -1 for a node that is no GPU or reaches no CPU. */
+        /** Written with the gateways, with host copies: the host CPU
+         *  of each node of the first host in a healthy graph, -1 for
+         *  a node that is no GPU. */
         mutable std::vector<NodeId> host_cpu;
         /** Written with the gateways, with host copies: the route from
          *  each node of the first host to its gateway, then from the
