@@ -1920,6 +1920,235 @@ TEST(FlowSimulatorReference, LinkStateChangedBeforeRun)
     }
 }
 
+/** The rounds the collective plans price on a healthy pod's GPUs, as
+ *  flow sets: the host rings, the 2D ring's rank-rings over every
+ *  host, the rack rings, each tree round between rack leaders and the
+ *  chains down the racks. */
+std::vector<std::pair<std::string, std::vector<FlowWant>>>
+podRounds(const Topology &topo, const std::vector<NodeId> &gpus,
+          double bytes)
+{
+    const FabricShape shape = fabricShape(topo, gpus);
+    const std::vector<std::vector<NodeId>> &hosts = shape.node_groups;
+    const std::vector<std::vector<int>> &racks = shape.rack_groups;
+    const int per_host = static_cast<int>(hosts[0].size());
+    const double chunk = bytes / per_host;
+    auto rankRings = [&](const std::vector<std::vector<int>> &groups) {
+        std::vector<FlowWant> flows;
+        for (const std::vector<int> &group : groups) {
+            const int m = static_cast<int>(group.size());
+            for (int i = 0; i < per_host; ++i) {
+                for (int j = 0; j < m; ++j)
+                    flows.push_back({hosts[group[j]][i],
+                                     hosts[group[(j + 1) % m]][i],
+                                     chunk / m, 0.0});
+            }
+        }
+        return flows;
+    };
+    std::vector<std::pair<std::string, std::vector<FlowWant>>> rounds;
+    std::vector<int> every(hosts.size());
+    std::iota(every.begin(), every.end(), 0);
+    std::vector<std::vector<int>> one_per_host;
+    for (int h : every)
+        one_per_host.push_back({h});
+    rounds.emplace_back("host rings", std::vector<FlowWant>{});
+    for (const std::vector<NodeId> &host : hosts) {
+        for (int i = 0; i < per_host; ++i)
+            rounds.back().second.push_back(
+                {host[i], host[(i + 1) % per_host], chunk, 0.0});
+    }
+    rounds.emplace_back("2D ring", rankRings({every}));
+    rounds.emplace_back("rack rings", rankRings(racks));
+    for (std::size_t stride = 1; stride < racks.size(); stride *= 2) {
+        std::vector<FlowWant> flows;
+        for (std::size_t r = 0; r + stride < racks.size(); r += 2 * stride) {
+            for (int i = 0; i < per_host; ++i)
+                flows.push_back({hosts[racks[r + stride][0]][i],
+                                 hosts[racks[r][0]][i], chunk, 0.0});
+        }
+        rounds.emplace_back("tree stride " + std::to_string(stride),
+                            std::move(flows));
+    }
+    rounds.emplace_back("chains", std::vector<FlowWant>{});
+    for (const std::vector<int> &rack : racks) {
+        for (int i = 0; i < per_host; ++i) {
+            for (std::size_t j = 0; j + 1 < rack.size(); ++j)
+                rounds.back().second.push_back(
+                    {hosts[rack[j]][i], hosts[rack[j + 1]][i], chunk, 0.0});
+        }
+    }
+    return rounds;
+}
+
+/** A switch with 'n' GPUs on equal PCIe links; returns the GPUs. */
+std::vector<NodeId>
+buildStar(Topology &topo, int n)
+{
+    NodeId sw = topo.addSwitch("SW");
+    std::vector<NodeId> gpus;
+    for (int i = 0; i < n; ++i) {
+        gpus.push_back(topo.addGpu("GPU" + std::to_string(i)));
+        topo.connect(sw, gpus.back(), pcie3(16));
+    }
+    return gpus;
+}
+
+/** 'n' GPUs in a ring of equal NVLinks; returns the GPUs. */
+std::vector<NodeId>
+buildRing(Topology &topo, int n)
+{
+    std::vector<NodeId> gpus;
+    for (int i = 0; i < n; ++i)
+        gpus.push_back(topo.addGpu("GPU" + std::to_string(i)));
+    for (int i = 0; i < n; ++i)
+        topo.connect(gpus[i], gpus[(i + 1) % n], nvlink(2));
+    return gpus;
+}
+
+// Progressive filling freezes the flows of the lowest-share slot, the
+// lowest slot among equals. Where many slots tie, the simulator must
+// still freeze them as the reference does, one scan per slot, bit for
+// bit: on the rounds of pod collectives, where every NIC or ToR of a
+// pod ties; on stars and rings of equal links; and on near-tie
+// capacities, where a freeze can round another slot's share onto the
+// tied share or below it.
+TEST(FlowSimulatorReference, FairShareTies)
+{
+    for (const SystemConfig &box : podBoxes()) {
+        for (auto [racks, hosts] : {std::pair{4, 4}, {16, 8}}) {
+            const SystemConfig pod = mlps::sys::withPod(box, racks, hosts);
+            for (const auto &[name, flows] :
+                 podRounds(pod.topo, pod.gpu_nodes, 64e6))
+                expectFlowSimMatchesReference(pod.topo, flows,
+                                              pod.name + ", " + name);
+        }
+    }
+
+    // Equal links: each GPU to the next, to the one after, and every
+    // GPU to the first; flows of one size or of two, so that the
+    // first completions leave ties behind.
+    for (int n : {3, 4, 8, 16}) {
+        for (bool ring : {false, true}) {
+            Topology topo;
+            const std::vector<NodeId> gpus =
+                ring ? buildRing(topo, n) : buildStar(topo, n);
+            for (int sizes : {1, 2}) {
+                std::vector<FlowWant> next, skip, incast;
+                for (int i = 0; i < n; ++i) {
+                    const double bytes = i % sizes == 0 ? 64e6 : 32e6;
+                    next.push_back({gpus[i], gpus[(i + 1) % n], bytes, 0.0});
+                    skip.push_back({gpus[i], gpus[(i + 2) % n], bytes, 0.0});
+                    skip.push_back({gpus[i], gpus[(i + 1) % n], bytes, 0.0});
+                    if (i > 0)
+                        incast.push_back({gpus[i], gpus[0], bytes, 0.0});
+                }
+                const std::string label = std::string(ring ? "ring" : "star") +
+                                          " of " + std::to_string(n) + ", " +
+                                          std::to_string(sizes) + " sizes";
+                expectFlowSimMatchesReference(topo, next, label + ", next");
+                expectFlowSimMatchesReference(topo, skip, label + ", skip");
+                expectFlowSimMatchesReference(topo, incast,
+                                              label + ", incast");
+            }
+        }
+    }
+
+    // Near ties: links scaled by 0.1, 0.2 or 0.3 share out capacities
+    // that differ by an ulp or two once divided, on stars, rings and
+    // random machines.
+    for (int seed = 0; seed < 300; ++seed) {
+        mlps::sim::Rng rng(24000 + seed);
+        Topology topo;
+        std::vector<NodeId> gpus;
+        switch (seed % 3) {
+          case 0:
+            gpus = buildStar(topo, 3 + static_cast<int>(rng.below(8)));
+            break;
+          case 1:
+            gpus = buildRing(topo, 3 + static_cast<int>(rng.below(8)));
+            break;
+          default:
+            build(topo, randomRecipe(rng));
+            gpus = topo.gpus();
+            break;
+        }
+        for (int e = 0; e < topo.edgeCount(); ++e)
+            topo.setLinkBandwidthScale(e, 0.1 * (1 + rng.below(3)));
+        const bool one_size = rng.chance(0.5);
+        const bool staggered = rng.chance(0.3);
+        std::vector<FlowWant> wants;
+        const int count = 2 + static_cast<int>(rng.below(24));
+        for (int k = 0; k < count; ++k) {
+            const NodeId from = gpus[rng.below(gpus.size())];
+            const NodeId to = gpus[rng.below(gpus.size())];
+            wants.push_back({from, to,
+                             one_size ? 64e6 : rng.uniform(1e5, 5e8),
+                             staggered ? rng.uniform(0.0, 0.01) : 0.0});
+        }
+        expectFlowSimMatchesReference(
+            topo, wants, "near ties, seed " + std::to_string(seed));
+    }
+
+    // One freeze lands a slot that did not tie exactly on the tied
+    // share, below the next tied slot. On a star, GPU A sends seven
+    // flows (one to X) and GPU B seven (one to X) over links scaled by
+    // 0.1; X receives six over a link scaled by 0.1 * 6 / 7. A's and
+    // B's uplinks tie at share b; X's downlink sits an ulp above it
+    // until A's flow to X freezes, and then at exactly b. The
+    // reference freezes X's flows next, B's flow to X among them, and
+    // that moves B's uplink off b; freezing B's uplink first would
+    // move X's instead.
+    {
+        Topology topo;
+        const std::vector<NodeId> g = buildStar(topo, 9);
+        const NodeId a = g[0], x = g[1], b = g[2];
+        topo.setLinkBandwidthScale(0, 0.1);
+        topo.setLinkBandwidthScale(1, 0.1 * 6 / 7);
+        topo.setLinkBandwidthScale(2, 0.1);
+        const double share = topo.effectiveLinkBytesPerSec(0) / 7;
+        const double x_cap = topo.effectiveLinkBytesPerSec(1);
+        ASSERT_GT(x_cap / 6, share);
+        ASSERT_EQ(bits((x_cap - share) / 5), bits(share));
+        std::vector<FlowWant> wants = {{a, x, 1e8, 0.0}, {b, x, 1e8, 0.0}};
+        for (int k = 0; k < 6; ++k) {
+            wants.push_back({a, g[4], 1e8, 0.0});
+            wants.push_back({b, g[3], 1e8, 0.0});
+        }
+        for (int k = 5; k < 9; ++k)
+            wants.push_back({g[k], x, 1e8, 0.0});
+        expectFlowSimMatchesReference(topo, wants, "share rounded onto a tie");
+    }
+
+    // One freeze rounds a tied slot's share below the tie, above the
+    // next tied slot in slot order. On a star of links scaled by 0.1,
+    // GPUs A and B send seven flows each, one of them to X, which
+    // receives seven. A's and B's uplinks and X's downlink tie at
+    // share b; once A's flow to X freezes, X's downlink is below b.
+    // The reference freezes X's flows next, below b, and B's flow to
+    // X with them; B's uplink, though lower in slot order, no longer
+    // holds the lowest share.
+    {
+        Topology topo;
+        const std::vector<NodeId> g = buildStar(topo, 10);
+        const NodeId a = g[0], b = g[1], x = g[2];
+        for (int e = 0; e < topo.edgeCount(); ++e)
+            topo.setLinkBandwidthScale(e, 0.1);
+        const double cap = topo.effectiveLinkBytesPerSec(0);
+        const double share = cap / 7;
+        ASSERT_LT((cap - share) / 6, share);
+        std::vector<FlowWant> wants = {{a, x, 1e8, 0.0}, {b, x, 1e8, 0.0}};
+        for (int k = 0; k < 6; ++k) {
+            wants.push_back({a, g[4], 1e8, 0.0});
+            wants.push_back({b, g[3], 1e8, 0.0});
+        }
+        for (int k = 5; k < 10; ++k)
+            wants.push_back({g[k], x, 1e8, 0.0});
+        expectFlowSimMatchesReference(topo, wants,
+                                      "share rounded below a tie");
+    }
+}
+
 // Host k matches the first host while its links are in the first
 // host's state, down bits and bandwidth scales alike.
 TEST(HostCopies, MatchFollowsLinkState)
