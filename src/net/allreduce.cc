@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <numeric>
-#include <unordered_map>
 
 #include "net/transfer.h"
 #include "sim/logger.h"
@@ -11,41 +10,6 @@
 namespace mlps::net {
 
 namespace {
-
-/** Union-find over node ids (path halving + union by size). */
-class Dsu
-{
-  public:
-    explicit Dsu(int n) : parent_(n), size_(n, 1)
-    {
-        std::iota(parent_.begin(), parent_.end(), 0);
-    }
-
-    int find(int x)
-    {
-        while (parent_[x] != x) {
-            parent_[x] = parent_[parent_[x]];
-            x = parent_[x];
-        }
-        return x;
-    }
-
-    void unite(int a, int b)
-    {
-        a = find(a);
-        b = find(b);
-        if (a == b)
-            return;
-        if (size_[a] < size_[b])
-            std::swap(a, b);
-        parent_[b] = a;
-        size_[a] += size_[b];
-    }
-
-  private:
-    std::vector<int> parent_;
-    std::vector<int> size_;
-};
 
 /** True when edge e joins a and b. */
 bool
@@ -267,14 +231,14 @@ price(const Topology &topo, const CollectivePlan &plan,
             for (const Flow &f : round)
                 fsim.addFlow(f.from, f.to, f.bytes);
             rounds_s += fsim.run() / phase.derate;
-            double mult = phase.byte_mult;
-            res->nvlink_bytes += mult * fsim.bytesOnKind(LinkKind::NvLink);
-            res->pcie_bytes += mult * fsim.bytesOnKind(LinkKind::Pcie3);
-            res->upi_bytes += mult * fsim.bytesOnKind(LinkKind::Upi);
-            res->eth_bytes += mult * fsim.bytesOnKind(LinkKind::Eth);
+            const double mult = phase.byte_mult;
+            const FlowSimulator::LinkBytes bytes = fsim.linkBytes();
+            res->nvlink_bytes += mult * bytes.onKind(LinkKind::NvLink);
+            res->pcie_bytes += mult * bytes.onKind(LinkKind::Pcie3);
+            res->upi_bytes += mult * bytes.onKind(LinkKind::Upi);
+            res->eth_bytes += mult * bytes.onKind(LinkKind::Eth);
             for (int t = 0; t < kNumFabricTiers; ++t)
-                res->tier_bytes[t] +=
-                    mult * fsim.bytesOnTier(static_cast<FabricTier>(t));
+                res->tier_bytes[t] += mult * bytes.tier[t];
         }
         res->seconds += phase.time_mult * rounds_s +
                         static_cast<double>(buckets) *
@@ -421,35 +385,26 @@ fabricShape(const Topology &topo, const std::vector<NodeId> &gpus)
 
     // Static structure on purpose: a down NVLink must not re-home a
     // GPU to a different host group, it must degrade that host's
-    // intra-node fabric instead.
-    Dsu node_uf(topo.nodeCount());
-    Dsu rack_uf(topo.nodeCount());
-    for (int e = 0; e < topo.edgeCount(); ++e) {
-        auto [a, b] = topo.endpoints(e);
-        FabricTier tier = topo.link(e).tier;
-        if (tier == FabricTier::IntraNode)
-            node_uf.unite(a, b);
-        if (tier != FabricTier::CrossRack)
-            rack_uf.unite(a, b);
-    }
-
-    std::unordered_map<int, int> group_of_root;
+    // intra-node fabric instead. The graph's host and rack cells
+    // count down links too.
+    std::vector<int> group_of(topo.nodeCount(), -1); // by cell label
     for (NodeId g : gpus) {
-        int root = node_uf.find(g);
-        auto [it, fresh] = group_of_root.emplace(
-            root, static_cast<int>(shape.node_groups.size()));
-        if (fresh)
+        int &group = group_of[topo.cellOf(g, FabricTier::IntraNode)];
+        if (group < 0) {
+            group = static_cast<int>(shape.node_groups.size());
             shape.node_groups.emplace_back();
-        shape.node_groups[it->second].push_back(g);
+        }
+        shape.node_groups[group].push_back(g);
     }
-    std::unordered_map<int, int> rack_of_root;
+    std::fill(group_of.begin(), group_of.end(), -1);
     for (std::size_t gi = 0; gi < shape.node_groups.size(); ++gi) {
-        int root = rack_uf.find(shape.node_groups[gi][0]);
-        auto [it, fresh] = rack_of_root.emplace(
-            root, static_cast<int>(shape.rack_groups.size()));
-        if (fresh)
+        int &rack = group_of[topo.cellOf(shape.node_groups[gi][0],
+                                         FabricTier::IntraRack)];
+        if (rack < 0) {
+            rack = static_cast<int>(shape.rack_groups.size());
             shape.rack_groups.emplace_back();
-        shape.rack_groups[it->second].push_back(static_cast<int>(gi));
+        }
+        shape.rack_groups[rack].push_back(static_cast<int>(gi));
     }
     return shape;
 }

@@ -23,6 +23,9 @@ enum class LinkKind {
     Eth,     ///< Ethernet/RoCE datacenter fabric (NIC/ToR/spine)
 };
 
+/** Number of LinkKind values (for per-kind accounting arrays). */
+inline constexpr int kNumLinkKinds = 4;
+
 /** Human-readable name of a link kind. */
 std::string toString(LinkKind kind);
 

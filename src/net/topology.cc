@@ -155,6 +155,7 @@ Topology::mutableGraph()
     Graph &g = const_cast<Graph &>(*graph_);
     g.memo.clear();
     g.gateways_indexed.store(false, std::memory_order_relaxed);
+    g.validated.store(false, std::memory_order_relaxed);
     g.copies.reset();
     g.host_cpu.clear();
     g.gate_routes.clear();
@@ -178,7 +179,7 @@ NodeId
 Topology::addNode(NodeKind kind, const std::string &name)
 {
     Graph &g = mutableGraph();
-    g.nodes.push_back(Node{kind, 0, name, {}, {}, {-1, -1}});
+    g.nodes.push_back(Node{kind, 0, name, {}, {}, {-1, -1}, {-1, -1}});
     return static_cast<NodeId>(g.nodes.size()) - 1;
 }
 
@@ -399,8 +400,10 @@ Topology::indexedGraph() const
                     ++exits;
                 }
             }
-            for (NodeId n : cell)
+            for (NodeId n : cell) {
                 g.nodes[n].gateway[level] = exits == 1 ? gateway : -1;
+                g.nodes[n].cell[level] = root;
+            }
         }
     }
     g.copies = checkHostCopies(g);
@@ -830,6 +833,17 @@ Topology::hostCpu(NodeId gpu) const
     return computeHostCpu(gpu);
 }
 
+NodeId
+Topology::cellOf(NodeId n, FabricTier tier) const
+{
+    checkNode(n);
+    const int level = static_cast<int>(tier);
+    if (level >= kGatewayLevels)
+        sim::fatal("cellOf: the %s tier has no cells",
+                   toString(tier).c_str());
+    return indexedGraph().nodes[n].cell[level];
+}
+
 std::string
 Topology::describe() const
 {
@@ -973,6 +987,14 @@ Topology::validate() const
     if (nodeCount() == 0)
         sim::fatal("Topology: no nodes");
     const std::vector<Node> &nodes = graph_->nodes;
+    // A graph that passed once passes every check that reads only the
+    // graph, and connectivity while no link is down; bandwidth scales
+    // are positive, as setLinkBandwidthScale() accepts no other.
+    if (graph_->validated.load(std::memory_order_relaxed)) {
+        if (anyLinkDown())
+            checkConnected();
+        return;
+    }
     const std::vector<Edge> &edges = graph_->edges;
     for (int e = 0; e < edgeCount(); ++e) {
         const Edge &edge = edges[e];
@@ -1052,6 +1074,13 @@ Topology::validate() const
         }
     }
 
+    checkConnected();
+    graph_->validated.store(true, std::memory_order_relaxed);
+}
+
+void
+Topology::checkConnected() const
+{
     // Connectivity over *up* edges: one dead link must not strand a
     // node, or routing (and therefore every transfer) silently fails.
     std::vector<bool> seen = reachableOverUpLinks();
@@ -1061,7 +1090,8 @@ Topology::validate() const
         if (!seen[n])
             sim::fatal("Topology: node '%s' unreachable over up "
                        "links (%d of %d nodes connected)",
-                       nodes[n].name.c_str(), reached, nodeCount());
+                       graph_->nodes[n].name.c_str(), reached,
+                       nodeCount());
     }
 }
 

@@ -254,6 +254,14 @@ class Topology
      */
     std::optional<NodeId> hostCpu(NodeId gpu) const;
 
+    /**
+     * Label of the cell of node 'n' over links of 'tier' and below,
+     * down or up: its host cell for IntraNode, its rack cell for
+     * IntraRack. The label is the cell's lowest node. Read from the
+     * graph's index, which its copies share.
+     */
+    NodeId cellOf(NodeId n, FabricTier tier) const;
+
     /** Render an adjacency summary (for Table III dumps). */
     std::string describe() const;
 
@@ -319,6 +327,9 @@ class Topology
      * well-formed (no GPU wired directly to a spine, no NIC without an
      * uplink, no ToR stranded from the spine layer in a multi-rack
      * pod). Calls sim::fatal (config error, exit code 3) on violation.
+     * A graph that passed once is recorded as valid, for its copies
+     * too: then only a copy with a link down checks again, and only
+     * its connectivity.
      */
     void validate() const;
 
@@ -345,6 +356,9 @@ class Topology
          *  or several. Counts every edge, down or up. Written once per
          *  graph by indexedGraph(). */
         mutable NodeId gateway[kGatewayLevels] = {-1, -1};
+        /** Per level, the lowest node of this node's cell; written
+         *  with the gateways. */
+        mutable NodeId cell[kGatewayLevels] = {-1, -1};
     };
 
     struct Edge {
@@ -380,8 +394,9 @@ class Topology
     };
 
     /** The structure copies share; never changed while shared, but
-     *  for what the first route or host-CPU lookup indexes: the
-     *  nodes' gateways, the host copies and the host-CPU table. */
+     *  for what the first route or host-CPU lookup indexes (the
+     *  nodes' gateways and cells, the host copies and the host-CPU
+     *  table) and the validated mark. */
     struct Graph {
         std::vector<Node> nodes;
         std::vector<Edge> edges;
@@ -400,6 +415,10 @@ class Topology
         mutable std::vector<Path> gate_routes;
         /** Set (release) once the index above is written. */
         mutable std::atomic<bool> gateways_indexed{false};
+        /** Set once validate() passed on a copy of this graph: every
+         *  check that reads only the graph holds, and so does
+         *  connectivity over every link. */
+        mutable std::atomic<bool> validated{false};
         /** Held while the index is written, and while a builder
          *  copies the nodes. */
         mutable std::mutex gateways_mu;
@@ -428,6 +447,9 @@ class Topology
      *  copy's graph, written; the recorded hosts if they are exact
      *  copies of the first (else null), and g.host_cpu for them. */
     std::unique_ptr<const HostCopies> checkHostCopies(const Graph &g) const;
+
+    /** sim::fatal unless every node is reachable over up links. */
+    void checkConnected() const;
 
     /** True when no edge of host k (of 'copies') is down. */
     bool hostLinksUp(const HostCopies &copies, int k) const;

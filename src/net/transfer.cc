@@ -380,9 +380,10 @@ FlowSimulator::fairShare(const std::vector<int> &active)
     for (;;) {
         // Most constrained slot = min cap/users over used slots; the
         // scan drops slots whose flows are all frozen and applies the
-        // numerical guard (capacities may underflow slightly).
-        double best_share = std::numeric_limits<double>::infinity();
-        int best = -1;
+        // numerical guard (capacities may underflow slightly). It
+        // also lists every slot at that share, ascending: the ties.
+        double level = std::numeric_limits<double>::infinity();
+        ties_.clear();
         std::size_t kept = 0;
         for (int s : live_) {
             if (users_[s] == 0)
@@ -390,26 +391,31 @@ FlowSimulator::fairShare(const std::vector<int> &active)
             live_[kept++] = s;
             cap_[s] = std::max(cap_[s], 0.0);
             double share = cap_[s] / users_[s];
-            if (share < best_share) {
-                best_share = share;
-                best = s;
+            if (share < level) {
+                level = share;
+                ties_.assign(1, s);
+            } else if (share == level && !ties_.empty()) {
+                ties_.push_back(s);
             }
         }
         live_.resize(kept);
-        if (best < 0)
+        if (ties_.empty())
             break;
-        // Freeze flows crossing the bottleneck at the fair share.
-        for (int k = slot_flows_begin_[best];
-             k < slot_flows_begin_[best + 1]; ++k) {
-            int fi = slot_flows_[k];
-            if (!unfrozen_[fi])
-                continue;
-            unfrozen_[fi] = 0;
-            rate_[fi] = best_share;
-            for (int de : slotsOf(fi)) {
-                cap_[de] -= best_share;
-                --users_[de];
-            }
+        // Freeze the ties in slot order without scanning again while
+        // each is the slot a scan would pick. Untouched slots keep
+        // their share: the level for the ties left, above it for the
+        // rest. So tie t is the pick when (a) its share is still the
+        // level, so no flow crossing it froze since the scan (that
+        // would have left it above the level, by (b)), and (b) every
+        // slot the last freeze changed that still has users is
+        // strictly above the level. Each freeze then subtracts the
+        // level slot by slot as the scan's pick would; when a guard
+        // fails, scan again.
+        for (int t : ties_) {
+            if (users_[t] == 0)
+                continue; // its flows froze with earlier ties
+            if (cap_[t] / users_[t] != level || !freezeAbove(t, level))
+                break;
         }
     }
     // Every slot's flows froze, so users_ is all zero again. Active
@@ -421,6 +427,35 @@ FlowSimulator::fairShare(const std::vector<int> &active)
             rate_[fi] = 1e18;
         }
     }
+}
+
+bool
+FlowSimulator::freezeAbove(int t, double level)
+{
+    const int begin = slot_flows_begin_[t];
+    const int end = slot_flows_begin_[t + 1];
+    for (int k = begin; k < end; ++k) {
+        int fi = slot_flows_[k];
+        if (unfrozen_[fi] != 1)
+            continue;
+        unfrozen_[fi] = 2; // frozen by this call
+        rate_[fi] = level;
+        for (int s : slotsOf(fi)) {
+            cap_[s] -= level;
+            --users_[s];
+        }
+    }
+    bool above = true;
+    for (int k = begin; k < end; ++k) {
+        int fi = slot_flows_[k];
+        if (unfrozen_[fi] != 2)
+            continue;
+        unfrozen_[fi] = 0;
+        for (int s : slotsOf(fi))
+            above = above && (users_[s] == 0 ||
+                              std::max(cap_[s], 0.0) / users_[s] > level);
+    }
+    return above;
 }
 
 void
@@ -569,6 +604,25 @@ FlowSimulator::run()
             }
         }
     }
+    // Routes were fixed as flows were added: a link that went down
+    // since would leave a flow no capacity.
+    if (topo_.anyLinkDown()) {
+        for (std::size_t fi = 0; fi < flows_.size(); ++fi) {
+            const Flow &f = flows_[fi];
+            if (!f.path)
+                continue; // a kept copy: its twin's route, shifted
+            for (int e : f.path->edges) {
+                if (!topo_.linkDown(e))
+                    continue;
+                auto [a, b] = topo_.endpoints(e);
+                sim::fatal("FlowSimulator: link %d (%s <-> %s) went down "
+                           "after flow %zu (%s -> %s) was routed over it",
+                           e, topo_.name(a).c_str(), topo_.name(b).c_str(),
+                           fi, topo_.name(f.from).c_str(),
+                           topo_.name(f.to).c_str());
+            }
+        }
+    }
     classify();
     prepareFairShare();
     simulate();
@@ -606,27 +660,17 @@ FlowSimulator::run()
     return makespan;
 }
 
-double
-FlowSimulator::bytesOnKind(LinkKind kind) const
+FlowSimulator::LinkBytes
+FlowSimulator::linkBytes() const
 {
-    // Edges no flow crosses carry +0.0, which leaves the sum as is.
-    double total = 0.0;
+    // Edges no flow crosses carry +0.0, which leaves a sum as is.
+    LinkBytes out;
     for (int e : routed_edges_) {
-        if (topo_.link(e).kind == kind)
-            total += edge_bytes_[e];
+        const LinkSpec &link = topo_.link(e);
+        out.kind[static_cast<int>(link.kind)] += edge_bytes_[e];
+        out.tier[static_cast<int>(link.tier)] += edge_bytes_[e];
     }
-    return total;
-}
-
-double
-FlowSimulator::bytesOnTier(FabricTier tier) const
-{
-    double total = 0.0;
-    for (int e : routed_edges_) {
-        if (topo_.link(e).tier == tier)
-            total += edge_bytes_[e];
-    }
-    return total;
+    return out;
 }
 
 } // namespace mlps::net

@@ -7,6 +7,12 @@
  * internal clock from flow-completion event to flow-completion event,
  * re-solving the bandwidth allocation at each event — the standard
  * flow-level network simulation used when packet detail is unnecessary.
+ * Each allocation is progressive filling: freeze the flows of the slot
+ * (link direction) with the lowest share, the lowest slot among
+ * equals, and repeat. One scan finds that share and every slot tied
+ * at it; the tied slots then freeze in slot order without a new scan
+ * while each provably is the slot a new scan would pick, so rates are
+ * bit for bit those of one scan per frozen slot.
  *
  * The training model uses it for host-to-device input staging and for
  * the per-step flows of the ring all-reduce, where shared-bottleneck
@@ -97,11 +103,17 @@ class FlowSimulator
     /** Bytes each edge carried, indexed by edge id. Valid after run(). */
     const std::vector<double> &edgeBytes() const { return edge_bytes_; }
 
-    /** Total bytes that traversed links of the given kind. */
-    double bytesOnKind(LinkKind kind) const;
+    /** Bytes that traversed links, totalled per link kind and per
+     *  fabric tier, each over the edges in id order. */
+    struct LinkBytes {
+        double kind[kNumLinkKinds] = {};
+        double tier[kNumFabricTiers] = {};
 
-    /** Total bytes that traversed links of the given fabric tier. */
-    double bytesOnTier(FabricTier tier) const;
+        double onKind(LinkKind k) const { return kind[static_cast<int>(k)]; }
+    };
+
+    /** Every kind's and tier's total, in one pass. Valid after run(). */
+    LinkBytes linkBytes() const;
 
   private:
     struct Flow {
@@ -180,6 +192,11 @@ class FlowSimulator
     /** Recompute max-min fair rates of the active flows into rate_. */
     void fairShare(const std::vector<int> &active);
 
+    /** Freeze the unfrozen flows crossing slot 't' at 'level'.
+     *  @return true when every slot they cross that still has users
+     *  is left strictly above the level. */
+    bool freezeAbove(int t, double level);
+
     const Topology &topo_;
     /** The topology's host copies, or null. */
     const Topology::HostCopies *hosts_;
@@ -221,10 +238,13 @@ class FlowSimulator
      *  fairShare() calls. */
     std::vector<int> users_;
     std::vector<double> rate_;
-    /** Per flow, within one fairShare() call: active, rate not set. */
+    /** Per flow, within one fairShare() call: 1 while active with no
+     *  rate set, 2 while freezeAbove() checks it, else 0. */
     std::vector<char> unfrozen_;
     /** Slots some unfrozen flow crosses, ascending. */
     std::vector<int> live_;
+    /** Slots at the last scan's lowest share, ascending. */
+    std::vector<int> ties_;
 };
 
 } // namespace mlps::net

@@ -613,6 +613,7 @@ expectFlowSimMatchesReference(const Topology &topo,
             << " vs " << ref.edgeBytes()[e];
     }
     // Per-kind and per-tier totals sum every edge in id order.
+    const FlowSimulator::LinkBytes totals = fast.linkBytes();
     for (LinkKind kind : {LinkKind::Pcie3, LinkKind::NvLink, LinkKind::Upi,
                           LinkKind::Eth}) {
         double want = 0.0;
@@ -620,7 +621,7 @@ expectFlowSimMatchesReference(const Topology &topo,
             if (topo.link(e).kind == kind)
                 want += ref.edgeBytes()[e];
         }
-        ASSERT_EQ(bits(fast.bytesOnKind(kind)), bits(want))
+        ASSERT_EQ(bits(totals.onKind(kind)), bits(want))
             << label << ": bytes on " << toString(kind);
     }
     for (int t = 0; t < kNumFabricTiers; ++t) {
@@ -629,8 +630,7 @@ expectFlowSimMatchesReference(const Topology &topo,
             if (topo.link(e).tier == static_cast<FabricTier>(t))
                 want += ref.edgeBytes()[e];
         }
-        ASSERT_EQ(bits(fast.bytesOnTier(static_cast<FabricTier>(t))),
-                  bits(want))
+        ASSERT_EQ(bits(totals.tier[t]), bits(want))
             << label << ": bytes on tier " << t;
     }
 }
@@ -2146,6 +2146,46 @@ TEST(FlowSimulatorReference, FairShareTies)
             wants.push_back({g[k], x, 1e8, 0.0});
         expectFlowSimMatchesReference(topo, wants,
                                       "share rounded below a tie");
+    }
+}
+
+// The GPU grouping read from the graph's host and rack cells against
+// the union-finds it replaced: pods of every box, pods whose hosts are
+// not copies (links down or scaled, two-NIC hosts), GPU subsets in
+// pod order and reversed, single boxes and random machines.
+TEST(FabricShapeReference, MatchesUnionFind)
+{
+    auto expectSame = [](const Topology &topo,
+                         std::vector<NodeId> gpus,
+                         const std::string &label) {
+        for (bool reversed : {false, true}) {
+            if (reversed)
+                std::reverse(gpus.begin(), gpus.end());
+            const FabricShape got = fabricShape(topo, gpus);
+            const FabricShape want =
+                mlps::reference::fabricShape(topo, gpus);
+            EXPECT_EQ(got.node_groups, want.node_groups) << label;
+            EXPECT_EQ(got.rack_groups, want.rack_groups) << label;
+        }
+    };
+    for (const SystemConfig &box : podBoxes()) {
+        expectSame(box.topo, box.gpu_nodes, box.name);
+        for (auto [racks, hosts] : {std::pair{2, 3}, {16, 8}}) {
+            for (const SystemConfig &pod : podFabrics(box, racks, hosts)) {
+                expectSame(pod.topo, pod.gpu_nodes, pod.name);
+                expectSame(pod.topo, pod.gpuSubset(pod.num_gpus / 3),
+                           pod.name + " subset");
+            }
+        }
+    }
+    for (const PodCase &c : templateBreakers())
+        expectSame(c.system.topo, c.system.gpu_nodes, c.label);
+    for (int seed = 0; seed < 20; ++seed) {
+        mlps::sim::Rng rng(25000 + seed);
+        int gpus = 0;
+        Topology topo = randomTopology(rng, gpus);
+        expectSame(topo, topo.gpus(), "random, seed " +
+                                          std::to_string(seed));
     }
 }
 

@@ -7,8 +7,8 @@
  * The closed-form estimates only cross-check them on contention-free
  * cases; the per-algorithm all-reduce copies at the end, priced with
  * ReferenceFlowSim, are the bit-exact oracle of the collective plans,
- * and referenceHostCpu() with inputStagingSeconds() that of the
- * trainer's input staging.
+ * referenceHostCpu() with inputStagingSeconds() that of the trainer's
+ * input staging, and fabricShape() that of the GPU grouping.
  */
 
 #ifndef MLPSIM_TESTS_NET_REFERENCE_H
@@ -18,6 +18,7 @@
 #include <deque>
 #include <functional>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -427,6 +428,59 @@ linkTraffic(const net::FlowSimulator &fsim, const net::Topology &topo)
     return out;
 }
 
+/**
+ * GPU grouping as net::fabricShape derived it before the graph indexed
+ * its host and rack cells: two union-finds over every edge, down or
+ * up (intra-node edges; then every edge but cross-rack ones), groups
+ * and racks in first-appearance order.
+ */
+inline net::FabricShape
+fabricShape(const net::Topology &topo, const std::vector<net::NodeId> &gpus)
+{
+    std::vector<int> node_root(topo.nodeCount());
+    std::vector<int> rack_root(topo.nodeCount());
+    std::iota(node_root.begin(), node_root.end(), 0);
+    std::iota(rack_root.begin(), rack_root.end(), 0);
+    auto find = [](std::vector<int> &root, int x) {
+        while (root[x] != x)
+            x = root[x] = root[root[x]];
+        return x;
+    };
+    for (int e = 0; e < topo.edgeCount(); ++e) {
+        auto [a, b] = topo.endpoints(e);
+        net::FabricTier tier = topo.link(e).tier;
+        if (tier == net::FabricTier::IntraNode)
+            node_root[find(node_root, a)] = find(node_root, b);
+        if (tier != net::FabricTier::CrossRack)
+            rack_root[find(rack_root, a)] = find(rack_root, b);
+    }
+    net::FabricShape shape;
+    std::vector<int> roots;
+    for (net::NodeId g : gpus) {
+        int root = find(node_root, g);
+        auto it = std::find(roots.begin(), roots.end(), root);
+        if (it == roots.end()) {
+            roots.push_back(root);
+            shape.node_groups.emplace_back();
+            it = roots.end() - 1;
+        }
+        shape.node_groups[it - roots.begin()].push_back(g);
+    }
+    roots.clear();
+    for (std::size_t gi = 0; gi < shape.node_groups.size(); ++gi) {
+        int root = find(rack_root, shape.node_groups[gi][0]);
+        auto it = std::find(roots.begin(), roots.end(), root);
+        if (it == roots.end()) {
+            roots.push_back(root);
+            shape.rack_groups.emplace_back();
+            it = roots.end() - 1;
+        }
+        shape.rack_groups[it - roots.begin()].push_back(
+            static_cast<int>(gi));
+    }
+    return shape;
+}
+
 /*
  * The all-reduce models as they stood when each algorithm priced its
  * own phases: one function per algorithm, each building and running
@@ -616,7 +670,7 @@ hierarchicalRingAllReduce(const net::Topology &topo,
     using namespace detail;
     if (gpus.empty())
         sim::fatal("hierarchicalRingAllReduce: empty GPU set");
-    FabricShape shape = net::fabricShape(topo, gpus);
+    FabricShape shape = reference::fabricShape(topo, gpus);
     std::size_t hosts = shape.node_groups.size();
     // Degenerate shapes delegate to the flat ring *verbatim*: a
     // single-host pod must stay bit-identical to the box model.
@@ -692,7 +746,7 @@ hierarchicalTreeAllReduce(const net::Topology &topo,
     using namespace detail;
     if (gpus.empty())
         sim::fatal("hierarchicalTreeAllReduce: empty GPU set");
-    FabricShape shape = net::fabricShape(topo, gpus);
+    FabricShape shape = reference::fabricShape(topo, gpus);
     std::size_t hosts = shape.node_groups.size();
     if (hosts <= 1 || !shape.uniform() || bytes <= 0.0)
         return reference::ringAllReduce(topo, gpus, bytes, params);
@@ -815,7 +869,7 @@ autoHierarchicalAllReduce(const net::Topology &topo,
 {
     if (gpus.empty())
         sim::fatal("autoHierarchicalAllReduce: empty GPU set");
-    net::FabricShape shape = net::fabricShape(topo, gpus);
+    net::FabricShape shape = reference::fabricShape(topo, gpus);
     // Single host (every Table III box): the flat fault-aware ring,
     // bit for bit.
     if (shape.node_groups.size() <= 1 || !shape.uniform())

@@ -9,6 +9,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "net/allreduce.h"
 #include "net/link.h"
@@ -405,8 +407,8 @@ TEST(FlowSimulator, TracksPerLinkTraffic)
     FlowSimulator fsim(topo);
     fsim.addFlow(cpu, g1, 50e6); // crosses both links
     fsim.run();
-    EXPECT_NEAR(fsim.bytesOnKind(LinkKind::Pcie3), 50e6, 1.0);
-    EXPECT_NEAR(fsim.bytesOnKind(LinkKind::NvLink), 50e6, 1.0);
+    EXPECT_NEAR(fsim.linkBytes().onKind(LinkKind::Pcie3), 50e6, 1.0);
+    EXPECT_NEAR(fsim.linkBytes().onKind(LinkKind::NvLink), 50e6, 1.0);
     EXPECT_EQ(linkTraffic(fsim, topo).size(), 2u);
 }
 
@@ -423,6 +425,44 @@ TEST(FlowSimulator, ErrorsOnMisuse)
     fsim.run();
     EXPECT_THROW(fsim.run(), FatalError);
     EXPECT_THROW(fsim.addFlow(g0, g1, 1.0), FatalError);
+}
+
+// Routes are fixed as flows are added. A link taken down under an
+// added flow before run() is a configuration error, exit code 3 at the
+// tool boundary, that names the link and the flow; a flow added after
+// the link went down routes around it.
+TEST(FlowSimulator, LinkDownedUnderAnAddedFlowIsFatal)
+{
+    Topology topo;
+    NodeId cpu = topo.addCpu("CPU0");
+    NodeId g0 = topo.addGpu("GPU0");
+    NodeId g1 = topo.addGpu("GPU1");
+    topo.connect(cpu, g0, pcie3(16));
+    topo.connect(cpu, g1, pcie3(16));
+    int nv = topo.connect(g0, g1, nvlink(2));
+    EXPECT_EXIT(
+        {
+            FlowSimulator fsim(topo);
+            fsim.addFlow(cpu, g1, 1e6);
+            fsim.addFlow(g0, g1, 1e6); // over the NVLink
+            topo.setLinkDown(nv, true);
+            try {
+                fsim.run();
+            } catch (const FatalError &e) {
+                std::fprintf(stderr, "error: %s\n", e.what());
+                std::exit(3);
+            }
+            std::exit(0);
+        },
+        ::testing::ExitedWithCode(3),
+        "link 2 \\(GPU0 <-> GPU1\\) went down after flow 1 "
+        "\\(GPU0 -> GPU1\\)");
+
+    topo.setLinkDown(nv, true);
+    FlowSimulator fsim(topo);
+    fsim.addFlow(g0, g1, 1e6);
+    EXPECT_GT(fsim.run(), 0.0);
+    EXPECT_EQ(fsim.edgeBytes()[nv], 0.0);
 }
 
 TEST(FlowSimulator, ThroughputReported)
@@ -819,6 +859,24 @@ TEST(TopologyValidate, RejectsDisconnectedGraph)
                   std::string::npos)
             << "error should name the unreachable node: "
             << err.what();
+    }
+}
+
+// A graph that passed validation is recorded as valid for its copies;
+// a builder call drops the record, on a graph of its own or on a copy.
+TEST(TopologyValidate, BuilderCallsDropTheValidRecord)
+{
+    for (bool copied : {false, true}) {
+        Topology topo;
+        NodeId c = topo.addCpu("CPU0");
+        topo.connect(c, topo.addGpu("GPU0"), pcie3(16));
+        topo.validate();
+        Topology copy;
+        if (copied)
+            copy = topo;
+        Topology &t = copied ? copy : topo;
+        t.addGpu("GPU1"); // never connected
+        EXPECT_THROW(t.validate(), FatalError) << "copied " << copied;
     }
 }
 

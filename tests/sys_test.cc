@@ -7,9 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "net/allreduce.h"
 #include "sim/logger.h"
 #include "sys/machines.h"
+#include "train/trainer.h"
 
 namespace {
 
@@ -362,6 +368,61 @@ TEST(SystemValidate, StrandedGpuIsNamed)
                       std::string::npos)
                 << s.name << ": " << err.what();
         }
+    }
+}
+
+// A graph records that it passed validation once, lazily, for all its
+// copies. Trainers constructed on copies of one freshly built pod in
+// four threads validate it at once, and then a copy with a stranded
+// GPU still fails by the GPU's name.
+TEST(SystemValidate, ThreadsConstructTrainersOnCopiesOfAFreshPod)
+{
+    // The pod on a graph built anew, node by node and link by link, so
+    // that nothing has validated it yet.
+    sys::SystemConfig fresh = sys::withPod(sys::c4140M(), 4, 4);
+    const net::Topology &built = fresh.topo;
+    net::Topology topo;
+    for (net::NodeId n = 0; n < built.nodeCount(); ++n) {
+        const std::string &name = built.name(n);
+        switch (built.kind(n)) {
+          case net::NodeKind::Cpu: topo.addCpu(name); break;
+          case net::NodeKind::Gpu: topo.addGpu(name); break;
+          case net::NodeKind::PcieSwitch: topo.addSwitch(name); break;
+          case net::NodeKind::Nic: topo.addNic(name); break;
+          case net::NodeKind::TorSwitch: topo.addTorSwitch(name); break;
+          case net::NodeKind::SpineSwitch: topo.addSpineSwitch(name); break;
+        }
+    }
+    for (int e = 0; e < built.edgeCount(); ++e) {
+        auto [a, b] = built.endpoints(e);
+        topo.connect(a, b, built.link(e));
+    }
+    fresh.topo = std::move(topo);
+
+    constexpr int kThreads = 4;
+    std::vector<sys::SystemConfig> copies(kThreads, fresh);
+    std::latch start(kThreads); // so that the validations overlap
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&copies, &start, t] {
+            start.arrive_and_wait();
+            train::Trainer{copies[t]};
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+
+    net::NodeId gpu = fresh.gpu_nodes[5];
+    for (int e : fresh.topo.incidentEdges(gpu))
+        fresh.topo.setLinkDown(e, true);
+    try {
+        train::Trainer trainer(fresh);
+        ADD_FAILURE() << "stranded GPU accepted";
+    } catch (const FatalError &err) {
+        EXPECT_NE(std::string(err.what()).find(
+                      "'" + fresh.topo.name(gpu) + "' unreachable"),
+                  std::string::npos)
+            << err.what();
     }
 }
 
