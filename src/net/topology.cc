@@ -986,7 +986,6 @@ Topology::validate() const
 {
     if (nodeCount() == 0)
         sim::fatal("Topology: no nodes");
-    const std::vector<Node> &nodes = graph_->nodes;
     // A graph that passed once passes every check that reads only the
     // graph, and connectivity while no link is down; bandwidth scales
     // are positive, as setLinkBandwidthScale() accepts no other.
@@ -995,6 +994,7 @@ Topology::validate() const
             checkConnected();
         return;
     }
+    const std::vector<Node> &nodes = graph_->nodes;
     const std::vector<Edge> &edges = graph_->edges;
     for (int e = 0; e < edgeCount(); ++e) {
         const Edge &edge = edges[e];
