@@ -391,8 +391,10 @@ slurp(const std::string &path)
 
 // `mlpsim explain --json` documents written by the build before
 // attribution stopped re-pricing collectives (the _nvdown one by the
-// build before flow simulation priced one copy per symmetry class).
-// The engine-evaluated attribution must reproduce them byte for byte.
+// build before flow simulation priced one copy per symmetry class,
+// the _nvscale and _nicscale ones by the build before racks priced as
+// copies of the first). The engine-evaluated attribution must
+// reproduce them byte for byte.
 TEST(Attribution, MatchesExplainGoldens)
 {
     sys::SystemConfig pod = pod16x8();
@@ -400,6 +402,12 @@ TEST(Attribution, MatchesExplainGoldens)
     // ring around the dead link, the other 127 keep theirs.
     sys::SystemConfig nvdown = pod;
     sys::applyDegradedLinks(nvdown, "r3n5.GPU0-r3n5.GPU1:down");
+    // The same NVLink at a quarter, and one NIC uplink of rack 3 at
+    // half: a host, and a rack, that is no copy of the first.
+    sys::SystemConfig nvscale = pod;
+    sys::applyDegradedLinks(nvscale, "r3n5.GPU0-r3n5.GPU1:0.25");
+    sys::SystemConfig nicscale = pod;
+    sys::applyDegradedLinks(nicscale, "r3n5.NIC0-tor3:0.5");
     struct Case {
         const char *golden;
         sys::SystemConfig system;
@@ -414,6 +422,10 @@ TEST(Attribution, MatchesExplainGoldens)
          8},
         {"explain_red_pod64.json", pod, "Deep_Red_Cu", 64},
         {"explain_res50_pod512_nvdown.json", nvdown, "MLPf_Res50_MX",
+         512},
+        {"explain_res50_pod512_nvscale.json", nvscale, "MLPf_Res50_MX",
+         512},
+        {"explain_res50_pod512_nicscale.json", nicscale, "MLPf_Res50_MX",
          512},
     };
     exec::Engine engine{exec::ExecOptions(2)};

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <latch>
 #include <limits>
 #include <numeric>
 #include <optional>
@@ -1332,9 +1333,11 @@ TEST(RouteReference, ThreadsRouteCopiesOfAFreshGraph)
     constexpr int kThreads = 4;
     std::vector<std::vector<std::optional<Path>>> got(kThreads);
     std::vector<Topology> copies(kThreads, built);
+    std::latch start(kThreads); // so that the first lookups overlap
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
+            start.arrive_and_wait();
             // Each thread walks the pairs from its own offset.
             got[t].resize(pairs.size());
             for (std::size_t i = 0; i < pairs.size(); ++i) {
@@ -1494,9 +1497,37 @@ struct PodCase {
 };
 
 /**
- * Pods where some host is not a copy of the first: a link down or a
- * bandwidth scale inside one host, a GPU set that ends inside a host,
- * and hand-built pods with a two-NIC host or only two-NIC hosts.
+ * twoSocketPod(racks, hosts) with one more host wired into rack 1 by
+ * hand, after the pod was built: racks of unequal size.
+ */
+SystemConfig
+unequalRackPod(int racks, int hosts)
+{
+    SystemConfig s = twoSocketPod(racks, hosts,
+                                  [](const std::string &) { return false; });
+    const std::string p = "r1n" + std::to_string(hosts) + ".";
+    LeafNodes leaf =
+        twoSocketLeaf([](const std::string &) { return false; })(s.topo, p);
+    NodeId nic = s.topo.addNic(p + "NIC0");
+    s.topo.connect(leaf.cpus[0], nic, pcie3(16));
+    s.topo.connect(nic, nodeNamed(s.topo, "tor1"),
+                   ethernet(100.0, FabricTier::IntraRack));
+    s.name += ", rack 1 one host larger";
+    s.cpu_nodes.insert(s.cpu_nodes.end(), leaf.cpus.begin(), leaf.cpus.end());
+    s.gpu_nodes.insert(s.gpu_nodes.end(), leaf.gpus.begin(), leaf.gpus.end());
+    s.num_cpus = static_cast<int>(s.cpu_nodes.size());
+    s.num_gpus = static_cast<int>(s.gpu_nodes.size());
+    s.validate();
+    return s;
+}
+
+/**
+ * Pods where some host or rack is not a copy of the first: a link down
+ * or a bandwidth scale inside one host, a NIC uplink scaled in rack 3,
+ * the first rack's first host scaled, rack 3's spine uplinks scaled
+ * (outside every rack), GPU sets that end inside a host or a rack, and
+ * hand-built pods with a two-NIC host, only two-NIC hosts or racks of
+ * unequal size.
  */
 std::vector<PodCase>
 templateBreakers()
@@ -1506,6 +1537,23 @@ templateBreakers()
     for (auto [racks, hosts] : {std::pair{4, 4}, {16, 8}}) {
         const std::string shape =
             std::to_string(racks) + "x" + std::to_string(hosts);
+        for (const char *links :
+             {"r3n1.NIC0-tor3:0.5", "r0n0.NIC0-tor0:0.5",
+              "r0n0.GPU0-r0n0.GPU1:0.25"}) {
+            SystemConfig pod = sys::withPod(sys::c4140M(), racks, hosts);
+            sys::applyDegradedLinks(pod, links);
+            cases.push_back({pod, 0, "C4140 (M) " + shape + " " + links});
+        }
+        cases.push_back(
+            {sys::withTorDegraded(sys::withPod(sys::c4140M(), racks, hosts),
+                                  3, 0.5),
+             0, "C4140 (M) " + shape + " rack 3 spine uplinks x0.5"});
+        // One and a half racks.
+        cases.push_back({sys::withPod(sys::c4140M(), racks, hosts),
+                         4 * (hosts + hosts / 2),
+                         "C4140 (M) " + shape + " first " +
+                             std::to_string(4 * (hosts + hosts / 2)) +
+                             " GPUs"});
         for (const SystemConfig &box : {sys::c4140M(), sys::c4140K()}) {
             SystemConfig pod = sys::withPod(box, racks, hosts);
             sys::applyDegradedLinks(pod, "r0n3.GPU0-r0n3.GPU1:down");
@@ -1543,6 +1591,8 @@ templateBreakers()
     cases.push_back(
         {twoSocketPod(3, 3, [](const std::string &) { return false; }), 0,
          "two-socket 3x3"});
+    SystemConfig unequal = unequalRackPod(3, 3);
+    cases.push_back({unequal, 0, unequal.name});
     return cases;
 }
 
@@ -1611,9 +1661,70 @@ TEST(StagingReference, HostsThatAreNotCopies)
         expectStagingMatchesReference(c.system, c.gpus, c.label);
 }
 
-// Copies of one freshly built pod price collectives and input staging
-// in parallel, so whatever the first pricing writes to the shared
-// graph races under the sanitizers.
+/** The rounds the collective plans price on a healthy pod's GPUs, as
+ *  flow sets: the host rings, the 2D ring's rank-rings over every
+ *  host, the rack rings, each tree round between rack leaders and the
+ *  chains down the racks. */
+std::vector<std::pair<std::string, std::vector<FlowWant>>>
+podRounds(const Topology &topo, const std::vector<NodeId> &gpus,
+          double bytes)
+{
+    const FabricShape shape = fabricShape(topo, gpus);
+    const std::vector<std::vector<NodeId>> &hosts = shape.node_groups;
+    const std::vector<std::vector<int>> &racks = shape.rack_groups;
+    const int per_host = static_cast<int>(hosts[0].size());
+    const double chunk = bytes / per_host;
+    auto rankRings = [&](const std::vector<std::vector<int>> &groups) {
+        std::vector<FlowWant> flows;
+        for (const std::vector<int> &group : groups) {
+            const int m = static_cast<int>(group.size());
+            for (int i = 0; i < per_host; ++i) {
+                for (int j = 0; j < m; ++j)
+                    flows.push_back({hosts[group[j]][i],
+                                     hosts[group[(j + 1) % m]][i],
+                                     chunk / m, 0.0});
+            }
+        }
+        return flows;
+    };
+    std::vector<std::pair<std::string, std::vector<FlowWant>>> rounds;
+    std::vector<int> every(hosts.size());
+    std::iota(every.begin(), every.end(), 0);
+    std::vector<std::vector<int>> one_per_host;
+    for (int h : every)
+        one_per_host.push_back({h});
+    rounds.emplace_back("host rings", std::vector<FlowWant>{});
+    for (const std::vector<NodeId> &host : hosts) {
+        for (int i = 0; i < per_host; ++i)
+            rounds.back().second.push_back(
+                {host[i], host[(i + 1) % per_host], chunk, 0.0});
+    }
+    rounds.emplace_back("2D ring", rankRings({every}));
+    rounds.emplace_back("rack rings", rankRings(racks));
+    for (std::size_t stride = 1; stride < racks.size(); stride *= 2) {
+        std::vector<FlowWant> flows;
+        for (std::size_t r = 0; r + stride < racks.size(); r += 2 * stride) {
+            for (int i = 0; i < per_host; ++i)
+                flows.push_back({hosts[racks[r + stride][0]][i],
+                                 hosts[racks[r][0]][i], chunk, 0.0});
+        }
+        rounds.emplace_back("tree stride " + std::to_string(stride),
+                            std::move(flows));
+    }
+    rounds.emplace_back("chains", std::vector<FlowWant>{});
+    for (const std::vector<int> &rack : racks) {
+        for (int i = 0; i < per_host; ++i) {
+            for (std::size_t j = 0; j + 1 < rack.size(); ++j)
+                rounds.back().second.push_back(
+                    {hosts[rack[j]][i], hosts[rack[j + 1]][i], chunk, 0.0});
+        }
+    }
+    return rounds;
+}
+
+// Copies of one freshly built pod price a round of rack rings, then
+// collectives and input staging, in parallel, so whatever the first
+// pricing writes to the shared graph races under the sanitizers.
 TEST(StagingReference, ThreadsPriceCopiesOfAFreshPod)
 {
     const SystemConfig built = mlps::sys::withPod(mlps::sys::c4140M(), 4, 4);
@@ -1621,13 +1732,29 @@ TEST(StagingReference, ThreadsPriceCopiesOfAFreshPod)
         *mlps::models::findWorkload("MLPf_Res50_MX");
     mlps::train::RunOptions opts;
     opts.num_gpus = built.num_gpus;
+    // Rank i of each host to rank i of the next host of its rack.
+    std::vector<FlowWant> rack_rings;
+    for (const auto &[name, flows] :
+         podRounds(built.topo, built.gpu_nodes, 64e6)) {
+        if (name == "rack rings")
+            rack_rings = flows;
+    }
+    ASSERT_FALSE(rack_rings.empty());
     constexpr int kThreads = 4;
     std::vector<mlps::train::TrainResult> got(kThreads);
     std::vector<AllReduceResult> reduced(kThreads);
+    std::vector<std::vector<FlowReport>> rings(kThreads);
     std::vector<SystemConfig> copies(kThreads, built);
+    std::latch start(kThreads); // so that the first pricings overlap
     std::vector<std::thread> threads;
     for (int t = 0; t < kThreads; ++t) {
         threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            FlowSimulator fsim(copies[t].topo);
+            for (const FlowWant &w : rack_rings)
+                fsim.addFlow(w.from, w.to, w.bytes, w.start_s);
+            fsim.run();
+            rings[t] = fsim.reports();
             reduced[t] = autoHierarchicalAllReduce(
                 copies[t].topo, copies[t].gpu_nodes, 64.0 * 1024 * 1024);
             got[t] = mlps::train::Trainer(copies[t]).run(spec, opts);
@@ -1641,7 +1768,16 @@ TEST(StagingReference, ThreadsPriceCopiesOfAFreshPod)
         got[0].per_gpu_batch * spec.dataset.input_bytes_per_sample;
     double h2d = mlps::reference::inputStagingSeconds(
         built.topo, built.gpu_nodes, bytes);
+    ReferenceFlowSim ref(built.topo);
+    for (const FlowWant &w : rack_rings)
+        ref.addFlow(w.from, w.to, w.bytes, w.start_s);
+    ref.run();
     for (int t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(rings[t].size(), ref.reports().size());
+        for (std::size_t i = 0; i < rings[t].size(); ++i)
+            EXPECT_EQ(bits(rings[t][i].finish_s),
+                      bits(ref.reports()[i].finish_s))
+                << "thread " << t << ", rack-ring flow " << i;
         expectSameAllReduce(reduced[t], want,
                             "thread " + std::to_string(t));
         EXPECT_EQ(bits(got[t].iter.h2d_s), bits(h2d)) << "thread " << t;
@@ -1650,10 +1786,27 @@ TEST(StagingReference, ThreadsPriceCopiesOfAFreshPod)
     }
 }
 
+/** Each rack's nodes, in id order: its ToR, then its hosts' nodes. */
+std::vector<std::vector<NodeId>>
+podRackNodes(const Topology &topo)
+{
+    std::vector<std::vector<NodeId>> racks;
+    for (NodeId n = 0; n < topo.nodeCount(); ++n) {
+        if (topo.kind(n) == NodeKind::TorSwitch)
+            racks.emplace_back();
+        if (!racks.empty() && topo.kind(n) != NodeKind::SpineSwitch)
+            racks.back().push_back(n);
+    }
+    return racks;
+}
+
 // Every host of a pod carries a copy of one flow set, host after host
-// or flow k of every host in turn. In every case but the first, one
-// host breaks the copy in one way; the simulator must still match the
-// reference, which prices every flow, bit for bit.
+// or flow k of every host in turn; then every rack does, over its
+// hosts, NICs and ToR. In every case but the first, one host (or rack)
+// breaks the copy in one way; the simulator must still match the
+// reference, which prices every flow, bit for bit. Last, the rack
+// rings and chains of the collective plans, with one rack's flows
+// reordered, one short or one more, or a flow into the first rack.
 TEST(FlowSimulatorReference, PodHostCopiesMatchBitForBit)
 {
     enum class Odd {
@@ -1681,97 +1834,141 @@ TEST(FlowSimulatorReference, PodHostCopiesMatchBitForBit)
         {Odd::BeforeFirstHost, "host added before the first"},
     };
     const std::vector<SystemConfig> boxes = podBoxes();
-    for (int seed = 0; seed < 28; ++seed) {
-        for (const auto &[odd, name] : cases) {
-            mlps::sim::Rng rng(23000 + seed);
-            const SystemConfig &box = boxes[seed % boxes.size()];
-            int racks = 1 + static_cast<int>(rng.below(3));
-            int per_rack = 1 + static_cast<int>(rng.below(3));
-            SystemConfig pod = mlps::sys::withPod(box, racks, per_rack);
-            Topology &topo = pod.topo;
-            const std::vector<std::vector<NodeId>> hosts =
-                podHostNodes(topo);
-            const int n_hosts = static_cast<int>(hosts.size());
-            const int n = static_cast<int>(hosts[0].size());
-            int odd_host = static_cast<int>(rng.below(n_hosts));
+    for (bool rack_blocks : {false, true}) {
+        for (int seed = 0; seed < 28; ++seed) {
+            for (const auto &[odd, name] : cases) {
+                mlps::sim::Rng rng(23000 + seed);
+                const SystemConfig &box = boxes[seed % boxes.size()];
+                int racks = 1 + static_cast<int>(rng.below(3)) + rack_blocks;
+                int per_rack = 1 + static_cast<int>(rng.below(3));
+                SystemConfig pod = mlps::sys::withPod(box, racks, per_rack);
+                Topology &topo = pod.topo;
+                // The blocks that copy one flow set: hosts, or racks.
+                const std::vector<std::vector<NodeId>> hosts =
+                    rack_blocks ? podRackNodes(topo) : podHostNodes(topo);
+                const int n_hosts = static_cast<int>(hosts.size());
+                const int n = static_cast<int>(hosts[0].size());
+                int odd_host = static_cast<int>(rng.below(n_hosts));
 
-            struct Local {
-                int from;
-                int to;
-                double bytes;
-                double start_s;
-            };
-            std::vector<Local> flows;
-            bool staggered = rng.chance(0.5);
-            int count = 1 + static_cast<int>(rng.below(10));
-            for (int i = 0; i < count; ++i) {
-                Local f;
-                f.from = static_cast<int>(rng.below(n));
-                f.to = rng.chance(0.1) ? f.from
-                                       : static_cast<int>(rng.below(n));
-                f.bytes = rng.chance(0.1) ? 0.0 : rng.uniform(1e5, 5e8);
-                f.start_s = staggered ? rng.uniform(0.0, 0.02) : 0.0;
-                flows.push_back(f);
-            }
-            int odd_flow = static_cast<int>(rng.below(flows.size()));
-            if (odd == Odd::ScaledLink || odd == Odd::DownLink) {
-                std::vector<int> inside;
-                for (int e = 0; e < topo.edgeCount(); ++e) {
-                    auto [a, b] = topo.endpoints(e);
-                    const std::vector<NodeId> &h = hosts[odd_host];
-                    if (std::find(h.begin(), h.end(), a) != h.end() &&
-                        std::find(h.begin(), h.end(), b) != h.end())
-                        inside.push_back(e);
+                struct Local {
+                    int from;
+                    int to;
+                    double bytes;
+                    double start_s;
+                };
+                std::vector<Local> flows;
+                bool staggered = rng.chance(0.5);
+                int count = 1 + static_cast<int>(rng.below(10));
+                for (int i = 0; i < count; ++i) {
+                    Local f;
+                    f.from = static_cast<int>(rng.below(n));
+                    f.to = rng.chance(0.1) ? f.from
+                                           : static_cast<int>(rng.below(n));
+                    f.bytes = rng.chance(0.1) ? 0.0 : rng.uniform(1e5, 5e8);
+                    f.start_s = staggered ? rng.uniform(0.0, 0.02) : 0.0;
+                    flows.push_back(f);
                 }
-                int e = inside[rng.below(inside.size())];
-                if (odd == Odd::ScaledLink)
-                    topo.setLinkBandwidthScale(e, 0.5);
-                else if (!downIfSurvivable(topo, e))
-                    topo.setLinkBandwidthScale(e, 0.25);
-            }
+                int odd_flow = static_cast<int>(rng.below(flows.size()));
+                if (odd == Odd::ScaledLink || odd == Odd::DownLink) {
+                    std::vector<int> inside;
+                    for (int e = 0; e < topo.edgeCount(); ++e) {
+                        auto [a, b] = topo.endpoints(e);
+                        const std::vector<NodeId> &h = hosts[odd_host];
+                        if (std::find(h.begin(), h.end(), a) != h.end() &&
+                            std::find(h.begin(), h.end(), b) != h.end())
+                            inside.push_back(e);
+                    }
+                    int e = inside[rng.below(inside.size())];
+                    if (odd == Odd::ScaledLink)
+                        topo.setLinkBandwidthScale(e, 0.5);
+                    else if (!downIfSurvivable(topo, e))
+                        topo.setLinkBandwidthScale(e, 0.25);
+                }
 
-            std::vector<FlowWant> wants;
-            auto want = [&](int h, int k) {
-                Local f = flows[k];
-                if (h == odd_host && k == odd_flow) {
-                    if (odd == Odd::MissingFlow)
-                        return;
-                    if (odd == Odd::Bytes)
-                        f.bytes = f.bytes * 1.5 + 1e5;
-                    if (odd == Odd::Start)
-                        f.start_s += 1e-3;
+                std::vector<FlowWant> wants;
+                auto want = [&](int h, int k) {
+                    Local f = flows[k];
+                    if (h == odd_host && k == odd_flow) {
+                        if (odd == Odd::MissingFlow)
+                            return;
+                        if (odd == Odd::Bytes)
+                            f.bytes = f.bytes * 1.5 + 1e5;
+                        if (odd == Odd::Start)
+                            f.start_s += 1e-3;
+                    }
+                    wants.push_back({hosts[h][f.from], hosts[h][f.to],
+                                     f.bytes, f.start_s});
+                    if (h == odd_host && k == odd_flow) {
+                        if (odd == Odd::ExtraFlow)
+                            wants.push_back(wants.back());
+                        if (odd == Odd::LeavesHost)
+                            wants.push_back(
+                                {hosts[h][f.from],
+                                 hosts[(h + 1) % n_hosts][f.to], f.bytes,
+                                 f.start_s});
+                    }
+                };
+                // Hosts in order, but the odd one first when it must come
+                // before the first host.
+                std::vector<int> order(n_hosts);
+                std::iota(order.begin(), order.end(), 0);
+                if (odd == Odd::BeforeFirstHost)
+                    std::rotate(order.begin(), order.begin() + odd_host,
+                                order.begin() + odd_host + 1);
+                const int per = static_cast<int>(flows.size());
+                bool interleaved = rng.chance(0.5);
+                for (int i = 0; i < n_hosts * per; ++i) {
+                    int h = order[interleaved ? i % n_hosts : i / per];
+                    int k = interleaved ? i / n_hosts : i % per;
+                    if (odd == Odd::Reordered && h == odd_host)
+                        k = per - 1 - k;
+                    want(h, k);
                 }
-                wants.push_back({hosts[h][f.from], hosts[h][f.to],
-                                 f.bytes, f.start_s});
-                if (h == odd_host && k == odd_flow) {
-                    if (odd == Odd::ExtraFlow)
-                        wants.push_back(wants.back());
-                    if (odd == Odd::LeavesHost)
-                        wants.push_back(
-                            {hosts[h][f.from],
-                             hosts[(h + 1) % n_hosts][f.to], f.bytes,
-                             f.start_s});
-                }
-            };
-            // Hosts in order, but the odd one first when it must come
-            // before the first host.
-            std::vector<int> order(n_hosts);
-            std::iota(order.begin(), order.end(), 0);
-            if (odd == Odd::BeforeFirstHost)
-                std::rotate(order.begin(), order.begin() + odd_host,
-                            order.begin() + odd_host + 1);
-            const int per = static_cast<int>(flows.size());
-            bool interleaved = rng.chance(0.5);
-            for (int i = 0; i < n_hosts * per; ++i) {
-                int h = order[interleaved ? i % n_hosts : i / per];
-                int k = interleaved ? i / n_hosts : i % per;
-                if (odd == Odd::Reordered && h == odd_host)
-                    k = per - 1 - k;
-                want(h, k);
+                expectFlowSimMatchesReference(
+                    topo, wants,
+                    pod.name + (rack_blocks ? ", racks, " : ", ") + name +
+                        ", seed " + std::to_string(seed));
             }
-            expectFlowSimMatchesReference(
-                topo, wants,
-                pod.name + ", " + name + ", seed " + std::to_string(seed));
+        }
+    }
+
+    for (auto [racks, hosts] : {std::pair{4, 4}, {16, 8}}) {
+        const SystemConfig pod =
+            mlps::sys::withPod(mlps::sys::c4140M(), racks, hosts);
+        const Topology &topo = pod.topo;
+        for (const auto &[round, flows] :
+             podRounds(topo, pod.gpu_nodes, 64e6)) {
+            if (round != "rack rings" && round != "chains")
+                continue;
+            std::vector<std::size_t> rack3; // rack 3's flows, in order
+            for (std::size_t i = 0; i < flows.size(); ++i) {
+                if (topo.name(flows[i].from).rfind("r3n", 0) == 0)
+                    rack3.push_back(i);
+            }
+            ASSERT_FALSE(rack3.empty()) << round;
+            std::vector<FlowWant> reordered = flows, shorter, longer;
+            for (std::size_t k = 0; k < rack3.size(); ++k)
+                reordered[rack3[k]] = flows[rack3[rack3.size() - 1 - k]];
+            for (std::size_t i = 0; i < flows.size(); ++i) {
+                if (i != rack3.back())
+                    shorter.push_back(flows[i]);
+                longer.push_back(flows[i]);
+                if (i == rack3.front())
+                    longer.push_back(flows[i]);
+            }
+            std::vector<FlowWant> into_first = flows;
+            into_first.push_back(
+                {flows[rack3.front()].from, flows[0].to, 16e6, 0.0});
+            const std::string label = pod.name + ", " + round;
+            expectFlowSimMatchesReference(topo, flows, label);
+            expectFlowSimMatchesReference(topo, reordered,
+                                          label + ", rack 3 reordered");
+            expectFlowSimMatchesReference(topo, shorter,
+                                          label + ", rack 3 short a flow");
+            expectFlowSimMatchesReference(topo, longer,
+                                          label + ", rack 3 a flow more");
+            expectFlowSimMatchesReference(topo, into_first,
+                                          label + ", rack 3 into rack 0");
         }
     }
 }
@@ -1918,67 +2115,6 @@ TEST(FlowSimulatorReference, LinkStateChangedBeforeRun)
             topo, wants, "NVLink scaled in host " + std::to_string(host),
             [&] { topo.setLinkBandwidthScale(e, 0.25); });
     }
-}
-
-/** The rounds the collective plans price on a healthy pod's GPUs, as
- *  flow sets: the host rings, the 2D ring's rank-rings over every
- *  host, the rack rings, each tree round between rack leaders and the
- *  chains down the racks. */
-std::vector<std::pair<std::string, std::vector<FlowWant>>>
-podRounds(const Topology &topo, const std::vector<NodeId> &gpus,
-          double bytes)
-{
-    const FabricShape shape = fabricShape(topo, gpus);
-    const std::vector<std::vector<NodeId>> &hosts = shape.node_groups;
-    const std::vector<std::vector<int>> &racks = shape.rack_groups;
-    const int per_host = static_cast<int>(hosts[0].size());
-    const double chunk = bytes / per_host;
-    auto rankRings = [&](const std::vector<std::vector<int>> &groups) {
-        std::vector<FlowWant> flows;
-        for (const std::vector<int> &group : groups) {
-            const int m = static_cast<int>(group.size());
-            for (int i = 0; i < per_host; ++i) {
-                for (int j = 0; j < m; ++j)
-                    flows.push_back({hosts[group[j]][i],
-                                     hosts[group[(j + 1) % m]][i],
-                                     chunk / m, 0.0});
-            }
-        }
-        return flows;
-    };
-    std::vector<std::pair<std::string, std::vector<FlowWant>>> rounds;
-    std::vector<int> every(hosts.size());
-    std::iota(every.begin(), every.end(), 0);
-    std::vector<std::vector<int>> one_per_host;
-    for (int h : every)
-        one_per_host.push_back({h});
-    rounds.emplace_back("host rings", std::vector<FlowWant>{});
-    for (const std::vector<NodeId> &host : hosts) {
-        for (int i = 0; i < per_host; ++i)
-            rounds.back().second.push_back(
-                {host[i], host[(i + 1) % per_host], chunk, 0.0});
-    }
-    rounds.emplace_back("2D ring", rankRings({every}));
-    rounds.emplace_back("rack rings", rankRings(racks));
-    for (std::size_t stride = 1; stride < racks.size(); stride *= 2) {
-        std::vector<FlowWant> flows;
-        for (std::size_t r = 0; r + stride < racks.size(); r += 2 * stride) {
-            for (int i = 0; i < per_host; ++i)
-                flows.push_back({hosts[racks[r + stride][0]][i],
-                                 hosts[racks[r][0]][i], chunk, 0.0});
-        }
-        rounds.emplace_back("tree stride " + std::to_string(stride),
-                            std::move(flows));
-    }
-    rounds.emplace_back("chains", std::vector<FlowWant>{});
-    for (const std::vector<int> &rack : racks) {
-        for (int i = 0; i < per_host; ++i) {
-            for (std::size_t j = 0; j + 1 < rack.size(); ++j)
-                rounds.back().second.push_back(
-                    {hosts[rack[j]][i], hosts[rack[j + 1]][i], chunk, 0.0});
-        }
-    }
-    return rounds;
 }
 
 /** A switch with 'n' GPUs on equal PCIe links; returns the GPUs. */
