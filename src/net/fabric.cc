@@ -44,6 +44,10 @@ buildPodTopology(const PodShape &shape, const LeafBuilder &leaf)
     }
 
     for (int r = 0; r < shape.racks; ++r) {
+        // Each rack is one block of nodes and edges: its ToR's, its
+        // spine uplinks, then its hosts'.
+        const NodeId rack_node = pod.topo.nodeCount();
+        const int rack_edge = pod.topo.edgeCount();
         std::ostringstream tor_name;
         tor_name << "tor" << r;
         NodeId tor = pod.topo.addTorSwitch(tor_name.str());
@@ -73,12 +77,13 @@ buildPodTopology(const PodShape &shape, const LeafBuilder &leaf)
             host.nic = pod.topo.addNic(prefix.str() + "NIC0");
             pod.topo.connect(nodes.cpus[0], host.nic, shape.nic_link);
             pod.topo.connect(host.nic, tor, shape.tor_uplink);
-            pod.topo.recordHost(first_node, first_edge);
+            pod.topo.recordBlock(0, first_node, first_edge);
 
             for (NodeId g : host.gpus)
                 pod.gpus.push_back(g);
             pod.hosts.push_back(std::move(host));
         }
+        pod.topo.recordBlock(1, rack_node, rack_edge);
     }
 
     pod.topo.validate();

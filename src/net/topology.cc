@@ -143,7 +143,7 @@ Topology::mutableGraph()
             std::lock_guard<std::mutex> lock(graph_->gateways_mu);
             own->nodes = graph_->nodes;
             own->edges = graph_->edges;
-            own->hosts = graph_->hosts;
+            own->blocks = graph_->blocks;
         }
         graph_ = std::move(own);
         graph_mark_.shared.store(false, std::memory_order_relaxed);
@@ -156,23 +156,27 @@ Topology::mutableGraph()
     g.memo.clear();
     g.gateways_indexed.store(false, std::memory_order_relaxed);
     g.validated.store(false, std::memory_order_relaxed);
-    g.copies.reset();
+    g.copies = {};
     g.host_cpu.clear();
     g.gate_routes.clear();
     return g;
 }
 
 void
-Topology::recordHost(NodeId first_node, int first_edge)
+Topology::recordBlock(int level, NodeId first_node, int first_edge)
 {
-    if (first_node < 0 || first_node > nodeCount() || first_edge < 0 ||
+    if (level < 0 || level >= kGatewayLevels || first_node < 0 ||
+        first_node > nodeCount() || first_edge < 0 ||
         first_edge > edgeCount())
-        sim::fatal("Topology::recordHost: host from node %d, edge %d "
-                   "outside [0,%d] nodes, [0,%d] edges",
-                   first_node, first_edge, nodeCount(), edgeCount());
+        sim::fatal("Topology::recordBlock: level %d block from node %d, "
+                   "edge %d outside [0,%d) levels, [0,%d] nodes, [0,%d] "
+                   "edges",
+                   level, first_node, first_edge, kGatewayLevels,
+                   nodeCount(), edgeCount());
     NodeId nodes = nodeCount() - first_node;
     int edges = edgeCount() - first_edge;
-    mutableGraph().hosts.push_back({first_node, nodes, first_edge, edges});
+    mutableGraph().blocks[level].push_back(
+        {first_node, nodes, first_edge, edges});
 }
 
 NodeId
@@ -406,68 +410,75 @@ Topology::indexedGraph() const
             }
         }
     }
-    g.copies = checkHostCopies(g);
+    for (int level = 0; level < kGatewayLevels; ++level)
+        g.copies[level] = checkBlockCopies(g, level);
     g.gateways_indexed.store(true, std::memory_order_release);
     return g;
 }
 
-std::unique_ptr<const Topology::HostCopies>
-Topology::checkHostCopies(const Graph &g) const
+std::unique_ptr<const Topology::BlockCopies>
+Topology::checkBlockCopies(const Graph &g, int level) const
 {
-    auto c = std::make_unique<HostCopies>();
+    const std::vector<BlockRecord> &blocks = g.blocks[level];
+    auto c = std::make_unique<BlockCopies>();
+    auto inCell = [level](const Edge &x) {
+        return static_cast<int>(x.link.tier) <= level;
+    };
     auto copies = [&]() {
-        if (g.hosts.empty())
+        if (blocks.empty())
             return false;
-        const HostRecord &first = g.hosts[0];
+        const BlockRecord &first = blocks[0];
         c->nodes = first.nodes;
         c->edges = first.edges;
         c->first_node = first.first_node;
         c->first_edge = first.first_edge;
-        c->host_of.assign(g.nodes.size(), -1);
-        for (std::size_t k = 0; k < g.hosts.size(); ++k) {
-            const HostRecord &h = g.hosts[k];
+        c->block_of.assign(g.nodes.size(), -1);
+        for (std::size_t k = 0; k < blocks.size(); ++k) {
+            const BlockRecord &h = blocks[k];
             if (h.nodes != first.nodes || h.edges != first.edges)
                 return false;
             for (NodeId n = h.first_node; n < h.first_node + h.nodes; ++n) {
-                if (c->host_of[n] >= 0)
+                if (c->block_of[n] >= 0)
                     return false;
-                c->host_of[n] = static_cast<int>(k);
+                c->block_of[n] = static_cast<int>(k);
             }
             c->node_offset.push_back(h.first_node - first.first_node);
             c->edge_offset.push_back(h.first_edge - first.first_edge);
         }
         const NodeId gate =
-            c->nodes > 0 ? g.nodes[c->first_node].gateway[0] : -1;
-        if (gate < 0 || c->host_of[gate] != 0)
+            c->nodes > 0 ? g.nodes[c->first_node].gateway[level] : -1;
+        if (gate < 0 || c->block_of[gate] != 0)
             return false;
         auto inBlock = [&](int e, int k) {
             int i = e - c->first_edge - c->edge_offset[k];
             return i >= 0 && i < c->edges;
         };
-        // Every edge of the first host's block touches the host, and
-        // every edge of its nodes outside the block leaves the host
-        // over a tier above the host's, so that the host is its own
-        // level-0 cell.
+        // Every edge of the first block's record touches the block, and
+        // every edge of its nodes outside the record leaves the block
+        // over a tier above the level's, so that the block is its own
+        // cell of the level.
         for (int e = c->first_edge; e < c->first_edge + c->edges; ++e) {
-            if (c->host_of[g.edges[e].a] != 0 &&
-                c->host_of[g.edges[e].b] != 0)
+            if (c->block_of[g.edges[e].a] != 0 &&
+                c->block_of[g.edges[e].b] != 0)
                 return false;
+            if (inCell(g.edges[e]))
+                c->cell_edges.push_back(e);
         }
-        for (std::size_t k = 0; k < g.hosts.size(); ++k) {
+        for (std::size_t k = 0; k < blocks.size(); ++k) {
             const NodeId dn = c->node_offset[k];
             const int de = c->edge_offset[k];
-            const int host = static_cast<int>(k);
-            // n0 of the first host and nk of host k correspond.
+            const int block = static_cast<int>(k);
+            // n0 of the first block and nk of block k correspond.
             auto same = [&](NodeId n0, NodeId nk) {
-                return c->host_of[n0] == 0 ? nk == n0 + dn
-                                           : c->host_of[nk] != host;
+                return c->block_of[n0] == 0 ? nk == n0 + dn
+                                            : c->block_of[nk] != block;
             };
             for (NodeId n0 = c->first_node; n0 < c->first_node + c->nodes;
                  ++n0) {
                 const Node &a = g.nodes[n0];
                 const Node &b = g.nodes[n0 + dn];
-                if (a.kind != b.kind || a.gateway[0] != gate ||
-                    b.gateway[0] != gate + dn ||
+                if (a.kind != b.kind || a.gateway[level] != gate ||
+                    b.gateway[level] != gate + dn ||
                     a.edges.size() != b.edges.size())
                     return false;
                 for (std::size_t j = 0; j < a.edges.size(); ++j) {
@@ -475,14 +486,14 @@ Topology::checkHostCopies(const Graph &g) const
                     int ek = b.edges[j];
                     const Edge &x = g.edges[e0];
                     const Edge &y = g.edges[ek];
-                    bool inside = c->host_of[x.a] == 0 &&
-                                  c->host_of[x.b] == 0;
+                    bool inside = c->block_of[x.a] == 0 &&
+                                  c->block_of[x.b] == 0;
                     bool in_block = inBlock(e0, 0);
-                    if (in_block ? ek != e0 + de : inBlock(ek, host))
+                    if (in_block ? ek != e0 + de : inBlock(ek, block))
                         return false;
                     if (!in_block && inside)
                         return false;
-                    if (!inside && x.link.tier == FabricTier::IntraNode)
+                    if (!inside && inCell(x))
                         return false;
                     if (!same(x.a, y.a) || !same(x.b, y.b) ||
                         x.link != y.link)
@@ -490,6 +501,8 @@ Topology::checkHostCopies(const Graph &g) const
                 }
             }
         }
+        if (level > 0)
+            return true;
         // The first host's routes to and from its gateway, which
         // stay inside the host.
         g.gate_routes.clear();
@@ -512,7 +525,7 @@ Topology::checkHostCopies(const Graph &g) const
             if (g.nodes[n].kind != NodeKind::Gpu)
                 continue;
             std::optional<NodeId> cpu = computeHostCpu(n, true);
-            if (!cpu || c->host_of[*cpu] != 0 ||
+            if (!cpu || c->block_of[*cpu] != 0 ||
                 lastSearchDepth(gate) < lastSearchDepth(*cpu))
                 return false;
             g.host_cpu[i] = *cpu;
@@ -521,19 +534,23 @@ Topology::checkHostCopies(const Graph &g) const
     };
     if (copies())
         return c;
-    g.gate_routes.clear();
-    g.host_cpu.clear();
+    if (level == 0) {
+        g.gate_routes.clear();
+        g.host_cpu.clear();
+    }
     return nullptr;
 }
 
-const Topology::HostCopies *
-Topology::hostCopies() const
+const Topology::BlockCopies *
+Topology::blockCopies(int level) const
 {
-    return graph_ ? indexedGraph().copies.get() : nullptr;
+    if (level < 0 || level >= kGatewayLevels)
+        sim::fatal("blockCopies: no level %d", level);
+    return graph_ ? indexedGraph().copies[level].get() : nullptr;
 }
 
 bool
-Topology::hostLinksUp(const HostCopies &copies, int k) const
+Topology::hostLinksUp(const BlockCopies &copies, int k) const
 {
     if (!anyLinkDown())
         return true;
@@ -546,15 +563,18 @@ Topology::hostLinksUp(const HostCopies &copies, int k) const
 }
 
 bool
-Topology::hostMatchesFirst(int k) const
+Topology::blockMatchesFirst(int level, int k) const
 {
-    const HostCopies *copies = hostCopies();
+    const BlockCopies *copies = blockCopies(level);
     if (!copies || k < 0 ||
         k >= static_cast<int>(copies->node_offset.size()))
-        sim::fatal("hostMatchesFirst: no host %d", k);
-    auto first = link_state_.begin() + copies->first_edge;
-    return std::equal(first, first + copies->edges,
-                      first + copies->edge_offset[k]);
+        sim::fatal("blockMatchesFirst: no level %d block %d", level, k);
+    const int de = copies->edge_offset[k];
+    for (int e : copies->cell_edges) {
+        if (!(link_state_[e] == link_state_[e + de]))
+            return false;
+    }
+    return true;
 }
 
 std::shared_ptr<const Path>
@@ -578,11 +598,12 @@ Topology::composeRoute(Cache &c, NodeId from, NodeId to) const
             int de = 0;
         } pieces[3];
         int hops = 0;
-        const HostCopies *copies = level == 0 ? g.copies.get() : nullptr;
+        const BlockCopies *copies =
+            level == 0 ? g.copies[0].get() : nullptr;
         for (int i = 0; i < 3; ++i) {
             // A way out of a host, or into one, is the first host's.
             const NodeId inner = i == 0 ? from : to;
-            const int k = copies && i != 1 ? copies->host_of[inner] : -1;
+            const int k = copies && i != 1 ? copies->block_of[inner] : -1;
             if (k >= 0 && hostLinksUp(*copies, k)) {
                 const NodeId dn = copies->node_offset[k];
                 const int local = inner - dn - copies->first_node +
@@ -823,8 +844,8 @@ Topology::hostCpu(NodeId gpu) const
     if (kind(gpu) != NodeKind::Gpu)
         sim::fatal("hostCpu: node %d is not a GPU", gpu);
     const Graph &g = indexedGraph();
-    if (const HostCopies *copies = g.copies.get()) {
-        int k = copies->host_of[gpu];
+    if (const BlockCopies *copies = g.copies[0].get()) {
+        int k = copies->block_of[gpu];
         if (k >= 0 && hostLinksUp(*copies, k)) {
             NodeId shift = copies->node_offset[k];
             return g.host_cpu[gpu - shift - copies->first_node] + shift;
@@ -1014,12 +1035,6 @@ Topology::validate() const
                        e, nodes[edge.a].name.c_str(),
                        nodes[edge.b].name.c_str(),
                        edge.link.efficiency);
-        if (!(link_state_[e].bandwidth_scale > 0.0))
-            sim::fatal("Topology: edge %d (%s <-> %s) has non-positive "
-                       "bandwidth scale %g",
-                       e, nodes[edge.a].name.c_str(),
-                       nodes[edge.b].name.c_str(),
-                       link_state_[e].bandwidth_scale);
     }
     // Hierarchy invariants for pod fabrics. These fire before the
     // generic connectivity check so misconfigurations get an

@@ -29,21 +29,25 @@
  * a NIC is for a pod host and a ToR switch for a rack. route() joins
  * cached routes through the gateways instead of searching the pod.
  *
- * A pod builder records each host it stamps (recordHost()). With the
- * gateways, the graph checks once whether every host is the first
- * host shifted by a node and an edge offset, with equal link specs,
- * and a cell of its own behind one gateway (hostCopies()). A path
- * between two nodes of such a host never leaves it, so host k's
- * routes, and the flows on them, are the first host's shifted
- * wherever host k's link state equals the first host's: the flow
- * simulator adds such flows without routing them, route() joins a
- * host's way to its gateway from the first host's, and hostCpu()
- * answers from one table of the first host's host CPUs.
+ * A pod builder records the blocks it stamps (recordBlock()): each
+ * host at level 0, and each rack at level 1 (its ToR, the ToR's spine
+ * uplinks, then its hosts). With the gateways, the graph checks once
+ * per level whether every block is the first block shifted by a node
+ * and an edge offset, with equal link specs, and a cell of its own
+ * behind one gateway (blockCopies()): the NIC for a host, the ToR for
+ * a rack. A path between two nodes of such a block never leaves its
+ * cell, so block k's routes, and the flows on them, are the first
+ * block's shifted wherever the links of block k's cell are in the
+ * first block's state: the flow simulator adds such flows without
+ * routing them. At the host level, route() also joins a host's way to
+ * its gateway from the first host's, and hostCpu() answers from one
+ * table of the first host's host CPUs.
  */
 
 #ifndef MLPSIM_NET_TOPOLOGY_H
 #define MLPSIM_NET_TOPOLOGY_H
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -137,46 +141,60 @@ class Topology
     int connect(NodeId a, NodeId b, const LinkSpec &link);
 
     /**
-     * Record nodes [first_node, nodeCount()) and edges [first_edge,
-     * edgeCount()) as one host of a pod, meant as a copy of the first
-     * host recorded. hostCopies() checks that it is.
+     * Levels of the gateway index and of block copies: a level-L cell
+     * is a component over the edges of tier L or below (level 0, a
+     * host: intra-node edges; level 1, a rack: intra-node and
+     * intra-rack edges).
      */
-    void recordHost(NodeId first_node, int first_edge);
+    static constexpr int kGatewayLevels = kNumFabricTiers - 1;
 
     /**
-     * The recorded hosts, when each is an exact copy of the first:
-     * host k's nodes and edges are the first host's shifted by k's
-     * offsets (kinds, endpoints, link specs and incident-edge order),
-     * and every node of host k sits in one gated host cell (level 0
-     * of the gateway index) that is exactly the host's nodes.
+     * Record nodes [first_node, nodeCount()) and edges [first_edge,
+     * edgeCount()) as one block of 'level' (a pod host at level 0, a
+     * rack at level 1), meant as a copy of the first block recorded at
+     * that level. blockCopies() checks that it is.
      */
-    struct HostCopies {
-        int nodes = 0; ///< nodes per host
-        int edges = 0; ///< edges per host
-        /** Per host: its first node and first edge, less the first
-         *  host's. */
+    void recordBlock(int level, NodeId first_node, int first_edge);
+
+    /**
+     * The recorded blocks of one level, when each is an exact copy of
+     * the first: block k's nodes and edges are the first block's
+     * shifted by k's offsets (kinds, endpoints, link specs and
+     * incident-edge order), and every node of block k sits in one
+     * gated cell of the level that is exactly the block's nodes. An
+     * edge of the block may leave it over a higher tier (a host's NIC
+     * uplink, a ToR's spine uplinks); its far end is not shifted.
+     */
+    struct BlockCopies {
+        int nodes = 0; ///< nodes per block
+        int edges = 0; ///< edges per block
+        /** Per block: its first node and first edge, less the first
+         *  block's. */
         std::vector<NodeId> node_offset;
         std::vector<int> edge_offset;
-        /** Per node: its host, or -1 outside every host. */
-        std::vector<int> host_of;
-        NodeId first_node = 0; ///< the first host's first node
-        int first_edge = 0;    ///< the first host's first edge
+        /** Per node: its block, or -1 outside every block. */
+        std::vector<int> block_of;
+        NodeId first_node = 0; ///< the first block's first node
+        int first_edge = 0;    ///< the first block's first edge
+        /** The first block's edges inside its cell, ascending. */
+        std::vector<int> cell_edges;
     };
 
     /**
-     * The graph's host copies, checked on first use and shared by its
-     * copies; null when no host was recorded or one is not an exact
-     * copy of the first.
+     * The graph's block copies at 'level', checked on first use and
+     * shared by its copies; null when no block of the level was
+     * recorded or one is not an exact copy of the first.
      */
-    const HostCopies *hostCopies() const;
+    const BlockCopies *blockCopies(int level) const;
 
     /**
-     * True when host k's edges are in the link state (down bits and
-     * bandwidth scales) of the first host's, so that host k prices as
-     * the first host shifted until the next link-state change (the
-     * next epoch()). Requires hostCopies().
+     * True when the edges inside block k's cell are in the link state
+     * (down bits and bandwidth scales) of the first block's, so that a
+     * path inside block k prices as the first block's shifted until
+     * the next link-state change (the next epoch()). Requires
+     * blockCopies(level).
      */
-    bool hostMatchesFirst(int k) const;
+    bool blockMatchesFirst(int level, int k) const;
 
     int nodeCount() const {
         return graph_ ? static_cast<int>(graph_->nodes.size()) : 0;
@@ -334,13 +352,6 @@ class Topology
     void validate() const;
 
   private:
-    /**
-     * Levels of the gateway index: a level-L cell is a component over
-     * the edges of tier L or below (host: intra-node edges; rack:
-     * intra-node and intra-rack edges).
-     */
-    static constexpr int kGatewayLevels = kNumFabricTiers - 1;
-
     struct Node {
         NodeKind kind;
         /** Number of NVLink entries leading adj. */
@@ -385,8 +396,8 @@ class Topology
         Digest out;
     };
 
-    /** One recordHost() call. */
-    struct HostRecord {
+    /** One recordBlock() call. */
+    struct BlockRecord {
         NodeId first_node;
         int nodes;
         int first_edge;
@@ -395,16 +406,19 @@ class Topology
 
     /** The structure copies share; never changed while shared, but
      *  for what the first route or host-CPU lookup indexes (the
-     *  nodes' gateways and cells, the host copies and the host-CPU
+     *  nodes' gateways and cells, the block copies and the host-CPU
      *  table) and the validated mark. */
     struct Graph {
         std::vector<Node> nodes;
         std::vector<Edge> edges;
-        std::vector<HostRecord> hosts;
+        /** Per level, the recorded blocks. */
+        std::array<std::vector<BlockRecord>, kGatewayLevels> blocks;
         sim::DigestMemo<DigestMemoEntry> memo;
-        /** Written with the gateways: the hosts, when they are exact
-         *  copies of the first. */
-        mutable std::unique_ptr<const HostCopies> copies;
+        /** Written with the gateways: per level, the blocks, when they
+         *  are exact copies of the first. */
+        mutable std::array<std::unique_ptr<const BlockCopies>,
+                           kGatewayLevels>
+            copies;
         /** Written with the gateways, with host copies: the host CPU
          *  of each node of the first host in a healthy graph, -1 for
          *  a node that is no GPU. */
@@ -444,15 +458,17 @@ class Topology
     const Graph &indexedGraph() const;
 
     /** Caller holds g.gateways_mu, with the gateways of g, this
-     *  copy's graph, written; the recorded hosts if they are exact
-     *  copies of the first (else null), and g.host_cpu for them. */
-    std::unique_ptr<const HostCopies> checkHostCopies(const Graph &g) const;
+     *  copy's graph, written; the blocks recorded at 'level' if they
+     *  are exact copies of the first (else null), and at level 0
+     *  g.host_cpu and g.gate_routes for them. */
+    std::unique_ptr<const BlockCopies> checkBlockCopies(const Graph &g,
+                                                        int level) const;
 
     /** sim::fatal unless every node is reachable over up links. */
     void checkConnected() const;
 
     /** True when no edge of host k (of 'copies') is down. */
-    bool hostLinksUp(const HostCopies &copies, int k) const;
+    bool hostLinksUp(const BlockCopies &copies, int k) const;
 
     struct Cache;
 

@@ -4,7 +4,6 @@
 #include <bit>
 #include <cmath>
 #include <limits>
-#include <numeric>
 
 #include "sim/logger.h"
 
@@ -18,43 +17,13 @@ bits(double x)
     return std::bit_cast<std::uint64_t>(x);
 }
 
-/** Fold 'v' into the running hash 'h' (FNV-1a over 64-bit words). */
-std::uint64_t
-mix(std::uint64_t h, std::uint64_t v)
-{
-    return (h ^ v) * 0x100000001b3ULL;
-}
-
 } // namespace
 
-/** Position-by-position maps from a representative's slots and edges
- *  to a candidate's; -1 is unmapped. sameClass() leaves them all -1. */
-struct FlowSimulator::PairMaps {
-    std::vector<int> slot;
-    std::vector<int> slot_inv;
-    std::vector<int> edge;
-    std::vector<int> edge_inv;
-    /** The representative's directed slots, ascending and distinct. */
-    std::vector<int> rep_slots;
-
-    /** Pair x with y: true when neither is paired elsewhere. */
-    static bool bind(std::vector<int> &map, std::vector<int> &inv, int x,
-                     int y)
-    {
-        if (map[x] >= 0)
-            return map[x] == y;
-        if (inv[y] >= 0)
-            return false;
-        map[x] = y;
-        inv[y] = x;
-        return true;
-    }
-};
-
 FlowSimulator::FlowSimulator(const Topology &topo)
-    : topo_(topo), hosts_(topo.hostCopies()),
-      edge_bytes_(topo.edgeCount(), 0.0)
+    : topo_(topo), edge_bytes_(topo.edgeCount(), 0.0)
 {
+    for (int level = 0; level < Topology::kGatewayLevels; ++level)
+        levels_[level].copies = topo.blockCopies(level);
 }
 
 FlowId
@@ -72,7 +41,7 @@ FlowSimulator::addFlow(NodeId from, NodeId to, double bytes, double start_s)
     f.bytes = bytes;
     f.remaining = bytes;
     f.start_s = start_s;
-    if (hosts_ && addCopy(f)) {
+    if (addCopy(f)) {
         flows_.push_back(std::move(f));
         return static_cast<FlowId>(flows_.size()) - 1;
     }
@@ -99,57 +68,71 @@ FlowSimulator::addFlow(NodeId from, NodeId to, double bytes, double start_s)
 bool
 FlowSimulator::addCopy(Flow &f)
 {
-    const int nodes = static_cast<int>(hosts_->host_of.size());
+    const int nodes = topo_.nodeCount();
     if (f.from < 0 || f.from >= nodes || f.to < 0 || f.to >= nodes)
         return false; // routing rejects it
-    const int a = hosts_->host_of[f.from];
-    const int b = hosts_->host_of[f.to];
+    bool claimed = false;
+    for (int level = 0; level < Topology::kGatewayLevels; ++level) {
+        if (levels_[level].copies)
+            claimed = copyAt(level, f, claimed) || claimed;
+    }
+    return claimed;
+}
+
+bool
+FlowSimulator::copyAt(int level, Flow &f, bool claimed)
+{
+    Level &l = levels_[level];
+    const int a = l.copies->block_of[f.from];
+    const int b = l.copies->block_of[f.to];
     if (a < 0 && b < 0)
-        return false; // a path between two outside nodes enters no host
-    if (host_state_.empty())
-        host_state_.resize(hosts_->node_offset.size());
-    if (a != b) {
-        // Its path crosses links of both hosts.
+        return false; // a path between two outside nodes enters no cell
+    if (l.blocks.empty())
+        l.blocks.resize(l.copies->node_offset.size());
+    if (a != b || claimed) {
+        // Its path crosses links of both blocks, or it is no flow of
+        // its block's sequence.
         for (int k : {a, b}) {
             if (k >= 0)
-                host_state_[k].broken = true;
+                l.blocks[k].broken = true;
         }
         return false;
     }
     if (a == 0) {
-        first_host_flows_.push_back(static_cast<int>(flows_.size()));
+        l.first_flows.push_back(static_cast<int>(flows_.size()));
         return false;
     }
-    HostState &h = host_state_[a];
-    if (h.broken)
+    BlockState &s = l.blocks[a];
+    if (s.broken)
         return false;
-    const NodeId shift = hosts_->node_offset[a];
-    if (h.copies < static_cast<int>(first_host_flows_.size())) {
-        const int twin = first_host_flows_[h.copies];
+    const NodeId shift = l.copies->node_offset[a];
+    if (s.copies < static_cast<int>(l.first_flows.size())) {
+        const int twin = l.first_flows[s.copies];
         const Flow &t = flows_[twin];
-        if (h.matches < 0)
-            h.matches = topo_.hostMatchesFirst(a);
-        if (h.matches && t.from + shift == f.from && t.to + shift == f.to &&
+        if (s.matches < 0)
+            s.matches = topo_.blockMatchesFirst(level, a);
+        if (s.matches && t.from + shift == f.from && t.to + shift == f.to &&
             bits(t.bytes) == bits(f.bytes) &&
             bits(t.start_s) == bits(f.start_s)) {
             if (copies_++ == 0)
                 copy_epoch_ = topo_.epoch();
-            ++h.copies;
+            ++s.copies;
             f.twin = twin;
-            f.host = a;
+            f.level = level;
+            f.block = a;
             return true;
         }
     }
-    h.broken = true;
+    s.broken = true;
     return false;
 }
 
 bool
-FlowSimulator::copiesHold(int k) const
+FlowSimulator::copiesHold(int level, int k) const
 {
-    const HostState &h = host_state_[k];
-    return !host_state_[0].broken && !h.broken &&
-           h.copies == static_cast<int>(first_host_flows_.size()) &&
+    const Level &l = levels_[level];
+    return !l.blocks[0].broken && !l.blocks[k].broken &&
+           l.blocks[k].copies == static_cast<int>(l.first_flows.size()) &&
            topo_.epoch() == copy_epoch_;
 }
 
@@ -158,8 +141,9 @@ FlowSimulator::routeCopy(int fi)
 {
     Flow &f = flows_[fi];
     const Flow &t = flows_[f.twin];
-    const NodeId dn = hosts_->node_offset[f.host];
-    const int de = hosts_->edge_offset[f.host];
+    const Topology::BlockCopies &c = *levels_[f.level].copies;
+    const NodeId dn = c.node_offset[f.block];
+    const int de = c.edge_offset[f.block];
     auto path = std::make_shared<Path>(*t.path);
     for (NodeId &n : path->nodes)
         n += dn;
@@ -172,186 +156,8 @@ FlowSimulator::routeCopy(int fi)
     f.slot_end = static_cast<int>(flow_slots_.size());
     f.latency_s = t.latency_s;
     f.twin = -1;
-    f.host = -1;
-}
-
-void
-FlowSimulator::classify()
-{
-    // Components: union-find over flows, joined through the first flow
-    // to cross each undirected edge. Uniting under the lower root keeps
-    // every root its component's lowest flow. Undirected, so that each
-    // edge's byte total comes from one component.
-    int n = static_cast<int>(flows_.size());
-    std::vector<int> root(n);
-    std::iota(root.begin(), root.end(), 0);
-    auto find = [&root](int x) {
-        while (root[x] != x) {
-            root[x] = root[root[x]];
-            x = root[x];
-        }
-        return x;
-    };
-    std::vector<int> edge_flow(topo_.edgeCount(), -1);
-    for (int fi = 0; fi < n; ++fi) {
-        const Flow &f = flows_[fi];
-        if (f.twin >= 0) {
-            // A copy is in no component; its twin's are.
-            const int de = hosts_->edge_offset[f.host];
-            for (int e : flows_[f.twin].path->edges)
-                edge_flow[e + de] = fi;
-            continue;
-        }
-        for (int e : f.path->edges) {
-            if (edge_flow[e] < 0) {
-                edge_flow[e] = fi;
-                continue;
-            }
-            int a = find(fi);
-            int b = find(edge_flow[e]);
-            root[std::max(a, b)] = std::min(a, b);
-        }
-    }
-    for (int e = 0; e < topo_.edgeCount(); ++e) {
-        if (edge_flow[e] >= 0)
-            routed_edges_.push_back(e);
-    }
-
-    // Number components by their lowest flow and group flows (CSR).
-    std::vector<int> component_of(n, -1);
-    int routed = 0;
-    for (int fi = 0; fi < n; ++fi) {
-        if (flows_[fi].twin >= 0)
-            continue;
-        ++routed;
-        int r = find(fi);
-        if (r != fi) {
-            component_of[fi] = component_of[r];
-            continue;
-        }
-        component_of[fi] = static_cast<int>(rep_of_.size());
-        rep_of_.push_back(-1);
-    }
-    int components = static_cast<int>(rep_of_.size());
-    component_begin_.assign(components + 1, 0);
-    for (int c : component_of) {
-        if (c >= 0)
-            ++component_begin_[c + 1];
-    }
-    for (int c = 0; c < components; ++c)
-        component_begin_[c + 1] += component_begin_[c];
-    component_flows_.resize(routed);
-    {
-        std::vector<int> fill(component_begin_.begin(),
-                              component_begin_.end() - 1);
-        for (int fi = 0; fi < n; ++fi) {
-            if (component_of[fi] >= 0)
-                component_flows_[fill[component_of[fi]]++] = fi;
-        }
-    }
-
-    // Classes: a component joins the first representative it copies
-    // exactly, else represents a new class. Sorting on a hash of what
-    // sameClass compares flow by flow brings the candidates together;
-    // each run of one hash meets its components in ascending order.
-    std::vector<std::pair<std::uint64_t, int>> keyed(components);
-    for (int c = 0; c < components; ++c) {
-        std::uint64_t key = 0xcbf29ce484222325ULL;
-        for (int fi : flowsOf(c)) {
-            const Flow &f = flows_[fi];
-            key = mix(key, bits(f.bytes));
-            key = mix(key, bits(f.start_s));
-            key = mix(key, bits(f.latency_s));
-            key = mix(key, f.path->edges.size());
-        }
-        keyed[c] = {key, c};
-    }
-    std::sort(keyed.begin(), keyed.end());
-    std::vector<int> reps; // of the current hash
-    PairMaps maps;
-    for (std::size_t i = 0; i < keyed.size(); ++i) {
-        if (i > 0 && keyed[i].first != keyed[i - 1].first)
-            reps.clear();
-        int c = keyed[i].second;
-        for (std::size_t k = 0; k < reps.size() && rep_of_[c] < 0; ++k) {
-            if (sameClass(reps[k], c, maps))
-                rep_of_[c] = reps[k];
-        }
-        if (rep_of_[c] < 0) {
-            rep_of_[c] = c;
-            reps.push_back(c);
-        }
-    }
-    for (int fi = 0; fi < n; ++fi) {
-        int c = component_of[fi];
-        if (c >= 0 && rep_of_[c] == c)
-            simulated_.push_back(fi);
-    }
-}
-
-bool
-FlowSimulator::sameClass(int r, int c, PairMaps &maps) const
-{
-    std::span<const int> rf = flowsOf(r);
-    std::span<const int> cf = flowsOf(c);
-    if (rf.size() != cf.size())
-        return false;
-    if (maps.slot.empty()) {
-        maps.slot.assign(topo_.edgeCount() * 2, -1);
-        maps.slot_inv.assign(topo_.edgeCount() * 2, -1);
-        maps.edge.assign(topo_.edgeCount(), -1);
-        maps.edge_inv.assign(topo_.edgeCount(), -1);
-    }
-    maps.rep_slots.clear();
-    for (int fi : rf) {
-        std::span<const int> s = slotsOf(fi);
-        maps.rep_slots.insert(maps.rep_slots.end(), s.begin(), s.end());
-    }
-    std::sort(maps.rep_slots.begin(), maps.rep_slots.end());
-    maps.rep_slots.erase(
-        std::unique(maps.rep_slots.begin(), maps.rep_slots.end()),
-        maps.rep_slots.end());
-
-    // Pair the flows in flow-id order, and their hops position by
-    // position: equal sizes, start and propagation times, and slot and
-    // edge maps that are bijections joining links of equal capacity.
-    bool same = true;
-    for (std::size_t k = 0; k < rf.size() && same; ++k) {
-        const Flow &a = flows_[rf[k]];
-        const Flow &b = flows_[cf[k]];
-        same = bits(a.bytes) == bits(b.bytes) &&
-               bits(a.start_s) == bits(b.start_s) &&
-               bits(a.latency_s) == bits(b.latency_s) &&
-               a.path->edges.size() == b.path->edges.size();
-        std::span<const int> sa = slotsOf(rf[k]);
-        std::span<const int> sb = slotsOf(cf[k]);
-        for (std::size_t i = 0; i < sa.size() && same; ++i) {
-            int ea = sa[i] / 2;
-            int eb = sb[i] / 2;
-            bool fresh = maps.edge[ea] < 0;
-            same = PairMaps::bind(maps.slot, maps.slot_inv, sa[i], sb[i]) &&
-                   PairMaps::bind(maps.edge, maps.edge_inv, ea, eb) &&
-                   (!fresh || topo_.effectiveLinkBytesPerSec(ea) ==
-                                  topo_.effectiveLinkBytesPerSec(eb));
-        }
-    }
-    // The slot map must keep dense-slot order: fair sharing breaks
-    // equal-share ties on the lowest slot, so a copy ties the same way
-    // only if its slots sort like the representative's.
-    int prev = -1;
-    for (int s : maps.rep_slots) {
-        if (same && maps.slot[s] <= prev)
-            same = false;
-        prev = maps.slot[s];
-        if (maps.slot[s] >= 0)
-            maps.slot_inv[maps.slot[s]] = -1;
-        maps.slot[s] = -1;
-        int e = s / 2;
-        if (maps.edge[e] >= 0)
-            maps.edge_inv[maps.edge[e]] = -1;
-        maps.edge[e] = -1;
-    }
-    return same;
+    f.level = -1;
+    f.block = -1;
 }
 
 void
@@ -594,11 +400,12 @@ FlowSimulator::run()
     if (flows_.empty())
         return 0.0;
 
-    // A host's copies stay unrouted only if the host copied the
-    // first host's flows exactly and nothing else touched either.
+    // A block's copies stay unrouted only if the block copied the
+    // first block's flows exactly and nothing else touched either.
     if (copies_ > 0) {
         for (int fi = 0; fi < static_cast<int>(flows_.size()); ++fi) {
-            if (flows_[fi].twin >= 0 && !copiesHold(flows_[fi].host)) {
+            const Flow &f = flows_[fi];
+            if (f.twin >= 0 && !copiesHold(f.level, f.block)) {
                 routeCopy(fi);
                 --copies_;
             }
@@ -623,25 +430,26 @@ FlowSimulator::run()
             }
         }
     }
-    classify();
+    // Simulate every routed flow; note the edges every flow crosses.
+    std::vector<char> crossed(topo_.edgeCount(), 0);
+    for (int fi = 0; fi < static_cast<int>(flows_.size()); ++fi) {
+        const Flow &f = flows_[fi];
+        if (f.twin < 0) {
+            simulated_.push_back(fi);
+            for (int e : f.path->edges)
+                crossed[e] = 1;
+            continue;
+        }
+        const int de = levels_[f.level].copies->edge_offset[f.block];
+        for (int e : flows_[f.twin].path->edges)
+            crossed[e + de] = 1;
+    }
+    for (int e = 0; e < topo_.edgeCount(); ++e) {
+        if (crossed[e])
+            routed_edges_.push_back(e);
+    }
     prepareFairShare();
     simulate();
-    // Each class member ends as its representative did: flow by flow,
-    // hop by hop.
-    for (int c = 0; c + 1 < static_cast<int>(component_begin_.size());
-         ++c) {
-        if (rep_of_[c] == c)
-            continue;
-        std::span<const int> rf = flowsOf(rep_of_[c]);
-        std::span<const int> cf = flowsOf(c);
-        for (std::size_t k = 0; k < rf.size(); ++k) {
-            reports_[cf[k]].finish_s = reports_[rf[k]].finish_s;
-            const std::vector<int> &re = flows_[rf[k]].path->edges;
-            const std::vector<int> &ce = flows_[cf[k]].path->edges;
-            for (std::size_t i = 0; i < re.size(); ++i)
-                edge_bytes_[ce[i]] = edge_bytes_[re[i]];
-        }
-    }
     // Each copy ends as its twin did, its links shifted.
     if (copies_ > 0) {
         for (FlowReport &r : reports_) {
@@ -649,7 +457,7 @@ FlowSimulator::run()
             if (f.twin < 0)
                 continue;
             r.finish_s = reports_[f.twin].finish_s;
-            const int de = hosts_->edge_offset[f.host];
+            const int de = levels_[f.level].copies->edge_offset[f.block];
             for (int e : flows_[f.twin].path->edges)
                 edge_bytes_[e + de] = edge_bytes_[e];
         }

@@ -18,28 +18,31 @@
  * the per-step flows of the ring all-reduce, where shared-bottleneck
  * contention (e.g. two staged flows crossing one UPI link) matters.
  *
- * Pods repeat the same traffic in every host: flows that share no link
- * form components, and components that are exact copies of each other
- * (same bytes, start times and latencies, paired links of equal
- * capacity, in the same relative slot order) form a symmetry class.
- * run() simulates one representative per class — all classes in one
- * event loop, so every event splits every class's steps as it would
- * with all flows present — and copies the representative's finish
- * times and link bytes to the other members. Results are bit-identical
- * to simulating every flow.
+ * Pods repeat the same traffic in every host and every rack. On a pod
+ * whose hosts, or racks, are copies of the first one
+ * (Topology::blockCopies(), level 0 a host, level 1 a rack with its
+ * NICs and ToR), a flow inside block k, whose cell links are in the
+ * first block's state, is the first block's flow of the same bytes
+ * and start between the shifted endpoints: the block's cell has one
+ * gateway, so its route is that flow's, shifted, and never leaves the
+ * cell. addFlow() records it as a shifted copy of that twin, unrouted,
+ * when block k's flows so far are the first block's in the same order.
+ * It tries the host level first; a flow copied there is no flow of its
+ * rack's sequence, so it breaks its rack. run() keeps the copies of a
+ * block whose flows are all the first block's, in order, when no flow
+ * into or out of either block was added and the link state has not
+ * changed since; any other copy gets its twin's route, shifted, and
+ * prices as a routed flow. Every routed flow is simulated.
  *
- * On a pod whose hosts are copies (Topology::hostCopies()), a class is
- * known before any flow is routed. A flow inside host k, whose link
- * state equals the first host's, is the first host's flow of the same
- * bytes and start between the shifted endpoints: its route is that
- * flow's, shifted, and never leaves the host. addFlow() records it as
- * a shifted copy of that twin, unrouted, when host k's flows so far
- * are the first host's in the same order. run() keeps the copies of
- * a host whose flows are all the first host's, in order, when no flow
- * into or out of either host shares their links, and copies the
- * twins' finish times and link bytes through the offsets, as it does
- * for class members; any other copy gets its twin's route, shifted,
- * and prices as a routed flow.
+ * That is exact: no other flow crosses the cell of a kept block or of
+ * the first block, so their flows share links with nothing else, and
+ * block k's flows are the first block's with every slot shifted by one
+ * offset, in the same relative slot order, over links of equal
+ * capacity. Progressive filling freezes them at the same levels, event
+ * by event, as it freezes the twins, so every finish time and link
+ * byte of a copy equals its twin's, and leaving the copies out of the
+ * event loop changes nothing for the flows in it. A copy ends as its
+ * twin did; its links carry the twins' bytes, through the edge offset.
  */
 
 #ifndef MLPSIM_NET_TRANSFER_H
@@ -118,13 +121,14 @@ class FlowSimulator
   private:
     struct Flow {
         /** The topology's memoized route, shared, not copied; null
-         *  for a copy of a first-host flow. */
+         *  for a copy of a first-block flow. */
         std::shared_ptr<const Path> path;
         NodeId from; ///< as added
         NodeId to;
-        /** A copy's first-host twin and host, else -1. */
+        /** A copy's first-block twin, level and block, else -1. */
         int twin = -1;
-        int host = -1;
+        int level = -1;
+        int block = -1;
         /** The path's slots: flow_slots_[slot_begin, slot_end). */
         int slot_begin = 0;
         int slot_end = 0;
@@ -135,13 +139,6 @@ class FlowSimulator
         bool done = false;
     };
 
-    /** Flows of component 'c', ascending. */
-    std::span<const int> flowsOf(int c) const
-    {
-        return {component_flows_.data() + component_begin_[c],
-                component_flows_.data() + component_begin_[c + 1]};
-    }
-
     /** Slots of flow 'fi': directed (edge*2 + dir) until
      *  prepareFairShare() rewrites the simulated flows' as dense. */
     std::span<const int> slotsOf(int fi) const
@@ -150,37 +147,44 @@ class FlowSimulator
                 flow_slots_.data() + flows_[fi].slot_end};
     }
 
-    /** sameClass()'s scratch maps, defined in transfer.cc. */
-    struct PairMaps;
-
-    /** What addFlow() knows of one host of the topology's copies. */
-    struct HostState {
-        /** hostMatchesFirst(), or -1 until asked. */
+    /** What addFlow() knows of one block of a level's copies. */
+    struct BlockState {
+        /** blockMatchesFirst(), or -1 until asked. */
         signed char matches = -1;
-        /** A flow into or out of the host, or one not its copy. */
+        /** A flow into or out of the block, or one not its copy. */
         bool broken = false;
-        /** Its flows so far, all copies of the first host's. */
+        /** Its flows so far, all copies of the first block's. */
         int copies = 0;
     };
 
-    /** Make 'f' a copy of a first-host flow when it is the next flow
-     *  its host's copy needs; else note what it breaks. */
+    /** One level of the topology's block copies, as addFlow() sees
+     *  it. */
+    struct Level {
+        /** The topology's block copies at this level, or null. */
+        const Topology::BlockCopies *copies = nullptr;
+        /** Per block, once a flow touches a block. */
+        std::vector<BlockState> blocks;
+        /** Flows inside the first block, in add order, but for those
+         *  a lower level copied. */
+        std::vector<int> first_flows;
+    };
+
+    /** Make 'f' a copy of a first-block flow at the lowest level where
+     *  it is the next flow its block's copy needs; else note what it
+     *  breaks. */
     bool addCopy(Flow &f);
 
-    /** True when the copies of host 'k' may stay unrouted. */
-    bool copiesHold(int k) const;
+    /** addCopy() at one level; 'claimed' when a lower level copied
+     *  'f', which then only breaks its block. */
+    bool copyAt(int level, Flow &f, bool claimed);
 
-    /** Give flow 'fi', a copy, its twin's route shifted to its host. */
+    /** True when the copies of block 'k' of 'level' may stay
+     *  unrouted. */
+    bool copiesHold(int level, int k) const;
+
+    /** Give flow 'fi', a copy, its twin's route shifted to its
+     *  block. */
     void routeCopy(int fi);
-
-    /** Split the flows into components that share no undirected edge,
-     *  map each to the representative of its symmetry class, and list
-     *  the representatives' flows in simulated_. */
-    void classify();
-
-    /** True when component 'c' is an exact copy of component 'r' (see
-     *  the file comment). */
-    bool sameClass(int r, int c, PairMaps &maps) const;
 
     /** Number the simulated flows' slots densely and size the
      *  fair-share state for them. */
@@ -198,13 +202,8 @@ class FlowSimulator
     bool freezeAbove(int t, double level);
 
     const Topology &topo_;
-    /** The topology's host copies, or null. */
-    const Topology::HostCopies *hosts_;
+    Level levels_[Topology::kGatewayLevels];
     std::vector<Flow> flows_;
-    /** Per host, once a flow touches a host. */
-    std::vector<HostState> host_state_;
-    /** Flows inside the first host, in add order. */
-    std::vector<int> first_host_flows_;
     /** Flows added as copies, and the link-state epoch they saw. */
     int copies_ = 0;
     std::uint64_t copy_epoch_ = 0;
@@ -217,14 +216,7 @@ class FlowSimulator
     /** Edges some flow's path crosses, ascending; set by run(). Every
      *  other edge carries no bytes. */
     std::vector<int> routed_edges_;
-    /** Flows grouped by component, each group ascending (CSR); a
-     *  component's first flow is its lowest. */
-    std::vector<int> component_flows_;
-    std::vector<int> component_begin_;
-    /** Per component, the representative of its class. */
-    std::vector<int> rep_of_;
-    /** The flows of every representative, ascending: what simulate()
-     *  runs. */
+    /** Every routed flow, ascending: what simulate() runs. */
     std::vector<int> simulated_;
 
     // Fair-share state, sized once by prepareFairShare() and reused

@@ -1981,7 +1981,7 @@ TEST(HostCopies, PodsOfEveryBoxAreCopies)
         for (auto [racks, hosts] : {std::pair{1, 1}, {2, 3}, {16, 8}}) {
             SystemConfig pod = mlps::sys::withPod(box, racks, hosts);
             const Topology &topo = pod.topo;
-            const Topology::HostCopies *copies = topo.hostCopies();
+            const Topology::BlockCopies *copies = topo.blockCopies(0);
             ASSERT_NE(copies, nullptr) << pod.name;
             const std::vector<std::vector<NodeId>> nodes =
                 podHostNodes(topo);
@@ -1992,18 +1992,18 @@ TEST(HostCopies, PodsOfEveryBoxAreCopies)
                 EXPECT_EQ(nodes[k][0],
                           copies->first_node + copies->node_offset[k]);
                 for (NodeId n : nodes[k]) {
-                    EXPECT_EQ(copies->host_of[n], static_cast<int>(k));
+                    EXPECT_EQ(copies->block_of[n], static_cast<int>(k));
                 }
-                EXPECT_TRUE(topo.hostMatchesFirst(static_cast<int>(k)));
+                EXPECT_TRUE(topo.blockMatchesFirst(0, static_cast<int>(k)));
             }
             for (NodeId n = 0; n < topo.nodeCount(); ++n) {
                 if (topo.kind(n) == NodeKind::TorSwitch ||
                     topo.kind(n) == NodeKind::SpineSwitch) {
-                    EXPECT_EQ(copies->host_of[n], -1);
+                    EXPECT_EQ(copies->block_of[n], -1);
                 }
             }
             // Copies of the topology share the graph's host copies.
-            EXPECT_EQ(Topology(topo).hostCopies(), copies);
+            EXPECT_EQ(Topology(topo).blockCopies(0), copies);
         }
     }
 }
@@ -2013,27 +2013,27 @@ TEST(HostCopies, RefusedUnlessEveryHostIsACopy)
     auto two_nics = [](const std::string &host) {
         return [host](const std::string &p) { return p == host; };
     };
-    EXPECT_NE(twoSocketPod(3, 3, two_nics("")).topo.hostCopies(), nullptr);
+    EXPECT_NE(twoSocketPod(3, 3, two_nics("")).topo.blockCopies(0), nullptr);
     // A host unlike the first, or a first host unlike the rest.
-    EXPECT_EQ(twoSocketPod(3, 3, two_nics("r1n1.")).topo.hostCopies(),
+    EXPECT_EQ(twoSocketPod(3, 3, two_nics("r1n1.")).topo.blockCopies(0),
               nullptr);
-    EXPECT_EQ(twoSocketPod(3, 3, two_nics("r0n0.")).topo.hostCopies(),
+    EXPECT_EQ(twoSocketPod(3, 3, two_nics("r0n0.")).topo.blockCopies(0),
               nullptr);
     // Hosts alike, but each with two exits.
     EXPECT_EQ(twoSocketPod(2, 2, [](const std::string &) { return true; })
-                  .topo.hostCopies(),
+                  .topo.blockCopies(0),
               nullptr);
     // A graph with no recorded host.
-    EXPECT_EQ(mlps::sys::c4140M().topo.hostCopies(), nullptr);
+    EXPECT_EQ(mlps::sys::c4140M().topo.blockCopies(0), nullptr);
     EXPECT_EQ(handBuiltPod(2, 2, 1, [](int, int) { return false; })
-                  .hostCopies(),
+                  .blockCopies(0),
               nullptr);
     // Grown after pricing: a node wired into one host.
     SystemConfig pod = mlps::sys::withPod(mlps::sys::c4140M(), 2, 2);
-    ASSERT_NE(pod.topo.hostCopies(), nullptr);
+    ASSERT_NE(pod.topo.blockCopies(0), nullptr);
     NodeId gpu = pod.topo.addGpu("r1n0.GPU4");
     pod.topo.connect(gpu, nodeNamed(pod.topo, "r1n0.CPU1"), pcie3(16));
-    EXPECT_EQ(pod.topo.hostCopies(), nullptr);
+    EXPECT_EQ(pod.topo.blockCopies(0), nullptr);
     // The same link added inside every host, after the hosts were
     // recorded.
     SystemConfig grown = mlps::sys::withPod(mlps::sys::t640(), 2, 2);
@@ -2045,7 +2045,7 @@ TEST(HostCopies, RefusedUnlessEveryHostIsACopy)
         }
         grown.topo.connect(gpus[0], gpus[3], nvlink(1));
     }
-    EXPECT_EQ(grown.topo.hostCopies(), nullptr);
+    EXPECT_EQ(grown.topo.blockCopies(0), nullptr);
 }
 
 // A host of two halves, each a CPU with two GPUs behind its own NIC,
@@ -2076,7 +2076,7 @@ TEST(HostCopies, HostOfTwoCellsIsRefused)
     shape.racks = 2;
     shape.nodes_per_rack = 2;
     PodTopology pod = buildPodTopology(shape, halves);
-    EXPECT_EQ(pod.topo.hostCopies(), nullptr);
+    EXPECT_EQ(pod.topo.blockCopies(0), nullptr);
     std::vector<FlowWant> wants;
     for (const PodHost &host : pod.hosts) {
         wants.push_back({host.cpus[0], host.gpus[3], 3e8, 0.0});
@@ -2114,6 +2114,35 @@ TEST(FlowSimulatorReference, LinkStateChangedBeforeRun)
         expectFlowSimMatchesReference(
             topo, wants, "NVLink scaled in host " + std::to_string(host),
             [&] { topo.setLinkBandwidthScale(e, 0.25); });
+    }
+}
+
+// The same one level up: a rack that matched the first rack when its
+// flows were added and does not when they run prices on its own.
+TEST(FlowSimulatorReference, RackLinkStateChangedBeforeRun)
+{
+    for (int rack : {1, 0}) {
+        SystemConfig pod = mlps::sys::withPod(mlps::sys::c4140M(), 2, 2);
+        Topology &topo = pod.topo;
+        std::vector<FlowWant> rings;
+        for (const auto &[name, flows] :
+             podRounds(topo, pod.gpu_nodes, 64e6)) {
+            if (name == "rack rings")
+                rings = flows;
+        }
+        const std::string r = std::to_string(rack);
+        const NodeId nic = nodeNamed(topo, "r" + r + "n1.NIC0");
+        const NodeId tor = nodeNamed(topo, "tor" + r);
+        int uplink = -1;
+        for (int e : topo.incidentEdges(nic)) {
+            auto [a, b] = topo.endpoints(e);
+            if (a == tor || b == tor)
+                uplink = e;
+        }
+        ASSERT_GE(uplink, 0);
+        expectFlowSimMatchesReference(
+            topo, rings, "NIC uplink scaled in rack " + r,
+            [&] { topo.setLinkBandwidthScale(uplink, 0.25); });
     }
 }
 
@@ -2336,7 +2365,7 @@ TEST(HostCopies, MatchFollowsLinkState)
     auto matching = [&] {
         std::vector<bool> out;
         for (int k = 0; k < hosts_n; ++k)
-            out.push_back(topo.hostMatchesFirst(k));
+            out.push_back(topo.blockMatchesFirst(0, k));
         return out;
     };
     std::vector<bool> all(hosts_n, true);
@@ -2364,6 +2393,126 @@ TEST(HostCopies, MatchFollowsLinkState)
             topo.setLinkBandwidthScale(e, 0.25);
     }
     EXPECT_EQ(matching(), all);
+}
+
+// A pod built by the pod builder records racks that are exact copies
+// of the first: the ToR, its spine uplinks and the hosts, shifted. (A
+// single rack has no spine, so its cell has no gateway.)
+TEST(BlockCopies, RacksOfEveryBoxAreCopies)
+{
+    for (const SystemConfig &box : podBoxes()) {
+        EXPECT_EQ(mlps::sys::withPod(box, 1, 2).topo.blockCopies(1), nullptr);
+        for (auto [racks, hosts] : {std::pair{2, 1}, {2, 3}, {16, 8}}) {
+            SystemConfig pod = mlps::sys::withPod(box, racks, hosts);
+            const Topology &topo = pod.topo;
+            const Topology::BlockCopies *copies = topo.blockCopies(1);
+            ASSERT_NE(copies, nullptr) << pod.name;
+            const std::vector<std::vector<NodeId>> nodes =
+                podRackNodes(topo);
+            ASSERT_EQ(copies->node_offset.size(), nodes.size());
+            for (std::size_t k = 0; k < nodes.size(); ++k) {
+                ASSERT_EQ(static_cast<int>(nodes[k].size()),
+                          copies->nodes);
+                EXPECT_EQ(nodes[k][0],
+                          copies->first_node + copies->node_offset[k]);
+                for (NodeId n : nodes[k])
+                    EXPECT_EQ(copies->block_of[n], static_cast<int>(k));
+                EXPECT_TRUE(topo.blockMatchesFirst(1, static_cast<int>(k)));
+            }
+            // Every intra-node and intra-rack edge of the first rack is
+            // in its cell, and no spine uplink.
+            int cell = 0;
+            for (int e = 0; e < topo.edgeCount(); ++e) {
+                auto [a, b] = topo.endpoints(e);
+                cell += copies->block_of[a] == 0 && copies->block_of[b] == 0;
+            }
+            EXPECT_EQ(static_cast<int>(copies->cell_edges.size()), cell);
+            for (int e : copies->cell_edges)
+                EXPECT_NE(topo.link(e).tier, FabricTier::CrossRack);
+            for (NodeId n = 0; n < topo.nodeCount(); ++n) {
+                if (topo.kind(n) == NodeKind::SpineSwitch) {
+                    EXPECT_EQ(copies->block_of[n], -1);
+                }
+            }
+            EXPECT_EQ(Topology(topo).blockCopies(1), copies);
+        }
+    }
+}
+
+TEST(BlockCopies, UnequalOrTwoNicRacksAreRefused)
+{
+    auto two_nics = [](const std::string &host) {
+        return [host](const std::string &p) { return p == host; };
+    };
+    EXPECT_NE(twoSocketPod(3, 3, two_nics("")).topo.blockCopies(1),
+              nullptr);
+    // A rack with a two-NIC host, in the first rack or another.
+    EXPECT_EQ(twoSocketPod(3, 3, two_nics("r1n1.")).topo.blockCopies(1),
+              nullptr);
+    EXPECT_EQ(twoSocketPod(3, 3, two_nics("r0n2.")).topo.blockCopies(1),
+              nullptr);
+    // Every host with two NICs: no host is its own cell, but every
+    // rack is, behind its ToR.
+    const SystemConfig every =
+        twoSocketPod(3, 3, [](const std::string &) { return true; });
+    EXPECT_EQ(every.topo.blockCopies(0), nullptr);
+    EXPECT_NE(every.topo.blockCopies(1), nullptr);
+    // Racks of unequal size; their recorded hosts are still copies.
+    const SystemConfig unequal = unequalRackPod(3, 3);
+    EXPECT_NE(unequal.topo.blockCopies(0), nullptr);
+    EXPECT_EQ(unequal.topo.blockCopies(1), nullptr);
+    // A graph with no recorded rack.
+    EXPECT_EQ(handBuiltPod(2, 2, 1, [](int, int) { return false; })
+                  .blockCopies(1),
+              nullptr);
+    // Two ToRs joined below the spine: one cell of two racks, with two
+    // exits.
+    SystemConfig joined = mlps::sys::withPod(mlps::sys::c4140M(), 2, 2);
+    ASSERT_NE(joined.topo.blockCopies(1), nullptr);
+    joined.topo.connect(nodeNamed(joined.topo, "tor0"),
+                        nodeNamed(joined.topo, "tor1"),
+                        ethernet(100.0, FabricTier::IntraRack));
+    EXPECT_EQ(joined.topo.blockCopies(1), nullptr);
+    EXPECT_NE(joined.topo.blockCopies(0), nullptr);
+}
+
+// Rack k matches the first rack while the links inside its cell, the
+// intra-node and intra-rack ones, are in the first rack's state; its
+// spine uplinks leave the cell and do not count.
+TEST(BlockCopies, MatchFollowsLinkState)
+{
+    const SystemConfig healthy = mlps::sys::withPod(mlps::sys::c4140M(), 4, 2);
+    auto matching = [](const Topology &topo) {
+        std::vector<bool> out;
+        for (int k = 0; k < 4; ++k)
+            out.push_back(topo.blockMatchesFirst(1, k));
+        return out;
+    };
+    const std::vector<bool> all(4, true);
+    std::vector<bool> but3 = all;
+    but3[3] = false;
+    EXPECT_EQ(matching(healthy.topo), all);
+    EXPECT_EQ(matching(mlps::sys::withTorDegraded(healthy, 3, 0.5).topo),
+              all);
+    EXPECT_EQ(matching(mlps::sys::withSpineDegraded(healthy, 0.25).topo),
+              all);
+    for (const char *links :
+         {"r3n1.NIC0-tor3:0.5", "r3n0.GPU0-r3n0.GPU1:0.25",
+          "r3n1.GPU0-r3n1.GPU1:down", "r3n0.CPU0-r3n0.NIC0:0.5"}) {
+        SystemConfig pod = healthy;
+        mlps::sys::applyDegradedLinks(pod, links);
+        EXPECT_EQ(matching(pod.topo), but3) << links;
+        // A NIC uplink leaves its host's cell: the host still matches.
+        if (std::string(links).find("tor3") != std::string::npos) {
+            EXPECT_TRUE(pod.topo.blockMatchesFirst(0, 7)) << links;
+        }
+    }
+    // The same state in the first rack makes rack 3 match again.
+    SystemConfig both = healthy;
+    mlps::sys::applyDegradedLinks(both,
+                                  "r3n1.NIC0-tor3:0.5,r0n1.NIC0-tor0:0.5");
+    EXPECT_EQ(matching(both.topo),
+              (std::vector<bool>{true, false, false, true}));
 }
 
 // hostCpu() answers from the graph's table where it may and searches

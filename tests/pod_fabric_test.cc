@@ -27,6 +27,7 @@
 #include "net/allreduce.h"
 #include "net/fabric.h"
 #include "net/topology.h"
+#include "net/transfer.h"
 #include "obs/registry.h"
 #include "serve/protocol.h"
 #include "sim/logger.h"
@@ -568,6 +569,37 @@ TEST(RouteCache, OneLookupCountsOnce)
                 << topo.name(a) << " -> " << topo.name(b);
         }
     }
+}
+
+// A healthy pod's racks are copies of the first rack: pricing the
+// tree's intra-rack rank-ring round routes the first rack's flows and
+// adds every other rack's as unrouted copies, so a fresh copy of the
+// pod makes one route lookup per flow of the first rack.
+TEST(RouteCache, RackRingRoundRoutesOnlyTheFirstRack)
+{
+    sys::SystemConfig pod = sys::withPod(sys::c4140M(), 16, 8);
+    const std::vector<net::NodeId> &gpus = pod.gpu_nodes;
+    ASSERT_TRUE(pod.topo.route(gpus[0], gpus[1]).has_value()); // registers
+    net::Topology topo = pod.topo; // a copy starts with no routes
+    const net::FabricShape shape = net::fabricShape(topo, gpus);
+    const std::vector<std::vector<net::NodeId>> &hosts = shape.node_groups;
+    ASSERT_EQ(shape.rack_groups.size(), 16u);
+    // Rank i of host j to rank i of host j+1, around each rack.
+    net::FlowSimulator fsim(topo);
+    const int per_host = static_cast<int>(hosts[0].size());
+    const int per_rack = static_cast<int>(shape.rack_groups[0].size());
+    auto [hits, misses] = routeCacheCounts();
+    for (const std::vector<int> &rack : shape.rack_groups) {
+        for (int i = 0; i < per_host; ++i) {
+            for (int j = 0; j < per_rack; ++j)
+                fsim.addFlow(hosts[rack[j]][i],
+                             hosts[rack[(j + 1) % per_rack]][i], 2e6);
+        }
+    }
+    EXPECT_GT(fsim.run(), 0.0);
+    auto [hits_after, misses_after] = routeCacheCounts();
+    EXPECT_EQ(hits_after - hits + misses_after - misses,
+              static_cast<double>(per_host * per_rack));
 }
 
 // Routes read only which links are down: scaling a link's bandwidth
