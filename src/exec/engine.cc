@@ -214,9 +214,25 @@ Engine::runBatch(std::span<const RunRequest *const> requests,
     requests_.add(static_cast<double>(requests.size()));
     std::vector<RunResult> out(requests.size());
 
-    // Dedupe pass (serial, deterministic): a request is either served
-    // from the cache, aliased to an earlier in-batch duplicate, or
-    // becomes a unique job.
+    // Keys are pure functions of their requests, so they are computed
+    // in parallel, each into its own slot: a fresh machine's key hashes
+    // its whole graph. One request keys inline, so a runOne() hit never
+    // wakes a worker.
+    std::vector<Fingerprint> keys(requests.size());
+    if (requests.size() > 1) {
+        obs::Span span("exec.engine",
+                       countedSpanName("key n=", requests.size()));
+        executor_.forEach(requests.size(), [&](std::size_t i) {
+            keys[i] = requests[i]->key();
+        });
+    } else if (!requests.empty()) {
+        keys[0] = requests[0]->key();
+    }
+
+    // Dedupe pass (serial, in submission order, so every count and the
+    // request digest are independent of the worker count): a request
+    // is either served from the cache, aliased to an earlier in-batch
+    // duplicate, or becomes a unique job.
     constexpr std::size_t kFromCache = static_cast<std::size_t>(-1);
     std::unordered_map<Fingerprint, std::size_t, FingerprintHash> job_of;
     std::vector<std::size_t> job_req; ///< job -> first request index
@@ -225,7 +241,7 @@ Engine::runBatch(std::span<const RunRequest *const> requests,
     {
         obs::Span span("exec.engine", "dedupe");
         for (std::size_t i = 0; i < requests.size(); ++i) {
-            Fingerprint key = requests[i]->key();
+            const Fingerprint &key = keys[i];
             request_digest_.mix(key);
             if (auto cached = cache_.lookup(key)) {
                 out[i] = std::move(*cached);

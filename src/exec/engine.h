@@ -4,8 +4,9 @@
  *
  * Engine is the one entry point the study layer drives sweeps
  * through. A call site declares a batch of RunRequests; the engine
- * deduplicates them against its RunCache by canonical fingerprint,
- * evaluates the unique misses in parallel on its Executor, inserts
+ * computes their canonical fingerprints in parallel on its Executor,
+ * deduplicates them serially against its RunCache by fingerprint,
+ * evaluates the unique misses in parallel on the Executor, inserts
  * the fresh results, and returns RunResults in submission order —
  * so any report rendered from a batch is byte-identical whether it
  * ran on 1 worker or 16, cold cache or warm.
@@ -71,9 +72,10 @@ class Engine
     /**
      * Streaming completion hook: called with (submission index,
      * result) as results become available inside run(). Cache hits
-     * stream during the serial dedupe pass — before any simulation
-     * starts — so a warm service answers instantly even while cold
-     * points of the same batch still simulate; freshly simulated
+     * stream during the serial dedupe pass — once the whole batch is
+     * keyed (in parallel) and before any simulation starts — so a
+     * warm service answers instantly even while cold points of the
+     * same batch still simulate; freshly simulated
      * points (and in-batch duplicates) stream during the serial
      * publish fan-out, in submission order. Always invoked from the
      * submitting thread. Under ErrorPolicy::Throw the sink fires for

@@ -1,6 +1,7 @@
 #include "sim/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -9,6 +10,16 @@
 namespace mlps::sim {
 
 namespace {
+
+/** printf's "%.<prec>g" of `v`, in the C locale. */
+std::string
+formatG(double v, int prec)
+{
+    char buf[40];
+    auto res = std::to_chars(buf, buf + sizeof(buf), v,
+                             std::chars_format::general, prec);
+    return std::string(buf, res.ptr);
+}
 
 /**
  * Length of the JSON number at `p`, 0 when it does not start one:
@@ -370,22 +381,20 @@ jsonDouble(double v)
 {
     if (!std::isfinite(v)) // NaN/inf are not JSON; error paths carry
         return "0";        // their value in `what`, not in cells
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    return formatG(v, 17);
 }
 
 std::string
 shortestDouble(double v)
 {
-    char buf[40];
     for (int prec = 1; prec < 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-        if (std::strtod(buf, nullptr) == v)
-            return buf;
+        std::string text = formatG(v, prec);
+        double back = 0.0;
+        std::from_chars(text.data(), text.data() + text.size(), back);
+        if (back == v)
+            return text;
     }
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    return formatG(v, 17);
 }
 
 void

@@ -60,7 +60,12 @@ class DigestMemo
     /**
      * The `out` of the first entry `match` accepts; else compute()'s
      * result, stored as make(out). compute() runs unlocked, so callers
-     * hashing other keys in parallel never wait on it.
+     * hashing other keys in parallel never wait on it. Two callers
+     * missing on one key (an engine batch keyed in parallel with two
+     * requests on copies of one fresh graph) may both compute it; the
+     * pass is pure, so either result is right and the first stored
+     * wins. Waiting for an in-flight twin would save one pass at the
+     * cost of a wait on every miss.
      */
     template <typename Match, typename Compute, typename Make>
     Digest get(Match match, Compute compute, Make make) const

@@ -10,12 +10,14 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "core/report.h"
 #include "core/suite.h"
 #include "exec/engine.h"
 #include "exec/fingerprint.h"
+#include "exec/journal.h"
 #include "models/zoo.h"
 #include "prof/kernel_profiler.h"
 #include "sim/logger.h"
@@ -26,10 +28,11 @@ namespace {
 using namespace mlps;
 
 exec::RunRequest
-requestFor(const std::string &abbrev, int num_gpus)
+requestFor(const std::string &abbrev, int num_gpus,
+           const sys::SystemConfig &system = sys::dss8440())
 {
     exec::RunRequest req;
-    req.system = sys::dss8440();
+    req.system = system;
     req.workload = *models::findWorkload(abbrev);
     req.options.num_gpus = num_gpus;
     return req;
@@ -202,6 +205,101 @@ TEST(Engine, ParallelMatchesSerialInSubmissionOrder)
     // counters cannot depend on the worker count.
     EXPECT_EQ(serial.stats().unique_runs, parallel.stats().unique_runs);
     EXPECT_EQ(serial.stats().cache_hits, parallel.stats().cache_hits);
+}
+
+/** A freshly built pod: its graph has never been hashed. */
+sys::SystemConfig
+freshPod(const std::string &spec)
+{
+    sys::SystemConfig system;
+    std::string error;
+    if (!sys::systemFromSpec(spec, &system, &error))
+        ADD_FAILURE() << error;
+    return system;
+}
+
+TEST(Engine, ParallelKeyingMatchesSerial)
+{
+    struct Outcome {
+        exec::Fingerprint digest;
+        std::vector<bool> cache_hit;
+        std::vector<std::string> payload;
+        std::uint64_t requests = 0, unique_runs = 0, cache_hits = 0;
+    };
+    auto runAt = [](int jobs) {
+        exec::Engine engine(exec::ExecOptions{jobs});
+        // Cached by an earlier batch.
+        const exec::RunRequest warm0 = requestFor("MLPf_NCF_Py", 2);
+        const exec::RunRequest warm1 = requestFor("MLPf_SSD_Py", 4);
+        engine.run({warm0, warm1});
+
+        // Built here, after the engine, so every graph is fresh. The
+        // degraded copies share `a`'s graph under other link states.
+        const sys::SystemConfig a = freshPod("pod(C4140 (M),2x2)");
+        const sys::SystemConfig b = freshPod("pod(C4140 (K),2x4)");
+        const sys::SystemConfig twin = freshPod("pod(C4140 (M),4x2)");
+        const sys::SystemConfig spine = sys::withSpineDegraded(a, 0.5);
+        const sys::SystemConfig tor = sys::withTorDegraded(a, 1, 0.25);
+        const std::vector<exec::RunRequest> batch = {
+            requestFor("MLPf_NCF_Py", 16, a),
+            warm0,
+            requestFor("MLPf_Res50_MX", 32, b),
+            requestFor("MLPf_NCF_Py", 32, twin), // two copies of one
+            requestFor("MLPf_SSD_Py", 32, twin), // fresh graph
+            requestFor("MLPf_Res50_MX", 16, spine),
+            requestFor("MLPf_Res50_MX", 16, tor),
+            requestFor("MLPf_NCF_Py", 16, a), // duplicate of [0]
+            warm1,
+        };
+
+        std::atomic<bool> evaluated{false};
+        engine.setEvalHook([&evaluated](const exec::RunRequest &, int) {
+            evaluated.store(true);
+        });
+        std::vector<std::size_t> before_eval;
+        std::vector<std::size_t> streamed;
+        auto results =
+            engine.run(batch, [&](std::size_t i, const exec::RunResult &) {
+                if (!evaluated.load())
+                    before_eval.push_back(i);
+                streamed.push_back(i);
+            });
+
+        // Only the cached points stream before the first evaluation,
+        // in submission order; every request streams once.
+        EXPECT_EQ(before_eval, (std::vector<std::size_t>{1, 8}))
+            << "jobs " << jobs;
+        EXPECT_EQ(streamed.size(), batch.size()) << "jobs " << jobs;
+
+        Outcome o;
+        o.digest = engine.requestDigest();
+        for (const exec::RunResult &r : results) {
+            EXPECT_TRUE(r.ok()) << "jobs " << jobs;
+            o.cache_hit.push_back(r.cache_hit);
+            o.payload.push_back(
+                exec::encodeJournalPayload(exec::Fingerprint{}, r));
+        }
+        const exec::EngineStats s = engine.stats();
+        o.requests = s.requests;
+        o.unique_runs = s.unique_runs;
+        o.cache_hits = s.cache_hits;
+        return o;
+    };
+
+    const Outcome serial = runAt(1);
+    const Outcome parallel = runAt(4);
+    EXPECT_EQ(serial.digest, parallel.digest);
+    EXPECT_EQ(serial.cache_hit, parallel.cache_hit);
+    EXPECT_EQ(serial.cache_hit,
+              (std::vector<bool>{false, true, false, false, false, false,
+                                 false, true, true}));
+    EXPECT_EQ(serial.payload, parallel.payload);
+    EXPECT_EQ(serial.requests, parallel.requests);
+    EXPECT_EQ(serial.unique_runs, parallel.unique_runs);
+    EXPECT_EQ(serial.cache_hits, parallel.cache_hits);
+    EXPECT_EQ(serial.requests, 11u);
+    EXPECT_EQ(serial.unique_runs, 8u);
+    EXPECT_EQ(serial.cache_hits, 3u);
 }
 
 TEST(Engine, ProfiledRunsCacheSeparatelyAndCarryProfiles)

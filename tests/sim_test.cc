@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for the simulation kernel: time, RNG, event queue,
- * counters, logging.
+ * counters, logging, number formatting.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <limits>
@@ -20,6 +23,7 @@
 
 #include "sim/counters.h"
 #include "sim/event_queue.h"
+#include "sim/json.h"
 #include "sim/logger.h"
 #include "sim/rng.h"
 #include "sim/time.h"
@@ -550,6 +554,88 @@ TEST(EventQueueCompaction, CompactionPreservesOrderAndPayloads)
     }
     ASSERT_EQ(fired.size(), 1500u);
     EXPECT_TRUE(std::is_sorted(fired.begin(), fired.end()));
+}
+
+// ---------------------------------------------------- number formatting
+
+/** jsonDouble as it was written with snprintf: the oracle. */
+std::string
+printfJsonDouble(double v)
+{
+    if (!std::isfinite(v))
+        return "0";
+    char buf[40];
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+/** shortestDouble as it was written with snprintf and strtod. */
+std::string
+printfShortestDouble(double v)
+{
+    char buf[40];
+    for (int prec = 1; prec < 17; ++prec) {
+        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+        if (std::strtod(buf, nullptr) == v)
+            return buf;
+    }
+    std::snprintf(buf, sizeof(buf), "%.17g", v);
+    return buf;
+}
+
+TEST(SimJson, FormattersMatchPrintf)
+{
+    std::size_t checked = 0;
+    auto check = [&checked](double v) {
+        ASSERT_EQ(jsonDouble(v), printfJsonDouble(v)) << "bits of " << v;
+        ASSERT_EQ(shortestDouble(v), printfShortestDouble(v))
+            << "bits of " << v;
+        ++checked;
+    };
+
+    const double fixed[] = {
+        0.0,
+        -0.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        DBL_MIN,
+        DBL_MAX,
+        -DBL_MAX,
+        0.1,
+        0.0009,
+        9007199254740992.0, // 2^53
+        9007199254740994.0, // 2^53 + 2
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+    };
+    for (double v : fixed)
+        check(v);
+
+    // Every bit pattern is a double: NaNs, infinities and subnormals
+    // included.
+    Rng bits(20260601);
+    for (int i = 0; i < 1000000; ++i) {
+        const std::uint64_t b = bits.next();
+        double v;
+        std::memcpy(&v, &b, sizeof(v));
+        check(v);
+    }
+
+    // Decimals as a document writes them: 1 to 17 significant digits,
+    // exponents across 1e-20..1e20.
+    Rng decimals(20260602);
+    for (int i = 0; i < 1000000; ++i) {
+        const int digits = decimals.range(1, 17);
+        std::string text = decimals.chance(0.5) ? "-" : "";
+        text += static_cast<char>('1' + decimals.below(9));
+        text += '.';
+        for (int d = 1; d < digits; ++d)
+            text += static_cast<char>('0' + decimals.below(10));
+        text += 'e' + std::to_string(decimals.range(-20, 20));
+        check(std::strtod(text.c_str(), nullptr));
+    }
+    EXPECT_EQ(checked, std::size(fixed) + 2000000u);
 }
 
 // ------------------------------------------------------------- logger
