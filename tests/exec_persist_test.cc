@@ -23,6 +23,7 @@
 #include "exec/journal.h"
 #include "models/zoo.h"
 #include "sim/logger.h"
+#include "sim/rng.h"
 #include "sys/machines.h"
 
 namespace {
@@ -100,6 +101,47 @@ TEST(JournalPersist, PayloadRoundTripIsBitExact)
     exec::RunResult r3;
     std::string cut = payload.substr(0, payload.size() - 3);
     EXPECT_FALSE(exec::decodeJournalPayload(cut, &k3, &r3));
+}
+
+/** CRC32 one byte at a time (IEEE 802.3, reflected), bit by bit. */
+std::uint32_t
+crc32Bitwise(const unsigned char *p, std::size_t n)
+{
+    std::uint32_t c = 0xffffffffu;
+    for (std::size_t i = 0; i < n; ++i) {
+        c ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+}
+
+// The standard check value: a journal written by any version must
+// keep verifying.
+TEST(JournalCrc, CheckValue)
+{
+    const char text[] = "123456789";
+    EXPECT_EQ(exec::crc32(text, 9), 0xCBF43926u);
+    EXPECT_EQ(exec::crc32(text, 0), 0u);
+}
+
+// Every length from 0 to 4096 bytes, at every start offset mod 8,
+// against the bitwise loop.
+TEST(JournalCrc, MatchesBitwiseLoop)
+{
+    sim::Rng rng(3141);
+    std::vector<unsigned char> buf(4096 + 8);
+    for (unsigned char &b : buf)
+        b = static_cast<unsigned char>(rng.below(256));
+    for (std::size_t n = 0; n <= 4096; n += n < 64 ? 1 : 1 + rng.below(97)) {
+        for (std::size_t start = 0; start < 8; ++start) {
+            const unsigned char *p = buf.data() + start;
+            ASSERT_EQ(exec::crc32(p, n), crc32Bitwise(p, n))
+                << n << " bytes from offset " << start;
+        }
+    }
+    const unsigned char *p = buf.data() + 3;
+    EXPECT_EQ(exec::crc32(p, 4096), crc32Bitwise(p, 4096));
 }
 
 TEST(JournalPersist, WarmRestartServesFromJournal)

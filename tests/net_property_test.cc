@@ -1596,6 +1596,33 @@ templateBreakers()
     return cases;
 }
 
+/**
+ * Pods whose 2D ring host pairs are not all copies of the first pairs:
+ * the spine scaled, so that cross-rack pairs run slower than the
+ * intra-rack pairs that share their hosts' NIC uplinks; an NVLink down
+ * in r5n2; pods whose wrap pair closes the ring after two or four
+ * racks; a single rack.
+ */
+std::vector<PodCase>
+pairBreakers()
+{
+    namespace sys = mlps::sys;
+    const SystemConfig pod = sys::withPod(sys::c4140M(), 16, 8);
+    SystemConfig nvdown = pod;
+    sys::applyDegradedLinks(nvdown, "r5n2.GPU0-r5n2.GPU1:down");
+    std::vector<PodCase> cases = {
+        {sys::withSpineDegraded(sys::withPod(sys::c4140M(), 4, 4), 0.5), 0,
+         "C4140 (M) 4x4 spine x0.5"},
+        {sys::withSpineDegraded(pod, 0.5), 0, "C4140 (M) 16x8 spine x0.5"},
+        {nvdown, 0, "C4140 (M) 16x8 NVLink down in r5n2"},
+    };
+    for (auto [racks, hosts] : {std::pair{2, 4}, {4, 2}, {1, 8}})
+        cases.push_back({sys::withPod(sys::c4140M(), racks, hosts), 0,
+                         "C4140 (M) " + std::to_string(racks) + "x" +
+                             std::to_string(hosts)});
+    return cases;
+}
+
 /** Payloads for the pods: one the cross-rack tree wins, one the 2D
  *  ring wins. */
 const std::vector<double> kPodPayloads = {64.0 * 1024, 256.0 * 1024 * 1024};
@@ -1615,7 +1642,10 @@ TEST(AllReduceReference, PodsOfEveryBox)
 
 TEST(AllReduceReference, HostsThatAreNotCopies)
 {
-    for (const PodCase &c : templateBreakers()) {
+    std::vector<PodCase> cases = templateBreakers();
+    for (PodCase &c : pairBreakers())
+        cases.push_back(std::move(c));
+    for (const PodCase &c : cases) {
         expectAllReduceMatchesReference(
             c.system.topo,
             c.gpus ? c.system.gpuSubset(c.gpus) : c.system.gpu_nodes,
@@ -1971,6 +2001,129 @@ TEST(FlowSimulatorReference, PodHostCopiesMatchBitForBit)
                                           label + ", rack 3 into rack 0");
         }
     }
+}
+
+/** The flows of the 2D ring's cross-node round on the first 'gpus'
+ *  GPUs of 's' (0 = every GPU): rank i of host j to rank i of host
+ *  j+1, around every host. */
+std::vector<FlowWant>
+crossNodeRound(const SystemConfig &s, int gpus = 0)
+{
+    for (auto &[name, flows] :
+         podRounds(s.topo, gpus ? s.gpuSubset(gpus) : s.gpu_nodes, 64e6)) {
+        if (name == "2D ring")
+            return flows;
+    }
+    return {};
+}
+
+// The 2D ring's cross-node round is host pairs: the flows from host j
+// to host j+1 of one rack are the first pair's (r0n0 to r0n1) shifted,
+// and the flows from the last host of rack k to the first of rack k+1
+// the first rack pair's shifted. Each case breaks some pairs one way:
+// a scaled spine, ToR uplink or NIC uplink, a downed NVLink, a subset
+// of the GPUs, a pair short of a flow, with one more or reordered, a
+// flow that shares a pair's links, and pods with a wrap pair or a
+// single rack. The simulator must still match the reference, which
+// prices every flow, bit for bit.
+TEST(FlowSimulatorReference, PairCopiesMatchBitForBit)
+{
+    namespace sys = mlps::sys;
+    for (auto [racks, hosts] : {std::pair{4, 4}, {16, 8}}) {
+        const SystemConfig pod = sys::withPod(sys::c4140M(), racks, hosts);
+        const std::string shape = pod.name + " ";
+        const Topology &topo = pod.topo;
+        const std::vector<FlowWant> flows = crossNodeRound(pod);
+        expectFlowSimMatchesReference(topo, flows, shape + "healthy");
+        for (const SystemConfig &s :
+             {sys::withSpineDegraded(pod, 0.5),
+              sys::withTorDegraded(pod, 3, 0.5)})
+            expectFlowSimMatchesReference(s.topo, crossNodeRound(s),
+                                          s.name);
+        const std::string nvlink =
+            racks == 16 ? "r5n2.GPU0-r5n2.GPU1:down"
+                        : "r2n2.GPU0-r2n2.GPU1:down";
+        for (const std::string &links :
+             {std::string("r0n0.NIC0-tor0:0.5"), nvlink}) {
+            SystemConfig s = pod;
+            sys::applyDegradedLinks(s, links);
+            expectFlowSimMatchesReference(s.topo, crossNodeRound(s),
+                                          shape + links);
+        }
+        for (int gpus : {24, 48})
+            expectFlowSimMatchesReference(
+                topo, crossNodeRound(pod, gpus),
+                shape + "first " + std::to_string(gpus) + " GPUs");
+
+        // One intra-rack pair (host 5 to 6) and one cross-rack pair
+        // (the last host of rack 1 to the first of rack 2).
+        for (int h : {5, 2 * hosts - 1}) {
+            const std::string pair = shape + "pair " + std::to_string(h);
+            const std::string from =
+                "r" + std::to_string(h / hosts) + "n" +
+                std::to_string(h % hosts) + ".";
+            std::vector<std::size_t> members; // the pair's flows
+            for (std::size_t i = 0; i < flows.size(); ++i) {
+                if (topo.name(flows[i].from).rfind(from, 0) == 0)
+                    members.push_back(i);
+            }
+            ASSERT_EQ(members.size(), 4u) << pair;
+            std::vector<FlowWant> reordered = flows, shorter, longer;
+            for (std::size_t k = 0; k < members.size(); ++k)
+                reordered[members[k]] =
+                    flows[members[members.size() - 1 - k]];
+            for (std::size_t i = 0; i < flows.size(); ++i) {
+                if (i != members.back())
+                    shorter.push_back(flows[i]);
+                longer.push_back(flows[i]);
+                if (i == members.front())
+                    longer.push_back(flows[i]);
+            }
+            const FlowWant &first = flows[members.front()];
+            // Up the pair's NIC uplink, and back down the pair: into
+            // the next host's inbound links.
+            std::vector<FlowWant> to_nic = flows, back = flows;
+            to_nic.push_back(
+                {first.from, nodeNamed(topo, from + "NIC0"), 16e6, 0.0});
+            back.push_back({first.to, first.from, 16e6, 0.0});
+            expectFlowSimMatchesReference(topo, reordered,
+                                          pair + " reordered");
+            expectFlowSimMatchesReference(topo, shorter,
+                                          pair + " short a flow");
+            expectFlowSimMatchesReference(topo, longer,
+                                          pair + " a flow more");
+            expectFlowSimMatchesReference(topo, to_nic,
+                                          pair + " and a flow to its NIC");
+            expectFlowSimMatchesReference(topo, back,
+                                          pair + " and a flow back");
+        }
+        // A flow into the first pair's second host.
+        std::vector<FlowWant> into_first = flows;
+        into_first.push_back(
+            {flows[5].from, nodeNamed(topo, "r0n1.NIC0"), 16e6, 0.0});
+        expectFlowSimMatchesReference(topo, into_first,
+                                      shape + "a flow into host r0n1");
+        // A NIC uplink scaled after the flows were added.
+        SystemConfig late = pod;
+        const NodeId nic = nodeNamed(late.topo, "r1n1.NIC0");
+        const NodeId tor = nodeNamed(late.topo, "tor1");
+        int uplink = -1;
+        for (int e : late.topo.incidentEdges(nic)) {
+            auto [a, b] = late.topo.endpoints(e);
+            if (a == tor || b == tor)
+                uplink = e;
+        }
+        ASSERT_GE(uplink, 0);
+        expectFlowSimMatchesReference(
+            late.topo, flows, shape + "r1n1 uplink scaled before run",
+            [&] { late.topo.setLinkBandwidthScale(uplink, 0.25); });
+    }
+    // Pods whose wrap pair closes the ring after two or four racks, a
+    // single rack, and hosts of eight GPUs.
+    for (const SystemConfig &s :
+         {sys::withPod(sys::c4140M(), 2, 4), sys::withPod(sys::c4140M(), 4, 2),
+          sys::withPod(sys::c4140M(), 1, 8), sys::withPod(sys::dss8440(), 4, 4)})
+        expectFlowSimMatchesReference(s.topo, crossNodeRound(s), s.name);
 }
 
 // A pod built by the pod builder records hosts that are exact copies
