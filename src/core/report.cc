@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -317,17 +318,30 @@ appendDegradedFabric(std::ostringstream &os, Suite &suite,
           "but loses bandwidth.\n\n";
 }
 
+/**
+ * The 512-GPU pod of the pod-scale and attribution sections, built on
+ * first use: a pod of the NVLink box, 16 racks x 8 hosts x 4 GPUs,
+ * wired through per-host NICs, per-rack ToRs and two spines. Both
+ * sections price copies of it, which share its graph, so one report
+ * builds and hashes that graph once.
+ */
+const sys::SystemConfig &
+pod512(std::optional<sys::SystemConfig> &pod)
+{
+    if (!pod)
+        pod = sys::withPod(sys::c4140M(), 16, 8);
+    return *pod;
+}
+
 void
 appendPodScale(std::ostringstream &os, Suite &suite,
-               exec::Engine &engine)
+               exec::Engine &engine, std::optional<sys::SystemConfig> &pod)
 {
-    // A 512-GPU pod of the NVLink box: 16 racks x 8 hosts x 4 GPUs,
-    // wired through per-host NICs, per-rack ToRs and two spines.
     // gpuSubset(n) fills whole hosts first, so the sweep moves from
     // intra-node NVLink (8 = 2 hosts) through intra-rack (32 = one
     // rack) to cross-rack collectives (64+).
-    sys::SystemConfig healthy = sys::withPod(sys::c4140M(), 16, 8);
-    sys::SystemConfig degraded = sys::withSpineDegraded(healthy, 0.5);
+    const sys::SystemConfig &healthy = pod512(pod);
+    const sys::SystemConfig degraded = sys::withSpineDegraded(healthy, 0.5);
     const std::string workload = "MLPf_Res50_MX";
     const std::vector<int> counts = {8, 16, 32, 64, 128, 256, 512};
 
@@ -380,7 +394,8 @@ appendPodScale(std::ostringstream &os, Suite &suite,
  */
 void
 appendAttribution(std::ostringstream &os, Suite &suite,
-                  exec::Engine &engine)
+                  exec::Engine &engine,
+                  std::optional<sys::SystemConfig> &pod)
 {
     struct Target {
         sys::SystemConfig system;
@@ -388,7 +403,7 @@ appendAttribution(std::ostringstream &os, Suite &suite,
     };
     const std::vector<Target> targets = {
         {suite.system(), 8},
-        {sys::withPod(sys::c4140M(), 16, 8), 512},
+        {pod512(pod), 512},
     };
 
     os << "## Where the time goes (critical-path attribution)\n\n"
@@ -567,6 +582,7 @@ generateStudyReport(const ReportOptions &opts, exec::Engine &engine)
     // Only failures captured during *this* document belong in its
     // appendix; the engine may have prior batches behind it.
     const std::size_t degraded_mark = engine.degradedRuns().size();
+    std::optional<sys::SystemConfig> pod; // see pod512()
 
     os << "# mlpsim study report\n\n"
        << "Reproduction of 'Demystifying the MLPerf Training "
@@ -598,10 +614,10 @@ generateStudyReport(const ReportOptions &opts, exec::Engine &engine)
                 [&] { appendDegradedFabric(os, suite, engine); });
     if (opts.include_pod_scale)
         section("pod_scale",
-                [&] { appendPodScale(os, suite, engine); });
+                [&] { appendPodScale(os, suite, engine, pod); });
     if (opts.include_attribution)
         section("attribution",
-                [&] { appendAttribution(os, suite, engine); });
+                [&] { appendAttribution(os, suite, engine, pod); });
     if (!opts.imported.empty() || !opts.rejected_files.empty())
         section("imported",
                 [&] { appendImported(os, suite, engine, opts); });

@@ -278,20 +278,40 @@ scanRecords(
 std::uint32_t
 crc32(const void *data, std::size_t n)
 {
+    // Slicing by eight: table k maps a byte to its remainder after k
+    // more zero bytes, so eight bytes fold into the CRC in one step.
     static const auto table = [] {
-        std::array<std::uint32_t, 256> t{};
+        std::array<std::array<std::uint32_t, 256>, 8> t{};
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+            t[0][i] = c;
+        }
+        for (int k = 1; k < 8; ++k) {
+            for (std::uint32_t i = 0; i < 256; ++i)
+                t[k][i] = t[0][t[k - 1][i] & 0xff] ^ (t[k - 1][i] >> 8);
         }
         return t;
     }();
     const auto *p = static_cast<const unsigned char *>(data);
+    auto le32 = [](const unsigned char *q) {
+        return static_cast<std::uint32_t>(q[0]) |
+               static_cast<std::uint32_t>(q[1]) << 8 |
+               static_cast<std::uint32_t>(q[2]) << 16 |
+               static_cast<std::uint32_t>(q[3]) << 24;
+    };
     std::uint32_t c = 0xffffffffu;
-    for (std::size_t i = 0; i < n; ++i)
-        c = table[(c ^ p[i]) & 0xff] ^ (c >> 8);
+    for (; n >= 8; n -= 8, p += 8) {
+        const std::uint32_t lo = c ^ le32(p);
+        const std::uint32_t hi = le32(p + 4);
+        c = table[7][lo & 0xff] ^ table[6][(lo >> 8) & 0xff] ^
+            table[5][(lo >> 16) & 0xff] ^ table[4][lo >> 24] ^
+            table[3][hi & 0xff] ^ table[2][(hi >> 8) & 0xff] ^
+            table[1][(hi >> 16) & 0xff] ^ table[0][hi >> 24];
+    }
+    for (; n > 0; --n, ++p)
+        c = table[0][(c ^ *p) & 0xff] ^ (c >> 8);
     return c ^ 0xffffffffu;
 }
 

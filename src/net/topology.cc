@@ -501,6 +501,41 @@ Topology::checkBlockCopies(const Graph &g, int level) const
                 }
             }
         }
+        // Pairs of neighbouring blocks. A path from block k to block
+        // k+1 leaves block k's cell through its gateway and enters
+        // block k+1's through its gateway, so it is the way to the
+        // first gateway, a path between the gateways and the way on.
+        // When the two gateways' ways out end, position by position
+        // in BFS order, at the same far ends (nodes of neither block),
+        // a BFS from the first gateway leaves over its first up way
+        // out and enters the second gateway over the way out at the
+        // same position: its far end lists the second gateway's ways
+        // out in that gateway's own order.
+        auto far = [&g](int e, NodeId n) {
+            return g.edges[e].a == n ? g.edges[e].b : g.edges[e].a;
+        };
+        for (auto [other, e] : g.nodes[gate].adj) {
+            if (!inCell(g.edges[e]))
+                c->gate_edges.push_back(e);
+        }
+        c->pairs.assign(blocks.size(), 0);
+        bool recorded = true;
+        for (int e : c->gate_edges)
+            recorded = recorded && inBlock(e, 0);
+        for (std::size_t k = 0; recorded && k + 1 < blocks.size(); ++k) {
+            const NodeId dn = c->node_offset[k];
+            const int de = c->edge_offset[k];
+            if (c->node_offset[k + 1] != dn + c->node_offset[1] ||
+                c->edge_offset[k + 1] != de + c->edge_offset[1])
+                continue;
+            const NodeId gk = gate + dn;
+            const NodeId next = gk + c->node_offset[1];
+            const int de_next = c->edge_offset[k + 1];
+            bool pair = true;
+            for (int e : c->gate_edges)
+                pair = pair && far(e + de, gk) == far(e + de_next, next);
+            c->pairs[k] = pair;
+        }
         if (level > 0)
             return true;
         // The first host's routes to and from its gateway, which
@@ -571,6 +606,21 @@ Topology::blockMatchesFirst(int level, int k) const
         sim::fatal("blockMatchesFirst: no level %d block %d", level, k);
     const int de = copies->edge_offset[k];
     for (int e : copies->cell_edges) {
+        if (!(link_state_[e] == link_state_[e + de]))
+            return false;
+    }
+    return true;
+}
+
+bool
+Topology::gateMatchesFirst(int level, int k) const
+{
+    const BlockCopies *copies = blockCopies(level);
+    if (!copies || k < 0 ||
+        k >= static_cast<int>(copies->node_offset.size()))
+        sim::fatal("gateMatchesFirst: no level %d block %d", level, k);
+    const int de = copies->edge_offset[k];
+    for (int e : copies->gate_edges) {
         if (!(link_state_[e] == link_state_[e + de]))
             return false;
     }

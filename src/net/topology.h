@@ -39,9 +39,14 @@
  * cell, so block k's routes, and the flows on them, are the first
  * block's shifted wherever the links of block k's cell are in the
  * first block's state: the flow simulator adds such flows without
- * routing them. At the host level, route() also joins a host's way to
- * its gateway from the first host's, and hostCpu() answers from one
- * table of the first host's host CPUs.
+ * routing them. Neighbouring blocks whose ways out end at the same
+ * far ends, as two hosts under one ToR or two racks under the same
+ * spines do, form pairs (BlockCopies::pairs): a path from block k to
+ * block k+1 is then the one from block 0 to block 1, its edges
+ * shifted, and the simulator adds such flows unrouted as well. At the
+ * host level, route() also joins a host's way to its gateway from the
+ * first host's, and hostCpu() answers from one table of the first
+ * host's host CPUs.
  */
 
 #ifndef MLPSIM_NET_TOPOLOGY_H
@@ -178,6 +183,20 @@ class Topology
         int first_edge = 0;    ///< the first block's first edge
         /** The first block's edges inside its cell, ascending. */
         std::vector<int> cell_edges;
+        /** The first block's ways out of its cell: its gateway's edges
+         *  of a higher tier, in the gateway's BFS order. */
+        std::vector<int> gate_edges;
+        /**
+         * Per block k, 1 when blocks k and k+1 are blocks 0 and 1
+         * shifted by k's offsets, every way out of the first block's
+         * cell lies in its record, and block k's ways out end,
+         * position by position, at the far ends of block k+1's. Then a
+         * path from block k to block k+1 is the one from block 0 to
+         * block 1, its edges shifted, wherever blocks 1, k and k+1 are
+         * in the first block's link state (blockMatchesFirst(),
+         * gateMatchesFirst()). 0 for the last block.
+         */
+        std::vector<char> pairs;
     };
 
     /**
@@ -195,6 +214,13 @@ class Topology
      * blockCopies(level).
      */
     bool blockMatchesFirst(int level, int k) const;
+
+    /**
+     * True when the ways out of block k's cell (BlockCopies::
+     * gate_edges, shifted) are in the first block's link state.
+     * Requires blockCopies(level).
+     */
+    bool gateMatchesFirst(int level, int k) const;
 
     int nodeCount() const {
         return graph_ ? static_cast<int>(graph_->nodes.size()) : 0;

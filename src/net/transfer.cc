@@ -71,10 +71,16 @@ FlowSimulator::addCopy(Flow &f)
     const int nodes = topo_.nodeCount();
     if (f.from < 0 || f.from >= nodes || f.to < 0 || f.to >= nodes)
         return false; // routing rejects it
+    // Blocks first, then pairs, each level from the lowest: a flow
+    // that no block copied may still be a pair's.
     bool claimed = false;
     for (int level = 0; level < Topology::kGatewayLevels; ++level) {
         if (levels_[level].copies)
             claimed = copyAt(level, f, claimed) || claimed;
+    }
+    for (int level = 0; level < Topology::kGatewayLevels; ++level) {
+        if (levels_[level].copies)
+            claimed = copyPair(level, f, claimed) || claimed;
     }
     return claimed;
 }
@@ -109,17 +115,12 @@ FlowSimulator::copyAt(int level, Flow &f, bool claimed)
     if (s.copies < static_cast<int>(l.first_flows.size())) {
         const int twin = l.first_flows[s.copies];
         const Flow &t = flows_[twin];
-        if (s.matches < 0)
-            s.matches = topo_.blockMatchesFirst(level, a);
-        if (s.matches && t.from + shift == f.from && t.to + shift == f.to &&
+        if (t.from + shift == f.from && t.to + shift == f.to &&
             bits(t.bytes) == bits(f.bytes) &&
-            bits(t.start_s) == bits(f.start_s)) {
-            if (copies_++ == 0)
-                copy_epoch_ = topo_.epoch();
+            bits(t.start_s) == bits(f.start_s) &&
+            blockMatches(level, a, false)) {
             ++s.copies;
-            f.twin = twin;
-            f.level = level;
-            f.block = a;
+            makeCopy(f, twin, level, a, false);
             return true;
         }
     }
@@ -128,36 +129,163 @@ FlowSimulator::copyAt(int level, Flow &f, bool claimed)
 }
 
 bool
-FlowSimulator::copiesHold(int level, int k) const
+FlowSimulator::copyPair(int level, Flow &f, bool claimed)
 {
-    const Level &l = levels_[level];
-    return !l.blocks[0].broken && !l.blocks[k].broken &&
-           l.blocks[k].copies == static_cast<int>(l.first_flows.size()) &&
-           topo_.epoch() == copy_epoch_;
+    Level &l = levels_[level];
+    const int a = l.copies->block_of[f.from];
+    // A copied flow is no pair's; run() breaks a pair it shares a slot
+    // with.
+    if (claimed || a < 0 || l.copies->block_of[f.to] != a + 1 ||
+        !l.copies->pairs[0])
+        return false;
+    if (a == 0) {
+        l.first_pair.push_back(static_cast<int>(flows_.size()));
+        return false;
+    }
+    BlockState &s = l.blocks[a];
+    if (s.pair_broken)
+        return false;
+    const NodeId shift = l.copies->node_offset[a];
+    if (l.copies->pairs[a] &&
+        s.pair_copies < static_cast<int>(l.first_pair.size())) {
+        const int twin = l.first_pair[s.pair_copies];
+        const Flow &t = flows_[twin];
+        // Blocks a and a+1 must be blocks 0 and 1 in link state; block
+        // 1 is compared with block 0, as every block is.
+        if (t.from + shift == f.from && t.to + shift == f.to &&
+            bits(t.bytes) == bits(f.bytes) &&
+            bits(t.start_s) == bits(f.start_s) &&
+            blockMatches(level, 1, true) && blockMatches(level, a, true) &&
+            blockMatches(level, a + 1, true)) {
+            ++s.pair_copies;
+            makeCopy(f, twin, level, a, true);
+            return true;
+        }
+    }
+    s.pair_broken = true;
+    return false;
+}
+
+bool
+FlowSimulator::blockMatches(int level, int k, bool gate)
+{
+    BlockState &s = levels_[level].blocks[k];
+    if (s.matches < 0)
+        s.matches = topo_.blockMatchesFirst(level, k);
+    if (gate && s.gate_matches < 0)
+        s.gate_matches = topo_.gateMatchesFirst(level, k);
+    return s.matches && (!gate || s.gate_matches);
+}
+
+void
+FlowSimulator::makeCopy(Flow &f, int twin, int level, int k, bool pair)
+{
+    if (copies_++ == 0)
+        copy_epoch_ = topo_.epoch();
+    // A twin may itself be a copy (a rack's twin a pair's copy): the
+    // route is its root's, shifted by both offsets.
+    const Flow &t = flows_[twin];
+    f.path = t.path;
+    f.root = t.twin >= 0 ? t.root : twin;
+    f.shift = t.shift + levels_[level].copies->edge_offset[k];
+    f.latency_s = t.latency_s;
+    f.twin = twin;
+    f.level = level;
+    f.block = k;
+    f.pair = pair;
+}
+
+bool
+FlowSimulator::copyHolds(const Flow &f) const
+{
+    const Level &l = levels_[f.level];
+    const BlockState &s = l.blocks[f.block];
+    if (topo_.epoch() != copy_epoch_)
+        return false;
+    if (f.pair)
+        return !l.blocks[0].pair_broken && !s.pair_broken &&
+               s.pair_copies == static_cast<int>(l.first_pair.size());
+    return !l.blocks[0].broken && !s.broken &&
+           s.copies == static_cast<int>(l.first_flows.size());
+}
+
+template <typename Fn>
+void
+FlowSimulator::forEachSlot(int fi, Fn fn) const
+{
+    const Flow &f = flows_[fi];
+    const Flow &r = f.twin >= 0 ? flows_[f.root] : f;
+    for (int k = r.slot_begin; k < r.slot_end; ++k)
+        fn(flow_slots_[k] + 2 * f.shift);
+}
+
+void
+FlowSimulator::breakSharedPairs()
+{
+    // Each directed slot's owner: the pair (level + levels * block)
+    // whose flows alone cross it, -1 before any flow does, -2 once two
+    // pairs, or a flow of no pair, do. The first pair of a level is
+    // block 0's.
+    if (std::none_of(flows_.begin(), flows_.end(),
+                     [](const Flow &f) { return f.pair; }))
+        return;
+    constexpr int kLevels = Topology::kGatewayLevels;
+    const int n = static_cast<int>(flows_.size());
+    std::vector<int> group(n, -2);
+    for (int level = 0; level < kLevels; ++level) {
+        for (int fi : levels_[level].first_pair)
+            group[fi] = level;
+    }
+    for (int fi = 0; fi < n; ++fi) {
+        const Flow &f = flows_[fi];
+        if (f.pair)
+            group[fi] = f.level + kLevels * f.block;
+    }
+    std::vector<int> owner(2 * topo_.edgeCount(), -1);
+    for (int fi = 0; fi < n; ++fi) {
+        const int g = group[fi];
+        forEachSlot(fi, [&](int s) {
+            owner[s] = owner[s] == -1 || owner[s] == g ? g : -2;
+        });
+    }
+    for (int fi = 0; fi < n; ++fi) {
+        const int g = group[fi];
+        if (g < 0)
+            continue;
+        bool alone = true;
+        forEachSlot(fi, [&](int s) { alone = alone && owner[s] == g; });
+        if (!alone)
+            levels_[g % kLevels].blocks[g / kLevels].pair_broken = true;
+    }
 }
 
 void
 FlowSimulator::routeCopy(int fi)
 {
     Flow &f = flows_[fi];
-    const Flow &t = flows_[f.twin];
-    const Topology::BlockCopies &c = *levels_[f.level].copies;
-    const NodeId dn = c.node_offset[f.block];
-    const int de = c.edge_offset[f.block];
-    auto path = std::make_shared<Path>(*t.path);
-    for (NodeId &n : path->nodes)
-        n += dn;
-    for (int &e : path->edges)
-        e += de;
+    const Flow &t = flows_[f.root];
+    // The root's edges, shifted; the nodes follow from them (a pair's
+    // far ends, outside both blocks, do not shift).
+    auto path = std::make_shared<Path>();
+    path->nodes.reserve(t.path->nodes.size());
+    path->edges.reserve(t.path->edges.size());
+    path->nodes.push_back(f.from);
+    for (int e : t.path->edges) {
+        e += f.shift;
+        auto [a, b] = topo_.endpoints(e);
+        path->nodes.push_back(path->nodes.back() == a ? b : a);
+        path->edges.push_back(e);
+    }
     f.path = std::move(path);
     f.slot_begin = static_cast<int>(flow_slots_.size());
     for (int k = t.slot_begin; k < t.slot_end; ++k)
-        flow_slots_.push_back(flow_slots_[k] + 2 * de);
+        flow_slots_.push_back(flow_slots_[k] + 2 * f.shift);
     f.slot_end = static_cast<int>(flow_slots_.size());
-    f.latency_s = t.latency_s;
+    f.shift = 0;
     f.twin = -1;
     f.level = -1;
     f.block = -1;
+    f.pair = false;
 }
 
 void
@@ -171,6 +299,8 @@ FlowSimulator::fairShare(const std::vector<int> &active)
     // directed-slot order, so a strict-'<' scan over the used ones
     // picks the same bottleneck as a scan over every directed slot.
     for (int fi : active) {
+        if (flows_[fi].twin >= 0)
+            continue; // a copy runs at its twin's rate
         unfrozen_[fi] = 1;
         for (int s : slotsOf(fi))
             ++users_[s];
@@ -226,9 +356,12 @@ FlowSimulator::fairShare(const std::vector<int> &active)
     }
     // Every slot's flows froze, so users_ is all zero again. Active
     // flows with zero-hop paths (same node) cross no slot: infinite
-    // rate — treat as instantaneous via a huge rate.
+    // rate — treat as instantaneous via a huge rate. A copy's twin,
+    // added before it, is active with it.
     for (int fi : active) {
-        if (unfrozen_[fi]) {
+        if (flows_[fi].twin >= 0) {
+            rate_[fi] = rate_[flows_[fi].twin];
+        } else if (unfrozen_[fi]) {
             unfrozen_[fi] = 0;
             rate_[fi] = 1e18;
         }
@@ -322,7 +455,7 @@ FlowSimulator::simulate()
         active.clear();
         double next_start = std::numeric_limits<double>::infinity();
         bool any_pending = false;
-        for (int fi : simulated_) {
+        for (int fi = 0; fi < static_cast<int>(flows_.size()); ++fi) {
             const Flow &f = flows_[fi];
             if (f.done)
                 continue;
@@ -374,7 +507,7 @@ FlowSimulator::simulate()
             double used = std::min(moved, f.remaining);
             f.remaining -= used;
             for (int e : f.path->edges)
-                edge_bytes_[e] += used;
+                edge_bytes_[e + f.shift] += used;
             if (f.remaining <= 1e-9) {
                 f.remaining = 0.0;
                 f.done = true;
@@ -401,11 +534,13 @@ FlowSimulator::run()
         return 0.0;
 
     // A block's copies stay unrouted only if the block copied the
-    // first block's flows exactly and nothing else touched either.
+    // first block's flows exactly and nothing else touched either; a
+    // pair's, if the pair copied the first pair's flows exactly and no
+    // other flow shares a slot with either.
     if (copies_ > 0) {
+        breakSharedPairs();
         for (int fi = 0; fi < static_cast<int>(flows_.size()); ++fi) {
-            const Flow &f = flows_[fi];
-            if (f.twin >= 0 && !copiesHold(f.level, f.block)) {
+            if (flows_[fi].twin >= 0 && !copyHolds(flows_[fi])) {
                 routeCopy(fi);
                 --copies_;
             }
@@ -416,7 +551,7 @@ FlowSimulator::run()
     if (topo_.anyLinkDown()) {
         for (std::size_t fi = 0; fi < flows_.size(); ++fi) {
             const Flow &f = flows_[fi];
-            if (!f.path)
+            if (f.twin >= 0)
                 continue; // a kept copy: its twin's route, shifted
             for (int e : f.path->edges) {
                 if (!topo_.linkDown(e))
@@ -430,19 +565,15 @@ FlowSimulator::run()
             }
         }
     }
-    // Simulate every routed flow; note the edges every flow crosses.
+    // Fair sharing runs over every routed flow; note the edges every
+    // flow crosses.
     std::vector<char> crossed(topo_.edgeCount(), 0);
     for (int fi = 0; fi < static_cast<int>(flows_.size()); ++fi) {
         const Flow &f = flows_[fi];
-        if (f.twin < 0) {
+        if (f.twin < 0)
             simulated_.push_back(fi);
-            for (int e : f.path->edges)
-                crossed[e] = 1;
-            continue;
-        }
-        const int de = levels_[f.level].copies->edge_offset[f.block];
-        for (int e : flows_[f.twin].path->edges)
-            crossed[e + de] = 1;
+        for (int e : f.path->edges)
+            crossed[e + f.shift] = 1;
     }
     for (int e = 0; e < topo_.edgeCount(); ++e) {
         if (crossed[e])
@@ -450,18 +581,6 @@ FlowSimulator::run()
     }
     prepareFairShare();
     simulate();
-    // Each copy ends as its twin did, its links shifted.
-    if (copies_ > 0) {
-        for (FlowReport &r : reports_) {
-            const Flow &f = flows_[r.id];
-            if (f.twin < 0)
-                continue;
-            r.finish_s = reports_[f.twin].finish_s;
-            const int de = levels_[f.level].copies->edge_offset[f.block];
-            for (int e : flows_[f.twin].path->edges)
-                edge_bytes_[e + de] = edge_bytes_[e];
-        }
-    }
     double makespan = 0.0;
     for (const auto &r : reports_)
         makespan = std::max(makespan, r.finish_s);

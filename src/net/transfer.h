@@ -31,18 +31,36 @@
  * rack's sequence, so it breaks its rack. run() keeps the copies of a
  * block whose flows are all the first block's, in order, when no flow
  * into or out of either block was added and the link state has not
- * changed since; any other copy gets its twin's route, shifted, and
- * prices as a routed flow. Every routed flow is simulated.
+ * changed since.
  *
- * That is exact: no other flow crosses the cell of a kept block or of
- * the first block, so their flows share links with nothing else, and
- * block k's flows are the first block's with every slot shifted by one
- * offset, in the same relative slot order, over links of equal
+ * A flow from block k to block k+1 of a level, if no block copied it,
+ * is a pair's: on a pod, rank i of host j to rank i of host j+1 in the
+ * 2D ring's cross-node round. When blocks k and k+1 are blocks 0 and
+ * 1 shifted by one offset (BlockCopies::pairs) and the four blocks'
+ * cells and ways out are in the first block's link state, its route
+ * is the first pair's flow's, shifted: each end of it is a way inside
+ * a cell, and between the two gateways a BFS takes the first far end
+ * both ways out reach. It is kept the same way, as a copy of the
+ * first pair's flow, when no other flow crosses a directed slot (one
+ * direction of a link) of the pair or of the first pair. The wrap
+ * pair, from the last block to the first, is no pair and is routed.
+ *
+ * A copy's twin may itself be a copy (a rack's twin one of the first
+ * rack's pair copies); its route is the routed root's, shifted. Any
+ * copy that is not kept gets that route and prices as a routed flow.
+ * Fair sharing runs over the routed flows; the event loop advances
+ * every flow, a kept copy at its twin's rate.
+ *
+ * That is exact: no other flow crosses a slot of a kept copy or of its
+ * twin, and a copy's flows are its twin's with every slot shifted by
+ * one offset, in the same relative slot order, over links of equal
  * capacity. Progressive filling freezes them at the same levels, event
- * by event, as it freezes the twins, so every finish time and link
- * byte of a copy equals its twin's, and leaving the copies out of the
- * event loop changes nothing for the flows in it. A copy ends as its
- * twin did; its links carry the twins' bytes, through the edge offset.
+ * by event, as it freezes the twins, so each copy moves its twin's
+ * bytes at every event and ends with it, and leaving the copies out of
+ * fair sharing changes no other flow's rate. Each event adds every
+ * flow's bytes to its edges in flow-id order, as the reference
+ * simulator does: a host's NIC uplink carries one pair up and another
+ * down, at rates that may differ.
  */
 
 #ifndef MLPSIM_NET_TRANSFER_H
@@ -120,16 +138,23 @@ class FlowSimulator
 
   private:
     struct Flow {
-        /** The topology's memoized route, shared, not copied; null
-         *  for a copy of a first-block flow. */
+        /** The topology's memoized route, shared, not copied; for a
+         *  copy its twin's, every edge shifted by 'shift'. */
         std::shared_ptr<const Path> path;
         NodeId from; ///< as added
         NodeId to;
-        /** A copy's first-block twin, level and block, else -1. */
+        /** A copy's twin, whose rate it takes, level and block (a
+         *  pair copy's first block), else -1. */
         int twin = -1;
         int level = -1;
         int block = -1;
-        /** The path's slots: flow_slots_[slot_begin, slot_end). */
+        /** A copy of a first-pair flow, not of a first-block flow. */
+        bool pair = false;
+        /** A copy's routed root, the end of its chain of twins, and
+         *  what it adds to the root's edge ids; 0 for a routed flow. */
+        int root = -1;
+        int shift = 0;
+        /** A routed flow's slots: flow_slots_[slot_begin, slot_end). */
         int slot_begin = 0;
         int slot_end = 0;
         double bytes;
@@ -147,14 +172,23 @@ class FlowSimulator
                 flow_slots_.data() + flows_[fi].slot_end};
     }
 
-    /** What addFlow() knows of one block of a level's copies. */
+    /** What addFlow() knows of one block of a level's copies, and of
+     *  the pair of it and the next block. */
     struct BlockState {
-        /** blockMatchesFirst(), or -1 until asked. */
+        /** blockMatchesFirst(), gateMatchesFirst(), or -1 until
+         *  asked. */
         signed char matches = -1;
+        signed char gate_matches = -1;
         /** A flow into or out of the block, or one not its copy. */
         bool broken = false;
         /** Its flows so far, all copies of the first block's. */
         int copies = 0;
+        /** A flow to the next block not the first pair's copy, or a
+         *  pair flow sharing a slot with another flow. */
+        bool pair_broken = false;
+        /** Its flows to the next block so far, all copies of the first
+         *  pair's. */
+        int pair_copies = 0;
     };
 
     /** One level of the topology's block copies, as addFlow() sees
@@ -167,20 +201,39 @@ class FlowSimulator
         /** Flows inside the first block, in add order, but for those
          *  a lower level copied. */
         std::vector<int> first_flows;
+        /** Flows from the first block to the second, the same way. */
+        std::vector<int> first_pair;
     };
 
-    /** Make 'f' a copy of a first-block flow at the lowest level where
-     *  it is the next flow its block's copy needs; else note what it
-     *  breaks. */
+    /** Make 'f' a copy of a first-block or first-pair flow at the
+     *  lowest level where it is the next flow its block or pair needs;
+     *  else note what it breaks. */
     bool addCopy(Flow &f);
 
     /** addCopy() at one level; 'claimed' when a lower level copied
-     *  'f', which then only breaks its block. */
+     *  'f', which then only breaks its blocks. */
     bool copyAt(int level, Flow &f, bool claimed);
 
-    /** True when the copies of block 'k' of 'level' may stay
-     *  unrouted. */
-    bool copiesHold(int level, int k) const;
+    /** addCopy() of a flow from block a to block a+1 of one level. */
+    bool copyPair(int level, Flow &f, bool claimed);
+
+    /** True when block 'k' of 'level' is in the first block's link
+     *  state: its cell, and with 'gate' also its ways out. */
+    bool blockMatches(int level, int k, bool gate);
+
+    /** Make 'f' a copy of flow 'twin', in block 'k' of 'level'. */
+    void makeCopy(Flow &f, int twin, int level, int k, bool pair);
+
+    /** True when copy 'f' may stay unrouted. */
+    bool copyHolds(const Flow &f) const;
+
+    /** Break every pair whose copies, or the first pair, share a
+     *  directed slot with another flow. */
+    void breakSharedPairs();
+
+    /** Call fn(slot) for every directed slot of flow 'fi'. */
+    template <typename Fn>
+    void forEachSlot(int fi, Fn fn) const;
 
     /** Give flow 'fi', a copy, its twin's route shifted to its
      *  block. */
@@ -190,7 +243,8 @@ class FlowSimulator
      *  fair-share state for them. */
     void prepareFairShare();
 
-    /** The event loop over the simulated flows. */
+    /** The event loop: fair sharing over the routed flows, every
+     *  flow advancing, a kept copy at its twin's rate. */
     void simulate();
 
     /** Recompute max-min fair rates of the active flows into rate_. */
@@ -216,7 +270,7 @@ class FlowSimulator
     /** Edges some flow's path crosses, ascending; set by run(). Every
      *  other edge carries no bytes. */
     std::vector<int> routed_edges_;
-    /** Every routed flow, ascending: what simulate() runs. */
+    /** Every routed flow, ascending: what fair sharing runs. */
     std::vector<int> simulated_;
 
     // Fair-share state, sized once by prepareFairShare() and reused

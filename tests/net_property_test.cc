@@ -2668,6 +2668,96 @@ TEST(BlockCopies, MatchFollowsLinkState)
               (std::vector<bool>{true, false, false, true}));
 }
 
+// Neighbouring blocks form a pair only where their ways out meet: on a
+// pod, the hosts of one rack and consecutive racks. Pair pricing, and
+// the ways-out match, follow.
+TEST(BlockCopies, PairsOfEveryPod)
+{
+    const SystemConfig pod = mlps::sys::withPod(mlps::sys::c4140M(), 4, 2);
+    const Topology::BlockCopies *hosts = pod.topo.blockCopies(0);
+    const Topology::BlockCopies *racks = pod.topo.blockCopies(1);
+    ASSERT_TRUE(hosts && racks);
+    EXPECT_EQ(hosts->pairs,
+              (std::vector<char>{1, 0, 1, 0, 1, 0, 1, 0}));
+    EXPECT_EQ(racks->pairs, (std::vector<char>{1, 1, 1, 0}));
+    EXPECT_EQ(hosts->gate_edges.size(), 1u); // the NIC uplink
+    EXPECT_EQ(racks->gate_edges.size(), 2u); // one uplink per spine
+    const SystemConfig tor = mlps::sys::withTorDegraded(pod, 2, 0.5);
+    for (int k = 0; k < 4; ++k) {
+        EXPECT_EQ(tor.topo.gateMatchesFirst(1, k), k != 2) << k;
+        EXPECT_TRUE(tor.topo.blockMatchesFirst(1, k)) << k;
+    }
+    SystemConfig nic = pod;
+    mlps::sys::applyDegradedLinks(nic, "r1n1.NIC0-tor1:0.5");
+    for (int k = 0; k < 8; ++k)
+        EXPECT_EQ(nic.topo.gateMatchesFirst(0, k), k != 3) << k;
+    EXPECT_FALSE(mlps::sys::withPod(mlps::sys::c4140M(), 1, 1)
+                     .topo.blockCopies(1));
+}
+
+// Hand-built blocks that are copies of the first, a CPU, a GPU and a
+// NIC each, whose NICs hang off two ToRs under one spine. Two
+// neighbouring blocks form a pair only when their NICs share a ToR
+// (a path between ToRs crosses the spine) and their edges sit one
+// block's edges apart. A NIC uplink wired after every block was
+// recorded lies in no block, and its pairs are refused too. In every
+// case the GPU ring prices as the reference does.
+TEST(BlockCopies, PairsNeedSharedFarEnds)
+{
+    struct Layout {
+        std::vector<int> tor;   ///< per block, its ToR
+        int extra_before;       ///< a spine link added before this block
+        bool uplinks_last;      ///< NIC uplinks wired after every block
+        std::vector<char> pairs;
+    };
+    const Layout layouts[] = {
+        {{0, 0, 1, 1, 1, 1}, 4, false, {1, 0, 1, 0, 1, 0}},
+        {{0, 0, 0}, -1, true, {0, 0, 0}},
+    };
+    for (const Layout &lay : layouts) {
+        Topology topo;
+        const NodeId spine = topo.addSpineSwitch("spine0");
+        const NodeId tors[] = {topo.addTorSwitch("s0"),
+                               topo.addTorSwitch("s1")};
+        for (NodeId tor : tors)
+            topo.connect(tor, spine, ethernet(100.0, FabricTier::CrossRack));
+        std::vector<NodeId> gpus, nics;
+        const int n = static_cast<int>(lay.tor.size());
+        for (int k = 0; k < n; ++k) {
+            if (k == lay.extra_before)
+                topo.connect(tors[1], spine,
+                             ethernet(100.0, FabricTier::CrossRack));
+            const NodeId first_node = topo.nodeCount();
+            const int first_edge = topo.edgeCount();
+            const std::string p = "h" + std::to_string(k) + ".";
+            const NodeId cpu = topo.addCpu(p + "CPU0");
+            const NodeId gpu = topo.addGpu(p + "GPU0");
+            const NodeId nic = topo.addNic(p + "NIC0");
+            topo.connect(gpu, cpu, pcie3(16));
+            topo.connect(cpu, nic, pcie3(16));
+            if (!lay.uplinks_last)
+                topo.connect(nic, tors[lay.tor[k]],
+                             ethernet(100.0, FabricTier::IntraRack));
+            topo.recordBlock(0, first_node, first_edge);
+            gpus.push_back(gpu);
+            nics.push_back(nic);
+        }
+        for (int k = 0; lay.uplinks_last && k < n; ++k)
+            topo.connect(nics[k], tors[lay.tor[k]],
+                         ethernet(100.0, FabricTier::IntraRack));
+        topo.validate();
+        const Topology::BlockCopies *copies = topo.blockCopies(0);
+        ASSERT_NE(copies, nullptr);
+        EXPECT_EQ(copies->pairs, lay.pairs);
+        std::vector<FlowWant> ring;
+        for (int k = 0; k < n; ++k)
+            ring.push_back({gpus[k], gpus[(k + 1) % n], 1e8, 0.0});
+        expectFlowSimMatchesReference(topo, ring,
+                                      "GPU ring of " + std::to_string(n) +
+                                          " blocks");
+    }
+}
+
 // hostCpu() answers from the graph's table where it may and searches
 // elsewhere; both must give the plain search's CPU, on boxes and
 // pods, healthy, with a link down in a host, and for a stranded GPU.

@@ -572,9 +572,11 @@ TEST(RouteCache, OneLookupCountsOnce)
 }
 
 // A healthy pod's racks are copies of the first rack: pricing the
-// tree's intra-rack rank-ring round routes the first rack's flows and
-// adds every other rack's as unrouted copies, so a fresh copy of the
-// pod makes one route lookup per flow of the first rack.
+// tree's intra-rack rank-ring round adds every other rack's flows as
+// unrouted copies of the first rack's. Within the first rack, the
+// flows from host j to host j+1 are copies of the first pair's (r0n0
+// to r0n1), so a fresh copy of the pod makes one route lookup per flow
+// of the first pair and of the wrap pair (r0n7 to r0n0).
 TEST(RouteCache, RackRingRoundRoutesOnlyTheFirstRack)
 {
     sys::SystemConfig pod = sys::withPod(sys::c4140M(), 16, 8);
@@ -599,7 +601,36 @@ TEST(RouteCache, RackRingRoundRoutesOnlyTheFirstRack)
     EXPECT_GT(fsim.run(), 0.0);
     auto [hits_after, misses_after] = routeCacheCounts();
     EXPECT_EQ(hits_after - hits + misses_after - misses,
-              static_cast<double>(per_host * per_rack));
+              static_cast<double>(2 * per_host));
+}
+
+// The 2D ring's cross-node round is host pairs: the flows from host j
+// to host j+1 are the first pair's shifted, within a rack (r0n0 to
+// r0n1) or across a rack boundary (r0n7 to r1n0). Pricing it on a
+// fresh copy of a healthy pod routes those two pairs and the wrap pair
+// (r15n7 to r0n0), and adds every other pair's flows as unrouted
+// copies: one route lookup per flow of three pairs.
+TEST(RouteCache, CrossNodeRoundRoutesOnlyTheFirstPairs)
+{
+    sys::SystemConfig pod = sys::withPod(sys::c4140M(), 16, 8);
+    const std::vector<net::NodeId> &gpus = pod.gpu_nodes;
+    ASSERT_TRUE(pod.topo.route(gpus[0], gpus[1]).has_value()); // registers
+    net::Topology topo = pod.topo; // a copy starts with no routes
+    const net::FabricShape shape = net::fabricShape(topo, gpus);
+    const std::vector<std::vector<net::NodeId>> &hosts = shape.node_groups;
+    ASSERT_EQ(hosts.size(), 128u);
+    // Rank i of host j to rank i of host j+1, around every host.
+    net::FlowSimulator fsim(topo);
+    const int per_host = static_cast<int>(hosts[0].size());
+    const int m = static_cast<int>(hosts.size());
+    auto [hits, misses] = routeCacheCounts();
+    for (int i = 0; i < per_host; ++i) {
+        for (int j = 0; j < m; ++j)
+            fsim.addFlow(hosts[j][i], hosts[(j + 1) % m][i], 2e6);
+    }
+    EXPECT_GT(fsim.run(), 0.0);
+    auto [hits_after, misses_after] = routeCacheCounts();
+    EXPECT_EQ(hits_after - hits + misses_after - misses, 12.0);
 }
 
 // Routes read only which links are down: scaling a link's bandwidth
