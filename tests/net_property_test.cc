@@ -1521,6 +1521,128 @@ unequalRackPod(int racks, int hosts)
     return s;
 }
 
+// ------------------------------------------------ graph adjacency
+//
+// The graph's incident-edge lists must list, for each node, the ids of
+// the edges touching it in ascending order (connect order), as the
+// edge list alone says.
+
+/** Per node, the ascending ids of the edges touching it. */
+std::vector<std::vector<int>>
+edgesTouching(const Topology &topo)
+{
+    std::vector<std::vector<int>> touching(topo.nodeCount());
+    for (int e = 0; e < topo.edgeCount(); ++e) {
+        auto [a, b] = topo.endpoints(e);
+        touching[a].push_back(e);
+        touching[b].push_back(e);
+    }
+    return touching;
+}
+
+/** incidentEdges(n) of every node, copied. */
+std::vector<std::vector<int>>
+incidentLists(const Topology &topo)
+{
+    std::vector<std::vector<int>> lists;
+    for (NodeId n = 0; n < topo.nodeCount(); ++n) {
+        const auto &edges = topo.incidentEdges(n);
+        lists.emplace_back(edges.begin(), edges.end());
+    }
+    return lists;
+}
+
+void
+expectAdjacencyMatchesEdgeList(const Topology &topo, const std::string &label)
+{
+    const std::vector<std::vector<int>> want = edgesTouching(topo);
+    const std::vector<std::vector<int>> got = incidentLists(topo);
+    ASSERT_EQ(got.size(), want.size()) << label;
+    for (NodeId n = 0; n < topo.nodeCount(); ++n)
+        ASSERT_EQ(got[n], want[n]) << label << ": " << topo.name(n);
+}
+
+TEST(Topology, AdjacencyMatchesEdgeList)
+{
+    for (const SystemConfig &box : podBoxes()) {
+        expectAdjacencyMatchesEdgeList(box.topo, box.name);
+        for (auto [racks, hosts] : {std::pair{4, 4}, {16, 8}}) {
+            const SystemConfig pod = mlps::sys::withPod(box, racks, hosts);
+            expectAdjacencyMatchesEdgeList(pod.topo, pod.name);
+        }
+    }
+    const SystemConfig two_nic = twoSocketPod(
+        3, 3, [](const std::string &p) { return p == "r1n1."; });
+    expectAdjacencyMatchesEdgeList(two_nic.topo, two_nic.name);
+    const SystemConfig unequal = unequalRackPod(3, 3);
+    expectAdjacencyMatchesEdgeList(unequal.topo, unequal.name);
+
+    // A shared copy edited after its graph was read: the edit copies
+    // the graph, and each side keeps its own lists.
+    const Topology original = mlps::sys::withPod(mlps::sys::c4140M(), 2, 2).topo;
+    expectAdjacencyMatchesEdgeList(original, "2x2 before the edit");
+    ASSERT_TRUE(original.route(0, original.nodeCount() - 1).has_value());
+    Topology edited = original;
+    NodeId nic = edited.addNic("r1n1.NIC1");
+    edited.connect(nodeNamed(edited, "r1n1.CPU1"), nic, pcie3(16));
+    edited.connect(nic, nodeNamed(edited, "tor1"),
+                   ethernet(100.0, FabricTier::IntraRack));
+    expectAdjacencyMatchesEdgeList(edited, "2x2 with a second NIC");
+    expectAdjacencyMatchesEdgeList(original, "2x2 after the edit");
+    EXPECT_EQ(edited.edgeCount(), original.edgeCount() + 2);
+}
+
+// Copies of one fresh graph read it in parallel, each thread starting
+// with a different one of incidentEdges, hostCpu and route, so that
+// the first reads race to index the shared graph.
+TEST(Topology, AdjacencyMatchesEdgeListAcrossThreads)
+{
+    const SystemConfig fresh = mlps::sys::withPod(mlps::sys::c4140M(), 4, 4);
+    const std::vector<NodeId> &gpus = fresh.gpu_nodes;
+    constexpr int kThreads = 4;
+    std::vector<Topology> copies(kThreads, fresh.topo);
+    std::vector<std::vector<std::vector<int>>> lists(kThreads);
+    std::vector<std::vector<std::optional<NodeId>>> cpus(kThreads);
+    std::vector<std::vector<std::optional<Path>>> routes(kThreads);
+    std::latch start(kThreads); // so that the first reads overlap
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            const Topology &topo = copies[t];
+            start.arrive_and_wait();
+            for (int i = 0; i < 3; ++i) {
+                switch ((t + i) % 3) {
+                  case 0:
+                    lists[t] = incidentLists(topo);
+                    break;
+                  case 1:
+                    for (NodeId g : gpus)
+                        cpus[t].push_back(topo.hostCpu(g));
+                    break;
+                  default:
+                    for (NodeId g : gpus)
+                        routes[t].push_back(topo.route(gpus[t], g));
+                }
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    using mlps::reference::referenceHostCpu;
+    const std::vector<std::vector<int>> want = edgesTouching(fresh.topo);
+    for (int t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(lists[t], want) << "thread " << t;
+        for (std::size_t i = 0; i < gpus.size(); ++i) {
+            EXPECT_EQ(cpus[t][i], referenceHostCpu(fresh.topo, gpus[i]))
+                << "thread " << t << " " << fresh.topo.name(gpus[i]);
+            std::optional<Path> way = bfsRoute(fresh.topo, gpus[t], gpus[i]);
+            ASSERT_TRUE(way.has_value() && routes[t][i].has_value());
+            EXPECT_EQ(routes[t][i]->nodes, way->nodes);
+            EXPECT_EQ(routes[t][i]->edges, way->edges);
+        }
+    }
+}
+
 /**
  * Pods where some host or rack is not a copy of the first: a link down
  * or a bandwidth scale inside one host, a NIC uplink scaled in rack 3,

@@ -123,6 +123,116 @@ TEST(PodValidation, RejectsRackStrandedFromSpineLayer)
     expectInvalid(topo, "disconnected from the pod");
 }
 
+/** The "<case>\t<error>" lines of tests/golden/topology_errors.txt. */
+std::vector<std::pair<std::string, std::string>>
+topologyErrors()
+{
+    std::ifstream in(std::string(MLPSIM_GOLDEN_DIR) +
+                     "/topology_errors.txt");
+    std::vector<std::pair<std::string, std::string>> cases;
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.empty() || line[0] == '#')
+            continue;
+        std::size_t tab = line.find('\t');
+        if (tab == std::string::npos) {
+            ADD_FAILURE() << "golden line without a tab: " << line;
+            continue;
+        }
+        cases.emplace_back(line.substr(0, tab), line.substr(tab + 1));
+    }
+    return cases;
+}
+
+/** The topology of a golden case, which validate() must reject. */
+net::Topology
+invalidTopology(const std::string &name)
+{
+    net::Topology topo;
+    if (name == "no_nodes")
+        return topo;
+    if (name == "pod_host_cut_off") {
+        // A validated pod whose last host loses its NIC uplink.
+        sys::SystemConfig pod = sys::withPod(sys::c4140M(), 2, 2);
+        net::NodeId nic = -1;
+        for (net::NodeId n = 0; n < pod.topo.nodeCount(); ++n) {
+            if (pod.topo.name(n) == "r1n1.NIC0")
+                nic = n;
+        }
+        for (int e = 0; e < pod.topo.edgeCount(); ++e) {
+            auto [a, b] = pod.topo.endpoints(e);
+            if ((a == nic || b == nic) &&
+                pod.topo.link(e).tier == net::FabricTier::IntraRack)
+                pod.topo.setLinkDown(e, true);
+        }
+        return pod.topo;
+    }
+    net::NodeId cpu = topo.addCpu("CPU0");
+    net::NodeId gpu = topo.addGpu("GPU0");
+    if (name == "zero_bandwidth" || name == "zero_efficiency") {
+        net::LinkSpec link = net::pcie3(16);
+        (name == "zero_bandwidth" ? link.gbps : link.efficiency) = 0.0;
+        topo.connect(cpu, gpu, net::pcie3(16));
+        topo.connect(gpu, cpu, link);
+    } else if (name == "gpu_to_spine") {
+        net::NodeId spine = topo.addSpineSwitch("spine0");
+        topo.connect(cpu, gpu, net::pcie3(16));
+        topo.connect(gpu, spine,
+                     net::ethernet(100.0, net::FabricTier::CrossRack));
+    } else if (name == "nic_without_uplink") {
+        net::NodeId nic = topo.addNic("NIC0");
+        topo.connect(cpu, gpu, net::pcie3(16));
+        topo.connect(cpu, nic, net::pcie3(16));
+    } else if (name == "tor_stranded") {
+        net::NodeId nic = topo.addNic("NIC0");
+        net::NodeId tor0 = topo.addTorSwitch("tor0");
+        net::NodeId tor1 = topo.addTorSwitch("tor1");
+        net::NodeId spine = topo.addSpineSwitch("spine0");
+        topo.connect(cpu, gpu, net::pcie3(16));
+        topo.connect(cpu, nic, net::pcie3(16));
+        topo.connect(nic, tor0,
+                     net::ethernet(100.0, net::FabricTier::IntraRack));
+        topo.connect(tor0, spine,
+                     net::ethernet(100.0, net::FabricTier::CrossRack));
+        topo.connect(tor1, tor0,
+                     net::ethernet(100.0, net::FabricTier::IntraRack));
+    } else if (name == "isolated_node") {
+        topo.addGpu("GPU1");
+        topo.connect(cpu, gpu, net::pcie3(16));
+        topo.connect(topo.addGpu("GPU2"), cpu, net::pcie3(16));
+    } else {
+        ADD_FAILURE() << "no topology for golden case " << name;
+    }
+    return topo;
+}
+
+// The full text of every validate() rejection stays byte for byte:
+// each check runs in a fixed order and names the first node by id
+// that fails it.
+TEST(PodValidation, ErrorTextsMatchGolden)
+{
+    const auto cases = topologyErrors();
+    ASSERT_EQ(cases.size(), 8u);
+    for (const auto &[name, want] : cases) {
+        const net::Topology topo = invalidTopology(name);
+        try {
+            topo.validate();
+            ADD_FAILURE() << name << ": validate() accepted it";
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()), want) << name;
+        }
+        // A copy of a graph that failed checks again, with the same
+        // text.
+        const net::Topology copy = topo;
+        try {
+            copy.validate();
+            ADD_FAILURE() << name << ": a copy passed validate()";
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()), want) << name << " (copy)";
+        }
+    }
+}
+
 // ------------------------------------- hierarchical collectives
 
 TEST(HierarchicalAllReduce, PerTierBytesPartitionKindTotals)

@@ -585,14 +585,6 @@ printfShortestDouble(double v)
 
 TEST(SimJson, FormattersMatchPrintf)
 {
-    std::size_t checked = 0;
-    auto check = [&checked](double v) {
-        ASSERT_EQ(jsonDouble(v), printfJsonDouble(v)) << "bits of " << v;
-        ASSERT_EQ(shortestDouble(v), printfShortestDouble(v))
-            << "bits of " << v;
-        ++checked;
-    };
-
     const double fixed[] = {
         0.0,
         -0.0,
@@ -609,8 +601,7 @@ TEST(SimJson, FormattersMatchPrintf)
         -std::numeric_limits<double>::infinity(),
         std::numeric_limits<double>::quiet_NaN(),
     };
-    for (double v : fixed)
-        check(v);
+    std::vector<double> inputs(std::begin(fixed), std::end(fixed));
 
     // Every bit pattern is a double: NaNs, infinities and subnormals
     // included.
@@ -619,7 +610,7 @@ TEST(SimJson, FormattersMatchPrintf)
         const std::uint64_t b = bits.next();
         double v;
         std::memcpy(&v, &b, sizeof(v));
-        check(v);
+        inputs.push_back(v);
     }
 
     // Decimals as a document writes them: 1 to 17 significant digits,
@@ -633,9 +624,44 @@ TEST(SimJson, FormattersMatchPrintf)
         for (int d = 1; d < digits; ++d)
             text += static_cast<char>('0' + decimals.below(10));
         text += 'e' + std::to_string(decimals.range(-20, 20));
-        check(std::strtod(text.c_str(), nullptr));
+        inputs.push_back(std::strtod(text.c_str(), nullptr));
     }
-    EXPECT_EQ(checked, std::size(fixed) + 2000000u);
+
+    // Each thread checks one slice and keeps its first mismatch, which
+    // the main thread reports.
+    constexpr int kThreads = 4;
+    const std::size_t n = inputs.size();
+    std::vector<std::size_t> checked(kThreads, 0);
+    std::vector<std::size_t> bad(kThreads, n);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (std::size_t i = n * t / kThreads;
+                 i < n * (t + 1) / kThreads; ++i) {
+                const double v = inputs[i];
+                if (jsonDouble(v) != printfJsonDouble(v) ||
+                    shortestDouble(v) != printfShortestDouble(v)) {
+                    bad[t] = i;
+                    return;
+                }
+                ++checked[t];
+            }
+        });
+    }
+    for (std::thread &th : threads)
+        th.join();
+    for (std::size_t i : bad) {
+        if (i == n)
+            continue;
+        const double v = inputs[i];
+        EXPECT_EQ(jsonDouble(v), printfJsonDouble(v)) << "bits of " << v;
+        EXPECT_EQ(shortestDouble(v), printfShortestDouble(v))
+            << "bits of " << v;
+    }
+    std::size_t total = 0;
+    for (std::size_t c : checked)
+        total += c;
+    EXPECT_EQ(total, std::size(fixed) + 2000000u);
 }
 
 // ------------------------------------------------------------- logger
