@@ -1,7 +1,5 @@
 #include "net/fabric.h"
 
-#include <sstream>
-
 #include "sim/logger.h"
 
 namespace mlps::net {
@@ -37,45 +35,41 @@ buildPodTopology(const PodShape &shape, const LeafBuilder &leaf)
     // Spines first so the switch layer has stable low ids regardless
     // of pod size changes below them. Single-rack pods need no spine.
     int spines = shape.racks > 1 ? shape.spines : 0;
-    for (int s = 0; s < spines; ++s) {
-        std::ostringstream name;
-        name << "spine" << s;
-        pod.spines.push_back(pod.topo.addSpineSwitch(name.str()));
-    }
+    for (int s = 0; s < spines; ++s)
+        pod.spines.push_back(
+            pod.topo.addSpineSwitch("spine" + std::to_string(s)));
 
     for (int r = 0; r < shape.racks; ++r) {
         // Each rack is one block of nodes and edges: its ToR's, its
         // spine uplinks, then its hosts'.
         const NodeId rack_node = pod.topo.nodeCount();
         const int rack_edge = pod.topo.edgeCount();
-        std::ostringstream tor_name;
-        tor_name << "tor" << r;
-        NodeId tor = pod.topo.addTorSwitch(tor_name.str());
+        NodeId tor = pod.topo.addTorSwitch("tor" + std::to_string(r));
         pod.tors.push_back(tor);
         for (NodeId spine : pod.spines)
             pod.topo.connect(tor, spine, shape.spine_uplink);
 
         for (int n = 0; n < shape.nodes_per_rack; ++n) {
-            std::ostringstream prefix;
-            prefix << "r" << r << "n" << n << ".";
+            const std::string prefix =
+                "r" + std::to_string(r) + "n" + std::to_string(n) + ".";
             // Each host is one block of nodes and edges: the leaf's,
             // then its NIC's.
             const NodeId first_node = pod.topo.nodeCount();
             const int first_edge = pod.topo.edgeCount();
-            LeafNodes nodes = leaf(pod.topo, prefix.str());
+            LeafNodes nodes = leaf(pod.topo, prefix);
             if (nodes.cpus.empty())
                 sim::fatal("buildPodTopology: leaf builder for host "
                            "%s produced no CPU to attach a NIC to",
-                           prefix.str().c_str());
+                           prefix.c_str());
 
             PodHost host;
             host.rack = r;
             host.node = n;
-            host.cpus = nodes.cpus;
-            host.gpus = nodes.gpus;
-            host.switches = nodes.switches;
-            host.nic = pod.topo.addNic(prefix.str() + "NIC0");
-            pod.topo.connect(nodes.cpus[0], host.nic, shape.nic_link);
+            host.cpus = std::move(nodes.cpus);
+            host.gpus = std::move(nodes.gpus);
+            host.switches = std::move(nodes.switches);
+            host.nic = pod.topo.addNic(prefix + "NIC0");
+            pod.topo.connect(host.cpus[0], host.nic, shape.nic_link);
             pod.topo.connect(host.nic, tor, shape.tor_uplink);
             pod.topo.recordBlock(0, first_node, first_edge);
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <limits>
+#include <numeric>
 #include <sstream>
 
 #include "obs/registry.h"
@@ -139,8 +139,6 @@ Topology::mutableGraph()
     if (!graph_ || graph_mark_.shared.load(std::memory_order_relaxed)) {
         auto own = std::make_shared<Graph>();
         if (graph_) {
-            // A sharer may be writing the gateways.
-            std::lock_guard<std::mutex> lock(graph_->gateways_mu);
             own->nodes = graph_->nodes;
             own->edges = graph_->edges;
             own->blocks = graph_->blocks;
@@ -150,15 +148,12 @@ Topology::mutableGraph()
     }
     cache_.clear();
     // This copy is the graph's only owner, and the graph was made
-    // non-const by make_shared. Its memo and index described the old
-    // shape.
+    // non-const by make_shared. Its memo, validated mark and index
+    // described the old shape.
     Graph &g = const_cast<Graph &>(*graph_);
     g.memo.clear();
-    g.gateways_indexed.store(false, std::memory_order_relaxed);
     g.validated.store(false, std::memory_order_relaxed);
-    g.copies = {};
-    g.host_cpu.clear();
-    g.gate_routes.clear();
+    delete g.index.exchange(nullptr, std::memory_order_relaxed);
     return g;
 }
 
@@ -183,7 +178,7 @@ NodeId
 Topology::addNode(NodeKind kind, const std::string &name)
 {
     Graph &g = mutableGraph();
-    g.nodes.push_back(Node{kind, 0, name, {}, {}, {-1, -1}, {-1, -1}});
+    g.nodes.push_back(Node{kind, name});
     return static_cast<NodeId>(g.nodes.size()) - 1;
 }
 
@@ -241,26 +236,14 @@ Topology::connect(NodeId a, NodeId b, const LinkSpec &link)
     Graph &g = mutableGraph();
     g.edges.push_back(Edge{a, b, link});
     link_state_.emplace_back();
-    int id = static_cast<int>(g.edges.size()) - 1;
-    for (auto [n, other] : {std::pair{a, b}, std::pair{b, a}}) {
-        Node &node = g.nodes[n];
-        node.edges.push_back(id);
-        // bfs order: a new NVLink edge follows the node's last one,
-        // any other edge goes last.
-        if (link.kind == LinkKind::NvLink)
-            node.adj.insert(node.adj.begin() + node.nvlinks++,
-                            {other, id});
-        else
-            node.adj.emplace_back(other, id);
-    }
-    return id;
+    return static_cast<int>(g.edges.size()) - 1;
 }
 
-const std::vector<int> &
+std::span<const int>
 Topology::incidentEdges(NodeId n) const
 {
     checkNode(n);
-    return graph_->nodes[n].edges;
+    return index().edgesOf(n);
 }
 
 NodeKind
@@ -317,15 +300,15 @@ Topology::nodesOfKind(NodeKind k) const
 }
 
 std::optional<Path>
-Topology::bfs(NodeId from, NodeId to, bool all_links) const
+Topology::bfs(const GraphIndex &ix, NodeId from, NodeId to,
+              bool all_links) const
 {
     checkNode(from);
     checkNode(to);
     if (from == to)
         return Path{{from}, {}};
 
-    const Graph &g = *graph_;
-    SearchScratch &s = searchScratch(g.nodes.size());
+    SearchScratch &s = searchScratch(nodeCount());
     s.frontier.push_back(from);
     s.seen[from] = s.stamp;
     // Each adjacency lists NVLink edges first, each kind in connect
@@ -336,7 +319,7 @@ Topology::bfs(NodeId from, NodeId to, bool all_links) const
     const bool any_down = !all_links && anyLinkDown();
     for (std::size_t head = 0; head < s.frontier.size(); ++head) {
         NodeId n = s.frontier[head];
-        for (auto [other, e] : g.nodes[n].adj) {
+        for (auto [other, e] : ix.adjOf(n)) {
             if (s.seen[other] == s.stamp)
                 continue;
             if (any_down && link_state_[e].down)
@@ -362,26 +345,55 @@ Topology::bfs(NodeId from, NodeId to, bool all_links) const
     return std::nullopt;
 }
 
-const Topology::Graph &
-Topology::indexedGraph() const
+const Topology::GraphIndex &
+Topology::index() const
 {
     const Graph &g = *graph_;
-    if (g.gateways_indexed.load(std::memory_order_acquire))
-        return g;
-    std::lock_guard<std::mutex> lock(g.gateways_mu);
-    if (g.gateways_indexed.load(std::memory_order_relaxed))
-        return g;
+    if (const GraphIndex *ix = g.index.load(std::memory_order_acquire))
+        return *ix;
+    std::lock_guard<std::mutex> lock(g.index_mu);
+    if (const GraphIndex *ix = g.index.load(std::memory_order_relaxed))
+        return *ix;
+    auto ix = std::make_unique<GraphIndex>();
+    // Incident edges in edge-id order, then each node's adjacency:
+    // NVLink edges first, so that equal-hop NVLink routes win ties.
+    const int nodes = nodeCount();
+    ix->first.assign(nodes + 1, 0);
+    for (const Edge &edge : g.edges) {
+        ++ix->first[edge.a + 1];
+        ++ix->first[edge.b + 1];
+    }
+    std::partial_sum(ix->first.begin(), ix->first.end(), ix->first.begin());
+    ix->incident.resize(ix->first[nodes]);
+    ix->adj.resize(ix->first[nodes]);
+    std::vector<int> next(ix->first.begin(), ix->first.end() - 1);
+    for (int e = 0; e < edgeCount(); ++e) {
+        ix->incident[next[g.edges[e].a]++] = e;
+        ix->incident[next[g.edges[e].b]++] = e;
+    }
+    for (NodeId n = 0; n < nodes; ++n) {
+        int at = ix->first[n];
+        for (bool nvlink : {true, false}) {
+            for (int e : ix->edgesOf(n)) {
+                const Edge &edge = g.edges[e];
+                if ((edge.link.kind == LinkKind::NvLink) == nvlink)
+                    ix->adj[at++] = {edge.a == n ? edge.b : edge.a, e};
+            }
+        }
+    }
     // Per level, one walk per cell over the edges of that tier or
     // below, down or up (a down link removes paths, never adds an
     // exit), then the cell's exits: members with a higher-tier edge.
-    std::vector<bool> seen(g.nodes.size());
+    ix->gateway.resize(nodes);
+    ix->cell.resize(nodes);
+    std::vector<bool> seen(nodes);
     std::vector<NodeId> cell;
     for (int level = 0; level < kGatewayLevels; ++level) {
         auto inCell = [&g, level](int e) {
             return static_cast<int>(g.edges[e].link.tier) <= level;
         };
         std::fill(seen.begin(), seen.end(), false);
-        for (NodeId root = 0; root < nodeCount(); ++root) {
+        for (NodeId root = 0; root < nodes; ++root) {
             if (seen[root])
                 continue;
             seen[root] = true;
@@ -391,7 +403,7 @@ Topology::indexedGraph() const
             for (std::size_t head = 0; head < cell.size(); ++head) {
                 NodeId n = cell[head];
                 bool exit = false;
-                for (auto [other, e] : g.nodes[n].adj) {
+                for (auto [other, e] : ix->adjOf(n)) {
                     if (!inCell(e)) {
                         exit = true;
                     } else if (!seen[other]) {
@@ -405,20 +417,21 @@ Topology::indexedGraph() const
                 }
             }
             for (NodeId n : cell) {
-                g.nodes[n].gateway[level] = exits == 1 ? gateway : -1;
-                g.nodes[n].cell[level] = root;
+                ix->gateway[n][level] = exits == 1 ? gateway : -1;
+                ix->cell[n][level] = root;
             }
         }
     }
     for (int level = 0; level < kGatewayLevels; ++level)
-        g.copies[level] = checkBlockCopies(g, level);
-    g.gateways_indexed.store(true, std::memory_order_release);
-    return g;
+        ix->copies[level] = checkBlockCopies(*ix, level);
+    g.index.store(ix.get(), std::memory_order_release);
+    return *ix.release();
 }
 
 std::unique_ptr<const Topology::BlockCopies>
-Topology::checkBlockCopies(const Graph &g, int level) const
+Topology::checkBlockCopies(GraphIndex &ix, int level) const
 {
+    const Graph &g = *graph_;
     const std::vector<BlockRecord> &blocks = g.blocks[level];
     auto c = std::make_unique<BlockCopies>();
     auto inCell = [level](const Edge &x) {
@@ -446,7 +459,7 @@ Topology::checkBlockCopies(const Graph &g, int level) const
             c->edge_offset.push_back(h.first_edge - first.first_edge);
         }
         const NodeId gate =
-            c->nodes > 0 ? g.nodes[c->first_node].gateway[level] : -1;
+            c->nodes > 0 ? ix.gateway[c->first_node][level] : -1;
         if (gate < 0 || c->block_of[gate] != 0)
             return false;
         auto inBlock = [&](int e, int k) {
@@ -475,15 +488,16 @@ Topology::checkBlockCopies(const Graph &g, int level) const
             };
             for (NodeId n0 = c->first_node; n0 < c->first_node + c->nodes;
                  ++n0) {
-                const Node &a = g.nodes[n0];
-                const Node &b = g.nodes[n0 + dn];
-                if (a.kind != b.kind || a.gateway[level] != gate ||
-                    b.gateway[level] != gate + dn ||
-                    a.edges.size() != b.edges.size())
+                const std::span<const int> a = ix.edgesOf(n0);
+                const std::span<const int> b = ix.edgesOf(n0 + dn);
+                if (g.nodes[n0].kind != g.nodes[n0 + dn].kind ||
+                    ix.gateway[n0][level] != gate ||
+                    ix.gateway[n0 + dn][level] != gate + dn ||
+                    a.size() != b.size())
                     return false;
-                for (std::size_t j = 0; j < a.edges.size(); ++j) {
-                    int e0 = a.edges[j];
-                    int ek = b.edges[j];
+                for (std::size_t j = 0; j < a.size(); ++j) {
+                    int e0 = a[j];
+                    int ek = b[j];
                     const Edge &x = g.edges[e0];
                     const Edge &y = g.edges[ek];
                     bool inside = c->block_of[x.a] == 0 &&
@@ -514,7 +528,7 @@ Topology::checkBlockCopies(const Graph &g, int level) const
         auto far = [&g](int e, NodeId n) {
             return g.edges[e].a == n ? g.edges[e].b : g.edges[e].a;
         };
-        for (auto [other, e] : g.nodes[gate].adj) {
+        for (auto [other, e] : ix.adjOf(gate)) {
             if (!inCell(g.edges[e]))
                 c->gate_edges.push_back(e);
         }
@@ -540,38 +554,37 @@ Topology::checkBlockCopies(const Graph &g, int level) const
             return true;
         // The first host's routes to and from its gateway, which
         // stay inside the host.
-        g.gate_routes.clear();
         for (bool out : {true, false}) {
             for (NodeId n = c->first_node; n < c->first_node + c->nodes;
                  ++n) {
                 std::optional<Path> p =
-                    out ? bfs(n, gate, true) : bfs(gate, n, true);
+                    out ? bfs(ix, n, gate, true) : bfs(ix, gate, n, true);
                 if (!p)
                     return false;
-                g.gate_routes.push_back(std::move(*p));
+                ix.gate_routes.push_back(std::move(*p));
             }
         }
         // The first host's host-CPU table. A path out of the host
         // leaves through the gateway, so a CPU in the host no farther
         // than the gateway is nearer than any outside, in every copy.
-        g.host_cpu.assign(c->nodes, -1);
+        ix.host_cpu.assign(c->nodes, -1);
         for (int i = 0; i < c->nodes; ++i) {
             NodeId n = c->first_node + i;
             if (g.nodes[n].kind != NodeKind::Gpu)
                 continue;
-            std::optional<NodeId> cpu = computeHostCpu(n, true);
+            std::optional<NodeId> cpu = computeHostCpu(ix, n, true);
             if (!cpu || c->block_of[*cpu] != 0 ||
                 lastSearchDepth(gate) < lastSearchDepth(*cpu))
                 return false;
-            g.host_cpu[i] = *cpu;
+            ix.host_cpu[i] = *cpu;
         }
         return true;
     };
     if (copies())
         return c;
     if (level == 0) {
-        g.gate_routes.clear();
-        g.host_cpu.clear();
+        ix.gate_routes.clear();
+        ix.host_cpu.clear();
     }
     return nullptr;
 }
@@ -581,7 +594,7 @@ Topology::blockCopies(int level) const
 {
     if (level < 0 || level >= kGatewayLevels)
         sim::fatal("blockCopies: no level %d", level);
-    return graph_ ? indexedGraph().copies[level].get() : nullptr;
+    return graph_ ? index().copies[level].get() : nullptr;
 }
 
 bool
@@ -630,10 +643,10 @@ Topology::gateMatchesFirst(int level, int k) const
 std::shared_ptr<const Path>
 Topology::composeRoute(Cache &c, NodeId from, NodeId to) const
 {
-    const Graph &g = indexedGraph();
+    const GraphIndex &ix = index();
     for (int level = 0; level < kGatewayLevels && from != to; ++level) {
-        NodeId a = g.nodes[from].gateway[level];
-        NodeId b = g.nodes[to].gateway[level];
+        NodeId a = ix.gateway[from][level];
+        NodeId b = ix.gateway[to][level];
         // Same cell, an ungated cell, or the gateways themselves,
         // which only a coarser level (or the search) joins.
         if (a < 0 || b < 0 || a == b || (a == from && b == to))
@@ -649,7 +662,7 @@ Topology::composeRoute(Cache &c, NodeId from, NodeId to) const
         } pieces[3];
         int hops = 0;
         const BlockCopies *copies =
-            level == 0 ? g.copies[0].get() : nullptr;
+            level == 0 ? ix.copies[0].get() : nullptr;
         for (int i = 0; i < 3; ++i) {
             // A way out of a host, or into one, is the first host's.
             const NodeId inner = i == 0 ? from : to;
@@ -658,7 +671,7 @@ Topology::composeRoute(Cache &c, NodeId from, NodeId to) const
                 const NodeId dn = copies->node_offset[k];
                 const int local = inner - dn - copies->first_node +
                                   (i == 0 ? 0 : copies->nodes);
-                pieces[i] = {&g.gate_routes[local], dn,
+                pieces[i] = {&ix.gate_routes[local], dn,
                              copies->edge_offset[k]};
             } else {
                 const std::shared_ptr<const Path> &piece =
@@ -682,7 +695,7 @@ Topology::composeRoute(Cache &c, NodeId from, NodeId to) const
         }
         return joined;
     }
-    std::optional<Path> p = bfs(from, to);
+    std::optional<Path> p = bfs(ix, from, to);
     if (!p)
         return nullptr;
     return std::make_shared<const Path>(std::move(*p));
@@ -754,6 +767,7 @@ std::vector<int>
 Topology::componentLabels(EdgePred usable) const
 {
     const Graph &g = *graph_;
+    const GraphIndex &ix = index();
     std::vector<int> label(g.nodes.size(), -1);
     std::vector<NodeId> frontier;
     for (NodeId root = 0; root < nodeCount(); ++root) {
@@ -763,7 +777,7 @@ Topology::componentLabels(EdgePred usable) const
         frontier.assign(1, root);
         for (std::size_t head = 0; head < frontier.size(); ++head) {
             NodeId n = frontier[head];
-            for (int e : g.nodes[n].edges) {
+            for (int e : ix.edgesOf(n)) {
                 const Edge &edge = g.edges[e];
                 if (link_state_[e].down || !usable(edge))
                     continue;
@@ -853,7 +867,8 @@ Topology::collectiveFabric(const std::vector<NodeId> &gpus) const
 }
 
 std::optional<NodeId>
-Topology::computeHostCpu(NodeId gpu, bool all_links) const
+Topology::computeHostCpu(const GraphIndex &ix, NodeId gpu,
+                         bool all_links) const
 {
     // One BFS over up links; the nearest CPU at minimum depth with the
     // lowest node id wins — identical to probing every CPU with
@@ -876,7 +891,7 @@ Topology::computeHostCpu(NodeId gpu, bool all_links) const
             best_depth = s.depth[n];
             best = n;
         }
-        for (auto [other, e] : g.nodes[n].adj) {
+        for (auto [other, e] : ix.adjOf(n)) {
             if (s.seen[other] == s.stamp ||
                 (any_down && link_state_[e].down))
                 continue;
@@ -893,15 +908,15 @@ Topology::hostCpu(NodeId gpu) const
 {
     if (kind(gpu) != NodeKind::Gpu)
         sim::fatal("hostCpu: node %d is not a GPU", gpu);
-    const Graph &g = indexedGraph();
-    if (const BlockCopies *copies = g.copies[0].get()) {
+    const GraphIndex &ix = index();
+    if (const BlockCopies *copies = ix.copies[0].get()) {
         int k = copies->block_of[gpu];
         if (k >= 0 && hostLinksUp(*copies, k)) {
             NodeId shift = copies->node_offset[k];
-            return g.host_cpu[gpu - shift - copies->first_node] + shift;
+            return ix.host_cpu[gpu - shift - copies->first_node] + shift;
         }
     }
-    return computeHostCpu(gpu);
+    return computeHostCpu(ix, gpu);
 }
 
 NodeId
@@ -912,7 +927,7 @@ Topology::cellOf(NodeId n, FabricTier tier) const
     if (level >= kGatewayLevels)
         sim::fatal("cellOf: the %s tier has no cells",
                    toString(tier).c_str());
-    return indexedGraph().nodes[n].cell[level];
+    return index().cell[n][level];
 }
 
 std::string
@@ -1108,35 +1123,32 @@ Topology::validate() const
         if (n.kind == NodeKind::TorSwitch)
             ++tor_count;
     }
+    // One scan of the edge list marks each NIC with an edge to a ToR
+    // switch and each ToR with an edge to a spine switch.
+    auto uplink = [&nodes](NodeId n, NodeId other) {
+        const NodeKind up = nodes[other].kind;
+        return (nodes[n].kind == NodeKind::Nic &&
+                up == NodeKind::TorSwitch) ||
+               (nodes[n].kind == NodeKind::TorSwitch &&
+                up == NodeKind::SpineSwitch);
+    };
+    std::vector<char> uplinked(nodes.size(), 0);
+    for (const Edge &edge : edges) {
+        uplinked[edge.a] |= uplink(edge.a, edge.b);
+        uplinked[edge.b] |= uplink(edge.b, edge.a);
+    }
     for (NodeId n = 0; n < nodeCount(); ++n) {
-        if (nodes[n].kind == NodeKind::Nic) {
-            bool uplinked = false;
-            for (int e : nodes[n].edges) {
-                NodeId other =
-                    edges[e].a == n ? edges[e].b : edges[e].a;
-                if (nodes[other].kind == NodeKind::TorSwitch)
-                    uplinked = true;
-            }
-            if (!uplinked)
-                sim::fatal("Topology: NIC '%s' has zero uplinks; did "
-                           "you mean to connect it to a ToR switch?",
-                           nodes[n].name.c_str());
-        }
-        if (nodes[n].kind == NodeKind::TorSwitch && tor_count >= 2) {
-            bool spined = false;
-            for (int e : nodes[n].edges) {
-                NodeId other =
-                    edges[e].a == n ? edges[e].b : edges[e].a;
-                if (nodes[other].kind == NodeKind::SpineSwitch)
-                    spined = true;
-            }
-            if (!spined)
-                sim::fatal("Topology: rack of ToR switch '%s' is "
-                           "disconnected from the pod (%d racks, no "
-                           "spine uplink); did you mean to connect it "
-                           "to a spine switch?",
-                           nodes[n].name.c_str(), tor_count);
-        }
+        if (nodes[n].kind == NodeKind::Nic && !uplinked[n])
+            sim::fatal("Topology: NIC '%s' has zero uplinks; did "
+                       "you mean to connect it to a ToR switch?",
+                       nodes[n].name.c_str());
+        if (nodes[n].kind == NodeKind::TorSwitch && tor_count >= 2 &&
+            !uplinked[n])
+            sim::fatal("Topology: rack of ToR switch '%s' is "
+                       "disconnected from the pod (%d racks, no "
+                       "spine uplink); did you mean to connect it "
+                       "to a spine switch?",
+                       nodes[n].name.c_str(), tor_count);
     }
 
     checkConnected();
@@ -1163,27 +1175,26 @@ Topology::checkConnected() const
 std::vector<bool>
 Topology::reachableOverUpLinks() const
 {
-    std::vector<bool> seen(nodeCount(), false);
-    if (seen.empty())
-        return seen;
-    const std::vector<Node> &nodes = graph_->nodes;
-    const std::vector<Edge> &edges = graph_->edges;
-    std::deque<NodeId> frontier{0};
-    seen[0] = true;
-    while (!frontier.empty()) {
-        NodeId n = frontier.front();
-        frontier.pop_front();
-        for (int e : nodes[n].edges) {
-            if (link_state_[e].down)
-                continue;
-            NodeId other = edges[e].a == n ? edges[e].b : edges[e].a;
-            if (seen[other])
-                continue;
-            seen[other] = true;
-            frontier.push_back(other);
-        }
+    // A union-find over the up edges that links each root under the
+    // lower one, so node 0 stays the root of its set.
+    std::vector<NodeId> parent(nodeCount());
+    std::iota(parent.begin(), parent.end(), 0);
+    auto root = [&parent](NodeId n) {
+        while (parent[n] != n)
+            n = parent[n] = parent[parent[n]];
+        return n;
+    };
+    for (int e = 0; e < edgeCount(); ++e) {
+        if (link_state_[e].down)
+            continue;
+        NodeId a = root(graph_->edges[e].a);
+        NodeId b = root(graph_->edges[e].b);
+        parent[std::max(a, b)] = std::min(a, b);
     }
-    return seen;
+    std::vector<bool> reached(nodeCount());
+    for (NodeId n = 0; n < nodeCount(); ++n)
+        reached[n] = root(n) == 0;
+    return reached;
 }
 
 } // namespace mlps::net

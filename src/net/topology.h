@@ -18,13 +18,16 @@
  * know when to recompute. Routes, host CPUs and fabric labels read
  * only which links are down, so a bandwidth change keeps them.
  *
- * The graph (node kinds, names, incident lists, edge endpoints and
- * link specs) is immutable once shared: copies of a Topology share
- * it and own only their link state and route cache, so copying a
- * pod-scale machine costs its link state, not its structure. The
- * builders copy a shared graph before changing it.
+ * The graph (node kinds and names, edge endpoints and link specs) is
+ * immutable once shared: copies of a Topology share it and own only
+ * their link state and route cache, so copying a pod-scale machine
+ * costs its link state, not its structure. The builders copy a shared
+ * graph before changing it, and append nodes and edges only: building
+ * and validating a graph reads nothing but its node and edge lists.
  *
- * The graph also indexes, on first use, each node's gateway: the one
+ * What the graph's readers derive from it lives in one index, built
+ * on first read and shared by the graph's copies: each node's
+ * incident edges and search order, and each node's gateway, the one
  * node of its host (or rack) through which every path leaves it, as
  * a NIC is for a pod host and a ToR switch for a rack. route() joins
  * cached routes through the gateways instead of searching the pod.
@@ -236,8 +239,10 @@ class Topology
     /** Endpoints of an edge. */
     std::pair<NodeId, NodeId> endpoints(int edge) const;
 
-    /** Edge ids incident to a node, in connect order. */
-    const std::vector<int> &incidentEdges(NodeId n) const;
+    /** Edge ids incident to a node, in connect order (ascending). The
+     *  span lives in the graph's index: do not hold it across a
+     *  builder call. */
+    std::span<const int> incidentEdges(NodeId n) const;
 
     /** All node ids of the given kind, in insertion order. */
     std::vector<NodeId> nodesOfKind(NodeKind kind) const;
@@ -358,9 +363,9 @@ class Topology
                           NodeLists lists) const;
 
     /**
-     * Nodes reachable from node 0 over up links, by node id (a
-     * breadth-first walk; empty for an empty topology). A false entry
-     * is a node a dead link stranded.
+     * Nodes reachable from node 0 over up links, by node id (node 0's
+     * set of a union-find over the up edges; empty for an empty
+     * topology). A false entry is a node a dead link stranded.
      */
     std::vector<bool> reachableOverUpLinks() const;
 
@@ -378,24 +383,10 @@ class Topology
     void validate() const;
 
   private:
+    /** A node; its edges live in the edge list and the index. */
     struct Node {
         NodeKind kind;
-        /** Number of NVLink entries leading adj. */
-        int nvlinks = 0;
         std::string name;
-        /** Incident edge ids, in connect order. */
-        std::vector<int> edges;
-        /** (neighbour, edge) in the order bfs visits them: NVLink
-         *  edges first, then the rest, each in connect order. */
-        std::vector<std::pair<NodeId, int>> adj;
-        /** Per level, the gateway of this node's cell: the cell's only
-         *  node with an edge of a higher tier, or -1 when it has none
-         *  or several. Counts every edge, down or up. Written once per
-         *  graph by indexedGraph(). */
-        mutable NodeId gateway[kGatewayLevels] = {-1, -1};
-        /** Per level, the lowest node of this node's cell; written
-         *  with the gateways. */
-        mutable NodeId cell[kGatewayLevels] = {-1, -1};
     };
 
     struct Edge {
@@ -430,38 +421,61 @@ class Topology
         int edges;
     };
 
+    /** What the graph's readers derive from it, built once per graph
+     *  and immutable after. */
+    struct GraphIndex {
+        /** Node n's incident edges are incident[first[n],
+         *  first[n + 1]), ascending; at the same positions, adj lists
+         *  (neighbour, edge) in the order bfs visits them: NVLink
+         *  edges first, then the rest, each in connect order. */
+        std::vector<int> first;
+        std::vector<int> incident;
+        std::vector<std::pair<NodeId, int>> adj;
+        /** Per node and level, the gateway of the node's cell: the
+         *  cell's only node with an edge of a higher tier, or -1 when
+         *  it has none or several. Counts every edge, down or up. */
+        std::vector<std::array<NodeId, kGatewayLevels>> gateway;
+        /** Per node and level, the lowest node of the node's cell. */
+        std::vector<std::array<NodeId, kGatewayLevels>> cell;
+        /** Per level, the blocks, when they are exact copies of the
+         *  first. */
+        std::array<std::unique_ptr<const BlockCopies>, kGatewayLevels>
+            copies;
+        /** With host copies: the host CPU of each node of the first
+         *  host in a healthy graph, -1 for a node that is no GPU. */
+        std::vector<NodeId> host_cpu;
+        /** With host copies: the route from each node of the first
+         *  host to its gateway, then from the gateway to each node, in
+         *  a healthy graph. */
+        std::vector<Path> gate_routes;
+
+        std::span<const int> edgesOf(NodeId n) const {
+            return {incident.data() + first[n],
+                    incident.data() + first[n + 1]};
+        }
+        std::span<const std::pair<NodeId, int>> adjOf(NodeId n) const {
+            return {adj.data() + first[n], adj.data() + first[n + 1]};
+        }
+    };
+
     /** The structure copies share; never changed while shared, but
-     *  for what the first route or host-CPU lookup indexes (the
-     *  nodes' gateways and cells, the block copies and the host-CPU
-     *  table) and the validated mark. */
+     *  for the index its first reader builds and the validated mark. */
     struct Graph {
         std::vector<Node> nodes;
         std::vector<Edge> edges;
         /** Per level, the recorded blocks. */
         std::array<std::vector<BlockRecord>, kGatewayLevels> blocks;
         sim::DigestMemo<DigestMemoEntry> memo;
-        /** Written with the gateways: per level, the blocks, when they
-         *  are exact copies of the first. */
-        mutable std::array<std::unique_ptr<const BlockCopies>,
-                           kGatewayLevels>
-            copies;
-        /** Written with the gateways, with host copies: the host CPU
-         *  of each node of the first host in a healthy graph, -1 for
-         *  a node that is no GPU. */
-        mutable std::vector<NodeId> host_cpu;
-        /** Written with the gateways, with host copies: the route from
-         *  each node of the first host to its gateway, then from the
-         *  gateway to each node, in a healthy graph. */
-        mutable std::vector<Path> gate_routes;
-        /** Set (release) once the index above is written. */
-        mutable std::atomic<bool> gateways_indexed{false};
         /** Set once validate() passed on a copy of this graph: every
          *  check that reads only the graph holds, and so does
          *  connectivity over every link. */
         mutable std::atomic<bool> validated{false};
-        /** Held while the index is written, and while a builder
-         *  copies the nodes. */
-        mutable std::mutex gateways_mu;
+        /** The graph's index, owned here; null until a reader builds
+         *  it under index_mu and publishes it (release). */
+        mutable std::atomic<const GraphIndex *> index{nullptr};
+        mutable std::mutex index_mu;
+
+        ~Graph() { delete index.load(std::memory_order_relaxed); }
     };
 
     NodeId addNode(NodeKind kind, const std::string &name);
@@ -476,18 +490,17 @@ class Topology
     /** Minimum-hop BFS from 'from' to 'to' over up edges (every
      *  edge when 'all_links'), one pass over each node's NVLink-first
      *  adjacency. */
-    std::optional<Path> bfs(NodeId from, NodeId to,
+    std::optional<Path> bfs(const GraphIndex &ix, NodeId from, NodeId to,
                             bool all_links = false) const;
 
-    /** The graph, with its nodes' gateways, host copies and host-CPU
-     *  table written. */
-    const Graph &indexedGraph() const;
+    /** The graph's index, built on the first call. */
+    const GraphIndex &index() const;
 
-    /** Caller holds g.gateways_mu, with the gateways of g, this
-     *  copy's graph, written; the blocks recorded at 'level' if they
+    /** Caller builds ix, this copy's graph's index, with its adjacency
+     *  and gateways written; the blocks recorded at 'level' if they
      *  are exact copies of the first (else null), and at level 0
-     *  g.host_cpu and g.gate_routes for them. */
-    std::unique_ptr<const BlockCopies> checkBlockCopies(const Graph &g,
+     *  ix.host_cpu and ix.gate_routes for them. */
+    std::unique_ptr<const BlockCopies> checkBlockCopies(GraphIndex &ix,
                                                         int level) const;
 
     /** sim::fatal unless every node is reachable over up links. */
@@ -515,7 +528,7 @@ class Topology
 
     /** One BFS from 'gpu' over up links (every link when
      *  'all_links'): the nearest CPU, the lowest id among equals. */
-    std::optional<NodeId> computeHostCpu(NodeId gpu,
+    std::optional<NodeId> computeHostCpu(const GraphIndex &ix, NodeId gpu,
                                          bool all_links = false) const;
 
     /**

@@ -17,6 +17,17 @@ bits(double x)
     return std::bit_cast<std::uint64_t>(x);
 }
 
+/** One thread's buffers for breakSharedPairs(), reused across calls; a
+ *  stamp marks the slots the current call has owned. */
+struct PairScratch {
+    std::vector<int> group;           ///< per flow
+    std::vector<int> owner;           ///< per directed slot
+    std::vector<std::uint32_t> stamp; ///< per directed slot
+    std::uint32_t now = 0;
+};
+
+thread_local PairScratch t_pairs;
+
 } // namespace
 
 FlowSimulator::FlowSimulator(const Topology &topo)
@@ -223,15 +234,17 @@ void
 FlowSimulator::breakSharedPairs()
 {
     // Each directed slot's owner: the pair (level + levels * block)
-    // whose flows alone cross it, -1 before any flow does, -2 once two
-    // pairs, or a flow of no pair, do. The first pair of a level is
-    // block 0's.
+    // whose flows alone cross it, none (an old stamp) before any flow
+    // does, -2 once two pairs, or a flow of no pair, do. The first
+    // pair of a level is block 0's.
     if (std::none_of(flows_.begin(), flows_.end(),
                      [](const Flow &f) { return f.pair; }))
         return;
     constexpr int kLevels = Topology::kGatewayLevels;
     const int n = static_cast<int>(flows_.size());
-    std::vector<int> group(n, -2);
+    PairScratch &p = t_pairs;
+    std::vector<int> &group = p.group;
+    group.assign(n, -2);
     for (int level = 0; level < kLevels; ++level) {
         for (int fi : levels_[level].first_pair)
             group[fi] = level;
@@ -241,11 +254,17 @@ FlowSimulator::breakSharedPairs()
         if (f.pair)
             group[fi] = f.level + kLevels * f.block;
     }
-    std::vector<int> owner(2 * topo_.edgeCount(), -1);
+    const std::size_t slots = 2 * topo_.edgeCount();
+    if (p.stamp.size() < slots || ++p.now == 0) {
+        p.stamp.assign(std::max(slots, p.stamp.size()), 0);
+        p.owner.resize(p.stamp.size());
+        p.now = 1;
+    }
     for (int fi = 0; fi < n; ++fi) {
         const int g = group[fi];
         forEachSlot(fi, [&](int s) {
-            owner[s] = owner[s] == -1 || owner[s] == g ? g : -2;
+            p.owner[s] = p.stamp[s] != p.now || p.owner[s] == g ? g : -2;
+            p.stamp[s] = p.now;
         });
     }
     for (int fi = 0; fi < n; ++fi) {
@@ -253,7 +272,7 @@ FlowSimulator::breakSharedPairs()
         if (g < 0)
             continue;
         bool alone = true;
-        forEachSlot(fi, [&](int s) { alone = alone && owner[s] == g; });
+        forEachSlot(fi, [&](int s) { alone = alone && p.owner[s] == g; });
         if (!alone)
             levels_[g % kLevels].blocks[g / kLevels].pair_broken = true;
     }

@@ -1,5 +1,6 @@
 #include "sys/machines.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <span>
 #include <sstream>
@@ -343,7 +344,6 @@ withPod(const SystemConfig &base, int racks, int nodes_per_rack,
     // with "r<rack>n<node>." name prefixes.
     net::LeafBuilder leaf = [&base](net::Topology &topo,
                                     const std::string &prefix) {
-        net::LeafNodes nodes;
         std::vector<net::NodeId> map(base.topo.nodeCount(), -1);
         for (net::NodeId n = 0; n < base.topo.nodeCount(); ++n) {
             std::string name = prefix + base.topo.name(n);
@@ -369,13 +369,15 @@ withPod(const SystemConfig &base, int racks, int nodes_per_rack,
             auto [a, b] = base.topo.endpoints(e);
             topo.connect(map[a], map[b], base.topo.link(e));
         }
-        for (net::NodeId n : base.cpu_nodes)
-            nodes.cpus.push_back(map[n]);
-        for (net::NodeId n : base.gpu_nodes)
-            nodes.gpus.push_back(map[n]);
-        for (net::NodeId n : base.switch_nodes)
-            nodes.switches.push_back(map[n]);
-        return nodes;
+        auto mapped = [&map](const std::vector<net::NodeId> &ids) {
+            std::vector<net::NodeId> out(ids.size());
+            std::transform(ids.begin(), ids.end(), out.begin(),
+                           [&map](net::NodeId n) { return map[n]; });
+            return out;
+        };
+        return net::LeafNodes{mapped(base.cpu_nodes),
+                              mapped(base.gpu_nodes),
+                              mapped(base.switch_nodes)};
     };
     net::PodTopology pod = net::buildPodTopology(shape, leaf);
 
@@ -440,8 +442,10 @@ withTorDegraded(const SystemConfig &base, int rack, double scale)
         sim::fatal("withTorDegraded: '%s' has no ToR switch '%s'",
                    base.name.c_str(), tor_name.c_str());
     int touched = 0;
-    for (int e : s.topo.incidentEdges(tor)) {
-        if (s.topo.link(e).tier == net::FabricTier::CrossRack) {
+    for (int e = 0; e < s.topo.edgeCount(); ++e) {
+        auto [a, b] = s.topo.endpoints(e);
+        if ((a == tor || b == tor) &&
+            s.topo.link(e).tier == net::FabricTier::CrossRack) {
             s.topo.setLinkBandwidthScale(e, scale);
             ++touched;
         }

@@ -53,7 +53,8 @@ bfsRoute(const net::Topology &topo, net::NodeId from, net::NodeId to,
     while (!frontier.empty()) {
         net::NodeId n = frontier.front();
         frontier.pop_front();
-        std::vector<int> order = topo.incidentEdges(n);
+        const auto incident = topo.incidentEdges(n);
+        std::vector<int> order(incident.begin(), incident.end());
         std::stable_sort(order.begin(), order.end(), [&](int e1, int e2) {
             return (topo.link(e1).kind == net::LinkKind::NvLink) >
                    (topo.link(e2).kind == net::LinkKind::NvLink);
