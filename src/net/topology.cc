@@ -86,6 +86,25 @@ lastSearchDepth(NodeId n)
                                 : std::numeric_limits<int>::max();
 }
 
+/** The root of n's set in a union-find whose roots lead their sets
+ *  as their lowest node; halves the path on the way. */
+NodeId
+findRoot(std::vector<NodeId> &parent, NodeId n)
+{
+    while (parent[n] != n)
+        n = parent[n] = parent[parent[n]];
+    return n;
+}
+
+/** Join the sets of a and b under the lower of their roots. */
+void
+unite(std::vector<NodeId> &parent, NodeId a, NodeId b)
+{
+    a = findRoot(parent, a);
+    b = findRoot(parent, b);
+    parent[std::max(a, b)] = std::min(a, b);
+}
+
 /** Nodes a GPUDirect P2P path may not pass through: CPU root
  *  complexes and the datacenter fabric (GPUDirect P2P never crosses a
  *  NIC — remote access is RDMA, which this model treats as
@@ -371,55 +390,47 @@ Topology::index() const
         ix->incident[next[g.edges[e].a]++] = e;
         ix->incident[next[g.edges[e].b]++] = e;
     }
-    for (NodeId n = 0; n < nodes; ++n) {
-        int at = ix->first[n];
-        for (bool nvlink : {true, false}) {
-            for (int e : ix->edgesOf(n)) {
-                const Edge &edge = g.edges[e];
-                if ((edge.link.kind == LinkKind::NvLink) == nvlink)
-                    ix->adj[at++] = {edge.a == n ? edge.b : edge.a, e};
-            }
+    std::copy(ix->first.begin(), ix->first.end() - 1, next.begin());
+    for (bool nvlink : {true, false}) {
+        for (int e = 0; e < edgeCount(); ++e) {
+            const Edge &edge = g.edges[e];
+            if ((edge.link.kind == LinkKind::NvLink) != nvlink)
+                continue;
+            ix->adj[next[edge.a]++] = {edge.b, e};
+            ix->adj[next[edge.b]++] = {edge.a, e};
         }
     }
-    // Per level, one walk per cell over the edges of that tier or
-    // below, down or up (a down link removes paths, never adds an
-    // exit), then the cell's exits: members with a higher-tier edge.
+    // Per level, the cells are the sets of a union-find over the edges
+    // of that tier or below, down or up (a down link removes paths,
+    // never adds an exit), each led by its lowest node; a cell's exits
+    // are its members with a higher-tier edge. A level's cells join
+    // the cells of the level below.
     ix->gateway.resize(nodes);
     ix->cell.resize(nodes);
-    std::vector<bool> seen(nodes);
-    std::vector<NodeId> cell;
+    std::vector<NodeId> parent(nodes);
+    std::iota(parent.begin(), parent.end(), 0);
+    std::vector<char> exit(nodes);
+    std::vector<int> exits(nodes);   ///< per cell
+    std::vector<NodeId> gate(nodes); ///< per cell: an exit
     for (int level = 0; level < kGatewayLevels; ++level) {
-        auto inCell = [&g, level](int e) {
-            return static_cast<int>(g.edges[e].link.tier) <= level;
-        };
-        std::fill(seen.begin(), seen.end(), false);
-        for (NodeId root = 0; root < nodes; ++root) {
-            if (seen[root])
-                continue;
-            seen[root] = true;
-            cell.assign(1, root);
-            NodeId gateway = -1;
-            int exits = 0;
-            for (std::size_t head = 0; head < cell.size(); ++head) {
-                NodeId n = cell[head];
-                bool exit = false;
-                for (auto [other, e] : ix->adjOf(n)) {
-                    if (!inCell(e)) {
-                        exit = true;
-                    } else if (!seen[other]) {
-                        seen[other] = true;
-                        cell.push_back(other);
-                    }
-                }
-                if (exit) {
-                    gateway = n;
-                    ++exits;
-                }
+        std::fill(exit.begin(), exit.end(), 0);
+        std::fill(exits.begin(), exits.end(), 0);
+        for (const Edge &edge : g.edges) {
+            if (static_cast<int>(edge.link.tier) <= level)
+                unite(parent, edge.a, edge.b);
+            else
+                exit[edge.a] = exit[edge.b] = 1;
+        }
+        for (NodeId n = 0; n < nodes; ++n) {
+            const NodeId cell = ix->cell[n][level] = findRoot(parent, n);
+            if (exit[n]) {
+                ++exits[cell];
+                gate[cell] = n;
             }
-            for (NodeId n : cell) {
-                ix->gateway[n][level] = exits == 1 ? gateway : -1;
-                ix->cell[n][level] = root;
-            }
+        }
+        for (NodeId n = 0; n < nodes; ++n) {
+            const NodeId cell = ix->cell[n][level];
+            ix->gateway[n][level] = exits[cell] == 1 ? gate[cell] : -1;
         }
     }
     for (int level = 0; level < kGatewayLevels; ++level)
@@ -1175,25 +1186,16 @@ Topology::checkConnected() const
 std::vector<bool>
 Topology::reachableOverUpLinks() const
 {
-    // A union-find over the up edges that links each root under the
-    // lower one, so node 0 stays the root of its set.
+    // Node 0 leads its set of a union-find over the up edges.
     std::vector<NodeId> parent(nodeCount());
     std::iota(parent.begin(), parent.end(), 0);
-    auto root = [&parent](NodeId n) {
-        while (parent[n] != n)
-            n = parent[n] = parent[parent[n]];
-        return n;
-    };
     for (int e = 0; e < edgeCount(); ++e) {
-        if (link_state_[e].down)
-            continue;
-        NodeId a = root(graph_->edges[e].a);
-        NodeId b = root(graph_->edges[e].b);
-        parent[std::max(a, b)] = std::min(a, b);
+        if (!link_state_[e].down)
+            unite(parent, graph_->edges[e].a, graph_->edges[e].b);
     }
     std::vector<bool> reached(nodeCount());
     for (NodeId n = 0; n < nodeCount(); ++n)
-        reached[n] = root(n) == 0;
+        reached[n] = findRoot(parent, n) == 0;
     return reached;
 }
 
