@@ -409,21 +409,21 @@ Topology::index() const
     ix->cell.resize(nodes);
     std::vector<NodeId> parent(nodes);
     std::iota(parent.begin(), parent.end(), 0);
-    std::vector<char> exit(nodes);
-    std::vector<int> exits(nodes);   ///< per cell
-    std::vector<NodeId> gate(nodes); ///< per cell: an exit
+    std::vector<char> leaves(nodes); // per node: a higher-tier edge
+    std::vector<int> exits(nodes);   // per cell
+    std::vector<NodeId> gate(nodes); // per cell: one of its exits
     for (int level = 0; level < kGatewayLevels; ++level) {
-        std::fill(exit.begin(), exit.end(), 0);
+        std::fill(leaves.begin(), leaves.end(), 0);
         std::fill(exits.begin(), exits.end(), 0);
         for (const Edge &edge : g.edges) {
             if (static_cast<int>(edge.link.tier) <= level)
                 unite(parent, edge.a, edge.b);
             else
-                exit[edge.a] = exit[edge.b] = 1;
+                leaves[edge.a] = leaves[edge.b] = 1;
         }
         for (NodeId n = 0; n < nodes; ++n) {
             const NodeId cell = ix->cell[n][level] = findRoot(parent, n);
-            if (exit[n]) {
+            if (leaves[n]) {
                 ++exits[cell];
                 gate[cell] = n;
             }

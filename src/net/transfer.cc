@@ -254,6 +254,7 @@ FlowSimulator::breakSharedPairs()
         if (f.pair)
             group[fi] = f.level + kLevels * f.block;
     }
+    // A larger graph, or a stamp that wrapped, clears every slot.
     const std::size_t slots = 2 * topo_.edgeCount();
     if (p.stamp.size() < slots || ++p.now == 0) {
         p.stamp.assign(std::max(slots, p.stamp.size()), 0);
