@@ -1644,9 +1644,29 @@ TEST(Topology, AdjacencyMatchesEdgeListAcrossThreads)
 }
 
 /**
+ * Degraded links on a pod of 'hosts' hosts per rack that leave blocks
+ * other than the first to price as one another's copies: r0n0 and
+ * r2n3 degraded alike, so that one class of hosts has two members;
+ * host r0n1 degraded, so that the first host keeps its class; and
+ * every host of rack 0 degraded alike.
+ */
+std::vector<std::string>
+degradedBlocks(int hosts)
+{
+    std::string rack0;
+    for (int h = 0; h < hosts; ++h) {
+        const std::string n = "r0n" + std::to_string(h);
+        rack0 += (h ? "," : "") + n + ".NIC0-tor0:0.5";
+    }
+    return {"r0n0.GPU0-r0n0.GPU1:0.25,r2n3.GPU0-r2n3.GPU1:0.25",
+            "r0n1.CPU0-r0n1.NIC0:0.5", rack0};
+}
+
+/**
  * Pods where some host or rack is not a copy of the first: a link down
  * or a bandwidth scale inside one host, a NIC uplink scaled in rack 3,
- * the first rack's first host scaled, rack 3's spine uplinks scaled
+ * the first rack's first host scaled, the degradedBlocks() cases,
+ * rack 3's spine uplinks scaled
  * (outside every rack), GPU sets that end inside a host or a rack, and
  * hand-built pods with a two-NIC host, only two-NIC hosts or racks of
  * unequal size.
@@ -1659,9 +1679,12 @@ templateBreakers()
     for (auto [racks, hosts] : {std::pair{4, 4}, {16, 8}}) {
         const std::string shape =
             std::to_string(racks) + "x" + std::to_string(hosts);
-        for (const char *links :
-             {"r3n1.NIC0-tor3:0.5", "r0n0.NIC0-tor0:0.5",
-              "r0n0.GPU0-r0n0.GPU1:0.25"}) {
+        std::vector<std::string> degraded = {"r3n1.NIC0-tor3:0.5",
+                                             "r0n0.NIC0-tor0:0.5",
+                                             "r0n0.GPU0-r0n0.GPU1:0.25"};
+        for (const std::string &links : degradedBlocks(hosts))
+            degraded.push_back(links);
+        for (const std::string &links : degraded) {
             SystemConfig pod = sys::withPod(sys::c4140M(), racks, hosts);
             sys::applyDegradedLinks(pod, links);
             cases.push_back({pod, 0, "C4140 (M) " + shape + " " + links});
@@ -1958,7 +1981,9 @@ podRackNodes(const Topology &topo)
 // breaks the copy in one way; the simulator must still match the
 // reference, which prices every flow, bit for bit. Last, the rack
 // rings and chains of the collective plans, with one rack's flows
-// reordered, one short or one more, or a flow into the first rack.
+// reordered, one short or one more, or a flow into the first rack;
+// and the host rings, rack rings and chains of pods whose degraded
+// blocks are not the first block's copies (degradedBlocks()).
 TEST(FlowSimulatorReference, PodHostCopiesMatchBitForBit)
 {
     enum class Odd {
@@ -2122,6 +2147,18 @@ TEST(FlowSimulatorReference, PodHostCopiesMatchBitForBit)
             expectFlowSimMatchesReference(topo, into_first,
                                           label + ", rack 3 into rack 0");
         }
+        for (const std::string &links : degradedBlocks(hosts)) {
+            SystemConfig degraded = pod;
+            mlps::sys::applyDegradedLinks(degraded, links);
+            for (const auto &[round, flows] :
+                 podRounds(degraded.topo, degraded.gpu_nodes, 64e6)) {
+                if (round == "host rings" || round == "rack rings" ||
+                    round == "chains")
+                    expectFlowSimMatchesReference(
+                        degraded.topo, flows,
+                        pod.name + ", " + links + ", " + round);
+            }
+        }
     }
 }
 
@@ -2143,8 +2180,8 @@ crossNodeRound(const SystemConfig &s, int gpus = 0)
 // to host j+1 of one rack are the first pair's (r0n0 to r0n1) shifted,
 // and the flows from the last host of rack k to the first of rack k+1
 // the first rack pair's shifted. Each case breaks some pairs one way:
-// a scaled spine, ToR uplink or NIC uplink, a downed NVLink, a subset
-// of the GPUs, a pair short of a flow, with one more or reordered, a
+// a scaled spine, ToR uplink or NIC uplink, a downed NVLink, the
+// degradedBlocks() cases, a subset of the GPUs, a pair short of a flow, with one more or reordered, a
 // flow that shares a pair's links, and pods with a wrap pair or a
 // single rack. The simulator must still match the reference, which
 // prices every flow, bit for bit.
@@ -2165,8 +2202,10 @@ TEST(FlowSimulatorReference, PairCopiesMatchBitForBit)
         const std::string nvlink =
             racks == 16 ? "r5n2.GPU0-r5n2.GPU1:down"
                         : "r2n2.GPU0-r2n2.GPU1:down";
-        for (const std::string &links :
-             {std::string("r0n0.NIC0-tor0:0.5"), nvlink}) {
+        std::vector<std::string> degraded = {"r0n0.NIC0-tor0:0.5", nvlink};
+        for (const std::string &links : degradedBlocks(hosts))
+            degraded.push_back(links);
+        for (const std::string &links : degraded) {
             SystemConfig s = pod;
             sys::applyDegradedLinks(s, links);
             expectFlowSimMatchesReference(s.topo, crossNodeRound(s),

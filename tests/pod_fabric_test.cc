@@ -714,22 +714,18 @@ TEST(RouteCache, RackRingRoundRoutesOnlyTheFirstRack)
               static_cast<double>(2 * per_host));
 }
 
-// The 2D ring's cross-node round is host pairs: the flows from host j
-// to host j+1 are the first pair's shifted, within a rack (r0n0 to
-// r0n1) or across a rack boundary (r0n7 to r1n0). Pricing it on a
-// fresh copy of a healthy pod routes those two pairs and the wrap pair
-// (r15n7 to r0n0), and adds every other pair's flows as unrouted
-// copies: one route lookup per flow of three pairs.
-TEST(RouteCache, CrossNodeRoundRoutesOnlyTheFirstPairs)
+/** Route lookups made by pricing the 2D ring's cross-node round, rank
+ *  i of host j to rank i of host j+1 around every host, on a fresh
+ *  copy of 'pod'. */
+double
+crossNodeRoundLookups(const sys::SystemConfig &pod)
 {
-    sys::SystemConfig pod = sys::withPod(sys::c4140M(), 16, 8);
     const std::vector<net::NodeId> &gpus = pod.gpu_nodes;
-    ASSERT_TRUE(pod.topo.route(gpus[0], gpus[1]).has_value()); // registers
+    EXPECT_TRUE(pod.topo.route(gpus[0], gpus[1]).has_value()); // registers
     net::Topology topo = pod.topo; // a copy starts with no routes
     const net::FabricShape shape = net::fabricShape(topo, gpus);
     const std::vector<std::vector<net::NodeId>> &hosts = shape.node_groups;
-    ASSERT_EQ(hosts.size(), 128u);
-    // Rank i of host j to rank i of host j+1, around every host.
+    EXPECT_EQ(hosts.size(), 128u);
     net::FlowSimulator fsim(topo);
     const int per_host = static_cast<int>(hosts[0].size());
     const int m = static_cast<int>(hosts.size());
@@ -740,7 +736,30 @@ TEST(RouteCache, CrossNodeRoundRoutesOnlyTheFirstPairs)
     }
     EXPECT_GT(fsim.run(), 0.0);
     auto [hits_after, misses_after] = routeCacheCounts();
-    EXPECT_EQ(hits_after - hits + misses_after - misses, 12.0);
+    return hits_after - hits + misses_after - misses;
+}
+
+// The 2D ring's cross-node round is host pairs: the flows from host j
+// to host j+1 are the first pair's shifted, within a rack (r0n0 to
+// r0n1) or across a rack boundary (r0n7 to r1n0). Pricing it on a
+// fresh copy of a healthy pod routes those two pairs and the wrap pair
+// (r15n7 to r0n0), and adds every other pair's flows as unrouted
+// copies: one route lookup per flow of three pairs.
+TEST(RouteCache, CrossNodeRoundRoutesOnlyTheFirstPairs)
+{
+    EXPECT_EQ(crossNodeRoundLookups(sys::withPod(sys::c4140M(), 16, 8)),
+              12.0);
+}
+
+// The same round with the first host's NIC uplink at half bandwidth.
+// Each host and rack pair is compared with the first pair, whose
+// first block no other block matches, so every flow is routed: one
+// lookup per flow.
+TEST(RouteCache, CrossNodeRoundWithADegradedFirstHost)
+{
+    sys::SystemConfig pod = sys::withPod(sys::c4140M(), 16, 8);
+    sys::applyDegradedLinks(pod, "r0n0.NIC0-tor0:0.5");
+    EXPECT_EQ(crossNodeRoundLookups(pod), 512.0);
 }
 
 // Routes read only which links are down: scaling a link's bandwidth
