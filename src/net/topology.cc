@@ -622,33 +622,23 @@ Topology::hostLinksUp(const BlockCopies &copies, int k) const
 }
 
 bool
-Topology::blockMatchesFirst(int level, int k) const
+Topology::blocksMatch(int level, int j, int k, bool ways_out) const
 {
     const BlockCopies *copies = blockCopies(level);
-    if (!copies || k < 0 ||
-        k >= static_cast<int>(copies->node_offset.size()))
-        sim::fatal("blockMatchesFirst: no level %d block %d", level, k);
-    const int de = copies->edge_offset[k];
-    for (int e : copies->cell_edges) {
-        if (!(link_state_[e] == link_state_[e + de]))
-            return false;
-    }
-    return true;
-}
-
-bool
-Topology::gateMatchesFirst(int level, int k) const
-{
-    const BlockCopies *copies = blockCopies(level);
-    if (!copies || k < 0 ||
-        k >= static_cast<int>(copies->node_offset.size()))
-        sim::fatal("gateMatchesFirst: no level %d block %d", level, k);
-    const int de = copies->edge_offset[k];
-    for (int e : copies->gate_edges) {
-        if (!(link_state_[e] == link_state_[e + de]))
-            return false;
-    }
-    return true;
+    const int blocks =
+        copies ? static_cast<int>(copies->node_offset.size()) : 0;
+    if (j < 0 || j >= blocks || k < 0 || k >= blocks)
+        sim::fatal("blocksMatch: no level %d blocks %d and %d", level, j, k);
+    const int dj = copies->edge_offset[j];
+    const int dk = copies->edge_offset[k];
+    auto same = [&](const std::vector<int> &edges) {
+        for (int e : edges) {
+            if (!(link_state_[e + dj] == link_state_[e + dk]))
+                return false;
+        }
+        return true;
+    };
+    return same(copies->cell_edges) && (!ways_out || same(copies->gate_edges));
 }
 
 std::shared_ptr<const Path>

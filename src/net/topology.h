@@ -39,17 +39,18 @@
  * and an edge offset, with equal link specs, and a cell of its own
  * behind one gateway (blockCopies()): the NIC for a host, the ToR for
  * a rack. A path between two nodes of such a block never leaves its
- * cell, so block k's routes, and the flows on them, are the first
- * block's shifted wherever the links of block k's cell are in the
- * first block's state: the flow simulator adds such flows without
- * routing them. Neighbouring blocks whose ways out end at the same
- * far ends, as two hosts under one ToR or two racks under the same
- * spines do, form pairs (BlockCopies::pairs): a path from block k to
- * block k+1 is then the one from block 0 to block 1, its edges
- * shifted, and the simulator adds such flows unrouted as well. At the
- * host level, route() also joins a host's way to its gateway from the
- * first host's, and hostCpu() answers from one table of the first
- * host's host CPUs.
+ * cell, so block k's routes, and the flows on them, are its twin's
+ * shifted, the twin being the lowest block whose cell links are in
+ * block k's state (blocksMatch()): the flow simulator, deciding when
+ * a round runs, prices such flows without routing them. Neighbouring
+ * blocks whose ways out end at the same far ends, as two hosts under
+ * one ToR or two racks under the same spines do, form pairs
+ * (BlockCopies::pairs): a path from block k to block k+1 is then the
+ * one between the blocks of the lowest pair in the same link state,
+ * its edges shifted, and the simulator prices such flows unrouted as
+ * well. At the host level, route() also joins a host's way to its
+ * gateway from the first host's, and hostCpu() answers from one table
+ * of the first host's host CPUs.
  */
 
 #ifndef MLPSIM_NET_TOPOLOGY_H
@@ -194,10 +195,12 @@ class Topology
          * shifted by k's offsets, every way out of the first block's
          * cell lies in its record, and block k's ways out end,
          * position by position, at the far ends of block k+1's. Then a
-         * path from block k to block k+1 is the one from block 0 to
-         * block 1, its edges shifted, wherever blocks 1, k and k+1 are
-         * in the first block's link state (blockMatchesFirst(),
-         * gateMatchesFirst()). 0 for the last block.
+         * path from block k to block k+1 is the one from block j to
+         * block j+1 of any such pair j, its edges shifted, wherever
+         * blocks j and k, and blocks j+1 and k+1, are in one link
+         * state, cells and ways out (blocksMatch()); the flow
+         * simulator takes the lowest such j as the pair's twin when
+         * the round runs. 0 for the last block.
          */
         std::vector<char> pairs;
     };
@@ -210,20 +213,13 @@ class Topology
     const BlockCopies *blockCopies(int level) const;
 
     /**
-     * True when the edges inside block k's cell are in the link state
-     * (down bits and bandwidth scales) of the first block's, so that a
-     * path inside block k prices as the first block's shifted until
-     * the next link-state change (the next epoch()). Requires
-     * blockCopies(level).
+     * True when the edges inside the cells of blocks j and k are in one
+     * link state (down bits and bandwidth scales), and with 'ways_out'
+     * also the ways out of their cells (BlockCopies::gate_edges,
+     * shifted), so that a path inside block k prices as block j's
+     * shifted while the link state holds. Requires blockCopies(level).
      */
-    bool blockMatchesFirst(int level, int k) const;
-
-    /**
-     * True when the ways out of block k's cell (BlockCopies::
-     * gate_edges, shifted) are in the first block's link state.
-     * Requires blockCopies(level).
-     */
-    bool gateMatchesFirst(int level, int k) const;
+    bool blocksMatch(int level, int j, int k, bool ways_out = false) const;
 
     int nodeCount() const {
         return graph_ ? static_cast<int>(graph_->nodes.size()) : 0;

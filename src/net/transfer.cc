@@ -17,13 +17,88 @@ bits(double x)
     return std::bit_cast<std::uint64_t>(x);
 }
 
+/** Flows grouped by key, each group in flow-id order (CSR). */
+struct Groups {
+    std::vector<int> begin; ///< per key its first entry, then the end
+    std::vector<int> flows;
+
+    /** Group flow fi under key[fi]; a key of -1 leaves it out. */
+    Groups(const std::vector<int> &key, int keys) : begin(keys + 1, 0)
+    {
+        for (int k : key) {
+            if (k >= 0)
+                ++begin[k + 1];
+        }
+        for (int k = 0; k < keys; ++k)
+            begin[k + 1] += begin[k];
+        flows.resize(begin[keys]);
+        std::vector<int> fill(begin.begin(), begin.end() - 1);
+        for (int fi = 0; fi < static_cast<int>(key.size()); ++fi) {
+            if (key[fi] >= 0)
+                flows[fill[key[fi]]++] = fi;
+        }
+    }
+
+    std::span<const int> operator[](int k) const
+    {
+        return {flows.data() + begin[k], flows.data() + begin[k + 1]};
+    }
+};
+
+/** The twins of one level's blocks, each found on first use: the
+ *  lowest block in its link state, cells only or with ways out. */
+class Twins
+{
+  public:
+    Twins(const Topology &topo, int level, int blocks)
+        : topo_(topo), level_(level),
+          twin_{std::vector<int>(blocks, -1), std::vector<int>(blocks, -1)}
+    {
+    }
+
+    int of(int k, bool ways_out)
+    {
+        std::vector<int> &twin = twin_[ways_out];
+        if (twin[k] >= 0)
+            return twin[k];
+        twin[k] = k;
+        for (int j = 0; j < k; ++j) {
+            // A block with a lower twin matches no block its twin
+            // does not, and the twin comes first.
+            if ((twin[j] < 0 || twin[j] == j) &&
+                topo_.blocksMatch(level_, j, k, ways_out)) {
+                twin[k] = j;
+                break;
+            }
+        }
+        return twin[k];
+    }
+
+    /** The lowest pair j in the link state of pair a: blocks j and
+     *  j+1 those of blocks a and a+1, cells and ways out. */
+    int ofPair(const std::vector<char> &pairs, int a)
+    {
+        for (int j = 0; j < a; ++j) {
+            if (pairs[j] && of(j, true) == of(a, true) &&
+                of(j + 1, true) == of(a + 1, true))
+                return j;
+        }
+        return a;
+    }
+
+  private:
+    const Topology &topo_;
+    const int level_;
+    std::vector<int> twin_[2];
+};
+
 /** One thread's buffers for breakSharedPairs(), reused across calls; a
  *  stamp marks the slots the current call has owned. */
 struct PairScratch {
-    std::vector<int> group;           ///< per flow
     std::vector<int> owner;           ///< per directed slot
     std::vector<std::uint32_t> stamp; ///< per directed slot
     std::uint32_t now = 0;
+    std::vector<char> shared;         ///< per pair
 };
 
 thread_local PairScratch t_pairs;
@@ -33,8 +108,6 @@ thread_local PairScratch t_pairs;
 FlowSimulator::FlowSimulator(const Topology &topo)
     : topo_(topo), edge_bytes_(topo.edgeCount(), 0.0)
 {
-    for (int level = 0; level < Topology::kGatewayLevels; ++level)
-        levels_[level].copies = topo.blockCopies(level);
 }
 
 FlowId
@@ -52,14 +125,101 @@ FlowSimulator::addFlow(NodeId from, NodeId to, double bytes, double start_s)
     f.bytes = bytes;
     f.remaining = bytes;
     f.start_s = start_s;
-    if (addCopy(f)) {
-        flows_.push_back(std::move(f));
-        return static_cast<FlowId>(flows_.size()) - 1;
+    flows_.push_back(std::move(f));
+    return static_cast<FlowId>(flows_.size()) - 1;
+}
+
+void
+FlowSimulator::findCopies()
+{
+    constexpr int kLevels = Topology::kGatewayLevels;
+    const int n = static_cast<int>(flows_.size());
+    const NodeId nodes = topo_.nodeCount();
+    std::vector<int> key(n);
+    // Blocks first, then pairs, each level from the lowest: a flow no
+    // block kept may still be a pair's.
+    for (bool pairs : {false, true}) {
+        for (int level = 0; level < kLevels; ++level) {
+            const Topology::BlockCopies *c = topo_.blockCopies(level);
+            if (!c)
+                continue;
+            const int blocks = static_cast<int>(c->node_offset.size());
+            auto blockOf = [&](NodeId v) {
+                return v >= 0 && v < nodes ? c->block_of[v] : -1;
+            };
+            // A block with a flow into or out of it, whose twin it
+            // cannot be, nor a copy of its twin.
+            std::vector<char> open(pairs ? 0 : blocks, 0);
+            bool any = false;
+            for (int fi = 0; fi < n; ++fi) {
+                Flow &f = flows_[fi];
+                const int a = blockOf(f.from);
+                const int b = blockOf(f.to);
+                if (!pairs) {
+                    key[fi] = a == b ? a : -1;
+                    for (int k : {a, b}) {
+                        if (a != b && k >= 0)
+                            open[k] = 1;
+                    }
+                } else if (f.twin < 0 && f.pair < 0 && a >= 0 &&
+                           c->pairs[a] && b == a + 1) {
+                    key[fi] = a;
+                    f.pair = level + kLevels * a;
+                } else {
+                    key[fi] = -1;
+                }
+                any = any || key[fi] >= 0;
+            }
+            if (!any)
+                continue;
+            const Groups groups(key, blocks);
+            Twins twins(topo_, level, blocks);
+            for (int k = 0; k < blocks; ++k) {
+                if (groups[k].empty() || (!pairs && open[k]))
+                    continue;
+                const int t = pairs ? twins.ofPair(c->pairs, k)
+                                    : twins.of(k, false);
+                if (t != k && (pairs || !open[t]))
+                    keepCopies(groups[k], groups[t],
+                               c->node_offset[k] - c->node_offset[t],
+                               c->edge_offset[k] - c->edge_offset[t]);
+            }
+        }
     }
-    f.path = topo_.sharedRoute(from, to);
+}
+
+void
+FlowSimulator::keepCopies(std::span<const int> copy,
+                          std::span<const int> twin, NodeId dn, int shift)
+{
+    if (copy.size() != twin.size())
+        return;
+    for (std::size_t i = 0; i < copy.size(); ++i) {
+        const Flow &f = flows_[copy[i]];
+        const Flow &t = flows_[twin[i]];
+        if (twin[i] > copy[i] || t.from + dn != f.from || t.to + dn != f.to ||
+            bits(t.bytes) != bits(f.bytes) ||
+            bits(t.start_s) != bits(f.start_s))
+            return;
+    }
+    // A flow a host kept keeps its host twin.
+    for (std::size_t i = 0; i < copy.size(); ++i) {
+        Flow &f = flows_[copy[i]];
+        if (f.twin < 0) {
+            f.twin = twin[i];
+            f.shift = shift;
+        }
+    }
+}
+
+void
+FlowSimulator::route(int fi)
+{
+    Flow &f = flows_[fi];
+    f.path = topo_.sharedRoute(f.from, f.to);
     if (!f.path)
         sim::fatal("FlowSimulator: no route %s -> %s",
-                   topo_.name(from).c_str(), topo_.name(to).c_str());
+                   topo_.name(f.from).c_str(), topo_.name(f.to).c_str());
     const Path &path = *f.path;
     // Encode each traversal as edge*2 + direction so that full-duplex
     // links expose independent capacity per direction.
@@ -72,152 +232,6 @@ FlowSimulator::addFlow(NodeId from, NodeId to, double bytes, double start_s)
     }
     f.slot_end = static_cast<int>(flow_slots_.size());
     f.latency_s = topo_.pathLatency(path);
-    flows_.push_back(std::move(f));
-    return static_cast<FlowId>(flows_.size()) - 1;
-}
-
-bool
-FlowSimulator::addCopy(Flow &f)
-{
-    const int nodes = topo_.nodeCount();
-    if (f.from < 0 || f.from >= nodes || f.to < 0 || f.to >= nodes)
-        return false; // routing rejects it
-    // Blocks first, then pairs, each level from the lowest: a flow
-    // that no block copied may still be a pair's.
-    bool claimed = false;
-    for (int level = 0; level < Topology::kGatewayLevels; ++level) {
-        if (levels_[level].copies)
-            claimed = copyAt(level, f, claimed) || claimed;
-    }
-    for (int level = 0; level < Topology::kGatewayLevels; ++level) {
-        if (levels_[level].copies)
-            claimed = copyPair(level, f, claimed) || claimed;
-    }
-    return claimed;
-}
-
-bool
-FlowSimulator::copyAt(int level, Flow &f, bool claimed)
-{
-    Level &l = levels_[level];
-    const int a = l.copies->block_of[f.from];
-    const int b = l.copies->block_of[f.to];
-    if (a < 0 && b < 0)
-        return false; // a path between two outside nodes enters no cell
-    if (l.blocks.empty())
-        l.blocks.resize(l.copies->node_offset.size());
-    if (a != b || claimed) {
-        // Its path crosses links of both blocks, or it is no flow of
-        // its block's sequence.
-        for (int k : {a, b}) {
-            if (k >= 0)
-                l.blocks[k].broken = true;
-        }
-        return false;
-    }
-    if (a == 0) {
-        l.first_flows.push_back(static_cast<int>(flows_.size()));
-        return false;
-    }
-    BlockState &s = l.blocks[a];
-    if (s.broken)
-        return false;
-    const NodeId shift = l.copies->node_offset[a];
-    if (s.copies < static_cast<int>(l.first_flows.size())) {
-        const int twin = l.first_flows[s.copies];
-        const Flow &t = flows_[twin];
-        if (t.from + shift == f.from && t.to + shift == f.to &&
-            bits(t.bytes) == bits(f.bytes) &&
-            bits(t.start_s) == bits(f.start_s) &&
-            blockMatches(level, a, false)) {
-            ++s.copies;
-            makeCopy(f, twin, level, a, false);
-            return true;
-        }
-    }
-    s.broken = true;
-    return false;
-}
-
-bool
-FlowSimulator::copyPair(int level, Flow &f, bool claimed)
-{
-    Level &l = levels_[level];
-    const int a = l.copies->block_of[f.from];
-    // A copied flow is no pair's; run() breaks a pair it shares a slot
-    // with.
-    if (claimed || a < 0 || l.copies->block_of[f.to] != a + 1 ||
-        !l.copies->pairs[0])
-        return false;
-    if (a == 0) {
-        l.first_pair.push_back(static_cast<int>(flows_.size()));
-        return false;
-    }
-    BlockState &s = l.blocks[a];
-    if (s.pair_broken)
-        return false;
-    const NodeId shift = l.copies->node_offset[a];
-    if (l.copies->pairs[a] &&
-        s.pair_copies < static_cast<int>(l.first_pair.size())) {
-        const int twin = l.first_pair[s.pair_copies];
-        const Flow &t = flows_[twin];
-        // Blocks a and a+1 must be blocks 0 and 1 in link state; block
-        // 1 is compared with block 0, as every block is.
-        if (t.from + shift == f.from && t.to + shift == f.to &&
-            bits(t.bytes) == bits(f.bytes) &&
-            bits(t.start_s) == bits(f.start_s) &&
-            blockMatches(level, 1, true) && blockMatches(level, a, true) &&
-            blockMatches(level, a + 1, true)) {
-            ++s.pair_copies;
-            makeCopy(f, twin, level, a, true);
-            return true;
-        }
-    }
-    s.pair_broken = true;
-    return false;
-}
-
-bool
-FlowSimulator::blockMatches(int level, int k, bool gate)
-{
-    BlockState &s = levels_[level].blocks[k];
-    if (s.matches < 0)
-        s.matches = topo_.blockMatchesFirst(level, k);
-    if (gate && s.gate_matches < 0)
-        s.gate_matches = topo_.gateMatchesFirst(level, k);
-    return s.matches && (!gate || s.gate_matches);
-}
-
-void
-FlowSimulator::makeCopy(Flow &f, int twin, int level, int k, bool pair)
-{
-    if (copies_++ == 0)
-        copy_epoch_ = topo_.epoch();
-    // A twin may itself be a copy (a rack's twin a pair's copy): the
-    // route is its root's, shifted by both offsets.
-    const Flow &t = flows_[twin];
-    f.path = t.path;
-    f.root = t.twin >= 0 ? t.root : twin;
-    f.shift = t.shift + levels_[level].copies->edge_offset[k];
-    f.latency_s = t.latency_s;
-    f.twin = twin;
-    f.level = level;
-    f.block = k;
-    f.pair = pair;
-}
-
-bool
-FlowSimulator::copyHolds(const Flow &f) const
-{
-    const Level &l = levels_[f.level];
-    const BlockState &s = l.blocks[f.block];
-    if (topo_.epoch() != copy_epoch_)
-        return false;
-    if (f.pair)
-        return !l.blocks[0].pair_broken && !s.pair_broken &&
-               s.pair_copies == static_cast<int>(l.first_pair.size());
-    return !l.blocks[0].broken && !s.broken &&
-           s.copies == static_cast<int>(l.first_flows.size());
 }
 
 template <typename Fn>
@@ -233,27 +247,15 @@ FlowSimulator::forEachSlot(int fi, Fn fn) const
 void
 FlowSimulator::breakSharedPairs()
 {
-    // Each directed slot's owner: the pair (level + levels * block)
-    // whose flows alone cross it, none (an old stamp) before any flow
-    // does, -2 once two pairs, or a flow of no pair, do. The first
-    // pair of a level is block 0's.
-    if (std::none_of(flows_.begin(), flows_.end(),
-                     [](const Flow &f) { return f.pair; }))
+    // Each directed slot's owner: the pair whose flows alone cross it,
+    // none (an old stamp) before any flow does, -2 once two pairs, or
+    // a flow of no pair, do.
+    if (std::none_of(flows_.begin(), flows_.end(), [](const Flow &f) {
+            return f.twin >= 0 && f.pair >= 0;
+        }))
         return;
-    constexpr int kLevels = Topology::kGatewayLevels;
     const int n = static_cast<int>(flows_.size());
     PairScratch &p = t_pairs;
-    std::vector<int> &group = p.group;
-    group.assign(n, -2);
-    for (int level = 0; level < kLevels; ++level) {
-        for (int fi : levels_[level].first_pair)
-            group[fi] = level;
-    }
-    for (int fi = 0; fi < n; ++fi) {
-        const Flow &f = flows_[fi];
-        if (f.pair)
-            group[fi] = f.level + kLevels * f.block;
-    }
     // A larger graph, or a stamp that wrapped, clears every slot.
     const std::size_t slots = 2 * topo_.edgeCount();
     if (p.stamp.size() < slots || ++p.now == 0) {
@@ -261,21 +263,30 @@ FlowSimulator::breakSharedPairs()
         p.owner.resize(p.stamp.size());
         p.now = 1;
     }
+    int pairs = 0;
     for (int fi = 0; fi < n; ++fi) {
-        const int g = group[fi];
+        const int g = flows_[fi].pair >= 0 ? flows_[fi].pair : -2;
+        pairs = std::max(pairs, g + 1);
         forEachSlot(fi, [&](int s) {
             p.owner[s] = p.stamp[s] != p.now || p.owner[s] == g ? g : -2;
             p.stamp[s] = p.now;
         });
     }
+    p.shared.assign(pairs, 0);
     for (int fi = 0; fi < n; ++fi) {
-        const int g = group[fi];
+        const int g = flows_[fi].pair;
         if (g < 0)
             continue;
         bool alone = true;
         forEachSlot(fi, [&](int s) { alone = alone && p.owner[s] == g; });
         if (!alone)
-            levels_[g % kLevels].blocks[g / kLevels].pair_broken = true;
+            p.shared[g] = 1;
+    }
+    for (int fi = 0; fi < n; ++fi) {
+        const Flow &f = flows_[fi];
+        if (f.twin >= 0 && f.pair >= 0 &&
+            (p.shared[f.pair] || p.shared[flows_[f.twin].pair]))
+            routeCopy(fi);
     }
 }
 
@@ -303,9 +314,6 @@ FlowSimulator::routeCopy(int fi)
     f.slot_end = static_cast<int>(flow_slots_.size());
     f.shift = 0;
     f.twin = -1;
-    f.level = -1;
-    f.block = -1;
-    f.pair = false;
 }
 
 void
@@ -553,38 +561,22 @@ FlowSimulator::run()
     if (flows_.empty())
         return 0.0;
 
-    // A block's copies stay unrouted only if the block copied the
-    // first block's flows exactly and nothing else touched either; a
-    // pair's, if the pair copied the first pair's flows exactly and no
-    // other flow shares a slot with either.
-    if (copies_ > 0) {
-        breakSharedPairs();
-        for (int fi = 0; fi < static_cast<int>(flows_.size()); ++fi) {
-            if (flows_[fi].twin >= 0 && !copyHolds(flows_[fi])) {
-                routeCopy(fi);
-                --copies_;
-            }
+    // Decide the copies, route every other flow, then give each copy
+    // its root's route, shifted; a copy's twin precedes it.
+    findCopies();
+    for (int fi = 0; fi < static_cast<int>(flows_.size()); ++fi) {
+        Flow &f = flows_[fi];
+        if (f.twin < 0) {
+            route(fi);
+            continue;
         }
+        const Flow &t = flows_[f.twin];
+        f.root = t.twin >= 0 ? t.root : f.twin;
+        f.shift += t.shift;
+        f.path = t.path;
+        f.latency_s = t.latency_s;
     }
-    // Routes were fixed as flows were added: a link that went down
-    // since would leave a flow no capacity.
-    if (topo_.anyLinkDown()) {
-        for (std::size_t fi = 0; fi < flows_.size(); ++fi) {
-            const Flow &f = flows_[fi];
-            if (f.twin >= 0)
-                continue; // a kept copy: its twin's route, shifted
-            for (int e : f.path->edges) {
-                if (!topo_.linkDown(e))
-                    continue;
-                auto [a, b] = topo_.endpoints(e);
-                sim::fatal("FlowSimulator: link %d (%s <-> %s) went down "
-                           "after flow %zu (%s -> %s) was routed over it",
-                           e, topo_.name(a).c_str(), topo_.name(b).c_str(),
-                           fi, topo_.name(f.from).c_str(),
-                           topo_.name(f.to).c_str());
-            }
-        }
-    }
+    breakSharedPairs();
     // Fair sharing runs over every routed flow; note the edges every
     // flow crosses.
     std::vector<char> crossed(topo_.edgeCount(), 0);

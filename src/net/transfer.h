@@ -19,35 +19,36 @@
  * contention (e.g. two staged flows crossing one UPI link) matters.
  *
  * Pods repeat the same traffic in every host and every rack. On a pod
- * whose hosts, or racks, are copies of the first one
+ * whose hosts, or racks, are shifted copies of one another
  * (Topology::blockCopies(), level 0 a host, level 1 a rack with its
- * NICs and ToR), a flow inside block k, whose cell links are in the
- * first block's state, is the first block's flow of the same bytes
- * and start between the shifted endpoints: the block's cell has one
- * gateway, so its route is that flow's, shifted, and never leaves the
- * cell. addFlow() records it as a shifted copy of that twin, unrouted,
- * when block k's flows so far are the first block's in the same order.
- * It tries the host level first; a flow copied there is no flow of its
- * rack's sequence, so it breaks its rack. run() keeps the copies of a
- * block whose flows are all the first block's, in order, when no flow
- * into or out of either block was added and the link state has not
- * changed since.
+ * NICs and ToR), run() decides which flows are copies when the round
+ * runs, from the link state of that time. A flow between two nodes of
+ * block k is block k's. Block k's twin is the lowest block whose cell
+ * links are in block k's link state (Topology::blocksMatch()). The
+ * cell has one gateway, so a flow inside it never leaves it, and its
+ * route is the twin's flow between the shifted endpoints, shifted.
+ * run() keeps block k's flows as unrouted copies of its twin's when
+ * they are the twin's flows in the same order, with the same bytes and
+ * starts, each added after its twin, and no flow enters or leaves
+ * either block. A flow inside a host lies inside its rack too; a host
+ * that is kept keeps its flows' host twins.
  *
- * A flow from block k to block k+1 of a level, if no block copied it,
- * is a pair's: on a pod, rank i of host j to rank i of host j+1 in the
- * 2D ring's cross-node round. When blocks k and k+1 are blocks 0 and
- * 1 shifted by one offset (BlockCopies::pairs) and the four blocks'
- * cells and ways out are in the first block's link state, its route
- * is the first pair's flow's, shifted: each end of it is a way inside
- * a cell, and between the two gateways a BFS takes the first far end
- * both ways out reach. It is kept the same way, as a copy of the
- * first pair's flow, when no other flow crosses a directed slot (one
- * direction of a link) of the pair or of the first pair. The wrap
- * pair, from the last block to the first, is no pair and is routed.
+ * A flow from block k to block k+1 of a level, if no block kept it, is
+ * a pair's: on a pod, rank i of host j to rank i of host j+1 in the 2D
+ * ring's cross-node round. When blocks k and k+1 are blocks 0 and 1
+ * shifted by one offset (BlockCopies::pairs), the pair's twin is the
+ * lowest such pair whose two blocks are in the link state of blocks k
+ * and k+1, cells and ways out. Its route is then the twin pair's flow's,
+ * shifted: each end of it is a way inside a cell, and between the two
+ * gateways a BFS takes the first far end both ways out reach. The
+ * pair's flows are kept the same way, as copies of the twin pair's,
+ * when no other flow crosses a directed slot (one direction of a link)
+ * of either pair. The wrap pair, from the last block to the first, is
+ * no pair and is routed.
  *
  * A copy's twin may itself be a copy (a rack's twin one of the first
- * rack's pair copies); its route is the routed root's, shifted. Any
- * copy that is not kept gets that route and prices as a routed flow.
+ * rack's pair copies); its route is the routed root's, shifted. Every
+ * other flow is routed when the round runs, over the links up then.
  * Fair sharing runs over the routed flows; the event loop advances
  * every flow, a kept copy at its twin's rate.
  *
@@ -104,9 +105,10 @@ class FlowSimulator
 
     /**
      * Add a flow of 'bytes' from node 'from' to node 'to', departing at
-     * time 'start_s' (seconds). The route is fixed at add time: the
-     * flow holds the topology's memoized path (Topology::sharedRoute),
-     * which every flow on that route shares, rather than a copy.
+     * time 'start_s' (seconds). run() routes it over the links up when
+     * it runs: the flow holds the topology's memoized path
+     * (Topology::sharedRoute), which every flow on that route shares,
+     * rather than a copy.
      * @return the flow id.
      */
     FlowId addFlow(NodeId from, NodeId to, double bytes,
@@ -139,17 +141,16 @@ class FlowSimulator
   private:
     struct Flow {
         /** The topology's memoized route, shared, not copied; for a
-         *  copy its twin's, every edge shifted by 'shift'. */
+         *  copy its root's, every edge shifted by 'shift'. Set by
+         *  run(). */
         std::shared_ptr<const Path> path;
         NodeId from; ///< as added
         NodeId to;
-        /** A copy's twin, whose rate it takes, level and block (a
-         *  pair copy's first block), else -1. */
+        /** A copy's twin, whose rate it takes, else -1. */
         int twin = -1;
-        int level = -1;
-        int block = -1;
-        /** A copy of a first-pair flow, not of a first-block flow. */
-        bool pair = false;
+        /** A pair's flow: its pair, level + kGatewayLevels * its first
+         *  block; else -1. */
+        int pair = -1;
         /** A copy's routed root, the end of its chain of twins, and
          *  what it adds to the root's edge ids; 0 for a routed flow. */
         int root = -1;
@@ -172,62 +173,20 @@ class FlowSimulator
                 flow_slots_.data() + flows_[fi].slot_end};
     }
 
-    /** What addFlow() knows of one block of a level's copies, and of
-     *  the pair of it and the next block. */
-    struct BlockState {
-        /** blockMatchesFirst(), gateMatchesFirst(), or -1 until
-         *  asked. */
-        signed char matches = -1;
-        signed char gate_matches = -1;
-        /** A flow into or out of the block, or one not its copy. */
-        bool broken = false;
-        /** Its flows so far, all copies of the first block's. */
-        int copies = 0;
-        /** A flow to the next block not the first pair's copy, or a
-         *  pair flow sharing a slot with another flow. */
-        bool pair_broken = false;
-        /** Its flows to the next block so far, all copies of the first
-         *  pair's. */
-        int pair_copies = 0;
-    };
+    /** Make the flows of every block, then of every pair, that repeat
+     *  their twin's flows copies of them. */
+    void findCopies();
 
-    /** One level of the topology's block copies, as addFlow() sees
-     *  it. */
-    struct Level {
-        /** The topology's block copies at this level, or null. */
-        const Topology::BlockCopies *copies = nullptr;
-        /** Per block, once a flow touches a block. */
-        std::vector<BlockState> blocks;
-        /** Flows inside the first block, in add order, but for those
-         *  a lower level copied. */
-        std::vector<int> first_flows;
-        /** Flows from the first block to the second, the same way. */
-        std::vector<int> first_pair;
-    };
+    /** Make flows 'copy' copies of flows 'twin', their edges 'shift'
+     *  apart, when each is its twin with the ends 'dn' nodes on and
+     *  was added after it. */
+    void keepCopies(std::span<const int> copy, std::span<const int> twin,
+                    NodeId dn, int shift);
 
-    /** Make 'f' a copy of a first-block or first-pair flow at the
-     *  lowest level where it is the next flow its block or pair needs;
-     *  else note what it breaks. */
-    bool addCopy(Flow &f);
+    /** Give flow 'fi' the topology's route and its slots. */
+    void route(int fi);
 
-    /** addCopy() at one level; 'claimed' when a lower level copied
-     *  'f', which then only breaks its blocks. */
-    bool copyAt(int level, Flow &f, bool claimed);
-
-    /** addCopy() of a flow from block a to block a+1 of one level. */
-    bool copyPair(int level, Flow &f, bool claimed);
-
-    /** True when block 'k' of 'level' is in the first block's link
-     *  state: its cell, and with 'gate' also its ways out. */
-    bool blockMatches(int level, int k, bool gate);
-
-    /** Make 'f' a copy of flow 'twin', in block 'k' of 'level'. */
-    void makeCopy(Flow &f, int twin, int level, int k, bool pair);
-
-    /** True when copy 'f' may stay unrouted. */
-    bool copyHolds(const Flow &f) const;
-
-    /** Break every pair whose copies, or the first pair, share a
+    /** Route every pair copy whose pair, or twin pair, shares a
      *  directed slot with another flow. */
     void breakSharedPairs();
 
@@ -256,11 +215,7 @@ class FlowSimulator
     bool freezeAbove(int t, double level);
 
     const Topology &topo_;
-    Level levels_[Topology::kGatewayLevels];
     std::vector<Flow> flows_;
-    /** Flows added as copies, and the link-state epoch they saw. */
-    int copies_ = 0;
-    std::uint64_t copy_epoch_ = 0;
     std::vector<FlowReport> reports_;
     std::vector<double> edge_bytes_;
     bool ran_ = false;

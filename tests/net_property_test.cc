@@ -2308,7 +2308,7 @@ TEST(HostCopies, PodsOfEveryBoxAreCopies)
                 for (NodeId n : nodes[k]) {
                     EXPECT_EQ(copies->block_of[n], static_cast<int>(k));
                 }
-                EXPECT_TRUE(topo.blockMatchesFirst(0, static_cast<int>(k)));
+                EXPECT_TRUE(topo.blocksMatch(0, 0, static_cast<int>(k)));
             }
             for (NodeId n = 0; n < topo.nodeCount(); ++n) {
                 if (topo.kind(n) == NodeKind::TorSwitch ||
@@ -2668,18 +2668,18 @@ TEST(FabricShapeReference, MatchesUnionFind)
     }
 }
 
-// Host k matches the first host while its links are in the first
-// host's state, down bits and bandwidth scales alike.
+// Hosts j and k match while their links are in one state, down bits
+// and bandwidth scales alike.
 TEST(HostCopies, MatchFollowsLinkState)
 {
     SystemConfig pod = mlps::sys::withPod(mlps::sys::c4140M(), 2, 3);
     Topology &topo = pod.topo;
     const std::vector<std::vector<NodeId>> hosts = podHostNodes(topo);
     const int hosts_n = static_cast<int>(hosts.size());
-    auto matching = [&] {
+    auto matching = [&](int j = 0) {
         std::vector<bool> out;
         for (int k = 0; k < hosts_n; ++k)
-            out.push_back(topo.blockMatchesFirst(0, k));
+            out.push_back(topo.blocksMatch(0, j, k));
         return out;
     };
     std::vector<bool> all(hosts_n, true);
@@ -2694,11 +2694,17 @@ TEST(HostCopies, MatchFollowsLinkState)
     EXPECT_EQ(matching(), all);
     topo.setLinkDown(e4, true);
     EXPECT_EQ(matching(), but4);
-    // The same state in the first host makes host 4 match again.
+    EXPECT_EQ(matching(1), but4);
+    // The same state in the first host makes host 4 match it again,
+    // and the other hosts match one another.
     topo.setLinkDown(e0, true);
     std::vector<bool> only4(hosts_n, false);
     only4[0] = only4[4] = true;
     EXPECT_EQ(matching(), only4);
+    EXPECT_EQ(matching(4), only4);
+    std::vector<bool> but04(hosts_n, true);
+    but04[0] = but04[4] = false;
+    EXPECT_EQ(matching(2), but04);
     topo.resetLinkState();
     EXPECT_EQ(matching(), all);
     // Links outside every host do not count.
@@ -2731,7 +2737,7 @@ TEST(BlockCopies, RacksOfEveryBoxAreCopies)
                           copies->first_node + copies->node_offset[k]);
                 for (NodeId n : nodes[k])
                     EXPECT_EQ(copies->block_of[n], static_cast<int>(k));
-                EXPECT_TRUE(topo.blockMatchesFirst(1, static_cast<int>(k)));
+                EXPECT_TRUE(topo.blocksMatch(1, 0, static_cast<int>(k)));
             }
             // Every intra-node and intra-rack edge of the first rack is
             // in its cell, and no spine uplink.
@@ -2799,7 +2805,7 @@ TEST(BlockCopies, MatchFollowsLinkState)
     auto matching = [](const Topology &topo) {
         std::vector<bool> out;
         for (int k = 0; k < 4; ++k)
-            out.push_back(topo.blockMatchesFirst(1, k));
+            out.push_back(topo.blocksMatch(1, 0, k));
         return out;
     };
     const std::vector<bool> all(4, true);
@@ -2818,7 +2824,7 @@ TEST(BlockCopies, MatchFollowsLinkState)
         EXPECT_EQ(matching(pod.topo), but3) << links;
         // A NIC uplink leaves its host's cell: the host still matches.
         if (std::string(links).find("tor3") != std::string::npos) {
-            EXPECT_TRUE(pod.topo.blockMatchesFirst(0, 7)) << links;
+            EXPECT_TRUE(pod.topo.blocksMatch(0, 0, 7)) << links;
         }
     }
     // The same state in the first rack makes rack 3 match again.
@@ -2845,13 +2851,13 @@ TEST(BlockCopies, PairsOfEveryPod)
     EXPECT_EQ(racks->gate_edges.size(), 2u); // one uplink per spine
     const SystemConfig tor = mlps::sys::withTorDegraded(pod, 2, 0.5);
     for (int k = 0; k < 4; ++k) {
-        EXPECT_EQ(tor.topo.gateMatchesFirst(1, k), k != 2) << k;
-        EXPECT_TRUE(tor.topo.blockMatchesFirst(1, k)) << k;
+        EXPECT_EQ(tor.topo.blocksMatch(1, 0, k, true), k != 2) << k;
+        EXPECT_TRUE(tor.topo.blocksMatch(1, 0, k)) << k;
     }
     SystemConfig nic = pod;
     mlps::sys::applyDegradedLinks(nic, "r1n1.NIC0-tor1:0.5");
     for (int k = 0; k < 8; ++k)
-        EXPECT_EQ(nic.topo.gateMatchesFirst(0, k), k != 3) << k;
+        EXPECT_EQ(nic.topo.blocksMatch(0, 0, k, true), k != 3) << k;
     EXPECT_FALSE(mlps::sys::withPod(mlps::sys::c4140M(), 1, 1)
                      .topo.blockCopies(1));
 }

@@ -427,11 +427,11 @@ TEST(FlowSimulator, ErrorsOnMisuse)
     EXPECT_THROW(fsim.addFlow(g0, g1, 1.0), FatalError);
 }
 
-// Routes are fixed as flows are added. A link taken down under an
-// added flow before run() is a configuration error, exit code 3 at the
-// tool boundary, that names the link and the flow; a flow added after
-// the link went down routes around it.
-TEST(FlowSimulator, LinkDownedUnderAnAddedFlowIsFatal)
+// Routes are taken when run() runs. A link taken down between addFlow()
+// and run() is routed around: the flows price exactly as flows added
+// after the link went down; a flow added after the link went down
+// routes around it too.
+TEST(FlowSimulator, LinkDownedUnderAnAddedFlowIsRoutedAround)
 {
     Topology topo;
     NodeId cpu = topo.addCpu("CPU0");
@@ -440,23 +440,19 @@ TEST(FlowSimulator, LinkDownedUnderAnAddedFlowIsFatal)
     topo.connect(cpu, g0, pcie3(16));
     topo.connect(cpu, g1, pcie3(16));
     int nv = topo.connect(g0, g1, nvlink(2));
-    EXPECT_EXIT(
-        {
-            FlowSimulator fsim(topo);
-            fsim.addFlow(cpu, g1, 1e6);
-            fsim.addFlow(g0, g1, 1e6); // over the NVLink
-            topo.setLinkDown(nv, true);
-            try {
-                fsim.run();
-            } catch (const FatalError &e) {
-                std::fprintf(stderr, "error: %s\n", e.what());
-                std::exit(3);
-            }
-            std::exit(0);
-        },
-        ::testing::ExitedWithCode(3),
-        "link 2 \\(GPU0 <-> GPU1\\) went down after flow 1 "
-        "\\(GPU0 -> GPU1\\)");
+    FlowSimulator early(topo);
+    early.addFlow(cpu, g1, 1e6);
+    early.addFlow(g0, g1, 1e6); // over the NVLink while it is up
+    topo.setLinkDown(nv, true);
+    FlowSimulator late(topo);
+    late.addFlow(cpu, g1, 1e6);
+    late.addFlow(g0, g1, 1e6);
+    EXPECT_EQ(early.run(), late.run());
+    EXPECT_EQ(early.edgeBytes(), late.edgeBytes());
+    EXPECT_EQ(early.edgeBytes()[nv], 0.0);
+    for (std::size_t i = 0; i < late.reports().size(); ++i)
+        EXPECT_EQ(early.reports()[i].finish_s, late.reports()[i].finish_s)
+            << "flow " << i;
 
     topo.setLinkDown(nv, true);
     FlowSimulator fsim(topo);
