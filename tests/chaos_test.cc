@@ -15,8 +15,6 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "chaos/hooks.h"
 #include "chaos/schedule.h"
 #include "chaos/soak.h"
@@ -29,20 +27,11 @@
 #include "sim/rng.h"
 #include "sys/machines.h"
 
+#include "scratch_dir.h"
+
 namespace {
 
 using namespace mlps;
-
-/** Fresh per-test scratch directory (removed up front, not after). */
-std::string
-tempDir(const std::string &name)
-{
-    auto dir = std::filesystem::temp_directory_path() /
-               ("mlpsim_chaos_" + name + "_" +
-                std::to_string(::getpid()));
-    std::filesystem::remove_all(dir);
-    return dir.string();
-}
 
 std::string
 slurp(const std::string &path)
@@ -206,8 +195,8 @@ struct OneShotFsHooks final : chaos::FsHooks {
 TEST(JournalChaos, EnospcAtEveryIndexDisablesPersistenceCleanly)
 {
     for (std::size_t k = 0; k < 10; ++k) {
-        std::string dir =
-            tempDir("enospc_" + std::to_string(k));
+        const test::ScratchDir scratch("chaos_enospc_" + std::to_string(k));
+        const std::string &dir = scratch.path();
         OneShotFsHooks hooks;
         hooks.at = k;
         hooks.kind = chaos::FsFaultKind::Enospc;
@@ -242,7 +231,8 @@ TEST(JournalChaos, EnospcAtEveryIndexDisablesPersistenceCleanly)
 
 TEST(JournalChaos, FsyncFailureRollsBackAndLaterAppendsLand)
 {
-    std::string dir = tempDir("fsyncfail");
+    const test::ScratchDir scratch("chaos_fsyncfail");
+    const std::string &dir = scratch.path();
     OneShotFsHooks hooks;
     hooks.at = 2;
     hooks.kind = chaos::FsFaultKind::FsyncFail;
@@ -268,7 +258,8 @@ TEST(JournalChaos, InjectedCrashAtEveryIndexRecoversOnReload)
 {
     constexpr std::uint64_t kRecords = 8;
     for (std::size_t k = 0; k < kRecords; ++k) {
-        std::string dir = tempDir("crash_" + std::to_string(k));
+        const test::ScratchDir scratch("chaos_crash_" + std::to_string(k));
+        const std::string &dir = scratch.path();
         OneShotFsHooks hooks;
         hooks.at = k;
         hooks.kind = chaos::FsFaultKind::Crash;
@@ -312,7 +303,8 @@ class JournalCrashPoint : public ::testing::TestWithParam<int>
     static void
     SetUpTestSuite()
     {
-        std::string dir = tempDir("crash_matrix_src");
+        const test::ScratchDir scratch("chaos_crash_matrix_src");
+        const std::string &dir = scratch.path();
         {
             exec::Journal j(dir);
             j.load([](const exec::Fingerprint &,
@@ -346,7 +338,8 @@ std::vector<std::size_t> *JournalCrashPoint::ends_ = nullptr;
 TEST_P(JournalCrashPoint, BoundaryTruncationIsDetectedAndCorrected)
 {
     const std::size_t k = static_cast<std::size_t>(GetParam());
-    std::string dir = tempDir("boundary_" + std::to_string(k));
+    const test::ScratchDir scratch("chaos_boundary_" + std::to_string(k));
+    const std::string &dir = scratch.path();
     std::filesystem::create_directories(dir);
     // Cut exactly after record k: k+1 complete records, bit-clean —
     // only the committed count in the header knows 50 were written.
@@ -385,7 +378,8 @@ TEST_P(JournalCrashPoint, MidRecordTruncationQuarantinesTornTail)
     const std::size_t k = static_cast<std::size_t>(GetParam());
     if (k + 1 >= ends_->size())
         return; // no next record to tear
-    std::string dir = tempDir("midrec_" + std::to_string(k));
+    const test::ScratchDir scratch("chaos_midrec_" + std::to_string(k));
+    const std::string &dir = scratch.path();
     std::filesystem::create_directories(dir);
     // Cut halfway into record k+1: k+1 complete records + torn tail.
     std::size_t cut =
@@ -414,7 +408,8 @@ INSTANTIATE_TEST_SUITE_P(EveryBoundary, JournalCrashPoint,
 
 TEST(EngineChaos, DiskFullSurfacesThroughEngineAndRegistry)
 {
-    std::string dir = tempDir("engine_enospc");
+    const test::ScratchDir scratch("chaos_engine_enospc");
+    const std::string &dir = scratch.path();
     OneShotFsHooks hooks;
     hooks.at = 0;
     hooks.kind = chaos::FsFaultKind::Enospc;
@@ -532,7 +527,8 @@ TEST(Soak, SmallSoakPassesAndReplaysByteIdentically)
     opts.jobs = 1;
     std::string error;
     ASSERT_TRUE(chaos::ChaosSpec::parse("all", &opts.chaos, &error));
-    opts.cache_dir = tempDir("soak_small");
+    const test::ScratchDir scratch("chaos_soak_small");
+    opts.cache_dir = scratch.path();
 
     chaos::SoakReport first = chaos::runSoak(opts);
     EXPECT_TRUE(first.pass) << first.text;

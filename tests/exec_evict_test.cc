@@ -14,12 +14,12 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "exec/engine.h"
 #include "exec/journal.h"
 #include "models/zoo.h"
 #include "sys/machines.h"
+
+#include "scratch_dir.h"
 
 namespace {
 
@@ -33,16 +33,6 @@ requestFor(const std::string &abbrev, int num_gpus)
     req.workload = *models::findWorkload(abbrev);
     req.options.num_gpus = num_gpus;
     return req;
-}
-
-std::string
-tempDir(const std::string &name)
-{
-    auto dir = std::filesystem::temp_directory_path() /
-               ("mlpsim_evict_" + name + "_" +
-                std::to_string(::getpid()));
-    std::filesystem::remove_all(dir);
-    return dir.string();
 }
 
 /** Distinct single-workload requests: GPU counts the DSS 8440 owns,
@@ -144,7 +134,8 @@ TEST(RunCacheBudget, NeverEvictsBelowOneEntry)
 
 TEST(RunCacheBudget, EvictedEntriesSurviveInJournal)
 {
-    const std::string dir = tempDir("journal_survival");
+    const test::ScratchDir scratch("evict_journal_survival");
+    const std::string &dir = scratch.path();
     auto reqs = distinctRequests(3);
     {
         exec::ExecOptions opts(1);
@@ -172,7 +163,8 @@ TEST(RunCacheBudget, EvictedEntriesSurviveInJournal)
 
 TEST(RunCacheBudget, CompactionRoundTripIsBitExact)
 {
-    const std::string dir = tempDir("compact");
+    const test::ScratchDir scratch("evict_compact");
+    const std::string &dir = scratch.path();
     auto reqs = distinctRequests(5);
     std::vector<exec::RunResult> first;
     {

@@ -16,8 +16,6 @@
 #include <string>
 #include <vector>
 
-#include <unistd.h>
-
 #include "core/report.h"
 #include "exec/engine.h"
 #include "exec/journal.h"
@@ -25,6 +23,8 @@
 #include "sim/logger.h"
 #include "sim/rng.h"
 #include "sys/machines.h"
+
+#include "scratch_dir.h"
 
 namespace {
 
@@ -40,17 +40,6 @@ requestFor(const std::string &abbrev, int num_gpus,
     req.options.num_gpus = num_gpus;
     req.profiled = profiled;
     return req;
-}
-
-/** Fresh per-test scratch directory (removed up front, not after). */
-std::string
-tempDir(const std::string &name)
-{
-    auto dir = std::filesystem::temp_directory_path() /
-               ("mlpsim_persist_" + name + "_" +
-                std::to_string(::getpid()));
-    std::filesystem::remove_all(dir);
-    return dir.string();
 }
 
 std::string
@@ -146,7 +135,8 @@ TEST(JournalCrc, MatchesBitwiseLoop)
 
 TEST(JournalPersist, WarmRestartServesFromJournal)
 {
-    std::string dir = tempDir("warm_restart");
+    const test::ScratchDir scratch("persist_warm_restart");
+    const std::string &dir = scratch.path();
     std::vector<exec::RunRequest> batch = {
         requestFor("MLPf_NCF_Py", 1),
         requestFor("MLPf_NCF_Py", 2),
@@ -188,7 +178,8 @@ TEST(JournalPersist, PodTierBytesSurviveReplayBitExactly)
     for (const sys::SystemConfig &system :
          {pod, sys::withSpineDegraded(pod, 0.25)}) {
         SCOPED_TRACE(system.name);
-        std::string dir = tempDir("pod_tier_bytes");
+        const test::ScratchDir scratch("persist_pod_tier_bytes");
+        const std::string &dir = scratch.path();
         exec::RunRequest req;
         req.system = system;
         req.workload = *models::findWorkload("MLPf_Res50_MX");
@@ -215,7 +206,8 @@ TEST(JournalPersist, PodTierBytesSurviveReplayBitExactly)
 
 TEST(JournalPersist, KillResumeSimulatesOnlyRemainingPoints)
 {
-    std::string dir = tempDir("kill_resume");
+    const test::ScratchDir scratch("persist_kill_resume");
+    const std::string &dir = scratch.path();
     std::vector<exec::RunRequest> all = {
         requestFor("MLPf_NCF_Py", 1), requestFor("MLPf_NCF_Py", 2),
         requestFor("MLPf_NCF_Py", 4), requestFor("MLPf_SSD_Py", 1),
@@ -239,7 +231,8 @@ TEST(JournalPersist, KillResumeSimulatesOnlyRemainingPoints)
 
 TEST(JournalPersist, TruncatedTailQuarantinesAndResumes)
 {
-    std::string dir = tempDir("truncated");
+    const test::ScratchDir scratch("persist_truncated");
+    const std::string &dir = scratch.path();
     std::vector<exec::RunRequest> batch = {
         requestFor("MLPf_NCF_Py", 1),
         requestFor("MLPf_NCF_Py", 2),
@@ -278,7 +271,8 @@ TEST(JournalPersist, TruncatedTailQuarantinesAndResumes)
 
 TEST(JournalPersist, BitFlippedRecordQuarantinesTail)
 {
-    std::string dir = tempDir("bitflip");
+    const test::ScratchDir scratch("persist_bitflip");
+    const std::string &dir = scratch.path();
     std::vector<exec::RunRequest> batch = {
         requestFor("MLPf_NCF_Py", 1),
         requestFor("MLPf_NCF_Py", 2),
@@ -307,7 +301,8 @@ TEST(JournalPersist, BitFlippedRecordQuarantinesTail)
 
 TEST(JournalPersist, WrongVersionQuarantinesWholeFile)
 {
-    std::string dir = tempDir("wrong_version");
+    const test::ScratchDir scratch("persist_wrong_version");
+    const std::string &dir = scratch.path();
     {
         exec::Engine engine(durableOpts(dir));
         engine.runOne(requestFor("MLPf_NCF_Py", 1));
@@ -336,7 +331,8 @@ TEST(JournalPersist, WrongVersionQuarantinesWholeFile)
 // would misread every later field, so the whole file is quarantined.
 TEST(JournalPersist, VersionThreeJournalIsQuarantined)
 {
-    std::string dir = tempDir("version_three");
+    const test::ScratchDir scratch("persist_version_three");
+    const std::string &dir = scratch.path();
     {
         exec::Engine engine(durableOpts(dir));
         engine.runOne(requestFor("MLPf_NCF_Py", 2));
@@ -361,7 +357,8 @@ TEST(JournalPersist, VersionThreeJournalIsQuarantined)
 
 TEST(JournalPersist, ConcurrentDoubleOpenDegradesToReadOnly)
 {
-    std::string dir = tempDir("double_open");
+    const test::ScratchDir scratch("persist_double_open");
+    const std::string &dir = scratch.path();
     exec::Engine owner(durableOpts(dir));
     owner.runOne(requestFor("MLPf_NCF_Py", 1));
 
@@ -389,7 +386,8 @@ TEST(JournalPersist, ConcurrentDoubleOpenDegradesToReadOnly)
 
 TEST(JournalPersist, ClearRemovesJournalAndQuarantine)
 {
-    std::string dir = tempDir("clear");
+    const test::ScratchDir scratch("persist_clear");
+    const std::string &dir = scratch.path();
     {
         exec::Engine engine(durableOpts(dir));
         engine.runOne(requestFor("MLPf_NCF_Py", 1));
@@ -505,7 +503,8 @@ TEST(Supervise, DeadlineWatchdogFlagsButNeverKills)
 {
     // An overrun finishes its run, then becomes a "deadline" error
     // that is neither cached nor journaled.
-    std::string dir = tempDir("deadline");
+    const test::ScratchDir scratch("persist_deadline");
+    const std::string &dir = scratch.path();
     {
         exec::ExecOptions opts = durableOpts(dir);
         opts.on_error = exec::ErrorPolicy::Capture;
@@ -579,7 +578,8 @@ TEST(Report, InjectedFailureDegradesCellsAndAppendsRunLog)
 
 TEST(Report, BytesIdenticalAcrossJournalWarmth)
 {
-    std::string dir = tempDir("report_warmth");
+    const test::ScratchDir scratch("persist_report_warmth");
+    const std::string &dir = scratch.path();
     core::ReportOptions opts = smallReport();
 
     std::string cold, warm;
