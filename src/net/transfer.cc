@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "sim/logger.h"
@@ -147,8 +148,8 @@ FlowSimulator::findCopies()
             auto blockOf = [&](NodeId v) {
                 return v >= 0 && v < nodes ? c->block_of[v] : -1;
             };
-            // A block with a flow into or out of it, whose twin it
-            // cannot be, nor a copy of its twin.
+            // Blocks a flow enters or leaves: they neither keep copies
+            // nor lend their flows as twins.
             std::vector<char> open(pairs ? 0 : blocks, 0);
             bool any = false;
             for (int fi = 0; fi < n; ++fi) {

@@ -30,8 +30,8 @@
  * run() keeps block k's flows as unrouted copies of its twin's when
  * they are the twin's flows in the same order, with the same bytes and
  * starts, each added after its twin, and no flow enters or leaves
- * either block. A flow inside a host lies inside its rack too; a host
- * that is kept keeps its flows' host twins.
+ * either block. A flow inside a host lies inside its rack too; when
+ * both are kept, it keeps its host twin.
  *
  * A flow from block k to block k+1 of a level, if no block kept it, is
  * a pair's: on a pod, rank i of host j to rank i of host j+1 in the 2D
@@ -67,7 +67,6 @@
 #ifndef MLPSIM_NET_TRANSFER_H
 #define MLPSIM_NET_TRANSFER_H
 
-#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
