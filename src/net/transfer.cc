@@ -136,7 +136,7 @@ FlowSimulator::findCopies()
     constexpr int kLevels = Topology::kGatewayLevels;
     const int n = static_cast<int>(flows_.size());
     const NodeId nodes = topo_.nodeCount();
-    std::vector<int> key(n);
+    std::vector<int> key;
     // Blocks first, then pairs, each level from the lowest: a flow no
     // block kept may still be a pair's.
     for (bool pairs : {false, true}) {
@@ -144,6 +144,7 @@ FlowSimulator::findCopies()
             const Topology::BlockCopies *c = topo_.blockCopies(level);
             if (!c)
                 continue;
+            key.resize(n);
             const int blocks = static_cast<int>(c->node_offset.size());
             auto blockOf = [&](NodeId v) {
                 return v >= 0 && v < nodes ? c->block_of[v] : -1;
