@@ -682,7 +682,7 @@ TEST(RouteCache, OneLookupCountsOnce)
 }
 
 // A healthy pod's racks are copies of the first rack: pricing the
-// tree's intra-rack rank-ring round adds every other rack's flows as
+// tree's intra-rack rank-ring round prices every other rack's flows as
 // unrouted copies of the first rack's. Within the first rack, the
 // flows from host j to host j+1 are copies of the first pair's (r0n0
 // to r0n1), so a fresh copy of the pod makes one route lookup per flow
@@ -743,7 +743,7 @@ crossNodeRoundLookups(const sys::SystemConfig &pod)
 // to host j+1 are the first pair's shifted, within a rack (r0n0 to
 // r0n1) or across a rack boundary (r0n7 to r1n0). Pricing it on a
 // fresh copy of a healthy pod routes those two pairs and the wrap pair
-// (r15n7 to r0n0), and adds every other pair's flows as unrouted
+// (r15n7 to r0n0), and prices every other pair's flows as unrouted
 // copies: one route lookup per flow of three pairs.
 TEST(RouteCache, CrossNodeRoundRoutesOnlyTheFirstPairs)
 {
