@@ -18,8 +18,8 @@
  * rows.
  *
  * Overhead: when tracing is disabled (the default) a Span is one
- * relaxed atomic load and no allocation; the instrumented hot paths
- * cost nothing measurable (see bench_telemetry_overhead).
+ * relaxed atomic load and no allocation, and a report records none
+ * (SelfTrace.ReportWithTelemetryOffRecordsNothing).
  */
 
 #ifndef MLPSIM_OBS_SPAN_H

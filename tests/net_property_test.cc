@@ -1772,18 +1772,26 @@ pairBreakers()
  *  ring wins. */
 const std::vector<double> kPodPayloads = {64.0 * 1024, 256.0 * 1024 * 1024};
 
-TEST(AllReduceReference, PodsOfEveryBox)
+/** The pods of one box of podBoxes(), indexed by the parameter: one
+ *  ctest case per box, so that a parallel run spreads the oracle. */
+class AllReduceReferencePods : public ::testing::TestWithParam<int>
 {
-    for (const SystemConfig &box : podBoxes()) {
-        for (auto [racks, hosts] : {std::pair{4, 4}, {16, 8}}) {
-            for (const SystemConfig &pod : podFabrics(box, racks, hosts))
-                expectAllReduceMatchesReference(
-                    pod.topo, pod.gpu_nodes,
-                    racks == 4 ? kAllReducePayloads : kPodPayloads,
-                    pod.name);
-        }
+};
+
+TEST_P(AllReduceReferencePods, MatchTheOracle)
+{
+    const SystemConfig box = podBoxes().at(GetParam());
+    for (auto [racks, hosts] : {std::pair{4, 4}, {16, 8}}) {
+        for (const SystemConfig &pod : podFabrics(box, racks, hosts))
+            expectAllReduceMatchesReference(
+                pod.topo, pod.gpu_nodes,
+                racks == 4 ? kAllReducePayloads : kPodPayloads, pod.name);
     }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    PodBoxes, AllReduceReferencePods,
+    ::testing::Range(0, static_cast<int>(podBoxes().size())));
 
 TEST(AllReduceReference, HostsThatAreNotCopies)
 {

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <thread>
 
+#include "core/report.h"
 #include "exec/engine.h"
 #include "models/zoo.h"
 #include "obs/manifest.h"
@@ -294,6 +295,41 @@ TEST(SelfTrace, ThreadsGetDistinctTracks)
     bool suffixed = events[0].track.find("/t") != std::string::npos ||
                     events[1].track.find("/t") != std::string::npos;
     EXPECT_TRUE(suffixed);
+    t.clear();
+}
+
+/** A report with telemetry off records no span: tracing disabled and no
+ *  structured log, as for every run without --telemetry-dir. The same
+ *  report with tracing on records some, so the check is not vacuous. */
+TEST(SelfTrace, ReportWithTelemetryOffRecordsNothing)
+{
+    core::ReportOptions opts;
+    opts.include_mixed_precision = false;
+    opts.include_topology = false;
+    opts.include_scheduling = false;
+    opts.include_characterization = false;
+    opts.include_faults = false;
+    opts.include_degraded_fabric = false;
+    opts.include_attribution = false;
+    opts.include_pod_scale = false;
+    ASSERT_FALSE(sim::structuredLogEnabled());
+
+    obs::SelfTracer &t = obs::SelfTracer::global();
+    t.setEnabled(false);
+    t.clear();
+    {
+        exec::Engine engine(exec::ExecOptions{1});
+        EXPECT_FALSE(core::generateStudyReport(opts, engine).empty());
+    }
+    EXPECT_EQ(t.events().size(), 0u);
+
+    t.setEnabled(true);
+    {
+        exec::Engine engine(exec::ExecOptions{1});
+        core::generateStudyReport(opts, engine);
+    }
+    t.setEnabled(false);
+    EXPECT_GT(t.events().size(), 0u);
     t.clear();
 }
 
